@@ -26,7 +26,7 @@ import sys
 import time
 from typing import Optional
 
-from .exactalg import IntMatrix, RingSpec, ZZ, Zmod
+from .exactalg import ExactAlgError, IntMatrix, RingSpec, ZZ, Zmod
 from .modules import FpModule, ModuleError, ModuleMap
 from .complexes import (
     ChainMap,
@@ -261,10 +261,10 @@ def cmd_check(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    xclass = parse_class_spec(args.xclass)
-    command = ["check", args.kind, args.input, "--class", xclass.key(),
-               "--bound", str(args.bound), "--window", str(args.window)]
     try:
+        xclass = parse_class_spec(args.xclass)
+        command = ["check", args.kind, args.input, "--class", xclass.key(),
+                   "--bound", str(args.bound), "--window", str(args.window)]
         if args.kind == "homotopic-zero":
             f = chain_map_from_doc(doc)
             h = null_homotopy(f)
@@ -339,13 +339,13 @@ def cmd_build(args) -> int:
     try:
         doc = _load_json(args.input)
         y = complex_from_doc(doc)
+        xclass = parse_class_spec(args.xclass)
     except (OSError, json.JSONDecodeError, DocumentError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (ModuleError, ComplexError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
-    xclass = parse_class_spec(args.xclass)
     outdir = args.output
     os.makedirs(outdir, exist_ok=True)
     command = ["build", args.kind, args.input, "--class", xclass.key(),
@@ -407,9 +407,9 @@ def cmd_build(args) -> int:
 
 def cmd_universe(args) -> int:
     _apply_unsafe_bound(args)
-    ring = Zmod(args.ring)
-    xclass = parse_class_spec(args.xclass)
     try:
+        ring = Zmod(args.ring)
+        xclass = parse_class_spec(args.xclass)
         if args.kind == "modules":
             u = module_universe(ring, args.bound)
             for m in u.members:
@@ -430,7 +430,7 @@ def cmd_universe(args) -> int:
             return 0
         print(f"unknown universe kind {args.kind}", file=sys.stderr)
         return 2
-    except UniverseCapError as exc:
+    except (ExactAlgError, ModuleError, UniverseCapError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
 

@@ -452,11 +452,7 @@ def hom_complex_data(x: Complex, y: Complex, degrees: Optional[Sequence[int]] = 
                 total = term if total is None else total + term
         if total is not None:
             diffs[n] = total
-    if degrees is None:
-        cx = Complex(ring, comps, diffs, check=False)
-    else:
-        cx = Complex(ring, comps, diffs, check=False)
-    return HomComplexData(x, y, cx, deg_data)
+    return HomComplexData(x, y, Complex(ring, comps, diffs, check=False), deg_data)
 
 
 def hom_complex(x: Complex, y: Complex) -> Complex:
@@ -557,7 +553,11 @@ def null_homotopy(f: ChainMap) -> Optional[Homotopy]:
 
 def splits(seq: ShortExactOfComplexes) -> Optional[ChainMap]:
     """A retraction r with r o inj = id as chain maps, or None."""
-    L, M = seq.left, seq.middle
+    return _retraction(seq.left, seq.middle, seq.inj)
+
+
+def _retraction(L: Complex, M: Complex, inj: ChainMap) -> Optional[ChainMap]:
+    """The canonical chain map r: M -> L with r o inj = id, or None."""
     if L.is_zero():
         return ChainMap.zero(M, L)
     ms = MapSystem(L.ring)
@@ -578,12 +578,10 @@ def splits(seq: ShortExactOfComplexes) -> Optional[ChainMap]:
                 ms.equation(terms, None, (M.component(k), L.component(k + 1)))
         # retraction on the inclusion
         if not L.component(k).is_zero():
-            ident = ModuleMap.identity(L.component(k))
-            if k in names:
-                ms.equation([(None, names[k], seq.inj.component(k), 1)], ident,
-                            (L.component(k), L.component(k)))
-            else:
+            if k not in names:
                 return None
+            ms.equation([(None, names[k], inj.component(k), 1)],
+                        ModuleMap.identity(L.component(k)), (L.component(k), L.component(k)))
     sol = ms.solve()
     if sol is None:
         return None

@@ -20,6 +20,7 @@ and the factorization property against the enumerated competitor family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as iproduct
 from typing import Callable, Optional
 
 from .exactalg import IntMatrix
@@ -32,8 +33,6 @@ from .modules import (
     cokernel,
     direct_sum,
     hom_module,
-    hom_postcompose,
-    hom_precompose,
     injective_hull,
     kernel,
     span_elements,
@@ -55,10 +54,18 @@ from .xclass import (
     cokernel_complex,
     contains_module,
     default_complex_universe,
+    enumerate_epis,
+    enumerate_monos,
     kernel_complex,
     module_universe,
 )
-from .lifting import Verdict, x_injective_complex, x_injective_module, x_projective_module
+from .lifting import (
+    Verdict,
+    _induced_restriction,
+    x_injective_complex,
+    x_injective_module,
+    x_projective_module,
+)
 
 
 class BuildError(ValueError):
@@ -91,32 +98,63 @@ def hull_envelope(m: FpModule) -> tuple:
     return injective_hull(m)
 
 
-def _search_cover(m: FpModule, x: XClassSpec, u: ModuleUniverse) -> tuple:
-    from .xclass import enumerate_epis
-    for p in u.members:
-        if not contains_module(x, p):
-            continue
-        if not x_projective_module(p, x, u, keep_witnesses=False).holds:
-            continue
-        for q in enumerate_epis(p, m):
-            if contains_module(x, kernel(q).sub):
-                return p, q
-    raise OracleHypothesisError(
-        f"no class-projective cover of {m.describe()} with class kernel in {u.describe()}")
+def _side_words(injective: bool) -> tuple:
+    """(class property, built object, its quotient, what its map is), naming
+    a side in messages."""
+    return ("injective", "envelope", "cokernel", "injective") if injective \
+        else ("projective", "cover", "kernel", "onto")
 
 
-def _search_envelope(m: FpModule, x: XClassSpec, u: ModuleUniverse) -> tuple:
-    from .xclass import enumerate_monos
-    for e in u.members:
-        if not contains_module(x, e):
-            continue
-        if not x_injective_module(e, x, u, keep_witnesses=False).holds:
-            continue
-        for f in enumerate_monos(m, e):
-            if contains_module(x, cokernel(f)[0]):
+def _quotient(f: ModuleMap, injective: bool) -> FpModule:
+    """The cokernel of an envelope map, or the kernel of a cover map."""
+    return cokernel(f)[0] if injective else kernel(f).sub
+
+
+def _passing(members, x: XClassSpec, u: ModuleUniverse, injective: bool):
+    """The class members among ``members`` that pass the side's module test,
+    tested lazily in order."""
+    test = x_injective_module if injective else x_projective_module
+    return (e for e in members
+            if contains_module(x, e) and test(e, x, u, keep_witnesses=False).holds)
+
+
+def _search_oracle(m: FpModule, x: XClassSpec, u: ModuleUniverse, injective: bool) -> tuple:
+    """The first universe member passing the side's test, with the first
+    injection from m into it (surjection from it onto m) whose cokernel
+    (kernel) is in the class."""
+    prop, built, part, _ = _side_words(injective)
+    for e in _passing(u.members, x, u, injective):
+        for f in (enumerate_monos(m, e) if injective else enumerate_epis(e, m)):
+            if contains_module(x, _quotient(f, injective)):
                 return e, f
     raise OracleHypothesisError(
-        f"no class-injective envelope of {m.describe()} with class cokernel in {u.describe()}")
+        f"no class-{prop} {built} of {m.describe()} with class {part} in {u.describe()}")
+
+
+def _verify_oracle(e: FpModule, f: ModuleMap, x: XClassSpec, u: Optional[ModuleUniverse],
+                   injective: bool) -> None:
+    """Re-verify a module envelope f: m -> e (cover f: e -> m): f is injective
+    (onto), e and its cokernel (kernel) are in the class, e passes the side's
+    module test and every map between m and a universe member passing it
+    factors through f."""
+    prop, built, part, adjective = _side_words(injective)
+    if not (f.is_mono() if injective else f.is_epi()):
+        raise OracleHypothesisError(f"{built} map is not {adjective}")
+    if not contains_module(x, _quotient(f, injective)):
+        raise OracleHypothesisError(f"{built} {part} left the class")
+    if not contains_module(x, e):
+        raise OracleHypothesisError(f"{built} module left the class")
+    if u is None or not e.ring.is_modular:
+        return
+    test = x_injective_module if injective else x_projective_module
+    if not test(e, x, u, keep_witnesses=False).holds:
+        raise OracleHypothesisError(f"{built} module failed the {prop} test")
+    for cand in _passing(u.members, x, u, injective):
+        restr = _induced_restriction(f, cand, injective, hom_module)[0]
+        if not cokernel(restr)[0].is_zero():
+            raise OracleHypothesisError(
+                f"map {'into' if injective else 'from'} {cand.describe()} does not "
+                f"factor through the {built}")
 
 
 def module_epi_precover(m: FpModule, x: XClassSpec,
@@ -139,33 +177,10 @@ def module_epi_precover(m: FpModule, x: XClassSpec,
     else:
         if u is None:
             raise BuildError("universe required for the search strategy")
-        p, q = _search_cover(m, x, u)
+        p, q = _search_oracle(m, x, u, injective=False)
     if verify:
-        if not q.is_epi():
-            raise OracleHypothesisError("cover map is not onto")
-        if not contains_module(x, kernel(q).sub):
-            raise OracleHypothesisError("cover kernel left the class")
-        if not contains_module(x, p):
-            raise OracleHypothesisError("cover module left the class")
-        if u is not None and m.ring.is_modular:
-            if not x_projective_module(p, x, u, keep_witnesses=False).holds:
-                raise OracleHypothesisError("cover module failed the projective test")
-            _verify_cover_factorization(q, x, u)
+        _verify_oracle(p, q, x, u, injective=False)
     return p, q
-
-
-def _verify_cover_factorization(q: ModuleMap, x: XClassSpec, u: ModuleUniverse) -> None:
-    for cand in u.members:
-        if not contains_module(x, cand):
-            continue
-        if not x_projective_module(cand, x, u, keep_witnesses=False).holds:
-            continue
-        hom_pc = hom_module(cand, q.source)
-        hom_mc = hom_module(cand, q.target)
-        post = hom_postcompose(hom_pc, hom_mc, q)
-        if not cokernel(post)[0].is_zero():
-            raise OracleHypothesisError(
-                f"map from {cand.describe()} does not factor through the cover")
 
 
 def module_mono_preenvelope(m: FpModule, x: XClassSpec,
@@ -185,38 +200,27 @@ def module_mono_preenvelope(m: FpModule, x: XClassSpec,
     else:
         if u is None:
             raise BuildError("universe required for the search strategy")
-        e, f = _search_envelope(m, x, u)
+        e, f = _search_oracle(m, x, u, injective=True)
     if verify:
-        if not f.is_mono():
-            raise OracleHypothesisError("envelope map is not injective")
-        if not contains_module(x, cokernel(f)[0]):
-            raise OracleHypothesisError("envelope cokernel left the class")
-        if not contains_module(x, e):
-            raise OracleHypothesisError("envelope module left the class")
-        if u is not None and m.ring.is_modular:
-            if not x_injective_module(e, x, u, keep_witnesses=False).holds:
-                raise OracleHypothesisError("envelope module failed the injective test")
-            _verify_envelope_factorization(f, x, u)
+        _verify_oracle(e, f, x, u, injective=True)
     return e, f
-
-
-def _verify_envelope_factorization(f: ModuleMap, x: XClassSpec, u: ModuleUniverse) -> None:
-    for cand in u.members:
-        if not contains_module(x, cand):
-            continue
-        if not x_injective_module(cand, x, u, keep_witnesses=False).holds:
-            continue
-        hom_ec = hom_module(f.target, cand)
-        hom_mc = hom_module(f.source, cand)
-        pre = hom_precompose(hom_ec, hom_mc, f)
-        if not cokernel(pre)[0].is_zero():
-            raise OracleHypothesisError(
-                f"map into {cand.describe()} does not factor through the envelope")
 
 
 # ---------------------------------------------------------------------------
 # Bounded precover
 # ---------------------------------------------------------------------------
+
+def _oracle_at(y: Complex, deg: int, x: XClassSpec, u: Optional[ModuleUniverse],
+               oracle: Optional[Callable], injective: bool) -> tuple:
+    """The module envelope (cover) of y's component in degree deg; the zero
+    module with the zero map when that component is zero."""
+    m = y.component(deg)
+    if m.is_zero():
+        z = FpModule.zero(y.ring)
+        return z, ModuleMap.zero(m, z) if injective else ModuleMap.zero(z, m)
+    build = module_mono_preenvelope if injective else module_epi_precover
+    return build(m, x, u=u, oracle=oracle)
+
 
 @dataclass
 class BuildStep:
@@ -274,15 +278,7 @@ def precover_bounded(y: Complex, x: XClassSpec,
     log: list = []
     oracle_log: list = []
 
-    def cover_of(deg: int) -> tuple:
-        m = y.component(deg)
-        if m.is_zero():
-            p = FpModule.zero(y.ring)
-            return p, ModuleMap.zero(p, m)
-        p, q = module_epi_precover(m, x, u=u, oracle=oracle)
-        return p, q
-
-    p0, f0 = cover_of(lo)
+    p0, f0 = _oracle_at(y, lo, x, u, oracle, injective=False)
     oracle_log.append((lo, p0, f0))
     comps = {lo: p0, lo + 1: p0}
     diffs = {lo: ModuleMap.identity(p0)}
@@ -290,7 +286,7 @@ def precover_bounded(y: Complex, x: XClassSpec,
     log.append(BuildStep(lo, {"base": True, "cover": p0, "map": f0}))
 
     for deg in range(lo + 1, hi + 1):
-        p_new, f_new = cover_of(deg)
+        p_new, f_new = _oracle_at(y, deg, x, u, oracle, injective=False)
         oracle_log.append((deg, p_new, f_new))
         second = comps[deg - 1]
         top = comps[deg]
@@ -340,28 +336,34 @@ def precover_bounded(y: Complex, x: XClassSpec,
 
     cover = Complex(y.ring, comps, diffs)
     cmap = ChainMap(cover, y, verticals)
+    membership = _verified_membership(cover, cmap, y, x, injective=False)
+    return PrecoverResult(cover, cmap, oracle_log, membership, log)
+
+
+def _verified_membership(built: Complex, cmap: ChainMap, y: Complex, x: XClassSpec,
+                         injective: bool) -> dict:
+    """Class membership of the degreewise cokernels of the preenvelope map
+    (kernels of the precover map), after re-verifying from scratch that the
+    build is an exact complex with a degreewise injective (onto) chain map
+    whose cokernels (kernels) stay in the class."""
+    _, name, part, adjective = _side_words(injective)
     membership = {}
-    for k in cover.degrees():
-        ker = kernel(cmap.component(k)).sub
-        membership[k] = (ker.factors, contains_module(x, ker))
-    result = PrecoverResult(cover, cmap, oracle_log, membership, log)
-    _verify_precover_structure(result, y, x)
-    return result
-
-
-def _verify_precover_structure(result: PrecoverResult, y: Complex, x: XClassSpec) -> None:
-    if not validate_complex(result.cover).ok:
-        raise BuildError("built cover is not a complex")
-    if not result.map.commutes():
-        raise BuildError("cover map is not a chain map")
-    if not is_exact(result.cover).exact:
-        raise BuildError("built cover is not exact")
+    for k in built.degrees():
+        quot = _quotient(cmap.component(k), injective)
+        membership[k] = (quot.factors, contains_module(x, quot))
+    if not validate_complex(built).ok:
+        raise BuildError(f"built {name} is not a complex")
+    if not cmap.commutes():
+        raise BuildError(f"{name} map is not a chain map")
+    if not is_exact(built).exact:
+        raise BuildError(f"built {name} is not exact")
     for k in y.degrees():
-        if not result.map.component(k).is_epi():
-            raise BuildError(f"cover map is not onto at degree {k}")
-    for k, (fac, ok) in result.kernel_membership.items():
+        if not (cmap.component(k).is_mono() if injective else cmap.component(k).is_epi()):
+            raise BuildError(f"{name} map is not {adjective} at degree {k}")
+    for k, (fac, ok) in membership.items():
         if not ok:
-            raise BuildError(f"cover kernel at degree {k} left the class: {fac}")
+            raise BuildError(f"{name} {part} at degree {k} left the class: {fac}")
+    return membership
 
 
 def preenvelope_bounded(y: Complex, x: XClassSpec,
@@ -378,15 +380,7 @@ def preenvelope_bounded(y: Complex, x: XClassSpec,
     log: list = []
     oracle_log: list = []
 
-    def envelope_of(deg: int) -> tuple:
-        m = y.component(deg)
-        if m.is_zero():
-            e = FpModule.zero(y.ring)
-            return e, ModuleMap.zero(m, e)
-        e, f = module_mono_preenvelope(m, x, u=u, oracle=oracle)
-        return e, f
-
-    e0, f0 = envelope_of(hi)
+    e0, f0 = _oracle_at(y, hi, x, u, oracle, injective=True)
     oracle_log.append((hi, e0, f0))
     comps = {hi - 1: e0, hi: e0}
     diffs = {hi - 1: ModuleMap.identity(e0)}
@@ -394,7 +388,7 @@ def preenvelope_bounded(y: Complex, x: XClassSpec,
     log.append(BuildStep(hi, {"base": True, "envelope": e0, "map": f0}))
 
     for deg in range(hi - 1, lo - 1, -1):
-        e_new, f_new = envelope_of(deg)
+        e_new, f_new = _oracle_at(y, deg, x, u, oracle, injective=True)
         oracle_log.append((deg, e_new, f_new))
         low = comps[deg]                  # current lowest component
         lam_low = diffs[deg]              # mono: low -> comps[deg+1]
@@ -429,132 +423,85 @@ def preenvelope_bounded(y: Complex, x: XClassSpec,
 
     env = Complex(y.ring, comps, diffs)
     emap = ChainMap(y, env, verticals)
-    membership = {}
-    for k in env.degrees():
-        cok = cokernel(emap.component(k))[0]
-        membership[k] = (cok.factors, contains_module(x, cok))
-    result = PreenvelopeResult(env, emap, oracle_log, membership, log)
-    _verify_preenvelope_structure(result, y, x)
-    return result
-
-
-def _verify_preenvelope_structure(result: PreenvelopeResult, y: Complex,
-                                  x: XClassSpec) -> None:
-    if not validate_complex(result.env).ok:
-        raise BuildError("built envelope is not a complex")
-    if not result.map.commutes():
-        raise BuildError("envelope map is not a chain map")
-    if not is_exact(result.env).exact:
-        raise BuildError("built envelope is not exact")
-    for k in y.degrees():
-        if not result.map.component(k).is_mono():
-            raise BuildError(f"envelope map is not injective at degree {k}")
-    for k, (fac, ok) in result.cokernel_membership.items():
-        if not ok:
-            raise BuildError(f"envelope cokernel at degree {k} left the class: {fac}")
+    membership = _verified_membership(env, emap, y, x, injective=True)
+    return PreenvelopeResult(env, emap, oracle_log, membership, log)
 
 
 # ---------------------------------------------------------------------------
 # Factorization verification against enumerated competitors
 # ---------------------------------------------------------------------------
 
+def _competitors(x: XClassSpec, u: ModuleUniverse, degrees, injective: bool) -> list:
+    """Disks in the given degrees on the nonzero class members that pass the
+    side's module test."""
+    nonzero = [m for m in u.members if not m.is_zero()]
+    return [disk(k, m) for m in _passing(nonzero, x, u, injective) for k in degrees]
+
+
 def projective_competitors(ring, x: XClassSpec, u: ModuleUniverse,
                            degrees) -> list:
     """Disks on class-projective class members: a certified family of
     projective-complex competitors for factorization tests."""
-    out = []
-    for m in u.members:
-        if m.is_zero() or not contains_module(x, m):
-            continue
-        if not x_projective_module(m, x, u, keep_witnesses=False).holds:
-            continue
-        for k in degrees:
-            out.append(disk(k, m))
-    return out
+    return _competitors(x, u, degrees, injective=False)
 
 
 def injective_competitors(ring, x: XClassSpec, u: ModuleUniverse, degrees) -> list:
-    out = []
-    for m in u.members:
-        if m.is_zero() or not contains_module(x, m):
-            continue
-        if not x_injective_module(m, x, u, keep_witnesses=False).holds:
-            continue
-        for k in degrees:
-            out.append(disk(k, m))
-    return out
+    """Disks on class-injective class members, the dual family."""
+    return _competitors(x, u, degrees, injective=True)
+
+
+def _verify_factorization(built: Complex, cmap: ChainMap, y: Complex, x: XClassSpec,
+                          u: ModuleUniverse, injective: bool) -> int:
+    """Check that every chain map h from a projective competitor into y
+    factors as cmap o g through the precover, or dually that every h from y
+    into an injective competitor factors as g o cmap through the preenvelope;
+    returns the number of maps tested."""
+    if y.is_zero():
+        return 0
+    name = _side_words(injective)[1]
+    lo, hi = y.support
+    tested = 0
+    for comp in _competitors(x, u, range(lo - 1, hi + 1), injective):
+        # g runs from src to tgt, h between y and the competitor
+        src, tgt = (built, comp) if injective else (comp, built)
+        for h in (chain_map_group(y, comp) if injective else chain_map_group(comp, y)).elements():
+            tested += 1
+            ms = MapSystem(y.ring)
+            names = {k: ms.unknown(f"g{k}", src.component(k), tgt.component(k))
+                     for k in comp.degrees() if not built.component(k).is_zero()}
+            for k in comp.degrees():
+                if k in names:
+                    left, right = (None, cmap.component(k)) if injective \
+                        else (cmap.component(k), None)
+                    ms.equation([(left, names[k], right, 1)], h.component(k),
+                                (h.source.component(k), h.target.component(k)))
+                elif not h.component(k).is_zero():
+                    raise BuildError(
+                        f"factorization impossible: {name} vanishes where the map does not")
+                if k in names and (k + 1) in names:
+                    ms.equation([(None, names[k + 1], src.differential(k), 1),
+                                 (tgt.differential(k), names[k], None, -1)],
+                                None, (src.component(k), tgt.component(k + 1)))
+            if ms.solve() is None:
+                raise BuildError(
+                    f"map into {comp.describe()} does not factor through the envelope"
+                    if injective else
+                    f"competitor map from {comp.describe()} does not factor through the cover")
+    return tested
 
 
 def verify_precover_factorization(result: PrecoverResult, y: Complex, x: XClassSpec,
                                   u: ModuleUniverse) -> int:
     """Check that every enumerated competitor map factors through the cover;
     returns the number of maps tested."""
-    if y.is_zero():
-        return 0
-    lo, hi = y.support
-    tested = 0
-    for comp in projective_competitors(y.ring, x, u, range(lo - 1, hi + 1)):
-        for h in chain_map_group(comp, y).elements():
-            tested += 1
-            ms = MapSystem(y.ring)
-            names = {}
-            for k in comp.degrees():
-                if not result.cover.component(k).is_zero():
-                    names[k] = ms.unknown(f"g{k}", comp.component(k),
-                                          result.cover.component(k))
-            for k in comp.degrees():
-                if k in names:
-                    ms.equation([(result.map.component(k), names[k], None, 1)],
-                                h.component(k), (comp.component(k), y.component(k)))
-                elif not h.component(k).is_zero():
-                    raise BuildError("factorization impossible: cover vanishes where the map does not")
-                if (k + 1) in names and k in names:
-                    ms.equation([(None, names[k + 1], comp.differential(k), 1),
-                                 (result.cover.differential(k), names[k], None, -1)],
-                                None, (comp.component(k), result.cover.component(k + 1)))
-                elif k in names and not result.cover.component(k + 1).is_zero() \
-                        and not comp.component(k + 1).is_zero():
-                    ms.equation([(result.cover.differential(k), names[k], None, 1)],
-                                None, (comp.component(k), result.cover.component(k + 1)))
-            if ms.solve() is None:
-                raise BuildError(
-                    f"competitor map from {comp.describe()} does not factor through the cover")
-    return tested
+    return _verify_factorization(result.cover, result.map, y, x, u, injective=False)
 
 
 def verify_preenvelope_factorization(result: PreenvelopeResult, y: Complex,
                                      x: XClassSpec, u: ModuleUniverse) -> int:
-    if y.is_zero():
-        return 0
-    lo, hi = y.support
-    tested = 0
-    for comp in injective_competitors(y.ring, x, u, range(lo - 1, hi + 1)):
-        for h in chain_map_group(y, comp).elements():
-            tested += 1
-            ms = MapSystem(y.ring)
-            names = {}
-            for k in comp.degrees():
-                if not result.env.component(k).is_zero():
-                    names[k] = ms.unknown(f"g{k}", result.env.component(k),
-                                          comp.component(k))
-            for k in comp.degrees():
-                if k in names:
-                    ms.equation([(None, names[k], result.map.component(k), 1)],
-                                h.component(k), (y.component(k), comp.component(k)))
-                elif not h.component(k).is_zero():
-                    raise BuildError("factorization impossible: envelope vanishes where the map does not")
-                if (k + 1) in names and k in names:
-                    ms.equation([(comp.differential(k), names[k], None, 1),
-                                 (None, names[k + 1], result.env.differential(k), -1)],
-                                None, (result.env.component(k), comp.component(k + 1)))
-                elif k in names and not comp.component(k + 1).is_zero() \
-                        and not result.env.component(k + 1).is_zero():
-                    ms.equation([(comp.differential(k), names[k], None, 1)],
-                                None, (result.env.component(k), comp.component(k + 1)))
-            if ms.solve() is None:
-                raise BuildError(
-                    f"map into {comp.describe()} does not factor through the envelope")
-    return tested
+    """Check that every map into an enumerated competitor factors through the
+    preenvelope; returns the number of maps tested."""
+    return _verify_factorization(result.env, result.map, y, x, u, injective=True)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +526,7 @@ def _check_extension_closure(x: XClassSpec, u: ModuleUniverse, pair_cap: int = 1
     ``pair_cap`` elements are enumerated by matching cokernels."""
     if x.kind in ("all", "zero"):
         return True
-    from .xclass import enumerate_monos, _factor_chains
+    from .xclass import _factor_chains
     ring = u.ring
     for a in u.members:
         if a.is_zero() or not contains_module(x, a):
@@ -652,25 +599,22 @@ def _subcomplex_candidates(amb: Complex, incl_sets: dict) -> list:
         comp = amb.component(k)
         subs = [s for s in all_submodules(comp) if incl_sets[k] <= s]
         per_degree.append(subs)
-    out = []
-    from itertools import product as iproduct
-    for combo in iproduct(*per_degree):
-        chosen = dict(zip(degs, combo))
-        ok = True
-        for k in degs:
-            if (k + 1) in chosen:
-                d = amb.differential(k)
-                if any(d.apply(v) not in chosen[k + 1] for v in chosen[k]):
-                    ok = False
-                    break
-            else:
-                d = amb.differential(k)
-                if not d.target.is_zero() and any(any(d.apply(v)) for v in chosen[k]):
-                    ok = False
-                    break
-        if ok:
-            out.append(chosen)
-    return out
+    chosen_sets = (dict(zip(degs, combo)) for combo in iproduct(*per_degree))
+    return [chosen for chosen in chosen_sets if _closed_under_differential(amb, chosen)]
+
+
+def _closed_under_differential(cx: Complex, chosen: dict) -> bool:
+    """True when the per-degree element sets ``chosen`` (one per degree of
+    cx) form a subcomplex: the differential maps each set into the next
+    one, and to zero above the top degree."""
+    for k, elems in chosen.items():
+        d = cx.differential(k)
+        nxt = chosen.get(k + 1)
+        for v in elems:
+            w = d.apply(v)
+            if (w not in nxt) if nxt is not None else any(w):
+                return False
+    return True
 
 
 def _subcomplex_to_complex(amb: Complex, chosen: dict) -> tuple:
@@ -800,27 +744,9 @@ def _essential_check(incl: ChainMap) -> tuple:
         img_sets[k] = img
     degs = t_cx.degrees()
     per_degree = [all_submodules(t_cx.component(k)) for k in degs]
-    from itertools import product as iproduct
     for combo in iproduct(*per_degree):
         chosen = dict(zip(degs, combo))
-        if all(len(s) == 1 for s in combo):
-            continue
-        closed = True
-        for k in degs:
-            d = t_cx.differential(k)
-            nxt = chosen.get(k + 1)
-            for v in chosen[k]:
-                w = d.apply(v)
-                if nxt is not None:
-                    if w not in nxt:
-                        closed = False
-                        break
-                elif any(w):
-                    closed = False
-                    break
-            if not closed:
-                break
-        if not closed:
+        if all(len(s) == 1 for s in combo) or not _closed_under_differential(t_cx, chosen):
             continue
         meets = any(bool(set(chosen[k]) & img_sets[k]) for k in degs)
         if not meets:

@@ -599,11 +599,6 @@ def _solve_local(rows: list, rhs: list, p: int, k: int):
     return part, gens
 
 
-def _crt_pair(n1: int, n2: int):
-    inv = pow(n1 % n2, -1, n2)
-    return inv
-
-
 def _solve_mod(rows: list, rhs: list, n: int):
     """Solve A x = b over Z/n.  Returns (particular | None, howell kernel rows).
 

@@ -5,33 +5,34 @@ that names the universe, carries a re-validatable certificate for every tested
 instance, and on failure reports the enumeration-order-first counterexample,
 re-confirmed by exhaustive search before being returned.
 
-A lifting test "every f extends along i" is decided in one stroke as
-surjectivity of the induced restriction map between hom groups; when that map
-is onto, the canonical preimages of the hom-group generators form the stored
-certificate, and when it is not, the first hom element outside the image is
-the counterexample.
+A lifting test "every f extends along i" (or, dually, "every f lifts through
+q") is decided in one stroke as surjectivity of the induced map between hom
+groups; when that map is onto, the canonical preimages of the hom-group
+generators form the stored certificate, and when it is not, the first hom
+element outside the image is the counterexample.  One driver runs this loop
+for all four checkers (injective or projective, modules or complexes), and
+one confirmer re-checks each counterexample by enumerating the hom group.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .exactalg import IntMatrix
 from .modules import (
     FpModule,
     ModuleMap,
     MapSystem,
+    _induced,
     _solve_in_module,
     cokernel,
     ext1_module,
     hom_module,
-    hom_postcompose,
-    hom_precompose,
 )
 from .complexes import (
     ChainMap,
     Complex,
-    Homotopy,
+    _retraction,
     chain_map_group,
     homology_at,
     hom_complex_data,
@@ -44,6 +45,7 @@ from .xclass import (
     ComplexUniverse,
     Eps1Universe,
     ModuleUniverse,
+    UniverseCapError,
     XClassSpec,
     contains_complex,
     contains_module,
@@ -69,27 +71,33 @@ class Verdict:
 # repeated checks inside large suites hit this table instead of re-scanning
 _VERDICT_CACHE: dict = {}
 
+# exhaustive searches of a hom group enumerate it only up to these sizes
+_MODULE_SEARCH_CAP = 1 << 16
+_CHAIN_SEARCH_CAP = 1 << 14
+
 
 # ---------------------------------------------------------------------------
-# Module level
+# The lifting driver
 # ---------------------------------------------------------------------------
 
-def _restriction_surjectivity(i: ModuleMap, e: FpModule):
-    """Data for Hom(B, e) -> Hom(A, e), f -> f o i: (map, hom_A, hom_B)."""
-    hom_b = hom_module(i.target, e)
-    hom_a = hom_module(i.source, e)
-    return hom_precompose(hom_b, hom_a, i), hom_a, hom_b
+def _induced_restriction(phi, obj, injective: bool, hom: Callable) -> tuple:
+    """The map a lifting test needs to be onto, for phi: A -> B:
+
+    injective:  Hom(B, obj) -> Hom(A, obj), f -> f o phi
+    otherwise:  Hom(obj, A) -> Hom(obj, B), f -> phi o f
+
+    Returns (map, source group, target group, f -> image of f)."""
+    grp_from, grp_to = (hom(phi.target, obj), hom(phi.source, obj)) if injective \
+        else (hom(obj, phi.source), hom(obj, phi.target))
+    fn = (lambda f: f.compose(phi)) if injective else phi.compose
+    return _induced(grp_from, grp_to, fn), grp_from, grp_to, fn
 
 
-def _first_outside_image(restr: ModuleMap):
-    """First element of the target hom group (in enumeration order) that has
-    no preimage, or None when the map is onto."""
-    tgt = restr.target
-    for elem in tgt.elements():
-        rhs = IntMatrix.from_columns([list(elem)], rows=tgt.ngens)
-        if _solve_in_module(tgt, restr.matrix, rhs) is None:
-            return elem
-    return None
+def _first_outside_image(proj: ModuleMap) -> tuple:
+    """First element of a map's target group (in enumeration order) outside
+    its image, given the projection onto its nonzero cokernel: an element
+    lies outside the image iff it projects to a nonzero class."""
+    return next(elem for elem in proj.source.elements() if any(proj.apply(elem)))
 
 
 def _section_certificate(restr: ModuleMap):
@@ -106,6 +114,69 @@ def _section_certificate(restr: ModuleMap):
     return cols
 
 
+def _confirm_no_preimage(grp, fn: Callable, f, cap: int) -> None:
+    """Exhaustively re-verify that no g in the group has fn(g) == f; groups
+    above ``cap`` elements are not enumerated."""
+    size = grp.module.size()
+    if size is None or size > cap:
+        return
+    for g in grp.elements():
+        if fn(g) == f:
+            raise AssertionError("counterexample refuted by exhaustive search")
+
+
+def _lifting_verdict(obj, x: XClassSpec, u, pool: Callable, injective: bool,
+                     keep_witnesses: bool, *, level: str, hom: Callable,
+                     member: Callable, cap: int,
+                     finish: Optional[Callable] = None) -> Verdict:
+    """The pool loop shared by the four lifting checkers.
+
+    ``pool()`` yields the universe maps phi (injections when ``injective``,
+    else surjections) with their cokernels (kernels); those whose cokernel
+    (kernel) passes ``member`` are tested by surjectivity of the map that
+    ``_induced_restriction`` builds from ``hom``.  ``level`` ("module" or
+    "complex") names the certificates, ``cap`` bounds the re-confirmation,
+    and ``finish`` may add to the verdict before it is cached.
+    """
+    side, role, part = ("extension", "mono", "cokernel") if injective \
+        else ("lift", "epi", "kernel")
+    kind = f"{level}-{side}"
+    cache_key = (kind, obj, x.key(), u.describe()) if not keep_witnesses else None
+    if cache_key is not None and cache_key in _VERDICT_CACHE:
+        return _VERDICT_CACHE[cache_key]
+    verdict = Verdict(True, u.describe() + f", class={x.key()}")
+    for phi, quotient in pool():
+        if not member(x, quotient):
+            continue
+        restr, grp_from, grp_to, fn = _induced_restriction(phi, obj, injective, hom)
+        verdict.checked += 1
+        cok, proj = cokernel(restr)
+        if cok.is_zero():
+            if keep_witnesses:
+                verdict.witnesses.append({"kind": kind, role: phi, part: quotient,
+                                          "section": _section_certificate(restr)})
+            continue
+        f = grp_to.decode(_first_outside_image(proj))
+        _confirm_no_preimage(grp_from, fn, f, cap)
+        verdict.holds = False
+        verdict.counterexample = {"kind": kind, role: phi, "map": f}
+        break
+    if finish is not None:
+        finish(verdict)
+    if cache_key is not None:
+        _VERDICT_CACHE[cache_key] = verdict
+    return verdict
+
+
+def _check_rings(m: FpModule, u: ModuleUniverse) -> None:
+    if m.ring != u.ring:
+        raise ValueError("module and universe rings differ")
+
+
+# ---------------------------------------------------------------------------
+# Module level
+# ---------------------------------------------------------------------------
+
 def x_injective_module(e: FpModule, x: XClassSpec, u: ModuleUniverse,
                        keep_witnesses: bool = True) -> Verdict:
     """Lifting test: every map into e from the source of a universe injection
@@ -116,130 +187,32 @@ def x_injective_module(e: FpModule, x: XClassSpec, u: ModuleUniverse,
     injections must vanish.  The two computations are independent and are
     expected to agree.
     """
-    if e.ring != u.ring:
-        raise ValueError("module and universe rings differ")
-    cache_key = ("inj-mod", e, x.key(), u.describe()) if not keep_witnesses else None
-    if cache_key is not None and cache_key in _VERDICT_CACHE:
-        return _VERDICT_CACHE[cache_key]
-    verdict = Verdict(True, u.describe() + f", class={x.key()}")
-    ext_holds = True
-    ext_seen = set()
-    for (_, cok) in u.mono_pool():
-        if not contains_module(x, cok) or cok.factors in ext_seen:
-            continue
-        ext_seen.add(cok.factors)
-        if not ext1_module(cok, e).is_zero():
-            ext_holds = False
-    for (i, cok) in u.mono_pool():
-        if not contains_module(x, cok):
-            continue
-        restr, hom_a, hom_b = _restriction_surjectivity(i, e)
-        verdict.checked += 1
-        surjective = cokernel(restr)[0].is_zero()
-        if surjective:
-            if keep_witnesses:
-                verdict.witnesses.append({
-                    "kind": "module-extension",
-                    "mono": i, "cokernel": cok, "section": _section_certificate(restr),
-                })
-            continue
-        elem = _first_outside_image(restr)
-        f = hom_a.decode(elem)
-        _confirm_no_extension(i, f, e)
-        verdict.holds = False
-        verdict.counterexample = {"kind": "module-extension", "mono": i, "map": f}
-        break
-    verdict.extra["ext_vanishing_holds"] = ext_holds
-    verdict.extra["criteria_agree"] = ext_holds == verdict.holds
-    if cache_key is not None:
-        _VERDICT_CACHE[cache_key] = verdict
-    return verdict
+    _check_rings(e, u)
 
+    def ext_vanishing(verdict: Verdict) -> None:
+        coks = {cok.factors: cok for _, cok in u.mono_pool() if contains_module(x, cok)}
+        ext_holds = all(ext1_module(cok, e).is_zero() for cok in coks.values())
+        verdict.extra["ext_vanishing_holds"] = ext_holds
+        verdict.extra["criteria_agree"] = ext_holds == verdict.holds
 
-def _confirm_no_extension(i: ModuleMap, f: ModuleMap, e: FpModule) -> None:
-    """Exhaustively re-verify that no g with g o i = f exists."""
-    hom_b = hom_module(i.target, e)
-    size = hom_b.module.size()
-    if size is None or size > 1 << 16:
-        return
-    for g in hom_b.elements():
-        if g.compose(i).matrix.entries == f.matrix.entries:
-            raise AssertionError("counterexample refuted by exhaustive search")
+    return _lifting_verdict(e, x, u, u.mono_pool, True, keep_witnesses, level="module",
+                            hom=hom_module, member=contains_module,
+                            cap=_MODULE_SEARCH_CAP, finish=ext_vanishing)
 
 
 def x_projective_module(p: FpModule, x: XClassSpec, u: ModuleUniverse,
                         keep_witnesses: bool = True) -> Verdict:
     """Dual lifting test: every map from p to the target of a universe
     surjection with class-member kernel lifts through the surjection."""
-    if p.ring != u.ring:
-        raise ValueError("module and universe rings differ")
-    cache_key = ("proj-mod", p, x.key(), u.describe()) if not keep_witnesses else None
-    if cache_key is not None and cache_key in _VERDICT_CACHE:
-        return _VERDICT_CACHE[cache_key]
-    verdict = Verdict(True, u.describe() + f", class={x.key()}")
-    for (q, ker) in u.epi_pool():
-        if not contains_module(x, ker):
-            continue
-        hom_a = hom_module(p, q.source)
-        hom_b = hom_module(p, q.target)
-        post = hom_postcompose(hom_a, hom_b, q)
-        verdict.checked += 1
-        if cokernel(post)[0].is_zero():
-            if keep_witnesses:
-                verdict.witnesses.append({
-                    "kind": "module-lift", "epi": q, "kernel": ker,
-                    "section": _section_certificate(post),
-                })
-            continue
-        elem = _first_outside_image(post)
-        h = hom_b.decode(elem)
-        _confirm_no_lift(q, h, p)
-        verdict.holds = False
-        verdict.counterexample = {"kind": "module-lift", "epi": q, "map": h}
-        break
-    if cache_key is not None:
-        _VERDICT_CACHE[cache_key] = verdict
-    return verdict
-
-
-def _confirm_no_lift(q: ModuleMap, h: ModuleMap, p: FpModule) -> None:
-    hom_a = hom_module(p, q.source)
-    size = hom_a.module.size()
-    if size is None or size > 1 << 16:
-        return
-    for g in hom_a.elements():
-        if q.compose(g).matrix.entries == h.matrix.entries:
-            raise AssertionError("counterexample refuted by exhaustive search")
+    _check_rings(p, u)
+    return _lifting_verdict(p, x, u, u.epi_pool, False, keep_witnesses, level="module",
+                            hom=hom_module, member=contains_module,
+                            cap=_MODULE_SEARCH_CAP)
 
 
 # ---------------------------------------------------------------------------
 # Complex level
 # ---------------------------------------------------------------------------
-
-def _group_map_via(phi: ChainMap, c: Complex, precompose: bool) -> tuple:
-    """The induced map between chain-map groups.
-
-    precompose: Hom(B, c) -> Hom(A, c), f -> f o phi   (phi: A -> B)
-    otherwise:  Hom(c, A) -> Hom(c, B), f -> phi o f   (phi: A -> B)
-    """
-    if precompose:
-        grp_from = chain_map_group(phi.target, c)
-        grp_to = chain_map_group(phi.source, c)
-    else:
-        grp_from = chain_map_group(c, phi.source)
-        grp_to = chain_map_group(c, phi.target)
-    cols = []
-    for g in range(grp_from.module.ngens):
-        elem = tuple(1 if t == g else 0 for t in range(grp_from.module.ngens))
-        f = grp_from.decode(elem)
-        image = f.compose(phi) if precompose else phi.compose(f)
-        coords = grp_to.encode(image)
-        if coords is None:
-            raise AssertionError("composite escaped the chain-map group")
-        cols.append(list(coords))
-    mat = IntMatrix.from_columns(cols, rows=grp_to.module.ngens)
-    return ModuleMap(grp_from.module, grp_to.module, mat), grp_from, grp_to
-
 
 def _supports_overlap(a: Complex, b: Complex) -> bool:
     sa, sb = a.support, b.support
@@ -252,88 +225,24 @@ def x_injective_complex(c: Complex, x: XClassSpec, cu: ComplexUniverse,
                         keep_witnesses: bool = True) -> Verdict:
     """Every chain map into c from the source of a universe chain injection
     whose cokernel complex is a class complex must extend over the injection."""
-    cache_key = ("inj-cx", c.canonical_key(), x.key(), cu.describe()) \
-        if not keep_witnesses else None
-    if cache_key is not None and cache_key in _VERDICT_CACHE:
-        return _VERDICT_CACHE[cache_key]
-    verdict = Verdict(True, cu.describe() + f", class={x.key()}")
-    for (phi, cok) in cu.mono_pool():
-        if not _supports_overlap(phi.source, c):
-            continue  # only the zero map, which always extends
-        if not contains_complex(x, cok):
-            continue
-        restr, grp_b, grp_a = _group_map_via(phi, c, precompose=True)
-        verdict.checked += 1
-        if cokernel(restr)[0].is_zero():
-            if keep_witnesses:
-                verdict.witnesses.append({
-                    "kind": "complex-extension", "mono": phi, "cokernel": cok,
-                    "section": _section_certificate(restr),
-                })
-            continue
-        elem = _first_outside_image(restr)
-        f = grp_a.decode(elem)
-        _confirm_no_chain_extension(phi, f, c)
-        verdict.holds = False
-        verdict.counterexample = {"kind": "complex-extension", "mono": phi, "map": f}
-        break
-    if cache_key is not None:
-        _VERDICT_CACHE[cache_key] = verdict
-    return verdict
-
-
-def _confirm_no_chain_extension(phi: ChainMap, f: ChainMap, c: Complex) -> None:
-    grp = chain_map_group(phi.target, c)
-    size = grp.module.size()
-    if size is None or size > 1 << 14:
-        return
-    for g in grp.elements():
-        if g.compose(phi) == f:
-            raise AssertionError("counterexample refuted by exhaustive search")
+    # injections whose source misses c's support only restrict the zero map
+    return _lifting_verdict(
+        c, x, cu, lambda: (pair for pair in cu.mono_pool()
+                           if _supports_overlap(pair[0].source, c)),
+        True, keep_witnesses, level="complex", hom=chain_map_group,
+        member=contains_complex, cap=_CHAIN_SEARCH_CAP)
 
 
 def x_projective_complex(c: Complex, x: XClassSpec, cu: ComplexUniverse,
                          keep_witnesses: bool = True) -> Verdict:
     """Every chain map from c to the target of a universe chain surjection
     whose kernel complex is a class complex must lift through the surjection."""
-    cache_key = ("proj-cx", c.canonical_key(), x.key(), cu.describe()) \
-        if not keep_witnesses else None
-    if cache_key is not None and cache_key in _VERDICT_CACHE:
-        return _VERDICT_CACHE[cache_key]
-    verdict = Verdict(True, cu.describe() + f", class={x.key()}")
-    for (psi, ker) in cu.epi_pool():
-        if not _supports_overlap(psi.target, c):
-            continue  # only the zero map, which always lifts
-        if not contains_complex(x, ker):
-            continue
-        post, grp_a, grp_b = _group_map_via(psi, c, precompose=False)
-        verdict.checked += 1
-        if cokernel(post)[0].is_zero():
-            if keep_witnesses:
-                verdict.witnesses.append({
-                    "kind": "complex-lift", "epi": psi, "kernel": ker,
-                    "section": _section_certificate(post),
-                })
-            continue
-        elem = _first_outside_image(post)
-        f = grp_b.decode(elem)
-        _confirm_no_chain_lift(psi, f, c)
-        verdict.holds = False
-        verdict.counterexample = {"kind": "complex-lift", "epi": psi, "map": f}
-        break
-    if cache_key is not None:
-        _VERDICT_CACHE[cache_key] = verdict
-    return verdict
-
-
-def _confirm_no_chain_lift(psi: ChainMap, f: ChainMap, c: Complex) -> None:
-    grp = chain_map_group(c, psi.source)
-    size = grp.module.size()
-    if size is None or size > 1 << 14:
-        return
-    for g in grp.elements():
-        if psi.compose(g) == f:
-            raise AssertionError("counterexample refuted by exhaustive search")
+    # surjections whose target misses c's support only receive the zero map
+    return _lifting_verdict(
+        c, x, cu, lambda: (pair for pair in cu.epi_pool()
+                           if _supports_overlap(pair[0].target, c)),
+        False, keep_witnesses, level="complex", hom=chain_map_group,
+        member=contains_complex, cap=_CHAIN_SEARCH_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -349,31 +258,34 @@ def eps1_perp_homotopy(i: Complex, eu: Eps1Universe,
     universe is taken as closed under them: each member is slid across the
     complex's support and the maps from shift(E, -1) are tested in every
     overlapping position (equivalently, the degree-zero homology of the
-    internal hom complex vanishes position by position)."""
+    internal hom complex vanishes position by position).  A nonzero homology
+    whose chain-map group is too large to search for the non-null-homotopic
+    map raises UniverseCapError."""
     cache_key = ("perp", i.canonical_key(), eu.describe()) \
         if not keep_witnesses else None
     if cache_key is not None and cache_key in _VERDICT_CACHE:
         return _VERDICT_CACHE[cache_key]
     verdict = Verdict(True, eu.describe() + ", closed under shifts")
-    for e_cx in eu.members:
-        for src in _slid_sources(e_cx, i):
-            data = hom_complex_data(src, i, degrees=(-1, 0, 1))
-            h0 = homology_at(data.complex, 0)
-            verdict.checked += 1
-            if h0.is_zero():
-                if keep_witnesses:
-                    verdict.witnesses.append({
-                        "kind": "perp", "member": e_cx,
-                        "position": src.support, "h0_trivial": True,
-                    })
-                continue
-            g = _first_non_nullhomotopic(src, i)
-            assert g is not None and null_homotopy(g) is None
-            verdict.holds = False
-            verdict.counterexample = {"kind": "perp", "member": e_cx, "map": g}
-            if cache_key is not None:
-                _VERDICT_CACHE[cache_key] = verdict
-            return verdict
+    for e_cx, src in ((e_cx, src) for e_cx in eu.members for src in _slid_sources(e_cx, i)):
+        data = hom_complex_data(src, i, degrees=(-1, 0, 1))
+        h0 = homology_at(data.complex, 0)
+        verdict.checked += 1
+        if h0.is_zero():
+            if keep_witnesses:
+                verdict.witnesses.append({
+                    "kind": "perp", "member": e_cx,
+                    "position": src.support, "h0_trivial": True,
+                })
+            continue
+        g = _first_non_nullhomotopic(src, i)
+        if g is None:
+            size = chain_map_group(src, i).module.size()
+            raise UniverseCapError(
+                f"no non-null-homotopic chain map found among the {size} chain maps "
+                f"from {src.describe()} (search cap {_CHAIN_SEARCH_CAP})")
+        verdict.holds = False
+        verdict.counterexample = {"kind": "perp", "member": e_cx, "map": g}
+        break
     if cache_key is not None:
         _VERDICT_CACHE[cache_key] = verdict
     return verdict
@@ -396,7 +308,7 @@ def _slid_sources(e_cx: Complex, i: Complex) -> list:
 def _first_non_nullhomotopic(src: Complex, tgt: Complex) -> Optional[ChainMap]:
     grp = chain_map_group(src, tgt)
     size = grp.module.size()
-    if size is None or size > 1 << 14:
+    if size is None or size > _CHAIN_SEARCH_CAP:
         return None
     for g in grp.elements():
         if null_homotopy(g) is None:
@@ -404,76 +316,57 @@ def _first_non_nullhomotopic(src: Complex, tgt: Complex) -> Optional[ChainMap]:
     return None
 
 
+def _dg_verdict(i: Complex, x: XClassSpec, eu: Eps1Universe,
+                mu: Optional[ModuleUniverse], keep_witnesses: bool,
+                injective: bool) -> Verdict:
+    """Component test on every degree, then exactness of the internal hom from
+    every universe member into the complex (injective) or from the complex
+    into every member (projective)."""
+    if mu is None:
+        mu = module_universe(i.ring, 8)
+    component_test = x_injective_module if injective else x_projective_module
+    verdict = Verdict(True, f"{eu.describe()}; components over {mu.describe()}")
+    for k in i.degrees():
+        comp_verdict = component_test(i.component(k), x, mu, keep_witnesses=False)
+        verdict.checked += 1
+        if not comp_verdict.holds:
+            verdict.holds = False
+            verdict.counterexample = {"kind": "component", "degree": k,
+                                      "inner": comp_verdict.counterexample}
+            return verdict
+    for e_cx in eu.members:
+        data = hom_complex_data(e_cx, i) if injective else hom_complex_data(i, e_cx)
+        rep = is_exact(data.complex)
+        verdict.checked += 1
+        if not rep.exact:
+            verdict.holds = False
+            verdict.counterexample = {"kind": "hom-not-exact", "member": e_cx,
+                                      "homology": rep.homology}
+            return verdict
+        if keep_witnesses:
+            verdict.witnesses.append({"kind": "hom-exact", "member": e_cx})
+    return verdict
+
+
 def dg_x_injective(i: Complex, x: XClassSpec, eu: Eps1Universe,
                    mu: Optional[ModuleUniverse] = None,
                    keep_witnesses: bool = True) -> Verdict:
     """Component test plus exactness of the internal hom from every universe
     member into the complex."""
-    if mu is None:
-        mu = module_universe(i.ring, 8)
-    verdict = Verdict(True, f"{eu.describe()}; components over {mu.describe()}")
-    for k in i.degrees():
-        comp_verdict = x_injective_module(i.component(k), x, mu, keep_witnesses=False)
-        verdict.checked += 1
-        if not comp_verdict.holds:
-            verdict.holds = False
-            verdict.counterexample = {"kind": "component", "degree": k,
-                                      "inner": comp_verdict.counterexample}
-            return verdict
-    for e_cx in eu.members:
-        rep = is_exact(hom_complex_data(e_cx, i).complex)
-        verdict.checked += 1
-        if not rep.exact:
-            verdict.holds = False
-            verdict.counterexample = {"kind": "hom-not-exact", "member": e_cx,
-                                      "homology": rep.homology}
-            return verdict
-        if keep_witnesses:
-            verdict.witnesses.append({"kind": "hom-exact", "member": e_cx})
-    return verdict
+    return _dg_verdict(i, x, eu, mu, keep_witnesses, injective=True)
 
 
 def dg_x_projective(i: Complex, x: XClassSpec, eu: Eps1Universe,
                     mu: Optional[ModuleUniverse] = None,
                     keep_witnesses: bool = True) -> Verdict:
-    if mu is None:
-        mu = module_universe(i.ring, 8)
-    verdict = Verdict(True, f"{eu.describe()}; components over {mu.describe()}")
-    for k in i.degrees():
-        comp_verdict = x_projective_module(i.component(k), x, mu, keep_witnesses=False)
-        verdict.checked += 1
-        if not comp_verdict.holds:
-            verdict.holds = False
-            verdict.counterexample = {"kind": "component", "degree": k,
-                                      "inner": comp_verdict.counterexample}
-            return verdict
-    for e_cx in eu.members:
-        rep = is_exact(hom_complex_data(i, e_cx).complex)
-        verdict.checked += 1
-        if not rep.exact:
-            verdict.holds = False
-            verdict.counterexample = {"kind": "hom-not-exact", "member": e_cx,
-                                      "homology": rep.homology}
-            return verdict
-        if keep_witnesses:
-            verdict.witnesses.append({"kind": "hom-exact", "member": e_cx})
-    return verdict
+    """Component test plus exactness of the internal hom from the complex
+    into every universe member."""
+    return _dg_verdict(i, x, eu, mu, keep_witnesses, injective=False)
 
 
 # ---------------------------------------------------------------------------
 # Hom-sequence exactness against a probe complex
 # ---------------------------------------------------------------------------
-
-def _maps_from_complex(probe: Complex, m: FpModule) -> list:
-    """Chain maps probe -> sphere(0, m): maps probe^0 -> m killed by d^{-1}."""
-    grp = chain_map_group(probe, sphere(0, m))
-    return [(f, f.component(0)) for f in grp.elements()]
-
-
-def _maps_to_complex(m: FpModule, probe: Complex) -> list:
-    grp = chain_map_group(sphere(0, m), probe)
-    return [(f, f.component(0)) for f in grp.elements()]
-
 
 def hom_exactness(beta: ModuleMap, theta: ModuleMap, probe: Complex,
                   side: str, x: XClassSpec) -> Verdict:
@@ -505,43 +398,35 @@ def hom_exactness(beta: ModuleMap, theta: ModuleMap, probe: Complex,
     else:
         raise ValueError("side must be 'left' or 'right'")
 
+    left = side == "left"
     verdict = Verdict(True, f"hom sequence over probe {probe.describe()}, side={side}")
-    if side == "left":
-        middle = _maps_from_complex(probe, beta.target)
-        for cm, g in middle:
-            if not theta.compose(g).is_zero():
-                continue
-            verdict.checked += 1
-            ms = MapSystem(probe.ring)
-            ms.unknown("u", probe.component(0), beta.source)
-            ms.equation([(beta, "u", None, 1)], g, (probe.component(0), beta.target))
+    # the middle maps g are the degree-zero components of the chain maps
+    # probe -> sphere(0, B) (left) or sphere(0, B) -> probe (right)
+    ends = (probe, sphere(0, beta.target)) if left else (sphere(0, beta.target), probe)
+    key, name = ("lift", "u") if left else ("factor", "h")
+    for g in (f.component(0) for f in chain_map_group(*ends).elements()):
+        if not (theta.compose(g) if left else g.compose(beta)).is_zero():
+            continue
+        verdict.checked += 1
+        ms = MapSystem(probe.ring)
+        if left:  # u: probe^0 -> A with beta o u = g and u o d^{-1} = 0
+            ms.unknown(name, probe.component(0), beta.source)
+            ms.equation([(beta, name, None, 1)], g, (probe.component(0), beta.target))
             if not probe.component(-1).is_zero():
-                ms.equation([(None, "u", probe.differential(-1), 1)], None,
+                ms.equation([(None, name, probe.differential(-1), 1)], None,
                             (probe.component(-1), beta.source))
-            sol = ms.solve()
-            if sol is None:
-                verdict.holds = False
-                verdict.counterexample = {"kind": "hom-row", "map": g}
-                break
-            verdict.witnesses.append({"kind": "hom-row", "middle": g, "lift": sol["u"]})
-    else:
-        middle = _maps_to_complex(beta.target, probe)
-        for cm, g in middle:
-            if not g.compose(beta).is_zero():
-                continue
-            verdict.checked += 1
-            ms = MapSystem(probe.ring)
-            ms.unknown("h", theta.target, probe.component(0))
-            ms.equation([(None, "h", theta, 1)], g, (theta.source, probe.component(0)))
+        else:  # h: C -> probe^0 with h o theta = g and d^0 o h = 0
+            ms.unknown(name, theta.target, probe.component(0))
+            ms.equation([(None, name, theta, 1)], g, (theta.source, probe.component(0)))
             if not probe.component(1).is_zero():
-                ms.equation([(probe.differential(0), "h", None, 1)], None,
+                ms.equation([(probe.differential(0), name, None, 1)], None,
                             (theta.target, probe.component(1)))
-            sol = ms.solve()
-            if sol is None:
-                verdict.holds = False
-                verdict.counterexample = {"kind": "hom-row", "map": g}
-                break
-            verdict.witnesses.append({"kind": "hom-row", "middle": g, "factor": sol["h"]})
+        sol = ms.solve()
+        if sol is None:
+            verdict.holds = False
+            verdict.counterexample = {"kind": "hom-row", "map": g}
+            break
+        verdict.witnesses.append({"kind": "hom-row", "middle": g, key: sol[name]})
     return verdict
 
 
@@ -601,28 +486,4 @@ def summand_retraction(xc: Complex, y: Complex, incl: ChainMap, x: XClassSpec,
     hyp = x_injective_complex(xc, x, cu, keep_witnesses=False)
     if not hyp.holds:
         raise HypothesisError("included complex failed the injective-complex test")
-    ms = MapSystem(xc.ring)
-    names = {}
-    for k in y.degrees():
-        if not xc.component(k).is_zero():
-            names[k] = ms.unknown(f"r{k}", y.component(k), xc.component(k))
-    degs = set(y.degrees()) | set(xc.degrees())
-    for k in degs:
-        if not y.component(k).is_zero() and not xc.component(k + 1).is_zero():
-            terms = []
-            if (k + 1) in names:
-                terms.append((None, names[k + 1], y.differential(k), 1))
-            if k in names:
-                terms.append((xc.differential(k), names[k], None, -1))
-            if terms:
-                ms.equation(terms, None, (y.component(k), xc.component(k + 1)))
-        if not xc.component(k).is_zero():
-            if k not in names:
-                return None
-            ms.equation([(None, names[k], incl.component(k), 1)],
-                        ModuleMap.identity(xc.component(k)),
-                        (xc.component(k), xc.component(k)))
-    sol = ms.solve()
-    if sol is None:
-        return None
-    return ChainMap(y, xc, {k: sol[name] for k, name in names.items()}, check=False)
+    return _retraction(xc, y, incl)

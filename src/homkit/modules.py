@@ -20,6 +20,7 @@ from .exactalg import (
     CongruenceSystem,
     IntMatrix,
     RingSpec,
+    _factorize,
     _snf_full,
     integer_kernel,
 )
@@ -294,19 +295,24 @@ def image(f: ModuleMap) -> SubquotientWitness:
     return submodule_witness(f.target, f.matrix)
 
 
-def cokernel(f: ModuleMap) -> tuple:
-    """Cokernel of f: returns (module, projection epi)."""
+def _cokernel(f: ModuleMap) -> tuple:
+    """Presentation and projection of the cokernel of f.  Both public entry
+    points call this directly, so wrapping one of them from outside does not
+    count the calls of the other."""
     rels = f.matrix.hstack(f.target.relation_lattice())
     pres = normalize_presentation(f.target.ring, f.target.ngens, rels)
-    proj = ModuleMap(f.target, pres.module, pres.to_canonical)
+    return pres, ModuleMap(f.target, pres.module, pres.to_canonical)
+
+
+def cokernel(f: ModuleMap) -> tuple:
+    """Cokernel of f: returns (module, projection epi)."""
+    pres, proj = _cokernel(f)
     return pres.module, proj
 
 
 def cokernel_with_section(f: ModuleMap) -> tuple:
     """Cokernel plus a generator-wise set-section of the projection."""
-    rels = f.matrix.hstack(f.target.relation_lattice())
-    pres = normalize_presentation(f.target.ring, f.target.ngens, rels)
-    proj = ModuleMap(f.target, pres.module, pres.to_canonical)
+    pres, proj = _cokernel(f)
     return pres.module, proj, pres.from_canonical
 
 
@@ -481,30 +487,35 @@ def hom_module(source: FpModule, target: FpModule) -> HomModule:
                      pres.to_canonical, pres.from_canonical)
 
 
+def _induced(grp_from, grp_to, fn) -> ModuleMap:
+    """The homomorphism grp_from.module -> grp_to.module sending the map of
+    each element to fn of it.
+
+    ``grp_from`` and ``grp_to`` are hom modules or chain-map groups: anything
+    with ``module``, ``decode`` and ``encode``."""
+    cols = []
+    for k in range(grp_from.module.ngens):
+        elem = tuple(1 if t == k else 0 for t in range(grp_from.module.ngens))
+        coords = grp_to.encode(fn(grp_from.decode(elem)))
+        if coords is None:
+            raise AssertionError("composite escaped the chain-map group")
+        cols.append(coords)
+    return ModuleMap(grp_from.module, grp_to.module,
+                     IntMatrix.from_columns(cols, rows=grp_to.module.ngens))
+
+
 def hom_precompose(h_from: HomModule, h_to: HomModule, phi: ModuleMap) -> ModuleMap:
     """The map Hom(A, N) -> Hom(A', N) given by f -> f o phi, phi: A' -> A."""
     if h_from.source != phi.target or h_to.source != phi.source or h_from.target != h_to.target:
         raise ModuleError("precomposition data mismatch")
-    cols = []
-    for k in range(h_from.module.ngens):
-        elem = tuple(1 if t == k else 0 for t in range(h_from.module.ngens))
-        f = h_from.decode(elem)
-        cols.append(h_to.encode(f.compose(phi)))
-    return ModuleMap(h_from.module, h_to.module,
-                     IntMatrix.from_columns(cols, rows=h_to.module.ngens))
+    return _induced(h_from, h_to, lambda f: f.compose(phi))
 
 
 def hom_postcompose(h_from: HomModule, h_to: HomModule, psi: ModuleMap) -> ModuleMap:
     """The map Hom(A, N) -> Hom(A, N') given by f -> psi o f, psi: N -> N'."""
     if h_from.target != psi.source or h_to.target != psi.target or h_from.source != h_to.source:
         raise ModuleError("postcomposition data mismatch")
-    cols = []
-    for k in range(h_from.module.ngens):
-        elem = tuple(1 if t == k else 0 for t in range(h_from.module.ngens))
-        f = h_from.decode(elem)
-        cols.append(h_to.encode(psi.compose(f)))
-    return ModuleMap(h_from.module, h_to.module,
-                     IntMatrix.from_columns(cols, rows=h_to.module.ngens))
+    return _induced(h_from, h_to, psi.compose)
 
 
 @lru_cache(maxsize=None)
@@ -520,22 +531,6 @@ def ext1_module(m: FpModule, n: FpModule) -> FpModule:
     return cokernel(restriction)[0]
 
 
-def _prime_factors(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            out.append((d, k))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def injective_hull(m: FpModule) -> tuple:
     """Injective hull over Z/n: returns (hull, essential mono embedding).
 
@@ -547,14 +542,14 @@ def injective_hull(m: FpModule) -> tuple:
     if not m.ring.is_modular:
         raise ModuleError("injective hulls are only computable over Z/n here")
     n = m.ring.modulus
-    nfac = dict(_prime_factors(n))
+    nfac = dict(_factorize(n))
     hull_factors = []
     embed_cols = []   # per source generator, dict hull_index -> entry
     hull_index = 0
     positions = []
     for d in m.factors:
         entry = {}
-        for p, a in _prime_factors(d):
+        for p, a in _factorize(d):
             v = nfac[p]
             hull_factors.append(p ** v)
             entry[hull_index] = p ** (v - a)

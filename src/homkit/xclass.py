@@ -77,8 +77,13 @@ class XClassSpec:
             raise ModuleError(f"unknown class kind {self.kind!r}")
         if self.kind == "ann" and (self.param is None or self.param < 1):
             raise ModuleError("ann class needs a positive annihilator")
-        if self.kind == "pred" and self.pattern is None:
-            raise ModuleError("pred class needs a pattern")
+        if self.kind == "pred":
+            if self.pattern is None:
+                raise ModuleError("pred class needs a pattern")
+            try:
+                re.compile(self.pattern)
+            except re.error as exc:
+                raise ModuleError(f"invalid pred pattern {self.pattern!r}: {exc}") from None
 
     def key(self) -> str:
         if self.kind == "ann":
@@ -107,7 +112,11 @@ def parse_class_spec(text: str) -> XClassSpec:
     if text == "free":
         return FREE
     if text.startswith("ann:"):
-        return ann(int(text[4:]))
+        try:
+            param = int(text[4:])
+        except ValueError:
+            raise ModuleError(f"cannot parse class spec {text!r}") from None
+        return ann(param)
     if text.startswith("pred:"):
         return XClassSpec("pred", pattern=text[5:])
     raise ModuleError(f"cannot parse class spec {text!r}")
@@ -181,7 +190,6 @@ class ModuleUniverse:
         self._members: Optional[list] = None
         self._mono_pool: Optional[list] = None
         self._epi_pool: Optional[list] = None
-        self._verdict_memo: dict = {}
 
     @property
     def members(self) -> list:

@@ -4,6 +4,8 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from homkit.cli import (
     chain_map_from_doc,
     chain_map_to_doc,
@@ -211,3 +213,22 @@ class TestUniverseCommand:
         first = capsys.readouterr().out
         main(["universe", "modules", "--ring", "4", "--bound", "8"])
         assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "x-injective", "{input}", "--class", "bogus"],
+    ["check", "x-injective", "{input}", "--class", "pred:("],
+    ["check", "x-injective", "{input}", "--class", "ann:x"],
+    ["build", "precover", "{input}", "--class", "bogus", "--output", "{out}"],
+    ["build", "precover", "{input}", "--class", "pred:(", "--output", "{out}"],
+    ["universe", "modules", "--ring", "1"],
+    ["universe", "modules", "--ring", "0"],
+    ["universe", "modules", "--ring", "4", "--class", "ann:x"],
+])
+def test_malformed_arguments_exit_two(tmp_path, capsys, argv):
+    path = write(tmp_path, "c.json", SPHERE_DOC)
+    argv = [a.format(input=path, out=str(tmp_path / "out")) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.strip()
+    assert "Traceback" not in err

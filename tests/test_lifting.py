@@ -22,6 +22,7 @@ from homkit.xclass import (
     ALL,
     FREE,
     ZERO_ONLY,
+    UniverseCapError,
     ann,
     default_complex_universe,
     eps1_universe,
@@ -197,6 +198,14 @@ class TestEps1Perp:
         assert not v.holds
         g = v.counterexample["map"]
         assert null_homotopy(g) is None
+
+    def test_search_giving_up_raises_cap_error(self, monkeypatch):
+        # the counterexample search returns no map above its size cap; the
+        # checker must say so with an error, not with a stripped assert
+        import homkit.lifting as lifting
+        monkeypatch.setattr(lifting, "_first_non_nullhomotopic", lambda src, tgt: None)
+        with pytest.raises(UniverseCapError, match="chain maps"):
+            eps1_perp_homotopy(sphere(0, Z2), EU_ALL, keep_witnesses=True)
 
     def test_perp_implies_components_injective_on_projective_suite(self):
         # on the suite whose components pass the projective test, membership

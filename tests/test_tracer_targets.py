@@ -1,0 +1,58 @@
+"""The benchmark's outside tracer must keep finding what it wraps.
+
+``bench/tracer.py`` replaces homkit functions by identity, so a renamed
+target or a call path that captured a function before the replacement would
+make a traced run report wrong counts without any error.
+"""
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from homkit.complexes import sphere
+from homkit.exactalg import Zmod
+from homkit.modules import FpModule
+from homkit.xclass import ALL, eps1_universe, module_universe
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("homkit_bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def targets():
+    tracer = load_tracer()
+    return [(mod, attr) for mod, attr, _ in tracer.SPANS + tracer.COUNTED]
+
+
+@pytest.mark.parametrize("mod_name,attr", targets())
+def test_target_resolves(mod_name, attr):
+    module = importlib.import_module(f"homkit.{mod_name}")
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        assert meth in vars(getattr(module, cls_name))
+    else:
+        assert callable(getattr(module, attr))
+
+
+def test_shared_driver_calls_reach_the_wrapped_checkers():
+    # dg_x_injective runs its component test through the shared code; the
+    # nested module checker must show up as its own span
+    r4 = Zmod(4)
+    eu = eps1_universe(r4, ALL, base_bound=4, window=(-1, 1))
+    mu = module_universe(r4, 8)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        import homkit.lifting as lifting
+        lifting.dg_x_injective(sphere(0, FpModule(r4, (4,))), ALL, eu, mu=mu)
+    finally:
+        tracer.uninstall()
+    assert tracer.summary("setup")["lifting.checks.calls"] == 2
