@@ -105,6 +105,18 @@ def _parse_degree(key) -> int:
         raise DocumentError(f"degree key {key!r} is not a decimal integer")
 
 
+def _matrix_from_doc(rows, cols: int, what: str) -> IntMatrix:
+    """A matrix from its list of rows; ragged rows and entries that are not
+    integers (booleans included) are a DocumentError."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise DocumentError(f"{what} must be a list of rows")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DocumentError(f"{what} has rows of different lengths")
+    if not all(type(x) is int for r in rows for x in r):
+        raise DocumentError(f"{what} has an entry that is not an integer")
+    return IntMatrix.from_rows(rows, cols=cols)
+
+
 def complex_from_doc(doc, check: bool = True) -> Complex:
     if not isinstance(doc, dict):
         raise DocumentError("complex document must be an object")
@@ -124,11 +136,9 @@ def complex_from_doc(doc, check: bool = True) -> Complex:
     diffs = {}
     for key, rows in diffs_doc.items():
         k = _parse_degree(key)
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise DocumentError(f"matrix at degree {k} must be a list of rows")
         src = comps.get(k, FpModule.zero(ring))
         tgt = comps.get(k + 1, FpModule.zero(ring))
-        mat = IntMatrix.from_rows(rows, cols=src.ngens)
+        mat = _matrix_from_doc(rows, src.ngens, f"matrix at degree {k}")
         if mat.rows != tgt.ngens:
             raise DocumentError(f"matrix at degree {k} has {mat.rows} rows, "
                                 f"target has {tgt.ngens} generators")
@@ -155,12 +165,15 @@ def chain_map_from_doc(doc, check: bool = True) -> ChainMap:
         raise DocumentError("chain map document needs 'source' and 'target'")
     source = complex_from_doc(doc["source"], check=check)
     target = complex_from_doc(doc["target"], check=check)
+    maps_doc = doc.get("map", {})
+    if not isinstance(maps_doc, dict):
+        raise DocumentError("'map' must map degrees to matrices")
     comps = {}
-    for key, rows in doc.get("map", {}).items():
+    for key, rows in maps_doc.items():
         k = _parse_degree(key)
         src = source.component(k)
         tgt = target.component(k)
-        mat = IntMatrix.from_rows(rows, cols=src.ngens)
+        mat = _matrix_from_doc(rows, src.ngens, f"chain map matrix at degree {k}")
         if mat.rows != tgt.ngens:
             raise DocumentError(f"chain map matrix at degree {k} has the wrong shape")
         comps[k] = ModuleMap(src, tgt, mat)

@@ -21,6 +21,7 @@ from .modules import (
     direct_sum,
     hom_module,
     integer_kernel,
+    _kernel_inclusion,
     kernel,
     normalize_presentation,
     submodule_witness,
@@ -593,6 +594,19 @@ def _retraction(L: Complex, M: Complex, inj: ChainMap) -> Optional[ChainMap]:
 # Chain map groups via degree-zero hom-complex cycles
 # ---------------------------------------------------------------------------
 
+def _combinations(gens: list, orders: Sequence[int], width: int) -> Iterator[tuple]:
+    """``(coefficients, sum of coefficient * generator)`` for every
+    coefficient tuple, in ``itertools.product`` order, by running sums."""
+    def walk(i: int, elem: tuple, vec: list):
+        if i == len(gens):
+            yield elem, vec
+            return
+        for c in range(orders[i]):
+            yield from walk(i + 1, elem + (c,), vec)
+            vec = [x + y for x, y in zip(vec, gens[i])]
+    return walk(0, (), [0] * width)
+
+
 @dataclass
 class ChainMapGroup:
     """The abelian group of chain maps A -> B as a module with a decoder."""
@@ -604,11 +618,47 @@ class ChainMapGroup:
     _inclusion: Optional[ModuleMap]        # cycles -> hom-degree-0 component
 
     def decode(self, elem: Sequence[int]) -> ChainMap:
+        return ChainMap(self.source, self.target, self._family(elem), check=False)
+
+    def _family(self, elem: Sequence[int]) -> dict:
         if self._inclusion is None:
-            return ChainMap.zero(self.source, self.target)
+            return {}
         coords = self._inclusion.apply(elem)
-        family = self._data.family_from_element(0, coords)
-        return ChainMap(self.source, self.target, family, check=False)
+        return self._data.family_from_element(0, coords)
+
+    def _scan(self) -> Iterator[tuple]:
+        """Every element with its raw component matrices, in ``elements()``
+        order, without building a ChainMap.
+
+        Each generator is decoded once and its component matrices flattened
+        into one integer vector.  Decoding is a homomorphism, so an element's
+        matrices are the same combination of those vectors, reduced modulo
+        the target factor of each row.  Yields ``(element, blocks)`` with
+        ``blocks`` mapping each degree where source and target are both
+        nonzero to its matrix as a tuple of row tuples.
+        """
+        if self.module.size() is None:
+            raise ComplexError("infinite chain map group")
+        shapes = [(k, self.source.component(k).ngens, self.target.component(k).factors)
+                  for k in self.source.degrees() if not self.target.component(k).is_zero()]
+        mods = [e for _, ncols, fac in shapes for e in fac for _ in range(ncols)]
+        ngens = self.module.ngens
+        gens = []
+        for g in range(ngens):
+            family = self._family(tuple(1 if t == g else 0 for t in range(ngens)))
+            vec = []
+            for k, ncols, fac in shapes:
+                rows = family[k].matrix.entries if k in family else [[0] * ncols] * len(fac)
+                vec.extend(x for row in rows for x in row)
+            gens.append(vec)
+        for elem, vec in _combinations(gens, self.module.factors, len(mods)):
+            vec = [x % m if m else x for x, m in zip(vec, mods)]
+            blocks, pos = {}, 0
+            for k, ncols, fac in shapes:
+                blocks[k] = tuple(tuple(vec[pos + r * ncols: pos + (r + 1) * ncols])
+                                  for r in range(len(fac)))
+                pos += ncols * len(fac)
+            yield elem, blocks
 
     def elements(self) -> Iterator[ChainMap]:
         if self.module.size() is None:
@@ -647,8 +697,8 @@ def chain_map_group(a: Complex, b: Complex) -> ChainMapGroup:
             amb = data.degrees[0].sum.module
             out = ChainMapGroup(a, b, amb, data, ModuleMap.identity(amb))
         else:
-            kw = kernel(d0)
-            out = ChainMapGroup(a, b, kw.sub, data, kw.inclusion)
+            sub, inclusion = _kernel_inclusion(d0)
+            out = ChainMapGroup(a, b, sub, data, inclusion)
     _CHAIN_GROUP_CACHE[key] = out
     return out
 
@@ -667,7 +717,14 @@ def complex_isomorphic(a: Complex, b: Complex) -> bool:
         return False
     if any(a.component(k).factors != b.component(k).factors for k in a.degrees()):
         return False
-    for f in chain_map_group(a, b).elements():
-        if all(f.component(k).is_mono() and f.component(k).is_epi() for k in a.degrees()):
-            return True
-    return False
+    verdicts = {}     # (degree, matrix rows) -> is the component an isomorphism
+
+    def iso(k: int, rows: tuple) -> bool:
+        if (k, rows) not in verdicts:
+            src, tgt = a.component(k), b.component(k)
+            f = ModuleMap(src, tgt, IntMatrix(tgt.ngens, src.ngens, rows))
+            verdicts[(k, rows)] = f.is_mono() and f.is_epi()
+        return verdicts[(k, rows)]
+
+    return any(all(iso(k, blocks[k]) for k in a.degrees())
+               for _, blocks in chain_map_group(a, b)._scan())

@@ -179,13 +179,80 @@ class ModuleMap:
         return self.matrix.is_zero()
 
     def is_mono(self) -> bool:
+        ring = self.source.ring
+        if ring.is_modular:
+            return _injective_on(self.matrix.entries, self.source.factors,
+                                 self.target.factors, _primes(ring.modulus))
         if self.source.size() is not None and self.source.size() <= 4096:
             zero = self.target.reduce_element([0] * self.target.ngens)
             return sum(1 for x in self.source.elements() if self.apply(x) == zero) == 1
         return kernel(self).sub.is_zero()
 
     def is_epi(self) -> bool:
+        ring = self.source.ring
+        if ring.is_modular:
+            return _surjective_on(self.matrix.entries, self.target.factors,
+                                  _primes(ring.modulus))
         return cokernel(self)[0].is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Exact injectivity and surjectivity over Z/n, one prime at a time
+# ---------------------------------------------------------------------------
+
+def _primes(n: int) -> tuple:
+    return tuple(p for p, _ in _factorize(n))
+
+
+def _rank_mod_p(rows: list, p: int) -> int:
+    """Rank over F_p of the integer matrix with the given rows."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inv = pow(top[c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                m = rows[i][c] * inv
+                rows[i] = [(x - m * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _injective_on(entries, source: tuple, target: tuple, primes: tuple) -> bool:
+    """Whether the matrix ``entries`` (rows reduced modulo the ``target``
+    factors) is injective from the sum of Z/d_j (``source``) to the sum of
+    Z/e_i (``target``).
+
+    A nonzero kernel holds an element of prime order, so the map is injective
+    iff for every prime p it is injective on the p-socle: the images of the
+    socle generators (d_j/p) e_j, read as multiples of e_i/p in the socle of
+    the target, are independent over F_p.
+    """
+    for p in primes:
+        cols = [j for j, d in enumerate(source) if d % p == 0]
+        if not cols:
+            continue
+        rows = [[(source[j] // p * entries[i][j]) % e // (e // p) for j in cols]
+                for i, e in enumerate(target) if e % p == 0]
+        if len(rows) < len(cols) or _rank_mod_p(rows, p) < len(cols):
+            return False
+    return True
+
+
+def _surjective_on(entries, target: tuple, primes: tuple) -> bool:
+    """Whether the matrix ``entries`` maps onto the sum of Z/e_i
+    (``target``): by Nakayama, iff for every prime p its rows with p | e_i
+    have full row rank modulo p."""
+    for p in primes:
+        rows = [entries[i] for i, e in enumerate(target) if e % p == 0]
+        if rows and _rank_mod_p(rows, p) < len(rows):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +348,22 @@ def submodule_witness(ambient: FpModule, gen_cols: IntMatrix) -> SubquotientWitn
     return SubquotientWitness(ambient, sub, inclusion, quot, qmap)
 
 
-def kernel(f: ModuleMap) -> SubquotientWitness:
-    """Kernel of f as a certified submodule of the source."""
+def _kernel_inclusion(f: ModuleMap) -> tuple:
+    """Kernel of f as (submodule, inclusion into the source), without the
+    quotient that ``kernel`` adds."""
     lam_t = f.target.relation_lattice()
     combined = f.matrix.hstack(lam_t)
     gens = [list(col[: f.source.ngens]) for col in integer_kernel(combined)]
     gen_cols = IntMatrix.from_columns(gens, rows=f.source.ngens)
-    return submodule_witness(f.source, gen_cols)
+    sub, incl_mat = _sublattice_module(f.source, gen_cols)
+    return sub, ModuleMap(sub, f.source, incl_mat)
+
+
+def kernel(f: ModuleMap) -> SubquotientWitness:
+    """Kernel of f as a certified submodule of the source."""
+    sub, inclusion = _kernel_inclusion(f)
+    quot, qmap = cokernel(inclusion)
+    return SubquotientWitness(f.source, sub, inclusion, quot, qmap)
 
 
 def image(f: ModuleMap) -> SubquotientWitness:

@@ -11,14 +11,18 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as iproduct
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .exactalg import RingSpec
+from .exactalg import RingSpec, _val
 from .modules import (
     FpModule,
     ModuleError,
     ModuleMap,
+    _injective_on,
+    _primes,
+    _surjective_on,
     cokernel,
     hom_module,
     kernel,
@@ -397,14 +401,11 @@ class ComplexUniverse:
                         continue
                     if not _support_embeds(a, b):
                         continue
-                    for phi in chain_monos(a, b):
-                        img = tuple(sorted(
-                            (k, tuple(sorted(phi.component(k).apply(x)
-                                             for x in a.component(k).elements())))
-                            for k in a.degrees()))
+                    for img, decode in chain_monos(a, b):
                         if img in seen:
                             continue
                         seen.add(img)
+                        phi = decode()
                         pool.append((phi, cokernel_complex(phi)))
             self._mono_pools["pool"] = pool
         return self._mono_pools["pool"]
@@ -421,49 +422,102 @@ class ComplexUniverse:
                         continue
                     if not _support_embeds(b, a):
                         continue
-                    for psi in chain_epis(a, b):
-                        kerkey = []
-                        for k in a.degrees():
-                            comp = psi.component(k)
-                            zero = comp.target.reduce_element([0] * comp.target.ngens)
-                            kerkey.append((k, tuple(sorted(
-                                x for x in a.component(k).elements()
-                                if comp.apply(x) == zero))))
-                        kerkey = tuple(kerkey)
+                    for kerkey, decode in chain_epis(a, b):
                         if kerkey in seen:
                             continue
                         seen.add(kerkey)
+                        psi = decode()
                         pool.append((psi, kernel_complex(psi)))
             self._epi_pools["pool"] = pool
         return self._epi_pools["pool"]
 
 
+def _exponents(m: FpModule, p: int) -> list:
+    """Exponents of p in the invariant factors of m, largest first."""
+    return sorted((_val(d, p) for d in m.factors if d % p == 0), reverse=True)
+
+
 def _support_embeds(a: Complex, b: Complex) -> bool:
-    """Cheap necessary condition for a degreewise injection a -> b."""
+    """Whether every component of a embeds in the component of b in the same
+    degree, which a degreewise injection a -> b needs.
+
+    A finite abelian p-group embeds in another iff its exponent partition
+    lies inside the other's, part by part.  A finite abelian group is a
+    quotient of another iff it embeds in it, so ``_support_embeds(b, a)``
+    is the same test for degreewise surjections a -> b.
+    """
     for k in a.degrees():
-        sa = a.component(k).size()
-        sb = b.component(k).size()
-        if sb is None:
-            continue
-        if sa is None or sa > sb:
-            return False
+        ma, mb = a.component(k), b.component(k)
+        for p in _primes(a.ring.modulus):
+            ea, eb = _exponents(ma, p), _exponents(mb, p)
+            if len(ea) > len(eb) or any(x > y for x, y in zip(ea, eb)):
+                return False
     return True
 
 
-def chain_monos(a: Complex, b: Complex) -> list:
+def _pool_scan(a: Complex, b: Complex, degrees: list, degree_key) -> list:
+    """``(key, decoder)`` for each element of the chain-map group a -> b
+    whose components all pass, in group order, without building ChainMaps.
+
+    ``degree_key(k, rows)`` gets one of ``degrees`` and the raw component
+    matrix there (None where a or b is zero) and returns that degree's part
+    of the deduplication key, or None to reject the element; it runs once
+    per distinct matrix.  Calling a decoder builds the ChainMap.
+    """
     grp = chain_map_group(a, b)
     size = grp.module.size()
     if size is None or size > 1 << 16:
         raise UniverseCapError("chain map group too large")
-    return [f for f in grp.elements() if f.is_mono()]
+    parts = {}
+    out = []
+    for elem, blocks in grp._scan():
+        key = []
+        for k in degrees:
+            rows = blocks.get(k)
+            if (k, rows) not in parts:
+                parts[(k, rows)] = degree_key(k, rows)
+            part = parts[(k, rows)]
+            if part is None:
+                break
+            key.append((k, part))
+        else:
+            out.append((tuple(key), partial(grp.decode, elem)))
+    return out
+
+
+def _apply_rows(rows: tuple, x: tuple, target: tuple) -> tuple:
+    return tuple(sum(r * v for r, v in zip(row, x)) % e for row, e in zip(rows, target))
+
+
+def chain_monos(a: Complex, b: Complex) -> list:
+    """The injective chain maps a -> b as ``(image, decoder)`` pairs, the
+    image listing each degree's image elements in sorted order."""
+    primes = _primes(a.ring.modulus)
+
+    def image(k: int, rows: Optional[tuple]) -> Optional[tuple]:
+        src, tgt = a.component(k).factors, b.component(k).factors
+        if rows is None or not _injective_on(rows, src, tgt, primes):
+            return None
+        return tuple(sorted(_apply_rows(rows, x, tgt) for x in a.component(k).elements()))
+
+    return _pool_scan(a, b, a.degrees(), image)
 
 
 def chain_epis(a: Complex, b: Complex) -> list:
-    grp = chain_map_group(a, b)
-    size = grp.module.size()
-    if size is None or size > 1 << 16:
-        raise UniverseCapError("chain map group too large")
-    return [f for f in grp.elements() if f.is_epi()]
+    """The surjective chain maps a -> b as ``(kernel, decoder)`` pairs, the
+    kernel listing each degree's kernel elements in sorted order."""
+    primes = _primes(a.ring.modulus)
+
+    def kernel_elements(k: int, rows: Optional[tuple]) -> Optional[tuple]:
+        tgt = b.component(k).factors
+        if rows is None:
+            # onto zero the kernel is everything; from zero nothing is onto
+            return None if tgt else tuple(a.component(k).elements())
+        if not _surjective_on(rows, tgt, primes):
+            return None
+        return tuple(x for x in a.component(k).elements() if not any(_apply_rows(rows, x, tgt)))
+
+    return _pool_scan(a, b, sorted(set(a.degrees()) | set(b.degrees())), kernel_elements)
 
 
 def cokernel_complex(phi: ChainMap) -> Complex:

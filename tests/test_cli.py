@@ -232,3 +232,24 @@ def test_malformed_arguments_exit_two(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.strip()
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows", [[[1], [1, 2]], [["a"]], [[1.5]], [[True]]],
+                         ids=["ragged", "string", "float", "bool"])
+@pytest.mark.parametrize("verb", [
+    ["validate", "{input}"],
+    ["check", "exact", "{input}"],
+    ["check", "homotopic-zero", "{input}"],
+    ["build", "precover", "{input}", "--output", "{out}"],
+])
+def test_malformed_matrix_exits_two(tmp_path, capsys, verb, rows):
+    if verb[1] == "homotopic-zero":
+        doc = {"source": SPHERE_DOC, "target": SPHERE_DOC, "map": {"0": rows}}
+    else:
+        doc = {"ring": {"mod": 4}, "modules": {"0": [2], "1": [2, 2]}, "diff": {"0": rows}}
+    path = write(tmp_path, "c.json", doc)
+    argv = [a.format(input=path, out=str(tmp_path / "out")) for a in verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "integer" in err or "lengths" in err
+    assert "Traceback" not in err

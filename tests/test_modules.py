@@ -4,7 +4,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from homkit import modules
 from homkit.exactalg import IntMatrix, ZZ, Zmod
 from homkit.modules import (
     FpModule,
@@ -24,6 +26,8 @@ from homkit.modules import (
     span_elements,
     submodule_from_elements,
 )
+
+from .helpers import small_modules
 
 R4 = Zmod(4)
 Z2 = FpModule(R4, (2,))
@@ -337,3 +341,62 @@ class TestSubmodules:
         for s in all_submodules(m):
             wit = submodule_from_elements(m, sorted(s))
             assert {wit.inclusion.apply(e) for e in wit.sub.elements()} == set(s)
+
+
+def draw_map(data, src: FpModule, tgt: FpModule, free_range: int = 5) -> ModuleMap:
+    """A random homomorphism, from random coordinates in its hom module."""
+    hm = hom_module(src, tgt)
+    elem = tuple(data.draw(st.integers(0, d - 1) if d else st.integers(-free_range, free_range))
+                 for d in hm.module.factors)
+    return hm.decode(elem)
+
+
+def brute_force(f: ModuleMap) -> tuple:
+    """(injective, surjective) by counting the kernel and the image."""
+    zero = f.target.reduce_element([0] * f.target.ngens)
+    kernel_size = sum(1 for x in f.source.elements() if f.apply(x) == zero)
+    image_size = len({f.apply(x) for x in f.source.elements()})
+    return kernel_size == 1, image_size == f.target.size()
+
+
+class TestRankTests:
+    """Over Z/n, is_mono and is_epi are per-prime rank tests; over Z they
+    keep the kernel and cokernel computations."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([2, 4, 6, 8, 9, 12, 18, 30, 36]), st.data())
+    def test_agree_with_brute_force(self, n, data):
+        members = small_modules(Zmod(n), 72)
+        src = data.draw(st.sampled_from(members))
+        tgt = data.draw(st.sampled_from(members))
+        f = draw_map(data, src, tgt)
+        assert (f.is_mono(), f.is_epi()) == brute_force(f)
+
+    @pytest.mark.parametrize("n", [6, 8, 12])
+    def test_every_map_between_small_modules(self, n):
+        members = small_modules(Zmod(n), 8)
+        seen = set()
+        for src in members:
+            for tgt in members:
+                for f in hom_module(src, tgt).elements():
+                    want = brute_force(f)
+                    assert (f.is_mono(), f.is_epi()) == want
+                    seen.add(want)
+        assert seen == {(False, False), (True, False), (False, True), (True, True)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_integer_maps_keep_the_kernel_path(self, data):
+        factors = st.sampled_from([(), (0,), (2,), (3,), (2, 4), (6, 0), (0, 0), (2, 0)])
+        src = FpModule(ZZ, data.draw(factors))
+        tgt = FpModule(ZZ, data.draw(factors))
+        f = draw_map(data, src, tgt)
+
+        def refused(*args):
+            raise AssertionError("rank test used over Z")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modules, "_injective_on", refused)
+            mp.setattr(modules, "_surjective_on", refused)
+            assert f.is_mono() == kernel(f).sub.is_zero()
+            assert f.is_epi() == cokernel(f)[0].is_zero()

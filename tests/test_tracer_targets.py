@@ -15,7 +15,7 @@ import pytest
 from homkit.complexes import sphere
 from homkit.exactalg import Zmod
 from homkit.modules import FpModule
-from homkit.xclass import ALL, eps1_universe, module_universe
+from homkit.xclass import ALL, ComplexUniverse, eps1_universe, module_universe
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -56,3 +56,20 @@ def test_shared_driver_calls_reach_the_wrapped_checkers():
     finally:
         tracer.uninstall()
     assert tracer.summary("setup")["lifting.checks.calls"] == 2
+
+
+@pytest.mark.parametrize("pool", ["mono_pool", "epi_pool"])
+def test_pools_decode_only_what_they_keep(pool):
+    # the pool scan counts every group element it tests through chain_monos
+    # or chain_epis, but builds a ChainMap only for the entries it keeps
+    cu = ComplexUniverse(Zmod(4), full_bound=4, full_window=(0, 1),
+                         disk_bound=4, disk_degrees=(-1, 0))
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        kept = getattr(cu, pool)()
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary("setup")
+    assert summary["xclass.pool.decoded"] > len(kept) > 0
+    assert summary["complexes.decode.calls"] == len(kept)
