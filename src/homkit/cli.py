@@ -43,6 +43,7 @@ from .xclass import (
     eps1_universe,
     module_universe,
     parse_class_spec,
+    raised_module_cap,
     UniverseCapError,
 )
 from .lifting import (
@@ -259,16 +260,8 @@ def cmd_validate(args) -> int:
     return 1
 
 
-def _apply_unsafe_bound(args) -> None:
-    if getattr(args, "unsafe_bound", False):
-        os.environ["HOMKIT_CAP"] = str(max(args.bound, 4096))
-        print("warning: raising hard caps as requested; expect long enumerations",
-              file=sys.stderr)
-
-
 def cmd_check(args) -> int:
     started = time.time()
-    _apply_unsafe_bound(args)
     try:
         doc = _load_json(args.input)
     except (OSError, json.JSONDecodeError) as exc:
@@ -348,7 +341,6 @@ def _build_log_doc(log: list) -> list:
 
 def cmd_build(args) -> int:
     started = time.time()
-    _apply_unsafe_bound(args)
     try:
         doc = _load_json(args.input)
         y = complex_from_doc(doc)
@@ -419,7 +411,6 @@ def cmd_build(args) -> int:
 
 
 def cmd_universe(args) -> int:
-    _apply_unsafe_bound(args)
     try:
         ring = Zmod(args.ring)
         xclass = parse_class_spec(args.xclass)
@@ -492,7 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if not getattr(args, "unsafe_bound", False):
+        return args.func(args)
+    print("warning: raising hard caps as requested; expect long enumerations",
+          file=sys.stderr)
+    with raised_module_cap(max(args.bound, 4096)):    # for this command only
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -703,6 +703,32 @@ def chain_map_group(a: Complex, b: Complex) -> ChainMapGroup:
     return out
 
 
+def disk_maps(k: int, m: FpModule, y: Complex, into: bool) -> tuple:
+    """Generators and order of the group of chain maps disk(k, m) -> y, or
+    y -> disk(k, m) when ``into``, read off the disk adjunction instead of a
+    hom complex.
+
+    A chain map disk(k, m) -> y is (f, d_y^k o f) for a unique f in
+    Hom(m, y^k), and a chain map y -> disk(k, m) is (g o d_y^k, g) for a
+    unique g in Hom(y^{k+1}, m), so the generators of that hom module give
+    generators of the chain-map group and its order.  Returns
+    ``(generators, order)``, the order None when the group is infinite.
+    """
+    d = disk(k, m)
+    hm = hom_module(y.component(k + 1), m) if into else hom_module(m, y.component(k))
+    ngens = hm.module.ngens
+    gens = []
+    for t in range(ngens):
+        f = hm.decode(tuple(1 if s == t else 0 for s in range(ngens)))
+        if into:
+            comps = {k: f.compose(y.differential(k)), k + 1: f}
+            gens.append(ChainMap(y, d, comps, check=False))
+        else:
+            comps = {k: f, k + 1: y.differential(k).compose(f)}
+            gens.append(ChainMap(d, y, comps, check=False))
+    return gens, hm.module.size()
+
+
 def chain_maps(a: Complex, b: Complex, cap: int = 100000) -> list:
     grp = chain_map_group(a, b)
     size = grp.module.size()

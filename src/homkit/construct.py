@@ -43,6 +43,7 @@ from .complexes import (
     Complex,
     chain_map_group,
     disk,
+    disk_maps,
     is_exact,
     validate_complex,
     zero_complex,
@@ -450,57 +451,95 @@ def injective_competitors(ring, x: XClassSpec, u: ModuleUniverse, degrees) -> li
     return _competitors(x, u, degrees, injective=True)
 
 
+def _factorization_check(built: Complex, cmap: ChainMap, y: Complex, comp: Complex,
+                         injective: bool):
+    """The test of maps h between y and one competitor: the returned function
+    takes a list of such maps and gives the failure message of the first one
+    that does not factor through cmap, or None when all do.  One map system
+    serves every h; only its right-hand sides change."""
+    name = _side_words(injective)[1]
+    src, tgt = (built, comp) if injective else (comp, built)   # g runs src -> tgt
+    ms = MapSystem(y.ring)
+    names = {k: ms.unknown(f"g{k}", src.component(k), tgt.component(k))
+             for k in comp.degrees() if not built.component(k).is_zero()}
+    vanishing = [k for k in comp.degrees() if k not in names]
+    slots = []        # per equation, the degree of h on its right-hand side
+    for k in names:
+        left, right = (None, cmap.component(k)) if injective else (cmap.component(k), None)
+        space = (y.component(k), comp.component(k)) if injective \
+            else (comp.component(k), y.component(k))
+        ms.equation([(left, names[k], right, 1)], None, space)
+        slots.append(k)
+        if (k + 1) in names:
+            ms.equation([(None, names[k + 1], src.differential(k), 1),
+                         (tgt.differential(k), names[k], None, -1)],
+                        None, (src.component(k), tgt.component(k + 1)))
+            slots.append(None)
+
+    def first_failure(hs: list) -> Optional[str]:
+        possible = [all(h.component(k).is_zero() for k in vanishing) for h in hs]
+        sols = iter(ms.solve_each([[h.component(k) if k is not None else None for k in slots]
+                                   for h, ok in zip(hs, possible) if ok]))
+        for ok in possible:
+            if not ok:
+                return f"factorization impossible: {name} vanishes where the map does not"
+            if next(sols) is None:
+                return (f"map into {comp.describe()} does not factor through the envelope"
+                        if injective else
+                        f"competitor map from {comp.describe()} does not factor through the cover")
+        return None
+
+    return first_failure
+
+
 def _verify_factorization(built: Complex, cmap: ChainMap, y: Complex, x: XClassSpec,
                           u: ModuleUniverse, injective: bool) -> int:
     """Check that every chain map h from a projective competitor into y
     factors as cmap o g through the precover, or dually that every h from y
     into an injective competitor factors as g o cmap through the preenvelope;
-    returns the number of maps tested."""
+    returns the number of maps this certifies, the sum of the competitors'
+    chain-map group orders.
+
+    The maps h that factor are the image of g -> cmap o g (g o cmap), a
+    subgroup, so a competitor is certified by the generators its disk
+    adjunction gives (``disk_maps``), in one elimination.  A competitor with
+    a generator that does not factor, or with an infinite group, is checked
+    element by element instead, which names the enumeration-order-first map
+    that does not factor."""
     if y.is_zero():
         return 0
-    name = _side_words(injective)[1]
     lo, hi = y.support
     tested = 0
     for comp in _competitors(x, u, range(lo - 1, hi + 1), injective):
-        # g runs from src to tgt, h between y and the competitor
-        src, tgt = (built, comp) if injective else (comp, built)
+        k = comp.support[0]
+        gens, order = disk_maps(k, comp.component(k), y, into=injective)
+        first_failure = _factorization_check(built, cmap, y, comp, injective)
+        if order is not None and first_failure(gens) is None:
+            tested += order
+            continue
         for h in (chain_map_group(y, comp) if injective else chain_map_group(comp, y)).elements():
             tested += 1
-            ms = MapSystem(y.ring)
-            names = {k: ms.unknown(f"g{k}", src.component(k), tgt.component(k))
-                     for k in comp.degrees() if not built.component(k).is_zero()}
-            for k in comp.degrees():
-                if k in names:
-                    left, right = (None, cmap.component(k)) if injective \
-                        else (cmap.component(k), None)
-                    ms.equation([(left, names[k], right, 1)], h.component(k),
-                                (h.source.component(k), h.target.component(k)))
-                elif not h.component(k).is_zero():
-                    raise BuildError(
-                        f"factorization impossible: {name} vanishes where the map does not")
-                if k in names and (k + 1) in names:
-                    ms.equation([(None, names[k + 1], src.differential(k), 1),
-                                 (tgt.differential(k), names[k], None, -1)],
-                                None, (src.component(k), tgt.component(k + 1)))
-            if ms.solve() is None:
-                raise BuildError(
-                    f"map into {comp.describe()} does not factor through the envelope"
-                    if injective else
-                    f"competitor map from {comp.describe()} does not factor through the cover")
+            failure = first_failure([h])
+            if failure is not None:
+                raise BuildError(failure)
     return tested
 
 
 def verify_precover_factorization(result: PrecoverResult, y: Complex, x: XClassSpec,
                                   u: ModuleUniverse) -> int:
-    """Check that every enumerated competitor map factors through the cover;
-    returns the number of maps tested."""
+    """Check that every chain map from a disk competitor into y factors
+    through the cover.  Each competitor is certified on the generators of
+    its chain-map group; returns the sum of the group orders, the number of
+    maps certified."""
     return _verify_factorization(result.cover, result.map, y, x, u, injective=False)
 
 
 def verify_preenvelope_factorization(result: PreenvelopeResult, y: Complex,
                                      x: XClassSpec, u: ModuleUniverse) -> int:
-    """Check that every map into an enumerated competitor factors through the
-    preenvelope; returns the number of maps tested."""
+    """Check that every chain map from y into a disk competitor factors
+    through the preenvelope.  Each competitor is certified on the generators
+    of its chain-map group; returns the sum of the group orders, the number
+    of maps certified."""
     return _verify_factorization(result.env, result.map, y, x, u, injective=True)
 
 

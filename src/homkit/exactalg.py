@@ -520,19 +520,24 @@ def _val(x: int, p: int) -> int:
     return v
 
 
-def _solve_local(rows: list, rhs: list, p: int, k: int):
-    """Solve A x = b over Z/p^k by valuation-pivoted elimination.
+def _solve_local(rows: list, rhs_cols: list, p: int, k: int):
+    """Solve A x = b over Z/p^k for every right-hand side b in ``rhs_cols``
+    by one valuation-pivoted elimination.
 
     Pivots are chosen with minimal p-adic valuation (ties broken by column,
     then row), and only not-yet-pivoted rows are cleared: an unused row's
     entries all have valuation >= the current pivot exponent, so the clearing
     division is exact.  A pivot row is never touched again, which keeps every
     entry of pivot row t at valuation >= e_t; back-substitution in reverse
-    pivot order is therefore exact as well.
+    pivot order is therefore exact as well.  Each row operation is applied to
+    all right-hand sides at once.
+
+    Returns ``(particulars, kernel generators)``; ``particulars[c]`` is None
+    when column c has no solution.
     """
     q = p ** k
     m = [[x % q for x in row] for row in rows]
-    b = [x % q for x in rhs]
+    b = [[col[i] % q for col in rhs_cols] for i in range(len(rows))]
     nrows, ncols = len(m), (len(m[0]) if m else 0)
     used = [False] * nrows
     pivots = []  # (row, col, exponent) in processing order; exponents nondecreasing
@@ -554,7 +559,7 @@ def _solve_local(rows: list, rhs: list, p: int, k: int):
         unit = (m[i][j] // (p ** e)) % q
         inv = pow(unit, -1, q)
         m[i] = [(inv * x) % q for x in m[i]]
-        b[i] = (inv * b[i]) % q
+        b[i] = [(inv * x) % q for x in b[i]]
         pivots.append((i, j, e))
         pe = p ** e
         for i2 in range(nrows):
@@ -562,10 +567,8 @@ def _solve_local(rows: list, rhs: list, p: int, k: int):
                 continue
             c = m[i2][j] // pe
             m[i2] = [(x - c * y) % q for x, y in zip(m[i2], m[i])]
-            b[i2] = (b[i2] - c * b[i]) % q
-    for i in range(nrows):
-        if not used[i] and b[i] % q != 0:
-            return None, None
+            b[i2] = [(x - c * y) % q for x, y in zip(b[i2], b[i])]
+    leftover = [b[i] for i in range(nrows) if not used[i]]
 
     def fill(x, rhs_by_pivot, upto):
         # fill pivot coordinates upto..0 in reverse processing order
@@ -578,9 +581,9 @@ def _solve_local(rows: list, rhs: list, p: int, k: int):
             x[j] = (s // pe) % (p ** (k - e))
         return x
 
-    part = fill([0] * ncols, [b[i] for i, _, _ in pivots], len(pivots) - 1)
-    if part is None:
-        return None, None
+    parts = [None if any(row[c] for row in leftover) else
+             fill([0] * ncols, [b[i][c] for i, _, _ in pivots], len(pivots) - 1)
+             for c in range(len(rhs_cols))]
     zeros = [0] * len(pivots)
     gens = []
     for t0, (i0, j0, e0) in enumerate(pivots):
@@ -596,124 +599,99 @@ def _solve_local(rows: list, rhs: list, p: int, k: int):
         x = [0] * ncols
         x[c] = 1
         gens.append(fill(x, zeros, len(pivots) - 1))
-    return part, gens
+    return parts, gens
 
 
-def _solve_mod(rows: list, rhs: list, n: int):
-    """Solve A x = b over Z/n.  Returns (particular | None, howell kernel rows).
-
-    The particular solution is the canonical (lexicographically least)
-    representative of its coset modulo the kernel.
+def _solve_mod_columns(rows: list, rhs_cols: list, n: int):
+    """Solve A x = b over Z/n for every b in ``rhs_cols``, with one
+    elimination per prime power of n.  Returns (particulars, Howell kernel
+    rows); ``particulars[c]`` is None when column c has no solution, and
+    otherwise the canonical (lexicographically least) representative of its
+    coset modulo the kernel.
     """
     ncols = len(rows[0]) if rows else 0
     if not rows:
         # no constraints: everything is a solution
         basis = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-        return [0] * ncols, basis
-    parts = []
-    genlists = []
-    mods = []
-    for p, k in _factorize(n):
-        part, gens = _solve_local(rows, rhs, p, k)
-        if part is None:
-            return None, None
-        parts.append(part)
-        genlists.append(gens)
-        mods.append(p ** k)
+        return [[0] * ncols for _ in rhs_cols], basis
     # CRT-combine the local data
-    part = [0] * ncols
+    parts = [[0] * ncols for _ in rhs_cols]
     gens = []
-    for idx, q in enumerate(mods):
+    for p, k in _factorize(n):
+        q = p ** k
+        local_parts, local_gens = _solve_local(rows, rhs_cols, p, k)
         rest = n // q
-        if rest == 1:
-            coeff = 1
-        else:
-            coeff = (rest * pow(rest % q, -1, q)) % n
-        part = [(a + coeff * b) % n for a, b in zip(part, parts[idx])]
-        for g in genlists[idx]:
-            gens.append([(coeff * x) % n for x in g])
+        coeff = 1 if rest == 1 else (rest * pow(rest % q, -1, q)) % n
+        parts = [None if part is None or local is None else
+                 [(a + coeff * b) % n for a, b in zip(part, local)]
+                 for part, local in zip(parts, local_parts)]
+        gens.extend([(coeff * x) % n for x in g] for g in local_gens)
     basis = _howell_basis(gens, ncols, n)
-    part = _howell_reduce_vector(part, basis, n)
-    return part, basis
+    return [None if part is None else _howell_reduce_vector(part, basis, n)
+            for part in parts], basis
 
 
-def _solve_int(rows: list, rhs: list):
-    """Solve A x = b over Z.  Returns (particular | None, hermite kernel rows)."""
-    ncols = len(rows[0]) if rows else 0
-    if not rows:
-        basis = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-        return [0] * ncols, basis
-    a = IntMatrix.from_rows(rows, cols=ncols)
-    u, d, v, _, _ = _snf_full(a)
-    c = [sum(u.entries[i][t] * rhs[t] for t in range(a.rows)) for i in range(a.rows)]
-    z = [0] * ncols
-    for i in range(a.rows):
-        di = d.entries[i][i] if i < min(a.rows, ncols) else 0
-        if di != 0:
-            if c[i] % di != 0:
-                return None, None
-            z[i] = c[i] // di
-        elif c[i] != 0:
-            return None, None
-    x = [sum(v.entries[i][j] * z[j] for j in range(ncols)) for i in range(ncols)]
-    gens = []
-    for j in range(ncols):
-        dj = d.entries[j][j] if j < min(a.rows, ncols) else 0
-        if dj == 0:
-            gens.append(list(v.col(j)))
-    basis = hermite_rows(gens, ncols)
+def _hermite_reduce(x: list, basis: list) -> list:
+    """Canonical representative of x modulo the span of a Hermite basis."""
     for row in basis:
         lead = next(j for j, e in enumerate(row) if e != 0)
         q = x[lead] // row[lead]
         if q:
             x = [a - q * b for a, b in zip(x, row)]
-    return x, basis
+    return x
+
+
+def _solve_int_columns(rows: list, rhs_cols: list):
+    """Solve A x = b over Z for every b in ``rhs_cols`` from one Smith normal
+    form.  Returns (particulars, Hermite kernel rows); ``particulars[c]`` is
+    None when column c has no solution."""
+    ncols = len(rows[0]) if rows else 0
+    if not rows:
+        basis = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+        return [[0] * ncols for _ in rhs_cols], basis
+    a = IntMatrix.from_rows(rows, cols=ncols)
+    u, d, v, _, _ = _snf_full(a)
+    diag = [d.entries[i][i] if i < min(a.rows, ncols) else 0
+            for i in range(max(a.rows, ncols))]
+    basis = hermite_rows([list(v.col(j)) for j in range(ncols) if diag[j] == 0], ncols)
+
+    def particular(rhs):
+        c = [sum(u.entries[i][t] * rhs[t] for t in range(a.rows)) for i in range(a.rows)]
+        z = [0] * ncols
+        for i in range(a.rows):
+            if diag[i] != 0:
+                if c[i] % diag[i] != 0:
+                    return None
+                z[i] = c[i] // diag[i]
+            elif c[i] != 0:
+                return None
+        x = [sum(v.entries[i][j] * z[j] for j in range(ncols)) for i in range(ncols)]
+        return _hermite_reduce(x, basis)
+
+    return [particular(rhs) for rhs in rhs_cols], basis
 
 
 def solve_linear(a: IntMatrix, b: IntMatrix, ring: RingSpec):
-    """Solve ``a @ x = b`` over the ring, column by column.
+    """Solve ``a @ x = b`` over the ring, all columns of b in one elimination.
 
     Returns ``(particular, kernel)`` where ``particular`` is an
-    ``a.cols x b.cols`` matrix (or None when unsolvable) and ``kernel`` is a
-    matrix whose columns generate {v : a @ v = 0}.  The particular solution is
-    canonical: each column is reduced to the distinguished representative of
-    its solution coset, so repeated runs give identical answers.
+    ``a.cols x b.cols`` matrix (or None when some column is unsolvable) and
+    ``kernel`` is a matrix whose columns generate {v : a @ v = 0}.  The
+    particular solution is canonical: each column is reduced to the
+    distinguished representative of its solution coset, so repeated runs give
+    identical answers.
     """
     if a.rows != b.rows:
         raise ExactAlgError(f"dimension mismatch: a has {a.rows} rows, b has {b.rows}")
     rows = [list(r) for r in a.entries]
-    cols_out = []
-    kernel_rows = None
-    for jc in range(b.cols):
-        rhs = [b.entries[i][jc] for i in range(b.rows)]
-        if ring.is_modular:
-            part, kern = _solve_mod(rows, rhs, ring.modulus)
-        else:
-            part, kern = _solve_int(rows, rhs)
-        if part is None:
-            return None, _kernel_matrix(rows, a.cols, ring)
-        cols_out.append(part)
-        kernel_rows = kern
-    if kernel_rows is None:
-        kernel_rows = _kernel_rows(rows, a.cols, ring)
-    kern_cols = [row for row in kernel_rows if any(row)]
-    particular = IntMatrix.from_columns(cols_out, rows=a.cols)
-    kernel = IntMatrix.from_columns(kern_cols, rows=a.cols)
-    return particular, kernel
-
-
-def _kernel_rows(rows: list, ncols: int, ring: RingSpec) -> list:
-    zero = [0] * len(rows)
     if ring.is_modular:
-        _, kern = _solve_mod(rows, zero, ring.modulus)
+        parts, kern = _solve_mod_columns(rows, b.columns(), ring.modulus)
     else:
-        _, kern = _solve_int(rows, zero)
-    return kern
-
-
-def _kernel_matrix(rows: list, ncols: int, ring: RingSpec) -> IntMatrix:
-    kern = _kernel_rows(rows, ncols, ring)
-    return IntMatrix.from_columns([r for r in kern if any(r)], rows=ncols)
+        parts, kern = _solve_int_columns(rows, b.columns())
+    kernel = IntMatrix.from_columns([row for row in kern if any(row)], rows=a.cols)
+    if any(part is None for part in parts):
+        return None, kernel
+    return IntMatrix.from_columns(parts, rows=a.cols), kernel
 
 
 class CongruenceSystem:
@@ -721,9 +699,11 @@ class CongruenceSystem:
 
     Over Z/n every row modulus m must divide n and the row is rescaled by n/m;
     over Z a modulus m > 0 adds one auxiliary unknown with coefficient m, and
-    m == 0 means exact equality.  ``solve`` projects auxiliaries away and
-    returns the canonical particular solution plus kernel generators for the
-    real unknowns.
+    m == 0 means exact equality.  Solving projects auxiliaries away and
+    returns canonical particular solutions plus kernel generators for the
+    real unknowns.  ``solve_columns`` eliminates the coefficient rows once
+    for any number of right-hand sides ("factor once, solve many"); ``solve``
+    is its one-column case.
     """
 
     def __init__(self, ring: RingSpec, nvars: int):
@@ -739,11 +719,23 @@ class CongruenceSystem:
         self._mods.append(modulus)
 
     def solve(self):
+        """The canonical particular solution for the right-hand sides given
+        to ``add`` plus kernel generators, or ``(None, None)``."""
+        parts, kern = self.solve_columns([self._rhs])
+        return (None, None) if parts[0] is None else (parts[0], kern)
+
+    def solve_columns(self, columns: Sequence[Sequence[int]]):
+        """Solve the rows once for each right-hand side in ``columns`` (one
+        value per added row, in order; the values given to ``add`` are not
+        read).  Returns ``(particulars, kernel)``: ``particulars[c]`` is the
+        canonical solution for column c, or None when it has none."""
+        if any(len(col) != len(self._rows) for col in columns):
+            raise ExactAlgError(f"right-hand sides need {len(self._rows)} values")
         n = self.ring.modulus
         if self.ring.is_modular:
             rows = []
-            rhs = []
-            for coeffs, r, m in zip(self._rows, self._rhs, self._mods):
+            scales = []
+            for coeffs, m in zip(self._rows, self._mods):
                 if m == 0 or n % m != 0:
                     raise ExactAlgError(f"row modulus {m} does not divide ring modulus {n}")
                 scale = n // m
@@ -751,18 +743,16 @@ class CongruenceSystem:
                 for var, c in coeffs.items():
                     row[var] = (row[var] + scale * c) % n
                 rows.append(row)
-                rhs.append((scale * r) % n)
-            part, kern = _solve_mod(rows, rhs, n)
-            if part is None:
-                return None, None
-            return part, [g for g in kern if any(g)]
+                scales.append(scale)
+            rhs_cols = [[(s * r) % n for s, r in zip(scales, col)] for col in columns]
+            parts, kern = _solve_mod_columns(rows, rhs_cols, n)
+            return parts, [g for g in kern if any(g)]
         # over Z: auxiliary unknowns absorb the moduli
         naux = sum(1 for m in self._mods if m > 0)
         total = self.nvars + naux
         rows = []
-        rhs = []
         aux = self.nvars
-        for coeffs, r, m in zip(self._rows, self._rhs, self._mods):
+        for coeffs, m in zip(self._rows, self._mods):
             row = [0] * total
             for var, c in coeffs.items():
                 row[var] += c
@@ -770,16 +760,8 @@ class CongruenceSystem:
                 row[aux] = m
                 aux += 1
             rows.append(row)
-            rhs.append(r)
-        part, kern = _solve_int(rows, rhs)
-        if part is None:
-            return None, None
-        xpart = part[: self.nvars]
+        parts, kern = _solve_int_columns(rows, [list(col) for col in columns])
         gens = [g[: self.nvars] for g in kern]
         basis = hermite_rows([g for g in gens if any(g)], self.nvars)
-        for row in basis:
-            lead = next(j for j, e in enumerate(row) if e != 0)
-            q = xpart[lead] // row[lead]
-            if q:
-                xpart = [a - q * b for a, b in zip(xpart, row)]
-        return xpart, basis
+        return [None if part is None else _hermite_reduce(part[: self.nvars], basis)
+                for part in parts], basis

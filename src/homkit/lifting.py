@@ -18,13 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .exactalg import IntMatrix
 from .modules import (
     FpModule,
     ModuleMap,
     MapSystem,
     _induced,
-    _solve_in_module,
+    _solve_in_module_columns,
     cokernel,
     ext1_module,
     hom_module,
@@ -102,16 +101,9 @@ def _first_outside_image(proj: ModuleMap) -> tuple:
 
 def _section_certificate(restr: ModuleMap):
     """Canonical preimages of the target generators (the lift data)."""
-    if restr.target.ngens == 0:
-        return []
-    cols = []
-    for g in range(restr.target.ngens):
-        col = IntMatrix.from_columns(
-            [[1 if r == g else 0 for r in range(restr.target.ngens)]],
-            rows=restr.target.ngens)
-        sol = _solve_in_module(restr.target, restr.matrix, col)
-        cols.append([sol.entries[i][0] for i in range(restr.source.ngens)] if sol else None)
-    return cols
+    n = restr.target.ngens
+    units = [[1 if r == g else 0 for r in range(n)] for g in range(n)]
+    return _solve_in_module_columns(restr.target, restr.matrix, units)
 
 
 def _confirm_no_preimage(grp, fn: Callable, f, cap: int) -> None:
@@ -404,24 +396,27 @@ def hom_exactness(beta: ModuleMap, theta: ModuleMap, probe: Complex,
     # probe -> sphere(0, B) (left) or sphere(0, B) -> probe (right)
     ends = (probe, sphere(0, beta.target)) if left else (sphere(0, beta.target), probe)
     key, name = ("lift", "u") if left else ("factor", "h")
-    for g in (f.component(0) for f in chain_map_group(*ends).elements()):
-        if not (theta.compose(g) if left else g.compose(beta)).is_zero():
-            continue
+    gs = [f.component(0) for f in chain_map_group(*ends).elements()]
+    gs = [g for g in gs if (theta.compose(g) if left else g.compose(beta)).is_zero()]
+    ms = MapSystem(probe.ring)
+    zero_rhs = []     # the right-hand sides after g's, all zero
+    if left:  # u: probe^0 -> A with beta o u = g and u o d^{-1} = 0
+        ms.unknown(name, probe.component(0), beta.source)
+        ms.equation([(beta, name, None, 1)], None, (probe.component(0), beta.target))
+        if not probe.component(-1).is_zero():
+            ms.equation([(None, name, probe.differential(-1), 1)], None,
+                        (probe.component(-1), beta.source))
+            zero_rhs.append(None)
+    else:  # h: C -> probe^0 with h o theta = g and d^0 o h = 0
+        ms.unknown(name, theta.target, probe.component(0))
+        ms.equation([(None, name, theta, 1)], None, (theta.source, probe.component(0)))
+        if not probe.component(1).is_zero():
+            ms.equation([(probe.differential(0), name, None, 1)], None,
+                        (theta.target, probe.component(1)))
+            zero_rhs.append(None)
+    # every g is one right-hand side of the same system: one elimination
+    for g, sol in zip(gs, ms.solve_each([[g, *zero_rhs] for g in gs])):
         verdict.checked += 1
-        ms = MapSystem(probe.ring)
-        if left:  # u: probe^0 -> A with beta o u = g and u o d^{-1} = 0
-            ms.unknown(name, probe.component(0), beta.source)
-            ms.equation([(beta, name, None, 1)], g, (probe.component(0), beta.target))
-            if not probe.component(-1).is_zero():
-                ms.equation([(None, name, probe.differential(-1), 1)], None,
-                            (probe.component(-1), beta.source))
-        else:  # h: C -> probe^0 with h o theta = g and d^0 o h = 0
-            ms.unknown(name, theta.target, probe.component(0))
-            ms.equation([(None, name, theta, 1)], g, (theta.source, probe.component(0)))
-            if not probe.component(1).is_zero():
-                ms.equation([(probe.differential(0), name, None, 1)], None,
-                            (theta.target, probe.component(1)))
-        sol = ms.solve()
         if sol is None:
             verdict.holds = False
             verdict.counterexample = {"kind": "hom-row", "map": g}

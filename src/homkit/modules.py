@@ -294,24 +294,27 @@ def normalize_presentation(ring: RingSpec, ngens: int, relations: IntMatrix) -> 
     return Presentation(module, to_can, from_can)
 
 
+def _solve_in_module_columns(target: FpModule, mat: IntMatrix, columns) -> list:
+    """Solve mat @ x = b, row i a congruence mod target factor i, for each
+    right-hand side b in ``columns`` with one elimination; returns each
+    column's particular solution, or None where it has none."""
+    ring = target.ring
+    sys = CongruenceSystem(ring, mat.cols)
+    for i, di in enumerate(target.factors):
+        modulus = di if di else (ring.modulus if ring.is_modular else 0)
+        sys.add({j: mat.entries[i][j] for j in range(mat.cols) if mat.entries[i][j]}, 0, modulus)
+    return sys.solve_columns(columns)[0]
+
+
 def _solve_in_module(target: FpModule, mat: IntMatrix, rhs: IntMatrix):
     """Solve mat @ x = rhs where each row i is a congruence mod target factor i.
 
     Returns a particular solution matrix (columns aligned with rhs) or None.
     """
-    ring = target.ring
-    cols_out = []
-    for jc in range(rhs.cols):
-        sys = CongruenceSystem(ring, mat.cols)
-        for i, di in enumerate(target.factors):
-            modulus = di if di else (ring.modulus if ring.is_modular else 0)
-            coeffs = {j: mat.entries[i][j] for j in range(mat.cols) if mat.entries[i][j]}
-            sys.add(coeffs, rhs.entries[i][jc], modulus)
-        part, _ = sys.solve()
-        if part is None:
-            return None
-        cols_out.append(part)
-    return IntMatrix.from_columns(cols_out, rows=mat.cols)
+    parts = _solve_in_module_columns(target, mat, rhs.columns())
+    if any(part is None for part in parts):
+        return None
+    return IntMatrix.from_columns(parts, rows=mat.cols)
 
 
 @dataclass(frozen=True)
@@ -737,8 +740,11 @@ class MapSystem:
         ModuleMaps (or None for identity) composing as L o U o R."""
         self._equations.append((list(terms), rhs, space))
 
-    def solve(self) -> Optional[dict]:
+    def _system(self, rhs_column: Sequence[int]) -> CongruenceSystem:
+        """The congruences of the unknowns' well-definedness followed by those
+        of the equations, with right-hand sides from ``rhs_column``."""
         sys = CongruenceSystem(self.ring, self._nvars)
+        rhs_values = iter(rhs_column)
         default_mod = self.ring.modulus if self.ring.is_modular else 0
         for name in self._unknowns:
             src, tgt = self._shapes[name]
@@ -747,8 +753,8 @@ class MapSystem:
                     continue
                 for p, dp in enumerate(tgt.factors):
                     modulus = dp if dp else default_mod
-                    sys.add({self._var(name, p, q): dq}, 0, modulus)
-        for terms, rhs, (S, T) in self._equations:
+                    sys.add({self._var(name, p, q): dq}, next(rhs_values), modulus)
+        for terms, _, (S, T) in self._equations:
             for r in range(T.ngens):
                 modulus = T.factors[r] if T.factors[r] else default_mod
                 for c in range(S.ngens):
@@ -767,9 +773,22 @@ class MapSystem:
                                     continue
                                 var = self._var(name, p, q)
                                 coeffs[var] = coeffs.get(var, 0) + sign * lv * rv
-                    rhs_val = rhs.matrix.entries[r][c] if rhs is not None else 0
-                    sys.add(coeffs, rhs_val, modulus)
-        part, _ = sys.solve()
+                    sys.add(coeffs, next(rhs_values), modulus)
+        return sys
+
+    def _rhs_column(self, rhss: Sequence[Optional[ModuleMap]]) -> list:
+        """One right-hand side value per congruence of ``_system``: zero for
+        well-definedness, then the entries of each equation's rhs map."""
+        col = []
+        for name in self._unknowns:
+            src, tgt = self._shapes[name]
+            col.extend(0 for dq in src.factors if dq != 0 for _ in tgt.factors)
+        for (_, _, (S, T)), rhs in zip(self._equations, rhss, strict=True):
+            col.extend(rhs.matrix.entries[r][c] if rhs is not None else 0
+                       for r in range(T.ngens) for c in range(S.ngens))
+        return col
+
+    def _maps(self, part: Optional[list]) -> Optional[dict]:
         if part is None:
             return None
         out = {}
@@ -780,3 +799,23 @@ class MapSystem:
                    for p in range(tgt.ngens)]
             out[name] = ModuleMap(src, tgt, IntMatrix.from_rows(mat, cols=src.ngens))
         return out
+
+    def solve(self) -> Optional[dict]:
+        """The canonical solution for the equations' own right-hand sides,
+        as a map per unknown, or None."""
+        rhs = self._rhs_column([rhs for _, rhs, _ in self._equations])
+        part, _ = self._system(rhs).solve()
+        return self._maps(part)
+
+    def solve_each(self, rhs_sets: Sequence[Sequence[Optional[ModuleMap]]]) -> list:
+        """Solve the system once per entry of ``rhs_sets`` with one
+        elimination.  Each entry gives a right-hand side map (None for zero)
+        per equation, in the order the equations were added, in place of the
+        equations' own; the result is the solution ``solve`` would return for
+        it, or None."""
+        if not rhs_sets:
+            return []
+        columns = [self._rhs_column(rhss) for rhss in rhs_sets]
+        # solve_columns reads only ``columns``, not the values the rows carry
+        parts, _ = self._system(columns[0]).solve_columns(columns)
+        return [self._maps(part) for part in parts]

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import os
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 from itertools import product as iproduct
@@ -43,7 +45,13 @@ DEFAULT_MODULE_SIZE_CAP = 64
 DEFAULT_WINDOW_CAP = 5
 
 
+_RAISED_CAP: ContextVar = ContextVar("homkit_raised_cap", default=None)
+
+
 def hard_module_cap() -> int:
+    raised = _RAISED_CAP.get()
+    if raised is not None:
+        return raised
     env = os.environ.get("HOMKIT_CAP")
     if env:
         try:
@@ -51,6 +59,16 @@ def hard_module_cap() -> int:
         except ValueError:
             pass
     return DEFAULT_MODULE_SIZE_CAP
+
+
+@contextmanager
+def raised_module_cap(cap: int):
+    """Within the block, and only there, ``hard_module_cap()`` is ``cap``."""
+    token = _RAISED_CAP.set(cap)
+    try:
+        yield
+    finally:
+        _RAISED_CAP.reset(token)
 
 
 class UniverseCapError(ValueError):

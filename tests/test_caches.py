@@ -1,0 +1,70 @@
+"""``homkit.clear_caches`` empties every module-level cache, and a run after
+it gives the same answers as the run before."""
+from __future__ import annotations
+
+import hashlib
+import json
+
+import homkit
+from homkit.cli import _payload_to_doc
+from homkit.complexes import _CHAIN_GROUP_CACHE, sphere
+from homkit.construct import precover_bounded, verify_precover_factorization
+from homkit.exactalg import Zmod
+from homkit.lifting import (
+    _VERDICT_CACHE,
+    eps1_perp_homotopy,
+    x_injective_complex,
+    x_injective_module,
+)
+from homkit.modules import FpModule, ext1_module, hom_module
+from homkit.xclass import (
+    ALL,
+    _COMPLEX_UNIVERSES,
+    _EPS1_UNIVERSES,
+    _MODULE_UNIVERSES,
+    default_complex_universe,
+    eps1_universe,
+    module_universe,
+)
+
+R4 = Zmod(4)
+Z2, Z4 = FpModule(R4, (2,)), FpModule(R4, (4,))
+
+
+def sizes() -> dict:
+    return {"module universes": len(_MODULE_UNIVERSES),
+            "complex universes": len(_COMPLEX_UNIVERSES),
+            "eps1 universes": len(_EPS1_UNIVERSES),
+            "chain-map groups": len(_CHAIN_GROUP_CACHE),
+            "verdicts": len(_VERDICT_CACHE),
+            "hom modules": hom_module.cache_info().currsize,
+            "ext modules": ext1_module.cache_info().currsize}
+
+
+def digest(value) -> str:
+    doc = json.dumps(_payload_to_doc(value), sort_keys=True, default=str)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def run() -> list:
+    """Answers that read each of the caches."""
+    u4 = module_universe(R4, 8)
+    cu4 = default_complex_universe(R4, (0, 1), full_bound=2, disk_bound=4)
+    eu4 = eps1_universe(R4, ALL, base_bound=4, window=(-1, 1))
+    y = sphere(0, Z2)
+    verdicts = [x_injective_module(Z2, ALL, u4, keep_witnesses=False),
+                x_injective_complex(y, ALL, cu4),
+                eps1_perp_homotopy(sphere(0, Z4), eu4)]
+    out = [(v.holds, v.checked, v.universe, digest(v.witnesses),
+            digest(v.counterexample), digest(v.extra)) for v in verdicts]
+    out.append(ext1_module(Z2, Z2).factors)
+    out.append(verify_precover_factorization(precover_bounded(y, ALL, u=u4), y, ALL, u4))
+    return out
+
+
+def test_clear_caches_empties_every_cache_and_answers_stay():
+    first = run()
+    assert all(sizes().values()), sizes()
+    homkit.clear_caches()
+    assert not any(sizes().values()), sizes()
+    assert run() == first

@@ -16,6 +16,7 @@ from homkit.cli import (
 from homkit.exactalg import Zmod
 from homkit.modules import FpModule
 from homkit.complexes import ChainMap, disk, sphere
+from homkit.xclass import DEFAULT_MODULE_SIZE_CAP, hard_module_cap
 
 R4 = Zmod(4)
 Z2 = FpModule(R4, (2,))
@@ -253,3 +254,23 @@ def test_malformed_matrix_exits_two(tmp_path, capsys, verb, rows):
     err = capsys.readouterr().err
     assert "integer" in err or "lengths" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("prior,rings", [(None, ("4", "8")), ("100", ("2", "16"))],
+                         ids=["unset", "set"])
+def test_unsafe_bound_lasts_one_command(monkeypatch, prior, rings):
+    if prior is None:
+        monkeypatch.delenv("HOMKIT_CAP", raising=False)
+    else:
+        monkeypatch.setenv("HOMKIT_CAP", prior)
+    cap = hard_module_cap()
+    assert cap == (DEFAULT_MODULE_SIZE_CAP if prior is None else int(prior))
+    # a bound of 128 is over either cap, so only a raised cap lets it through
+    # (each ring's universe is built here for the first time)
+    first, second = rings
+    assert main(["universe", "modules", "--ring", first, "--bound", "128"]) == 2
+    assert main(["universe", "modules", "--ring", first, "--bound", "128",
+                 "--unsafe-bound"]) == 0
+    assert os.environ.get("HOMKIT_CAP") == prior
+    assert hard_module_cap() == cap
+    assert main(["universe", "modules", "--ring", second, "--bound", "128"]) == 2
