@@ -234,14 +234,19 @@ def _emit(report: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The parsed document; an unreadable file, bytes that are not UTF-8 and
+    malformed JSON are a DocumentError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DocumentError(str(exc)) from None
 
 
 def cmd_validate(args) -> int:
     try:
         doc = _load_json(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
+    except DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -264,7 +269,7 @@ def cmd_check(args) -> int:
     started = time.time()
     try:
         doc = _load_json(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
+    except DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -324,9 +329,13 @@ def cmd_check(args) -> int:
 
 
 def _write_json(path: str, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write one result file; a failed write is a BuildError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise BuildError(f"cannot write {path}: {exc}") from None
 
 
 def _build_log_doc(log: list) -> list:
@@ -345,44 +354,41 @@ def cmd_build(args) -> int:
         doc = _load_json(args.input)
         y = complex_from_doc(doc)
         xclass = parse_class_spec(args.xclass)
-    except (OSError, json.JSONDecodeError, DocumentError) as exc:
+    except DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (ModuleError, ComplexError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
     outdir = args.output
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create the output directory: {exc}", file=sys.stderr)
+        return 2
     command = ["build", args.kind, args.input, "--class", xclass.key(),
                "--output", outdir]
     try:
-        if args.kind == "precover":
-            result = precover_bounded(y, xclass)
-            cover_doc = complex_to_doc(result.cover)
+        if args.kind in ("precover", "preenvelope"):
+            if args.kind == "preenvelope":
+                result = preenvelope_bounded(y, xclass)
+                built, name = result.env, "envelope"
+                membership_key, membership = "cokernel_membership", result.cokernel_membership
+            else:
+                result = precover_bounded(y, xclass)
+                built, name = result.cover, "cover"
+                membership_key, membership = "kernel_membership", result.kernel_membership
+            built_doc = complex_to_doc(built)
             # re-validate before writing anything
-            if not validate_complex(complex_from_doc(cover_doc, check=False)).ok:
-                raise BuildError("re-validation of the built cover failed")
-            _write_json(os.path.join(outdir, "result.json"), cover_doc)
+            if not validate_complex(complex_from_doc(built_doc, check=False)).ok:
+                raise BuildError(f"re-validation of the built {name} failed")
+            _write_json(os.path.join(outdir, "result.json"), built_doc)
             _write_json(os.path.join(outdir, "map.json"), chain_map_to_doc(result.map))
             _write_json(os.path.join(outdir, "build_log.json"),
                         _build_log_doc(result.build_log))
             _emit({"command": command, "verdict": True,
-                   "kernel_membership": {str(k): {"factors": list(f), "in_class": ok}
-                                         for k, (f, ok) in result.kernel_membership.items()},
-                   "timing_seconds": round(time.time() - started, 6)})
-            return 0
-        if args.kind == "preenvelope":
-            result = preenvelope_bounded(y, xclass)
-            env_doc = complex_to_doc(result.env)
-            if not validate_complex(complex_from_doc(env_doc, check=False)).ok:
-                raise BuildError("re-validation of the built envelope failed")
-            _write_json(os.path.join(outdir, "result.json"), env_doc)
-            _write_json(os.path.join(outdir, "map.json"), chain_map_to_doc(result.map))
-            _write_json(os.path.join(outdir, "build_log.json"),
-                        _build_log_doc(result.build_log))
-            _emit({"command": command, "verdict": True,
-                   "cokernel_membership": {str(k): {"factors": list(f), "in_class": ok}
-                                           for k, (f, ok) in result.cokernel_membership.items()},
+                   membership_key: {str(k): {"factors": list(f), "in_class": ok}
+                                    for k, (f, ok) in membership.items()},
                    "timing_seconds": round(time.time() - started, 6)})
             return 0
         if args.kind == "envelope":

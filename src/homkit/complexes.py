@@ -20,11 +20,14 @@ from .modules import (
     ModuleMap,
     direct_sum,
     hom_module,
+    hom_postcompose,
+    hom_precompose,
     integer_kernel,
     _kernel_inclusion,
     kernel,
     normalize_presentation,
     submodule_witness,
+    _scan_maps,
 )
 
 
@@ -402,7 +405,9 @@ def hom_complex_data(x: Complex, y: Complex, degrees: Optional[Sequence[int]] = 
     """Internal hom complex with block bookkeeping.
 
     Degree n component is the sum over i of Hom(x^i, y^{i+n}); the
-    differential sends a family (f^i) to  d_y o f^i - (-1)^n f^{i+1} o d_x.
+    differential sends a family (f^i) to  d_y o f^i - (-1)^n f^{i+1} o d_x,
+    so its blocks are ``hom_postcompose`` by d_y and ``hom_precompose`` by
+    d_x, negated when n is even.
     """
     ring = x.ring
     if x.is_zero() or y.is_zero():
@@ -430,26 +435,17 @@ def hom_complex_data(x: Complex, y: Complex, degrees: Optional[Sequence[int]] = 
         if (n + 1) not in deg_data:
             continue
         tgt = deg_data[n + 1]
-        sign = -1 if n % 2 else 1
         total = None
         for idx, (i, hm) in enumerate(d.blocks):
             for tidx, (ti, thm) in enumerate(tgt.blocks):
-                cols = []
-                contributes = (ti == i) or (ti == i - 1)
-                if not contributes:
+                if ti == i:
+                    block = hom_postcompose(hm, thm, y.differential(i + n))
+                elif ti == i - 1:
+                    block = hom_precompose(hm, thm, x.differential(i - 1))
+                    block = -block if n % 2 == 0 else block
+                else:
                     continue
-                for g in range(hm.module.ngens):
-                    elem = tuple(1 if t == g else 0 for t in range(hm.module.ngens))
-                    f = hm.decode(elem)
-                    if ti == i:
-                        piece = y.differential(i + n).compose(f)
-                    else:
-                        piece = (f.compose(x.differential(i - 1))).__neg__() if sign == 1 \
-                            else f.compose(x.differential(i - 1))
-                    cols.append(thm.encode(piece))
-                mat = IntMatrix.from_columns(cols, rows=thm.module.ngens)
-                term = tgt.sum.injections[tidx].compose(
-                    ModuleMap(hm.module, thm.module, mat)).compose(d.sum.projections[idx])
+                term = tgt.sum.injections[tidx].compose(block).compose(d.sum.projections[idx])
                 total = term if total is None else total + term
         if total is not None:
             diffs[n] = total
@@ -594,19 +590,6 @@ def _retraction(L: Complex, M: Complex, inj: ChainMap) -> Optional[ChainMap]:
 # Chain map groups via degree-zero hom-complex cycles
 # ---------------------------------------------------------------------------
 
-def _combinations(gens: list, orders: Sequence[int], width: int) -> Iterator[tuple]:
-    """``(coefficients, sum of coefficient * generator)`` for every
-    coefficient tuple, in ``itertools.product`` order, by running sums."""
-    def walk(i: int, elem: tuple, vec: list):
-        if i == len(gens):
-            yield elem, vec
-            return
-        for c in range(orders[i]):
-            yield from walk(i + 1, elem + (c,), vec)
-            vec = [x + y for x, y in zip(vec, gens[i])]
-    return walk(0, (), [0] * width)
-
-
 @dataclass
 class ChainMapGroup:
     """The abelian group of chain maps A -> B as a module with a decoder."""
@@ -627,38 +610,11 @@ class ChainMapGroup:
         return self._data.family_from_element(0, coords)
 
     def _scan(self) -> Iterator[tuple]:
-        """Every element with its raw component matrices, in ``elements()``
-        order, without building a ChainMap.
-
-        Each generator is decoded once and its component matrices flattened
-        into one integer vector.  Decoding is a homomorphism, so an element's
-        matrices are the same combination of those vectors, reduced modulo
-        the target factor of each row.  Yields ``(element, blocks)`` with
-        ``blocks`` mapping each degree where source and target are both
-        nonzero to its matrix as a tuple of row tuples.
-        """
-        if self.module.size() is None:
-            raise ComplexError("infinite chain map group")
+        """``_scan_maps`` of this group, in the degrees where source and
+        target are both nonzero."""
         shapes = [(k, self.source.component(k).ngens, self.target.component(k).factors)
                   for k in self.source.degrees() if not self.target.component(k).is_zero()]
-        mods = [e for _, ncols, fac in shapes for e in fac for _ in range(ncols)]
-        ngens = self.module.ngens
-        gens = []
-        for g in range(ngens):
-            family = self._family(tuple(1 if t == g else 0 for t in range(ngens)))
-            vec = []
-            for k, ncols, fac in shapes:
-                rows = family[k].matrix.entries if k in family else [[0] * ncols] * len(fac)
-                vec.extend(x for row in rows for x in row)
-            gens.append(vec)
-        for elem, vec in _combinations(gens, self.module.factors, len(mods)):
-            vec = [x % m if m else x for x, m in zip(vec, mods)]
-            blocks, pos = {}, 0
-            for k, ncols, fac in shapes:
-                blocks[k] = tuple(tuple(vec[pos + r * ncols: pos + (r + 1) * ncols])
-                                  for r in range(len(fac)))
-                pos += ncols * len(fac)
-            yield elem, blocks
+        return _scan_maps(self.module, self._family, shapes)
 
     def elements(self) -> Iterator[ChainMap]:
         if self.module.size() is None:

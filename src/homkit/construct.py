@@ -439,15 +439,9 @@ def _competitors(x: XClassSpec, u: ModuleUniverse, degrees, injective: bool) -> 
     return [disk(k, m) for m in _passing(nonzero, x, u, injective) for k in degrees]
 
 
-def projective_competitors(ring, x: XClassSpec, u: ModuleUniverse,
-                           degrees) -> list:
-    """Disks on class-projective class members: a certified family of
-    projective-complex competitors for factorization tests."""
-    return _competitors(x, u, degrees, injective=False)
-
-
 def injective_competitors(ring, x: XClassSpec, u: ModuleUniverse, degrees) -> list:
-    """Disks on class-injective class members, the dual family."""
+    """Disks on class-injective class members: a certified family of
+    injective-complex competitors for factorization tests."""
     return _competitors(x, u, degrees, injective=True)
 
 

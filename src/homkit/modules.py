@@ -527,6 +527,48 @@ class HomModule:
         for elem in self.module.elements():
             yield self.decode(elem)
 
+    def _scan(self) -> Iterator[tuple]:
+        """``_scan_maps`` of this group, in degree 0."""
+        return _scan_maps(self.module, lambda elem: {0: self.decode(elem)},
+                          [(0, self.source.ngens, self.target.factors)])
+
+
+def _scan_maps(module: FpModule, family, shapes: list) -> Iterator[tuple]:
+    """``(element, blocks)`` for every element of a finite group of maps, in
+    ``module.elements()`` order, with ``blocks`` holding its raw matrix (a
+    tuple of row tuples) in each degree of ``shapes``: ``(degree, source
+    generators, target factors)``.  ``family(elem)`` decodes an element into
+    its nonzero maps by degree.  Decoding is a homomorphism, so each
+    generator is decoded once and elements are walked by running sums of the
+    flattened generator matrices, reduced modulo each row's target factor.
+    """
+    if module.size() is None:
+        raise ModuleError("cannot enumerate an infinite module")
+    mods = [e for _, ncols, fac in shapes for e in fac for _ in range(ncols)]
+    ngens = module.ngens
+    gens = []
+    for g in range(ngens):
+        maps = family(tuple(1 if t == g else 0 for t in range(ngens)))
+        gens.append([x for k, ncols, fac in shapes
+                     for row in (maps[k].matrix.entries if k in maps else [[0] * ncols] * len(fac))
+                     for x in row])
+
+    def walk(i: int, elem: tuple, vec: list):
+        if i < ngens:
+            for c in range(module.factors[i]):
+                yield from walk(i + 1, elem + (c,), vec)
+                vec = [x + y for x, y in zip(vec, gens[i])]
+            return
+        vec = [x % m if m else x for x, m in zip(vec, mods)]
+        blocks, pos = {}, 0
+        for k, ncols, fac in shapes:
+            blocks[k] = tuple(tuple(vec[pos + r * ncols: pos + (r + 1) * ncols])
+                              for r in range(len(fac)))
+            pos += ncols * len(fac)
+        yield elem, blocks
+
+    return walk(0, (), [0] * len(mods))
+
 
 def _hom_pair_data(ring: RingSpec, dj: int, di: int):
     """Cyclic structure of Hom(R/dj, R/di): (order, scale) with the maps being

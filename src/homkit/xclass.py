@@ -224,51 +224,17 @@ class ModuleUniverse:
         return f"modules({self.ring}, size<={self.size_bound})"
 
     def mono_pool(self) -> list:
-        """Injections between nonzero members, one per image submodule, with
-        their cokernels.
-
-        Injections from the zero module impose no lifting constraint and are
-        left out; two injections with the same image differ by an automorphism
-        of the source, which does not change any universal lifting test, so
-        only the enumeration-first one per image is kept.
-        """
+        """Injections between members, one per image, with their cokernels."""
         if self._mono_pool is None:
-            pool = []
-            for bi, b in enumerate(self.members):
-                seen = set()
-                for a in self.members:
-                    if a.is_zero():
-                        continue
-                    for f in enumerate_monos(a, b):
-                        img = frozenset(f.apply(x) for x in a.elements())
-                        if (bi, img) in seen:
-                            continue
-                        seen.add((bi, img))
-                        cok, _ = cokernel(f)
-                        pool.append((f, cok))
-            self._mono_pool = pool
+            self._mono_pool = _pool(self.members, False, _hom_scan(_image),
+                                    lambda f: cokernel(f)[0])
         return self._mono_pool
 
     def epi_pool(self) -> list:
-        """Surjections between members onto nonzero members, one per kernel
-        subset (postcomposing with an automorphism of the target does not
-        change any universal lifting test), with their kernels."""
+        """Surjections between members, one per kernel, with their kernels."""
         if self._epi_pool is None:
-            pool = []
-            for ai, a in enumerate(self.members):
-                seen = set()
-                for b in self.members:
-                    if b.is_zero():
-                        continue
-                    for f in enumerate_epis(a, b):
-                        zero = b.reduce_element([0] * b.ngens)
-                        ker_set = frozenset(x for x in a.elements() if f.apply(x) == zero)
-                        if (ai, ker_set) in seen:
-                            continue
-                        seen.add((ai, ker_set))
-                        ker = kernel(f).sub
-                        pool.append((f, ker))
-            self._epi_pool = pool
+            self._epi_pool = _pool(self.members, True, _hom_scan(_kernel_elements),
+                                   lambda f: kernel(f).sub)
         return self._epi_pool
 
 
@@ -276,7 +242,8 @@ _MODULE_UNIVERSES: dict = {}
 
 
 def module_universe(ring: RingSpec, size_bound: int) -> ModuleUniverse:
-    key = (ring, size_bound)
+    # a universe built under a raised cap must not be served at a lower one
+    key = (ring, size_bound, hard_module_cap())
     if key not in _MODULE_UNIVERSES:
         _MODULE_UNIVERSES[key] = ModuleUniverse(ring, size_bound)
     return _MODULE_UNIVERSES[key]
@@ -361,8 +328,8 @@ class ComplexUniverse:
             disk_degrees = range(lo - 1, hi + 1)
         self.disk_degrees = tuple(disk_degrees)
         self._members: Optional[list] = None
-        self._mono_pools: dict = {}
-        self._epi_pools: dict = {}
+        self._mono_pool: Optional[list] = None
+        self._epi_pool: Optional[list] = None
 
     def describe(self) -> str:
         return (f"complexes({self.ring}, full<= {self.full_bound} on "
@@ -403,51 +370,43 @@ class ComplexUniverse:
         return self._members
 
     def mono_pool(self) -> list:
-        """Injective chain maps between members (nonzero source), one per
-        image subcomplex, each with its degreewise cokernel complex.
-
-        Two chain injections with the same degreewise image differ by a chain
-        automorphism of the source, so they pose the same extension test;
-        keeping the enumeration-first one per image is lossless.
-        """
-        if "pool" not in self._mono_pools:
-            pool = []
-            for bi, b in enumerate(self.members):
-                seen = set()
-                for a in self.members:
-                    if a.is_zero():
-                        continue
-                    if not _support_embeds(a, b):
-                        continue
-                    for img, decode in chain_monos(a, b):
-                        if img in seen:
-                            continue
-                        seen.add(img)
-                        phi = decode()
-                        pool.append((phi, cokernel_complex(phi)))
-            self._mono_pools["pool"] = pool
-        return self._mono_pools["pool"]
+        """Degreewise injective chain maps between members, one per image
+        subcomplex, with their degreewise cokernel complexes."""
+        if self._mono_pool is None:
+            self._mono_pool = _pool(self.members, False, chain_monos, cokernel_complex)
+        return self._mono_pool
 
     def epi_pool(self) -> list:
-        """Surjective chain maps between members (nonzero target), one per
-        degreewise kernel subset, each with its kernel complex."""
-        if "pool" not in self._epi_pools:
-            pool = []
-            for ai, a in enumerate(self.members):
-                seen = set()
-                for b in self.members:
-                    if b.is_zero():
-                        continue
-                    if not _support_embeds(b, a):
-                        continue
-                    for kerkey, decode in chain_epis(a, b):
-                        if kerkey in seen:
-                            continue
-                        seen.add(kerkey)
-                        psi = decode()
-                        pool.append((psi, kernel_complex(psi)))
-            self._epi_pools["pool"] = pool
-        return self._epi_pools["pool"]
+        """Degreewise surjective chain maps between members, one per kernel
+        subcomplex, with their kernel complexes."""
+        if self._epi_pool is None:
+            self._epi_pool = _pool(self.members, True, chain_epis, kernel_complex)
+        return self._epi_pool
+
+
+def _pool(members: list, epi: bool, scan, close) -> list:
+    """The mono pool (epi pool when ``epi``) of a universe: for each member b
+    (source a) and each nonzero member a (target b) that embeds in it (is a
+    quotient of it), the first map a -> b per image (kernel) key of
+    ``scan(a, b)``, with ``close`` of it, its cokernel (kernel).
+
+    Maps from (onto) zero impose no lifting constraint.  Two injections with
+    the same image differ by an automorphism of the source (two surjections
+    with the same kernel by one of the target), which changes no universal
+    lifting test, so keeping one per key is lossless.
+    """
+    pool = []
+    for fixed in members:
+        seen = set()
+        for other in members:
+            if other.is_zero() or not _support_embeds(other, fixed):
+                continue
+            for key, decode in scan(*((fixed, other) if epi else (other, fixed))):
+                if key not in seen:
+                    seen.add(key)
+                    f = decode()
+                    pool.append((f, close(f)))
+    return pool
 
 
 def _exponents(m: FpModule, p: int) -> list:
@@ -455,17 +414,19 @@ def _exponents(m: FpModule, p: int) -> list:
     return sorted((_val(d, p) for d in m.factors if d % p == 0), reverse=True)
 
 
-def _support_embeds(a: Complex, b: Complex) -> bool:
-    """Whether every component of a embeds in the component of b in the same
-    degree, which a degreewise injection a -> b needs.
+def _support_embeds(a, b) -> bool:
+    """Whether every component of the complex a embeds in the component of
+    b in the same degree, which a degreewise injection a -> b needs; for
+    modules a and b, whether a embeds in b (the one-degree case).
 
     A finite abelian p-group embeds in another iff its exponent partition
     lies inside the other's, part by part.  A finite abelian group is a
     quotient of another iff it embeds in it, so ``_support_embeds(b, a)``
     is the same test for degreewise surjections a -> b.
     """
-    for k in a.degrees():
-        ma, mb = a.component(k), b.component(k)
+    pairs = [(a, b)] if isinstance(a, FpModule) else \
+        [(a.component(k), b.component(k)) for k in a.degrees()]
+    for ma, mb in pairs:
         for p in _primes(a.ring.modulus):
             ea, eb = _exponents(ma, p), _exponents(mb, p)
             if len(ea) > len(eb) or any(x > y for x, y in zip(ea, eb)):
@@ -473,27 +434,26 @@ def _support_embeds(a: Complex, b: Complex) -> bool:
     return True
 
 
-def _pool_scan(a: Complex, b: Complex, degrees: list, degree_key) -> list:
-    """``(key, decoder)`` for each element of the chain-map group a -> b
-    whose components all pass, in group order, without building ChainMaps.
+def _pool_scan(grp, components: list, component_key, cap: int = 1 << 16) -> list:
+    """``(key, decoder)`` for each element of ``grp`` (a ``HomModule`` or
+    ``ChainMapGroup``) whose components all pass, in group order.
 
-    ``degree_key(k, rows)`` gets one of ``degrees`` and the raw component
-    matrix there (None where a or b is zero) and returns that degree's part
-    of the deduplication key, or None to reject the element; it runs once
-    per distinct matrix.  Calling a decoder builds the ChainMap.
+    For each ``(k, source, target)`` of ``components``,
+    ``component_key(source, target, rows)`` gets the raw matrix in degree k
+    (None where it is absent) and returns the key's part for k, or None to
+    reject; it runs once per distinct matrix.  A decoder builds the map.
     """
-    grp = chain_map_group(a, b)
     size = grp.module.size()
-    if size is None or size > 1 << 16:
-        raise UniverseCapError("chain map group too large")
+    if size is None or size > cap:
+        raise UniverseCapError(f"group of maps too large to enumerate ({size})")
     parts = {}
     out = []
     for elem, blocks in grp._scan():
         key = []
-        for k in degrees:
+        for k, src, tgt in components:
             rows = blocks.get(k)
             if (k, rows) not in parts:
-                parts[(k, rows)] = degree_key(k, rows)
+                parts[(k, rows)] = component_key(src, tgt, rows)
             part = parts[(k, rows)]
             if part is None:
                 break
@@ -507,35 +467,42 @@ def _apply_rows(rows: tuple, x: tuple, target: tuple) -> tuple:
     return tuple(sum(r * v for r, v in zip(row, x)) % e for row, e in zip(rows, target))
 
 
+def _image(src: FpModule, tgt: FpModule, rows: Optional[tuple]) -> Optional[tuple]:
+    """The image elements in sorted order, or None unless injective."""
+    if rows is None or \
+            not _injective_on(rows, src.factors, tgt.factors, _primes(src.ring.modulus)):
+        return None
+    return tuple(sorted(_apply_rows(rows, x, tgt.factors) for x in src.elements()))
+
+
+def _kernel_elements(src: FpModule, tgt: FpModule, rows: Optional[tuple]) -> Optional[tuple]:
+    """The kernel elements in order, or None unless surjective."""
+    if rows is None:
+        # onto zero the kernel is everything; from zero nothing is onto
+        return None if tgt.factors else tuple(src.elements())
+    if not _surjective_on(rows, tgt.factors, _primes(src.ring.modulus)):
+        return None
+    return tuple(x for x in src.elements() if not any(_apply_rows(rows, x, tgt.factors)))
+
+
+def _hom_scan(component_key):
+    """The module case of ``chain_monos``/``chain_epis``, at ``enumerate_homs``' cap."""
+    return lambda a, b: _pool_scan(hom_module(a, b), [(0, a, b)], component_key, 1 << 20)
+
+
 def chain_monos(a: Complex, b: Complex) -> list:
     """The injective chain maps a -> b as ``(image, decoder)`` pairs, the
     image listing each degree's image elements in sorted order."""
-    primes = _primes(a.ring.modulus)
-
-    def image(k: int, rows: Optional[tuple]) -> Optional[tuple]:
-        src, tgt = a.component(k).factors, b.component(k).factors
-        if rows is None or not _injective_on(rows, src, tgt, primes):
-            return None
-        return tuple(sorted(_apply_rows(rows, x, tgt) for x in a.component(k).elements()))
-
-    return _pool_scan(a, b, a.degrees(), image)
+    return _pool_scan(chain_map_group(a, b),
+                      [(k, a.component(k), b.component(k)) for k in a.degrees()], _image)
 
 
 def chain_epis(a: Complex, b: Complex) -> list:
     """The surjective chain maps a -> b as ``(kernel, decoder)`` pairs, the
     kernel listing each degree's kernel elements in sorted order."""
-    primes = _primes(a.ring.modulus)
-
-    def kernel_elements(k: int, rows: Optional[tuple]) -> Optional[tuple]:
-        tgt = b.component(k).factors
-        if rows is None:
-            # onto zero the kernel is everything; from zero nothing is onto
-            return None if tgt else tuple(a.component(k).elements())
-        if not _surjective_on(rows, tgt, primes):
-            return None
-        return tuple(x for x in a.component(k).elements() if not any(_apply_rows(rows, x, tgt)))
-
-    return _pool_scan(a, b, sorted(set(a.degrees()) | set(b.degrees())), kernel_elements)
+    degrees = sorted(set(a.degrees()) | set(b.degrees()))
+    return _pool_scan(chain_map_group(a, b),
+                      [(k, a.component(k), b.component(k)) for k in degrees], _kernel_elements)
 
 
 def cokernel_complex(phi: ChainMap) -> Complex:
@@ -584,8 +551,9 @@ def complex_universe(ring: RingSpec, full_bound: int = 4,
                      full_window: Tuple[int, int] = (0, 1),
                      disk_bound: int = 8,
                      disk_degrees: Optional[Sequence[int]] = None) -> ComplexUniverse:
+    # its members read module universes, so it is keyed on the cap as well
     key = (ring, full_bound, full_window, disk_bound,
-           tuple(disk_degrees) if disk_degrees is not None else None)
+           tuple(disk_degrees) if disk_degrees is not None else None, hard_module_cap())
     if key not in _COMPLEX_UNIVERSES:
         _COMPLEX_UNIVERSES[key] = ComplexUniverse(ring, full_bound, full_window,
                                                   disk_bound, disk_degrees)

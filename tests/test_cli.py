@@ -16,7 +16,13 @@ from homkit.cli import (
 from homkit.exactalg import Zmod
 from homkit.modules import FpModule
 from homkit.complexes import ChainMap, disk, sphere
-from homkit.xclass import DEFAULT_MODULE_SIZE_CAP, hard_module_cap
+from homkit.xclass import (
+    DEFAULT_MODULE_SIZE_CAP,
+    UniverseCapError,
+    hard_module_cap,
+    module_universe,
+    raised_module_cap,
+)
 
 R4 = Zmod(4)
 Z2 = FpModule(R4, (2,))
@@ -274,3 +280,45 @@ def test_unsafe_bound_lasts_one_command(monkeypatch, prior, rings):
     assert os.environ.get("HOMKIT_CAP") == prior
     assert hard_module_cap() == cap
     assert main(["universe", "modules", "--ring", second, "--bound", "128"]) == 2
+
+
+@pytest.mark.parametrize("kind", ["modules", "complexes"])
+def test_raised_cap_universe_is_not_served_at_the_default_cap(monkeypatch, capsys, kind):
+    monkeypatch.delenv("HOMKIT_CAP", raising=False)
+    argv = ["universe", kind, "--ring", "4", "--bound", "128"]
+    assert [main(argv), main(argv + ["--unsafe-bound"]), main(argv)] == [2, 0, 2]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_module_universe_keyed_on_the_cap_in_force(monkeypatch):
+    monkeypatch.delenv("HOMKIT_CAP", raising=False)
+    with raised_module_cap(4096):
+        assert module_universe(Zmod(4), 128).members
+    with pytest.raises(UniverseCapError):
+        module_universe(Zmod(4), 128)
+
+
+@pytest.mark.parametrize("verb,case", [
+    ("validate", "not-utf8"),
+    ("check", "not-utf8"),
+    ("build", "not-utf8"),
+    ("build", "output-is-a-file"),
+    ("build", "output-unwritable"),
+])
+def test_unusable_files_exit_two(tmp_path, capsys, verb, case):
+    path = write(tmp_path, "c.json", SPHERE_DOC)
+    out = tmp_path / "out"
+    if case == "not-utf8":
+        (tmp_path / "c.json").write_bytes(b'{"ring": {"mod": 4}, "x": "\xff\xfe"}')
+    elif case == "output-is-a-file":
+        out.write_text("taken")
+    else:
+        # a directory in place of a result file makes the write fail
+        (out / "result.json").mkdir(parents=True)
+    argv = {"validate": ["validate", path],
+            "check": ["check", "exact", path],
+            "build": ["build", "precover", path, "--output", str(out)]}[verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.strip()
+    assert "Traceback" not in err

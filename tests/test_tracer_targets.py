@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,18 @@ def test_target_resolves(mod_name, attr):
         assert meth in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, attr))
+
+
+@pytest.mark.parametrize("mod_name,attr", [t for t in targets() if "." in t[1]])
+def test_class_target_keeps_its_kind(mod_name, attr):
+    # the tracer wraps a property's fget and a plain function otherwise; a
+    # cached_property or partialmethod here would resolve but trace wrongly
+    cls_name, meth = attr.split(".")
+    original = vars(getattr(importlib.import_module(f"homkit.{mod_name}"), cls_name))[meth]
+    if meth == "members":
+        assert isinstance(original, property)
+    else:
+        assert inspect.isfunction(original)
 
 
 def test_shared_driver_calls_reach_the_wrapped_checkers():
