@@ -110,18 +110,6 @@ from .construct import (
     x_injective_envelope,
 )
 
-from . import complexes as _complexes, lifting as _lifting, modules as _modules, xclass as _xclass
+from .caches import clear_caches
 
 __version__ = "0.1.0"
-
-
-def clear_caches() -> None:
-    """Empty every module-level cache: the module, complex and eps1
-    universes, the chain-map groups, the lifting verdicts and the Hom and
-    Ext modules.  Later calls rebuild what they need, with the same answers."""
-    for cache in (_xclass._MODULE_UNIVERSES, _xclass._COMPLEX_UNIVERSES,
-                  _xclass._EPS1_UNIVERSES, _complexes._CHAIN_GROUP_CACHE,
-                  _lifting._VERDICT_CACHE):
-        cache.clear()
-    _modules.hom_module.cache_clear()
-    _modules.ext1_module.cache_clear()

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
+from . import caches
 from .exactalg import IntMatrix, RingSpec
 from .modules import (
     DirectSum,
@@ -28,6 +29,8 @@ from .modules import (
     normalize_presentation,
     submodule_witness,
     _scan_maps,
+    _solve_in_module,
+    _solve_in_module_columns,
 )
 
 
@@ -406,8 +409,9 @@ def hom_complex_data(x: Complex, y: Complex, degrees: Optional[Sequence[int]] = 
 
     Degree n component is the sum over i of Hom(x^i, y^{i+n}); the
     differential sends a family (f^i) to  d_y o f^i - (-1)^n f^{i+1} o d_x,
-    so its blocks are ``hom_postcompose`` by d_y and ``hom_precompose`` by
-    d_x, negated when n is even.
+    so its blocks are the memoised ``hom_postcompose`` by d_y and
+    ``hom_precompose`` by d_x, negated when n is even, and ``_block_sum``
+    assembles them into one matrix.
     """
     ring = x.ring
     if x.is_zero() or y.is_zero():
@@ -435,21 +439,27 @@ def hom_complex_data(x: Complex, y: Complex, degrees: Optional[Sequence[int]] = 
         if (n + 1) not in deg_data:
             continue
         tgt = deg_data[n + 1]
-        total = None
-        for idx, (i, hm) in enumerate(d.blocks):
-            for tidx, (ti, thm) in enumerate(tgt.blocks):
+        blocks = []
+        for s, (i, hm) in enumerate(d.blocks):
+            for t, (ti, thm) in enumerate(tgt.blocks):
                 if ti == i:
-                    block = hom_postcompose(hm, thm, y.differential(i + n))
+                    blocks.append((s, t, hom_postcompose(hm, thm, y.differential(i + n)).matrix))
                 elif ti == i - 1:
-                    block = hom_precompose(hm, thm, x.differential(i - 1))
-                    block = -block if n % 2 == 0 else block
-                else:
-                    continue
-                term = tgt.sum.injections[tidx].compose(block).compose(d.sum.projections[idx])
-                total = term if total is None else total + term
-        if total is not None:
-            diffs[n] = total
+                    block = hom_precompose(hm, thm, x.differential(i - 1)).matrix
+                    blocks.append((s, t, -block if n % 2 == 0 else block))
+        if blocks:
+            diffs[n] = _block_sum(d.sum, tgt.sum, blocks)
     return HomComplexData(x, y, Complex(ring, comps, diffs, check=False), deg_data)
+
+
+def _block_sum(src: DirectSum, tgt: DirectSum, blocks: list) -> ModuleMap:
+    """The map src.module -> tgt.module assembled from blocks: the sum of
+    injection t o block o projection s over the (s, t, block matrix) in
+    ``blocks``, reduced once at the end."""
+    total = IntMatrix.zero(tgt.module.ngens, src.module.ngens)
+    for s, t, block in blocks:
+        total = total + tgt.injections[t].matrix @ block @ src.projections[s].matrix
+    return ModuleMap(src.module, tgt.module, total)
 
 
 def hom_complex(x: Complex, y: Complex) -> Complex:
@@ -627,7 +637,6 @@ class ChainMapGroup:
         if self._inclusion is None:
             return () if f.is_zero() else None
         target_elem = self._data.element_from_family(0, dict(f._components))
-        from .modules import _solve_in_module
         amb = self._data.degrees[0].sum.module
         rhs = IntMatrix.from_columns([list(target_elem)], rows=amb.ngens)
         sol = _solve_in_module(amb, self._inclusion.matrix, rhs)
@@ -636,27 +645,52 @@ class ChainMapGroup:
         return tuple(sol.entries[i][0] for i in range(self.module.ngens))
 
 
-_CHAIN_GROUP_CACHE: dict = {}
+_CHAIN_GROUP_CACHE = caches.table("complexes.chain_map_group")
 
 
 def chain_map_group(a: Complex, b: Complex) -> ChainMapGroup:
-    key = (a.canonical_key(), b.canonical_key())
-    hit = _CHAIN_GROUP_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _CHAIN_GROUP_CACHE.lookup((a.canonical_key(), b.canonical_key()),
+                                     lambda: _chain_map_group(a, b))
+
+
+def _chain_map_group(a: Complex, b: Complex) -> ChainMapGroup:
     data = hom_complex_data(a, b, degrees=(0, 1))
     if 0 not in data.degrees:
-        out = ChainMapGroup(a, b, FpModule.zero(a.ring), data, None)
-    else:
-        d0 = data.complex.differential(0)
-        if d0.target.is_zero():
-            amb = data.degrees[0].sum.module
-            out = ChainMapGroup(a, b, amb, data, ModuleMap.identity(amb))
-        else:
-            sub, inclusion = _kernel_inclusion(d0)
-            out = ChainMapGroup(a, b, sub, data, inclusion)
-    _CHAIN_GROUP_CACHE[key] = out
-    return out
+        return ChainMapGroup(a, b, FpModule.zero(a.ring), data, None)
+    d0 = data.complex.differential(0)
+    if d0.target.is_zero():
+        amb = data.degrees[0].sum.module
+        return ChainMapGroup(a, b, amb, data, ModuleMap.identity(amb))
+    sub, inclusion = _kernel_inclusion(d0)
+    return ChainMapGroup(a, b, sub, data, inclusion)
+
+
+def chain_group_compose(g_from: ChainMapGroup, g_to: ChainMapGroup, phi: ChainMap,
+                        pre: bool) -> ModuleMap:
+    """The map g_from.module -> g_to.module sending f to f o phi (``pre``)
+    or to phi o f, as one matrix.
+
+    On Hom^0 = sum_i Hom(x^i, y^i) the map is block diagonal in the
+    degreewise ``hom_precompose`` (``hom_postcompose``) matrices by phi^i.
+    Applied to the inclusion columns of g_from's cycles it gives the
+    composites in g_to's Hom^0, and all of them are solved against g_to's
+    inclusion with one elimination; each column is the canonical solution
+    ``g_to.encode`` would return.
+    """
+    if g_from._inclusion is None or g_to._inclusion is None:
+        return ModuleMap.zero(g_from.module, g_to.module)
+    src, tgt = g_from._data.degrees[0], g_to._data.degrees[0]
+    compose = hom_precompose if pre else hom_postcompose
+    slots = {i: t for t, (i, _) in enumerate(tgt.blocks)}
+    blocks = [(s, slots[i], compose(hm, tgt.blocks[slots[i]][1], phi.component(i)).matrix)
+              for s, (i, hm) in enumerate(src.blocks) if i in slots]
+    image = _block_sum(src.sum, tgt.sum, blocks).compose(g_from._inclusion)
+    parts = _solve_in_module_columns(tgt.sum.module, g_to._inclusion.matrix,
+                                     image.matrix.columns())
+    if any(part is None for part in parts):
+        raise AssertionError("composite escaped the chain-map group")
+    return ModuleMap(g_from.module, g_to.module,
+                     IntMatrix.from_columns(parts, rows=g_to.module.ngens))
 
 
 def disk_maps(k: int, m: FpModule, y: Complex, into: bool) -> tuple:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Optional
 
+from . import caches
 from .exactalg import IntMatrix
 from .modules import (
     FpModule,
@@ -132,30 +133,45 @@ def _search_oracle(m: FpModule, x: XClassSpec, u: ModuleUniverse, injective: boo
         f"no class-{prop} {built} of {m.describe()} with class {part} in {u.describe()}")
 
 
+# a re-verification is a pure function of its inputs, so repeats of it within
+# and across builds read this table
+_ORACLE_VERIFICATIONS = caches.table("construct.oracle_verifications")
+
+
 def _verify_oracle(e: FpModule, f: ModuleMap, x: XClassSpec, u: Optional[ModuleUniverse],
                    injective: bool) -> None:
     """Re-verify a module envelope f: m -> e (cover f: e -> m): f is injective
     (onto), e and its cokernel (kernel) are in the class, e passes the side's
     module test and every map between m and a universe member passing it
-    factors through f."""
+    factors through f.  Memoised; a remembered failure raises a fresh
+    OracleHypothesisError with the same message."""
+    key = (e, f, x.key(), None if u is None else u.describe(), injective)
+    message = _ORACLE_VERIFICATIONS.lookup(key, lambda: _oracle_failure(e, f, x, u, injective))
+    if message is not None:
+        raise OracleHypothesisError(message)
+
+
+def _oracle_failure(e: FpModule, f: ModuleMap, x: XClassSpec, u: Optional[ModuleUniverse],
+                    injective: bool) -> Optional[str]:
+    """The message of the first check of ``_verify_oracle`` that fails, or None."""
     prop, built, part, adjective = _side_words(injective)
     if not (f.is_mono() if injective else f.is_epi()):
-        raise OracleHypothesisError(f"{built} map is not {adjective}")
+        return f"{built} map is not {adjective}"
     if not contains_module(x, _quotient(f, injective)):
-        raise OracleHypothesisError(f"{built} {part} left the class")
+        return f"{built} {part} left the class"
     if not contains_module(x, e):
-        raise OracleHypothesisError(f"{built} module left the class")
+        return f"{built} module left the class"
     if u is None or not e.ring.is_modular:
-        return
+        return None
     test = x_injective_module if injective else x_projective_module
     if not test(e, x, u, keep_witnesses=False).holds:
-        raise OracleHypothesisError(f"{built} module failed the {prop} test")
+        return f"{built} module failed the {prop} test"
     for cand in _passing(u.members, x, u, injective):
         restr = _induced_restriction(f, cand, injective, hom_module)[0]
         if not cokernel(restr)[0].is_zero():
-            raise OracleHypothesisError(
-                f"map {'into' if injective else 'from'} {cand.describe()} does not "
-                f"factor through the {built}")
+            return (f"map {'into' if injective else 'from'} {cand.describe()} does not "
+                    f"factor through the {built}")
+    return None
 
 
 def module_epi_precover(m: FpModule, x: XClassSpec,

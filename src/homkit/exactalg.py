@@ -44,7 +44,7 @@ def Zmod(n: int) -> RingSpec:
     return RingSpec(n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntMatrix:
     """Immutable integer matrix; ``entries[i][j]`` is row i, column j."""
 

@@ -18,20 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from . import caches
 from .modules import (
     FpModule,
     ModuleMap,
     MapSystem,
-    _induced,
     _solve_in_module_columns,
     cokernel,
     ext1_module,
     hom_module,
+    hom_postcompose,
+    hom_precompose,
 )
 from .complexes import (
     ChainMap,
     Complex,
     _retraction,
+    chain_group_compose,
     chain_map_group,
     homology_at,
     hom_complex_data,
@@ -68,7 +71,7 @@ class Verdict:
 
 # witness-free verdicts are pure functions of (object, class, universe), so
 # repeated checks inside large suites hit this table instead of re-scanning
-_VERDICT_CACHE: dict = {}
+_VERDICT_CACHE = caches.table("lifting.verdicts")
 
 # exhaustive searches of a hom group enumerate it only up to these sizes
 _MODULE_SEARCH_CAP = 1 << 16
@@ -85,11 +88,18 @@ def _induced_restriction(phi, obj, injective: bool, hom: Callable) -> tuple:
     injective:  Hom(B, obj) -> Hom(A, obj), f -> f o phi
     otherwise:  Hom(obj, A) -> Hom(obj, B), f -> phi o f
 
-    Returns (map, source group, target group, f -> image of f)."""
+    Returns (map, source group, target group, f -> image of f).  For
+    modules the map is the memoised ``hom_precompose`` (``hom_postcompose``)
+    matrix; for complexes ``chain_group_compose`` assembles it from those
+    matrices degree by degree, with one elimination for all generators."""
     grp_from, grp_to = (hom(phi.target, obj), hom(phi.source, obj)) if injective \
         else (hom(obj, phi.source), hom(obj, phi.target))
     fn = (lambda f: f.compose(phi)) if injective else phi.compose
-    return _induced(grp_from, grp_to, fn), grp_from, grp_to, fn
+    if isinstance(phi, ModuleMap):
+        restr = (hom_precompose if injective else hom_postcompose)(grp_from, grp_to, phi)
+    else:
+        restr = chain_group_compose(grp_from, grp_to, phi, pre=injective)
+    return restr, grp_from, grp_to, fn
 
 
 def _first_outside_image(proj: ModuleMap) -> tuple:
@@ -133,31 +143,32 @@ def _lifting_verdict(obj, x: XClassSpec, u, pool: Callable, injective: bool,
     side, role, part = ("extension", "mono", "cokernel") if injective \
         else ("lift", "epi", "kernel")
     kind = f"{level}-{side}"
-    cache_key = (kind, obj, x.key(), u.describe()) if not keep_witnesses else None
-    if cache_key is not None and cache_key in _VERDICT_CACHE:
-        return _VERDICT_CACHE[cache_key]
-    verdict = Verdict(True, u.describe() + f", class={x.key()}")
-    for phi, quotient in pool():
-        if not member(x, quotient):
-            continue
-        restr, grp_from, grp_to, fn = _induced_restriction(phi, obj, injective, hom)
-        verdict.checked += 1
-        cok, proj = cokernel(restr)
-        if cok.is_zero():
-            if keep_witnesses:
-                verdict.witnesses.append({"kind": kind, role: phi, part: quotient,
-                                          "section": _section_certificate(restr)})
-            continue
-        f = grp_to.decode(_first_outside_image(proj))
-        _confirm_no_preimage(grp_from, fn, f, cap)
-        verdict.holds = False
-        verdict.counterexample = {"kind": kind, role: phi, "map": f}
-        break
-    if finish is not None:
-        finish(verdict)
-    if cache_key is not None:
-        _VERDICT_CACHE[cache_key] = verdict
-    return verdict
+
+    def run() -> Verdict:
+        verdict = Verdict(True, u.describe() + f", class={x.key()}")
+        for phi, quotient in pool():
+            if not member(x, quotient):
+                continue
+            restr, grp_from, grp_to, fn = _induced_restriction(phi, obj, injective, hom)
+            verdict.checked += 1
+            cok, proj = cokernel(restr)
+            if cok.is_zero():
+                if keep_witnesses:
+                    verdict.witnesses.append({"kind": kind, role: phi, part: quotient,
+                                              "section": _section_certificate(restr)})
+                continue
+            f = grp_to.decode(_first_outside_image(proj))
+            _confirm_no_preimage(grp_from, fn, f, cap)
+            verdict.holds = False
+            verdict.counterexample = {"kind": kind, role: phi, "map": f}
+            break
+        if finish is not None:
+            finish(verdict)
+        return verdict
+
+    if keep_witnesses:
+        return run()
+    return _VERDICT_CACHE.lookup((kind, obj, x.key(), u.describe()), run)
 
 
 def _check_rings(m: FpModule, u: ModuleUniverse) -> None:
@@ -253,34 +264,33 @@ def eps1_perp_homotopy(i: Complex, eu: Eps1Universe,
     internal hom complex vanishes position by position).  A nonzero homology
     whose chain-map group is too large to search for the non-null-homotopic
     map raises UniverseCapError."""
-    cache_key = ("perp", i.canonical_key(), eu.describe()) \
-        if not keep_witnesses else None
-    if cache_key is not None and cache_key in _VERDICT_CACHE:
-        return _VERDICT_CACHE[cache_key]
-    verdict = Verdict(True, eu.describe() + ", closed under shifts")
-    for e_cx, src in ((e_cx, src) for e_cx in eu.members for src in _slid_sources(e_cx, i)):
-        data = hom_complex_data(src, i, degrees=(-1, 0, 1))
-        h0 = homology_at(data.complex, 0)
-        verdict.checked += 1
-        if h0.is_zero():
-            if keep_witnesses:
-                verdict.witnesses.append({
-                    "kind": "perp", "member": e_cx,
-                    "position": src.support, "h0_trivial": True,
-                })
-            continue
-        g = _first_non_nullhomotopic(src, i)
-        if g is None:
-            size = chain_map_group(src, i).module.size()
-            raise UniverseCapError(
-                f"no non-null-homotopic chain map found among the {size} chain maps "
-                f"from {src.describe()} (search cap {_CHAIN_SEARCH_CAP})")
-        verdict.holds = False
-        verdict.counterexample = {"kind": "perp", "member": e_cx, "map": g}
-        break
-    if cache_key is not None:
-        _VERDICT_CACHE[cache_key] = verdict
-    return verdict
+    def run() -> Verdict:
+        verdict = Verdict(True, eu.describe() + ", closed under shifts")
+        for e_cx, src in ((e_cx, src) for e_cx in eu.members for src in _slid_sources(e_cx, i)):
+            data = hom_complex_data(src, i, degrees=(-1, 0, 1))
+            h0 = homology_at(data.complex, 0)
+            verdict.checked += 1
+            if h0.is_zero():
+                if keep_witnesses:
+                    verdict.witnesses.append({
+                        "kind": "perp", "member": e_cx,
+                        "position": src.support, "h0_trivial": True,
+                    })
+                continue
+            g = _first_non_nullhomotopic(src, i)
+            if g is None:
+                size = chain_map_group(src, i).module.size()
+                raise UniverseCapError(
+                    f"no non-null-homotopic chain map found among the {size} chain maps "
+                    f"from {src.describe()} (search cap {_CHAIN_SEARCH_CAP})")
+            verdict.holds = False
+            verdict.counterexample = {"kind": "perp", "member": e_cx, "map": g}
+            break
+        return verdict
+
+    if keep_witnesses:
+        return run()
+    return _VERDICT_CACHE.lookup(("perp", i.canonical_key(), eu.describe()), run)
 
 
 def _slid_sources(e_cx: Complex, i: Complex) -> list:

@@ -16,6 +16,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 from typing import Iterator, Optional, Sequence
 
+from . import caches
 from .exactalg import (
     CongruenceSystem,
     IntMatrix,
@@ -30,7 +31,7 @@ class ModuleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FpModule:
     """A finitely presented module in canonical invariant-factor form."""
 
@@ -111,7 +112,7 @@ class FpModule:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModuleMap:
     """Homomorphism between canonical modules, as a matrix on generators.
 
@@ -406,19 +407,27 @@ class DirectSum:
     projections: tuple
 
 
+_DIRECT_SUMS = caches.table("modules.direct_sum")
+
+
 def direct_sum(ms: Sequence[FpModule]) -> DirectSum:
     """Canonical direct sum with injections and projections.
 
     The concatenated factor list is renormalized, so the result is always in
-    invariant-factor form (e.g. Z/2 + Z/3 over Z becomes Z/6).
+    invariant-factor form (e.g. Z/2 + Z/3 over Z becomes Z/6).  Memoised on
+    the list of summands.
     """
+    ms = tuple(ms)
+    return _DIRECT_SUMS.lookup(ms, lambda: _direct_sum(ms))
+
+
+def _direct_sum(ms: tuple) -> DirectSum:
     if not ms:
         raise ModuleError("direct_sum needs the ring; pass at least the zero module")
     ring = ms[0].ring
     if any(m.ring != ring for m in ms):
         raise ModuleError("mixed rings in direct sum")
     total = sum(m.ngens for m in ms)
-    cols = []
     offset = 0
     rel_cols = []
     for m in ms:
@@ -586,6 +595,7 @@ def _hom_pair_data(ring: RingSpec, dj: int, di: int):
     return g, di // g
 
 
+@caches.register_lru("modules.hom_module")
 @lru_cache(maxsize=None)
 def hom_module(source: FpModule, target: FpModule) -> HomModule:
     """Hom(source, target) with its canonical-form codec."""
@@ -608,37 +618,43 @@ def hom_module(source: FpModule, target: FpModule) -> HomModule:
                      pres.to_canonical, pres.from_canonical)
 
 
-def _induced(grp_from, grp_to, fn) -> ModuleMap:
-    """The homomorphism grp_from.module -> grp_to.module sending the map of
-    each element to fn of it.
-
-    ``grp_from`` and ``grp_to`` are hom modules or chain-map groups: anything
-    with ``module``, ``decode`` and ``encode``."""
+def _induced(h_from: HomModule, h_to: HomModule, fn) -> ModuleMap:
+    """The homomorphism h_from.module -> h_to.module sending the map of each
+    element to fn of it, read off generator by generator: decode, apply fn,
+    encode.  The body of ``hom_precompose`` and ``hom_postcompose`` on a
+    miss of their tables."""
     cols = []
-    for k in range(grp_from.module.ngens):
-        elem = tuple(1 if t == k else 0 for t in range(grp_from.module.ngens))
-        coords = grp_to.encode(fn(grp_from.decode(elem)))
-        if coords is None:
-            raise AssertionError("composite escaped the chain-map group")
-        cols.append(coords)
-    return ModuleMap(grp_from.module, grp_to.module,
-                     IntMatrix.from_columns(cols, rows=grp_to.module.ngens))
+    for k in range(h_from.module.ngens):
+        elem = tuple(1 if t == k else 0 for t in range(h_from.module.ngens))
+        cols.append(h_to.encode(fn(h_from.decode(elem))))
+    return ModuleMap(h_from.module, h_to.module,
+                     IntMatrix.from_columns(cols, rows=h_to.module.ngens))
+
+
+# the hom modules are functions of their endpoints, so a composition matrix
+# is keyed by the endpoint the two hom modules share and the map
+_PRECOMPOSE = caches.table("modules.hom_precompose")
+_POSTCOMPOSE = caches.table("modules.hom_postcompose")
 
 
 def hom_precompose(h_from: HomModule, h_to: HomModule, phi: ModuleMap) -> ModuleMap:
-    """The map Hom(A, N) -> Hom(A', N) given by f -> f o phi, phi: A' -> A."""
+    """The map Hom(A, N) -> Hom(A', N) given by f -> f o phi, phi: A' -> A;
+    memoised per (N, phi)."""
     if h_from.source != phi.target or h_to.source != phi.source or h_from.target != h_to.target:
         raise ModuleError("precomposition data mismatch")
-    return _induced(h_from, h_to, lambda f: f.compose(phi))
+    return _PRECOMPOSE.lookup((h_to.target, phi),
+                              lambda: _induced(h_from, h_to, lambda f: f.compose(phi)))
 
 
 def hom_postcompose(h_from: HomModule, h_to: HomModule, psi: ModuleMap) -> ModuleMap:
-    """The map Hom(A, N) -> Hom(A, N') given by f -> psi o f, psi: N -> N'."""
+    """The map Hom(A, N) -> Hom(A, N') given by f -> psi o f, psi: N -> N';
+    memoised per (A, psi)."""
     if h_from.target != psi.source or h_to.target != psi.target or h_from.source != h_to.source:
         raise ModuleError("postcomposition data mismatch")
-    return _induced(h_from, h_to, psi.compose)
+    return _POSTCOMPOSE.lookup((h_to.source, psi), lambda: _induced(h_from, h_to, psi.compose))
 
 
+@caches.register_lru("modules.ext1_module")
 @lru_cache(maxsize=None)
 def ext1_module(m: FpModule, n: FpModule) -> FpModule:
     """Ext^1(m, n) computed from the canonical one-step free presentation

@@ -17,6 +17,7 @@ from functools import partial
 from itertools import product as iproduct
 from typing import Iterator, Optional, Sequence, Tuple
 
+from . import caches
 from .exactalg import RingSpec, _val
 from .modules import (
     FpModule,
@@ -238,15 +239,13 @@ class ModuleUniverse:
         return self._epi_pool
 
 
-_MODULE_UNIVERSES: dict = {}
+_MODULE_UNIVERSES = caches.table("xclass.module_universes")
 
 
 def module_universe(ring: RingSpec, size_bound: int) -> ModuleUniverse:
     # a universe built under a raised cap must not be served at a lower one
-    key = (ring, size_bound, hard_module_cap())
-    if key not in _MODULE_UNIVERSES:
-        _MODULE_UNIVERSES[key] = ModuleUniverse(ring, size_bound)
-    return _MODULE_UNIVERSES[key]
+    return _MODULE_UNIVERSES.lookup((ring, size_bound, hard_module_cap()),
+                                    lambda: ModuleUniverse(ring, size_bound))
 
 
 def enumerate_modules(u: ModuleUniverse) -> Iterator[FpModule]:
@@ -544,7 +543,7 @@ def kernel_complex(psi: ChainMap) -> Complex:
     return Complex(a.ring, comps, diffs, check=False)
 
 
-_COMPLEX_UNIVERSES: dict = {}
+_COMPLEX_UNIVERSES = caches.table("xclass.complex_universes")
 
 
 def complex_universe(ring: RingSpec, full_bound: int = 4,
@@ -554,20 +553,21 @@ def complex_universe(ring: RingSpec, full_bound: int = 4,
     # its members read module universes, so it is keyed on the cap as well
     key = (ring, full_bound, full_window, disk_bound,
            tuple(disk_degrees) if disk_degrees is not None else None, hard_module_cap())
-    if key not in _COMPLEX_UNIVERSES:
-        _COMPLEX_UNIVERSES[key] = ComplexUniverse(ring, full_bound, full_window,
-                                                  disk_bound, disk_degrees)
-    return _COMPLEX_UNIVERSES[key]
+    return _COMPLEX_UNIVERSES.lookup(key, lambda: ComplexUniverse(
+        ring, full_bound, full_window, disk_bound, disk_degrees))
 
 
 def default_complex_universe(ring: RingSpec, for_support: Optional[Tuple[int, int]],
                              full_bound: int = 4, disk_bound: int = 8) -> ComplexUniverse:
     """Universe adapted to a complex's support: fully enumerated pairs on the
-    two lowest degrees, disks and spheres covering the whole window."""
+    two lowest degrees, disks and spheres covering the whole window.  An
+    empty window (hi < lo) raises UniverseCapError."""
     if for_support is None:
         lo, hi = 0, 1
     else:
         lo, hi = for_support
+    if hi < lo:
+        raise UniverseCapError(f"complex universe window [{lo}, {hi}] is empty")
     return complex_universe(ring, full_bound, (lo, lo + 1), disk_bound,
                             tuple(range(lo - 1, hi + 1)))
 
@@ -578,11 +578,14 @@ def default_complex_universe(ring: RingSpec, for_support: Optional[Tuple[int, in
 
 class Eps1Universe:
     """Exact complexes on a bounded window whose differential kernels all lie
-    in the distinguished class (the zero complex always qualifies)."""
+    in the distinguished class (the zero complex always qualifies).  The
+    window must hold one to four degrees, else UniverseCapError."""
 
     def __init__(self, ring: RingSpec, xclass: XClassSpec,
                  base_bound: int = 4, window: Tuple[int, int] = (-1, 1)):
         lo, hi = window
+        if hi < lo:
+            raise UniverseCapError(f"exactness universe window {list(window)} is empty")
         if hi - lo + 1 > 4:
             raise UniverseCapError("exactness universe window is capped at 4 degrees")
         self.ring = ring
@@ -626,15 +629,13 @@ class Eps1Universe:
         return True
 
 
-_EPS1_UNIVERSES: dict = {}
+_EPS1_UNIVERSES = caches.table("xclass.eps1_universes")
 
 
 def eps1_universe(ring: RingSpec, xclass: XClassSpec, base_bound: int = 4,
                   window: Tuple[int, int] = (-1, 1)) -> Eps1Universe:
-    key = (ring, xclass.key(), base_bound, window)
-    if key not in _EPS1_UNIVERSES:
-        _EPS1_UNIVERSES[key] = Eps1Universe(ring, xclass, base_bound, window)
-    return _EPS1_UNIVERSES[key]
+    return _EPS1_UNIVERSES.lookup((ring, xclass.key(), base_bound, window),
+                                  lambda: Eps1Universe(ring, xclass, base_bound, window))
 
 
 def enumerate_eps1(u: Eps1Universe) -> Iterator[Complex]:

@@ -17,8 +17,11 @@ from homkit.exactalg import Zmod
 from homkit.modules import FpModule
 from homkit.complexes import ChainMap, disk, sphere
 from homkit.xclass import (
+    ALL,
     DEFAULT_MODULE_SIZE_CAP,
+    Eps1Universe,
     UniverseCapError,
+    default_complex_universe,
     hard_module_cap,
     module_universe,
     raised_module_cap,
@@ -296,6 +299,31 @@ def test_module_universe_keyed_on_the_cap_in_force(monkeypatch):
         assert module_universe(Zmod(4), 128).members
     with pytest.raises(UniverseCapError):
         module_universe(Zmod(4), 128)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "eps1-perp", "{input}", "--window", "0"],
+    ["check", "eps1-perp", "{input}", "--window", "-1"],
+    ["check", "dg-injective", "{input}", "--window", "0"],
+    ["universe", "eps1", "--ring", "4", "--window", "-1"],
+    ["universe", "eps1", "--ring", "4", "--window", "0"],
+    ["universe", "complexes", "--ring", "4", "--window", "0"],
+])
+def test_empty_window_exits_two(tmp_path, capsys, argv):
+    # a window below one degree holds only the zero complex, so a verdict
+    # over it would be vacuous
+    path = write(tmp_path, "c.json", SPHERE_DOC)
+    assert main([a.format(input=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert "empty" in captured.err and "Traceback" not in captured.err
+    assert '"verdict"' not in captured.out
+
+
+def test_empty_windows_are_refused_by_the_universes():
+    with pytest.raises(UniverseCapError, match="empty"):
+        Eps1Universe(R4, ALL, window=(-1, -2))
+    with pytest.raises(UniverseCapError, match="empty"):
+        default_complex_universe(R4, (0, -1))
 
 
 @pytest.mark.parametrize("verb,case", [
