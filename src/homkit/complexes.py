@@ -337,6 +337,23 @@ def direct_sum_complexes(xs: Sequence[Complex]) -> tuple:
     return out, injs, projs
 
 
+def _subcomplex(amb: Complex, incls: Dict[int, ModuleMap], check: bool = True) -> Complex:
+    """The subcomplex of amb with the source of ``incls[k]`` in degree k and
+    each differential solved from incl_{k+1} o delta = d o incl_k, uniquely
+    since an inclusion is mono; ComplexError when d leaves the subcomplex."""
+    comps = {k: f.source for k, f in incls.items()}
+    diffs = {}
+    for k, f in incls.items():
+        if (k + 1) not in comps or comps[k].is_zero() or comps[k + 1].is_zero():
+            continue
+        sol = _solve_in_module(amb.component(k + 1), incls[k + 1].matrix,
+                               amb.differential(k).matrix @ f.matrix)
+        if sol is None:
+            raise ComplexError(f"the differential leaves the subcomplex at degree {k}")
+        diffs[k] = ModuleMap(comps[k], comps[k + 1], sol)
+    return Complex(amb.ring, comps, diffs, check=check)
+
+
 def mapping_cone(f: ChainMap) -> tuple:
     """Mapping cone of f: X -> Y with its canonical degreewise-split sequence
     0 -> Y -> cone -> X[1] -> 0."""

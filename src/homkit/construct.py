@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import caches
 from .exactalg import IntMatrix
@@ -42,7 +42,9 @@ from .modules import (
 from .complexes import (
     ChainMap,
     Complex,
+    _subcomplex,
     chain_map_group,
+    direct_sum_complexes,
     disk,
     disk_maps,
     is_exact,
@@ -93,11 +95,6 @@ def free_cover(m: FpModule) -> tuple:
     """The free module on m's generators with the canonical surjection."""
     p = FpModule.free(m.ring, m.ngens)
     return p, ModuleMap(p, m, IntMatrix.identity(m.ngens))
-
-
-def hull_envelope(m: FpModule) -> tuple:
-    """The injective hull with its essential embedding (modular rings)."""
-    return injective_hull(m)
 
 
 def _side_words(injective: bool) -> tuple:
@@ -174,6 +171,29 @@ def _oracle_failure(e: FpModule, f: ModuleMap, x: XClassSpec, u: Optional[Module
     return None
 
 
+def _module_oracle(m: FpModule, x: XClassSpec, u: Optional[ModuleUniverse],
+                   oracle: Optional[Callable], verify: bool, injective: bool) -> tuple:
+    """The module envelope f: m -> e (cover f: e -» m) from ``oracle`` when
+    given; otherwise the injective hull (free cover) when the class is
+    everything, else the first one the universe search finds.  Re-verified
+    by ``_verify_oracle`` when ``verify``."""
+    if u is None:
+        u = module_universe(m.ring, 8) if m.ring.is_modular else None
+    if oracle is not None:
+        e, f = oracle(m)
+    elif x.kind == "all":
+        if injective and not m.ring.is_modular:
+            raise BuildError("builtin envelope strategy needs a modular ring")
+        e, f = injective_hull(m) if injective else free_cover(m)
+    elif u is None:
+        raise BuildError("universe required for the search strategy")
+    else:
+        e, f = _search_oracle(m, x, u, injective)
+    if verify:
+        _verify_oracle(e, f, x, u, injective)
+    return e, f
+
+
 def module_epi_precover(m: FpModule, x: XClassSpec,
                         u: Optional[ModuleUniverse] = None,
                         oracle: Optional[Callable] = None,
@@ -185,19 +205,7 @@ def module_epi_precover(m: FpModule, x: XClassSpec,
     The builtin strategy uses the free cover when the class is everything;
     otherwise the universe is searched exhaustively.
     """
-    if u is None:
-        u = module_universe(m.ring, 8) if m.ring.is_modular else None
-    if oracle is not None:
-        p, q = oracle(m)
-    elif x.kind == "all":
-        p, q = free_cover(m)
-    else:
-        if u is None:
-            raise BuildError("universe required for the search strategy")
-        p, q = _search_oracle(m, x, u, injective=False)
-    if verify:
-        _verify_oracle(p, q, x, u, injective=False)
-    return p, q
+    return _module_oracle(m, x, u, oracle, verify, injective=False)
 
 
 def module_mono_preenvelope(m: FpModule, x: XClassSpec,
@@ -206,21 +214,7 @@ def module_mono_preenvelope(m: FpModule, x: XClassSpec,
                             verify: bool = True) -> tuple:
     """An injection f: m -> e with e class-injective, e and coker(f) in the
     class, and the factorization property against universe maps out of m."""
-    if u is None:
-        u = module_universe(m.ring, 8) if m.ring.is_modular else None
-    if oracle is not None:
-        e, f = oracle(m)
-    elif x.kind == "all":
-        if not m.ring.is_modular:
-            raise BuildError("builtin envelope strategy needs a modular ring")
-        e, f = hull_envelope(m)
-    else:
-        if u is None:
-            raise BuildError("universe required for the search strategy")
-        e, f = _search_oracle(m, x, u, injective=True)
-    if verify:
-        _verify_oracle(e, f, x, u, injective=True)
-    return e, f
+    return _module_oracle(m, x, u, oracle, verify, injective=True)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +229,7 @@ def _oracle_at(y: Complex, deg: int, x: XClassSpec, u: Optional[ModuleUniverse],
     if m.is_zero():
         z = FpModule.zero(y.ring)
         return z, ModuleMap.zero(m, z) if injective else ModuleMap.zero(z, m)
-    build = module_mono_preenvelope if injective else module_epi_precover
-    return build(m, x, u=u, oracle=oracle)
+    return _module_oracle(m, x, u, oracle, True, injective)
 
 
 @dataclass
@@ -351,8 +344,9 @@ def precover_bounded(y: Complex, x: XClassSpec,
             "vertical_prev": vert_prev, "a_prev": a_prev,
         }))
 
-    cover = Complex(y.ring, comps, diffs)
-    cmap = ChainMap(cover, y, verticals)
+    # checked once, by _verified_membership
+    cover = Complex(y.ring, comps, diffs, check=False)
+    cmap = ChainMap(cover, y, verticals, check=False)
     membership = _verified_membership(cover, cmap, y, x, injective=False)
     return PrecoverResult(cover, cmap, oracle_log, membership, log)
 
@@ -438,8 +432,8 @@ def preenvelope_bounded(y: Complex, x: XClassSpec,
             "lambda_low": lam_low, "vertical_prev": vert_prev, "a": a_deg,
         }))
 
-    env = Complex(y.ring, comps, diffs)
-    emap = ChainMap(y, env, verticals)
+    env = Complex(y.ring, comps, diffs, check=False)
+    emap = ChainMap(y, env, verticals, check=False)
     membership = _verified_membership(env, emap, y, x, injective=True)
     return PreenvelopeResult(env, emap, oracle_log, membership, log)
 
@@ -618,38 +612,27 @@ def _ambient_injective(b: Complex) -> tuple:
     for k in range(lo, hi + 1):
         if not b.component(k).is_zero():
             hulls[k] = injective_hull(b.component(k))
-    pieces = [disk(k - 1, hulls[k][0]) for k in sorted(hulls)]
-    from .complexes import direct_sum_complexes
-    amb, injs, projs = direct_sum_complexes(pieces)
     keys = sorted(hulls)
+    amb, injs, _ = direct_sum_complexes([disk(k - 1, hulls[k][0]) for k in keys])
     comps = {}
     for m in b.degrees():
-        total = None
-        e_m = hulls[m][1]
-        idx = keys.index(m)
-        term = injs[idx].component(m).compose(e_m)
-        total = term
+        comps[m] = injs[keys.index(m)].component(m).compose(hulls[m][1])
         if (m + 1) in hulls:
-            idx2 = keys.index(m + 1)
-            term2 = injs[idx2].component(m).compose(
+            comps[m] = comps[m] + injs[keys.index(m + 1)].component(m).compose(
                 hulls[m + 1][1]).compose(b.differential(m))
-            total = total + term2
-        comps[m] = total
-    incl = ChainMap(b, amb, comps)
-    return amb, incl
+    return amb, ChainMap(b, amb, comps)
 
 
-def _subcomplex_candidates(amb: Complex, incl_sets: dict) -> list:
-    """All subcomplexes of the ambient containing the embedded image,
-    as per-degree element sets closed under the differential."""
-    degs = amb.degrees()
-    per_degree = []
-    for k in degs:
-        comp = amb.component(k)
-        subs = [s for s in all_submodules(comp) if incl_sets[k] <= s]
-        per_degree.append(subs)
+def _subcomplexes(cx: Complex, floor: dict) -> Iterator[dict]:
+    """The subcomplexes of cx containing ``floor`` (degree -> element set,
+    zero where absent), as per-degree element sets: the product of each
+    degree's ``all_submodules`` containing the floor, in order, kept when
+    closed under the differential."""
+    degs = cx.degrees()
+    per_degree = [[s for s in all_submodules(cx.component(k)) if floor.get(k, frozenset()) <= s]
+                  for k in degs]
     chosen_sets = (dict(zip(degs, combo)) for combo in iproduct(*per_degree))
-    return [chosen for chosen in chosen_sets if _closed_under_differential(amb, chosen)]
+    return (chosen for chosen in chosen_sets if _closed_under_differential(cx, chosen))
 
 
 def _closed_under_differential(cx: Complex, chosen: dict) -> bool:
@@ -668,25 +651,10 @@ def _closed_under_differential(cx: Complex, chosen: dict) -> bool:
 
 def _subcomplex_to_complex(amb: Complex, chosen: dict) -> tuple:
     """Materialize a per-degree element-set subcomplex: (complex, inclusion)."""
-    comps = {}
-    incls = {}
-    for k, elems in chosen.items():
-        wit = submodule_from_elements(amb.component(k), sorted(elems))
-        comps[k] = wit.sub
-        incls[k] = wit.inclusion
-    diffs = {}
-    for k in comps:
-        if (k + 1) not in comps or comps[k].is_zero() or comps[k + 1].is_zero():
-            continue
-        target_mat = amb.differential(k).matrix @ incls[k].matrix
-        sol = _solve_in_module(amb.component(k + 1), incls[k + 1].matrix, target_mat)
-        if sol is None:
-            raise BuildError("subcomplex not closed under the differential")
-        diffs[k] = ModuleMap(comps[k], comps[k + 1], sol)
-    sub = Complex(amb.ring, comps, diffs)
-    incl = ChainMap(sub, amb, {k: incls[k] for k in comps if not comps[k].is_zero()},
-                    check=False)
-    return sub, incl
+    incls = {k: submodule_from_elements(amb.component(k), sorted(elems)).inclusion
+             for k, elems in chosen.items()}
+    sub = _subcomplex(amb, incls)
+    return sub, ChainMap(sub, amb, incls, check=False)
 
 
 def x_injective_envelope(b: Complex, x: XClassSpec,
@@ -700,6 +668,10 @@ def x_injective_envelope(b: Complex, x: XClassSpec,
     image is a class complex, a maximal one is selected, its injectivity is
     verified against the complex universe, and essentiality of the embedding
     is checked by enumerating the nonzero subcomplexes of the result.
+
+    A candidate S is judged on element sets: S^k / I^k, for I the image, is
+    the submodule q(S^k) of the cokernel q: amb^k -» amb^k / I^k, so only
+    the chosen candidate is materialized.
     """
     if not b.ring.is_modular:
         raise BuildError("envelope search requires a modular ring")
@@ -721,50 +693,29 @@ def x_injective_envelope(b: Complex, x: XClassSpec,
     if cu is None:
         cu = default_complex_universe(b.ring, amb.support, full_bound=4,
                                       disk_bound=module_bound)
-    incl_sets = {}
+    image = {}
     for k in amb.degrees():
         img = {incl.component(k).apply(v) for v in b.component(k).elements()} \
             if not b.component(k).is_zero() else \
             {amb.component(k).reduce_element([0] * amb.component(k).ngens)}
-        incl_sets[k] = span_elements(amb.component(k), sorted(img))
-    candidates = _subcomplex_candidates(amb, incl_sets)
-    admissible = []
-    for chosen in candidates:
-        sub, sub_incl = _subcomplex_to_complex(amb, chosen)
-        # quotient by the image of b must be a class complex, degreewise
-        ok = True
-        for k in sub.degrees():
-            img_elems = sorted(incl_sets[k])
-            # coordinates of the image inside the subcomplex component
-            cols = []
-            solvable = True
-            for v in img_elems:
-                rhs = IntMatrix.from_columns([list(v)], rows=amb.component(k).ngens)
-                sol = _solve_in_module(amb.component(k), sub_incl.component(k).matrix, rhs)
-                if sol is None:
-                    solvable = False
-                    break
-                cols.append([sol.entries[i][0] for i in range(sub.component(k).ngens)])
-            if not solvable:
-                ok = False
-                break
-            wit = submodule_from_elements(
-                sub.component(k), [sub.component(k).reduce_element(c) for c in cols])
-            if not contains_module(x, wit.quotient):
-                ok = False
-                break
-        if ok:
-            admissible.append(chosen)
+        image[k] = span_elements(amb.component(k), sorted(img))
+    quotients = {k: submodule_from_elements(amb.component(k), sorted(image[k])).quotient_map
+                 for k in amb.degrees()}
+
+    def admissible_at(k: int, s: frozenset) -> bool:
+        q = quotients[k]
+        return contains_module(
+            x, submodule_from_elements(q.target, sorted({q.apply(v) for v in s})).sub)
+
+    candidates = list(_subcomplexes(amb, image))
+    # degrees where S is zero are not judged
+    admissible = [c for c in candidates
+                  if all(len(s) == 1 or admissible_at(k, s) for k, s in c.items())]
     if not admissible:
         raise BuildError("no admissible intermediate subcomplex (unexpected)")
-
-    def leq(c1, c2):
-        return all(c1[k] <= c2[k] for k in c1)
-
-    maximal = [c for c in admissible if not any(leq(c, other) and other != c
-                                                for other in admissible)]
-    chosen = maximal[0]
-    t_cx, t_incl = _subcomplex_to_complex(amb, chosen)
+    maximal = [c for c in admissible
+               if not any(other != c and all(c[k] <= other[k] for k in c) for other in admissible)]
+    t_cx, t_incl = _subcomplex_to_complex(amb, maximal[0])
     # the embedding of b into the chosen subcomplex
     b_comps = {}
     for k in b.degrees():
@@ -791,15 +742,11 @@ def _essential_check(incl: ChainMap) -> tuple:
         zero = t_cx.component(k).reduce_element([0] * t_cx.component(k).ngens)
         img.discard(zero)
         img_sets[k] = img
-    degs = t_cx.degrees()
-    per_degree = [all_submodules(t_cx.component(k)) for k in degs]
-    for combo in iproduct(*per_degree):
-        chosen = dict(zip(degs, combo))
-        if all(len(s) == 1 for s in combo) or not _closed_under_differential(t_cx, chosen):
+    for chosen in _subcomplexes(t_cx, {}):
+        if all(len(s) == 1 for s in chosen.values()):
             continue
-        meets = any(bool(set(chosen[k]) & img_sets[k]) for k in degs)
-        if not meets:
-            return False, {"subcomplex": {k: sorted(chosen[k]) for k in degs}}
+        if not any(chosen[k] & img_sets[k] for k in chosen):
+            return False, {"subcomplex": {k: sorted(s) for k, s in chosen.items()}}
     return True, None
 
 

@@ -683,12 +683,11 @@ def solve_linear(a: IntMatrix, b: IntMatrix, ring: RingSpec):
     """
     if a.rows != b.rows:
         raise ExactAlgError(f"dimension mismatch: a has {a.rows} rows, b has {b.rows}")
-    rows = [list(r) for r in a.entries]
-    if ring.is_modular:
-        parts, kern = _solve_mod_columns(rows, b.columns(), ring.modulus)
-    else:
-        parts, kern = _solve_int_columns(rows, b.columns())
-    kernel = IntMatrix.from_columns([row for row in kern if any(row)], rows=a.cols)
+    system = CongruenceSystem(ring, a.cols)
+    for row in a.entries:
+        system.add(dict(enumerate(row)), 0, ring.modulus)
+    parts, kern = system.solve_columns(b.columns())
+    kernel = IntMatrix.from_columns(kern, rows=a.cols)
     if any(part is None for part in parts):
         return None, kernel
     return IntMatrix.from_columns(parts, rows=a.cols), kernel

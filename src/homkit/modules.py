@@ -184,9 +184,6 @@ class ModuleMap:
         if ring.is_modular:
             return _injective_on(self.matrix.entries, self.source.factors,
                                  self.target.factors, _primes(ring.modulus))
-        if self.source.size() is not None and self.source.size() <= 4096:
-            zero = self.target.reduce_element([0] * self.target.ngens)
-            return sum(1 for x in self.source.elements() if self.apply(x) == zero) == 1
         return kernel(self).sub.is_zero()
 
     def is_epi(self) -> bool:
@@ -736,6 +733,7 @@ def all_submodules(m: FpModule) -> list:
         raise ModuleError("submodule enumeration needs a small finite module")
     elements = sorted(m.elements())
     zero = m.reduce_element([0] * m.ngens)
+    cyclic = {x: span_elements(m, [x]) for x in elements}
     seen = {frozenset([zero])}
     frontier = [frozenset([zero])]
     while frontier:
@@ -743,7 +741,8 @@ def all_submodules(m: FpModule) -> list:
         for x in elements:
             if x in s:
                 continue
-            bigger = span_elements(m, list(s) + [x])
+            # the span of s and x is s + <x>
+            bigger = frozenset(_add_elements(m, a, y) for a in s for y in cyclic[x])
             if bigger not in seen:
                 seen.add(bigger)
                 frontier.append(bigger)

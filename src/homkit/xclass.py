@@ -33,7 +33,7 @@ from .modules import (
 from .complexes import (
     ChainMap,
     Complex,
-    ComplexError,
+    _subcomplex,
     chain_map_group,
     disk,
     is_exact,
@@ -283,23 +283,29 @@ def enumerate_epis(a: FpModule, b: FpModule) -> list:
 # Complex universes
 # ---------------------------------------------------------------------------
 
-def _all_differential_tuples(comps: list, ring: RingSpec) -> Iterator[dict]:
-    """All differential assignments with d o d = 0 for the given components."""
-    arrows = []
-    for k in range(len(comps) - 1):
-        hm = hom_module(comps[k], comps[k + 1])
-        arrows.append((k, [hm.decode(e) for e in hm.module.elements()]))
-    if not arrows:
-        yield {}
-        return
-    for combo in iproduct(*(choices for _, choices in arrows)):
-        ok = True
-        for i in range(len(combo) - 1):
-            if not combo[i + 1].compose(combo[i]).is_zero():
-                ok = False
-                break
-        if ok:
-            yield {arrows[i][0]: combo[i] for i in range(len(combo))}
+def _window_complexes(ring: RingSpec, bound: int, window: Tuple[int, int]) -> Iterator[Complex]:
+    """Every nonzero complex on the degrees of ``window`` with components in
+    ``module_universe(ring, bound)``: component tuples in product order and,
+    for each, the differential tuples with d o d = 0 in product order (each
+    Hom set in element order), found depth first so a nonzero d o d prunes
+    every tuple that extends it."""
+    lo, hi = window
+    degs = range(lo, hi + 1)
+
+    def tuples(arrows: list, diffs: list) -> Iterator[list]:
+        if len(diffs) == len(arrows):
+            yield diffs
+            return
+        for d in arrows[len(diffs)]:
+            if not diffs or d.compose(diffs[-1]).is_zero():
+                yield from tuples(arrows, diffs + [d])
+
+    for comps in iproduct(module_universe(ring, bound).members, repeat=len(degs)):
+        if all(m.is_zero() for m in comps):
+            continue
+        homs = [hom_module(a, b) for a, b in zip(comps, comps[1:])]
+        for diffs in tuples([[hm.decode(e) for e in hm.module.elements()] for hm in homs], []):
+            yield Complex(ring, dict(zip(degs, comps)), dict(zip(degs, diffs)), check=False)
 
 
 class ComplexUniverse:
@@ -349,14 +355,8 @@ class ComplexUniverse:
                 seen.append(c)
 
         push(zero_complex(self.ring))
-        base = module_universe(self.ring, self.full_bound)
-        lo, hi = self.full_window
-        degs = list(range(lo, hi + 1))
-        for combo in iproduct(base.members, repeat=len(degs)):
-            for diffs in _all_differential_tuples(list(combo), self.ring):
-                comps = {degs[i]: combo[i] for i in range(len(degs))}
-                shifted = {degs[i]: d for i, d in diffs.items()}
-                push(Complex(self.ring, comps, shifted, check=False))
+        for c in _window_complexes(self.ring, self.full_bound, self.full_window):
+            push(c)
         wide = module_universe(self.ring, self.disk_bound)
         for m in wide.members:
             if m.is_zero():
@@ -526,21 +526,8 @@ def cokernel_complex(phi: ChainMap) -> Complex:
 def kernel_complex(psi: ChainMap) -> Complex:
     """Degreewise kernel of a surjective chain map, with induced maps."""
     a = psi.source
-    wits = {k: kernel(psi.component(k)) for k in a.degrees()}
-    comps = {k: w.sub for k, w in wits.items()}
-    diffs = {}
-    for k in a.degrees():
-        if (k + 1) not in wits or wits[k].sub.is_zero() or wits[k + 1].sub.is_zero():
-            continue
-        # solve incl_{k+1} o delta = d o incl_k; unique since incl is mono
-        from .modules import _solve_in_module
-        target_mat = a.differential(k).matrix @ wits[k].inclusion.matrix
-        amb = a.component(k + 1)
-        sol = _solve_in_module(amb, wits[k + 1].inclusion.matrix, target_mat)
-        if sol is None:
-            raise ComplexError("kernel complex: induced differential did not exist")
-        diffs[k] = ModuleMap(wits[k].sub, wits[k + 1].sub, sol)
-    return Complex(a.ring, comps, diffs, check=False)
+    return _subcomplex(a, {k: kernel(psi.component(k)).inclusion for k in a.degrees()},
+                       check=False)
 
 
 _COMPLEX_UNIVERSES = caches.table("xclass.complex_universes")
@@ -602,20 +589,9 @@ class Eps1Universe:
     def members(self) -> list:
         if self._members is not None:
             return self._members
-        out = [zero_complex(self.ring)]
-        base = module_universe(self.ring, self.base_bound)
-        lo, hi = self.window
-        degs = list(range(lo, hi + 1))
-        for combo in iproduct(base.members, repeat=len(degs)):
-            if all(m.is_zero() for m in combo):
-                continue
-            for diffs in _all_differential_tuples(list(combo), self.ring):
-                comps = {degs[i]: combo[i] for i in range(len(degs))}
-                shifted = {degs[i]: d for i, d in diffs.items()}
-                c = Complex(self.ring, comps, shifted, check=False)
-                if self._qualifies(c):
-                    out.append(c)
-        self._members = out
+        self._members = [zero_complex(self.ring)] + [
+            c for c in _window_complexes(self.ring, self.base_bound, self.window)
+            if self._qualifies(c)]
         return self._members
 
     def _qualifies(self, c: Complex) -> bool:

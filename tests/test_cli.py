@@ -350,3 +350,31 @@ def test_unusable_files_exit_two(tmp_path, capsys, verb, case):
     err = capsys.readouterr().err
     assert err.strip()
     assert "Traceback" not in err
+
+
+def test_failed_build_verification_exits_two(tmp_path, monkeypatch, capsys):
+    # a builder verifies its complex and chain map once, in the checks that
+    # raise BuildError; forcing validate_complex to fail on everything but
+    # the input must surface as that error, and as exit 2 without a traceback
+    import homkit.complexes as complexes
+    import homkit.construct as construct
+    real = complexes.validate_complex
+    y = complex_from_doc(DISK_DOC)
+
+    def validate(c):
+        if c == y:
+            return real(c)
+        return complexes.ComplexVerdict(False, None, "forced failure")
+
+    monkeypatch.setattr(complexes, "validate_complex", validate)
+    monkeypatch.setattr(construct, "validate_complex", validate)
+    for build in (construct.precover_bounded, construct.preenvelope_bounded):
+        with pytest.raises(construct.BuildError, match="is not a complex"):
+            build(y, ALL)
+    capsys.readouterr()
+    for kind in ("precover", "preenvelope"):
+        code = main(["build", kind, write(tmp_path, "c.json", DISK_DOC),
+                     "--class", "all", "--output", str(tmp_path / kind)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "build failed" in err and "Traceback" not in err

@@ -86,3 +86,20 @@ def test_pools_decode_only_what_they_keep(pool):
     summary = tracer.summary("setup")
     assert summary["xclass.pool.decoded"] > len(kept) > 0
     assert summary["complexes.decode.calls"] == len(kept)
+
+
+def test_envelope_reports_its_candidate_count():
+    # the tracer reads candidates_examined with getattr and a default, so a
+    # renamed or retyped field would silently drop the counter.  The ambient
+    # of sphere(0, Z/2) is disk(-1, Z/2); a subcomplex containing the image
+    # is all of degree 0 and either submodule of degree -1: two candidates.
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        import homkit.construct as construct
+        result = construct.x_injective_envelope(sphere(0, FpModule(Zmod(2), (2,))), ALL)
+    finally:
+        tracer.uninstall()
+    assert type(result.candidates_examined) is int
+    assert result.candidates_examined == 2
+    assert tracer.summary("setup")["construct.envelope.candidates"] == 2
