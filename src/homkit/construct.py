@@ -47,7 +47,7 @@ from .complexes import (
     direct_sum_complexes,
     disk,
     disk_maps,
-    is_exact,
+    exact_at,
     validate_complex,
     zero_complex,
 )
@@ -366,7 +366,7 @@ def _verified_membership(built: Complex, cmap: ChainMap, y: Complex, x: XClassSp
         raise BuildError(f"built {name} is not a complex")
     if not cmap.commutes():
         raise BuildError(f"{name} map is not a chain map")
-    if not is_exact(built).exact:
+    if not exact_at(built, built.degrees()):
         raise BuildError(f"built {name} is not exact")
     for k in y.degrees():
         if not (cmap.component(k).is_mono() if injective else cmap.component(k).is_epi()):
@@ -562,6 +562,11 @@ class EnvelopeResult:
     candidates_examined: int
 
 
+# (class key, universe description) -> the closure check's verdict
+_EXTENSION_CLOSURE = caches.table("construct.extension_closure")
+_QUOTIENT_CLOSURE = caches.table("construct.quotient_closure")
+
+
 def _check_extension_closure(x: XClassSpec, u: ModuleUniverse, pair_cap: int = 16) -> bool:
     """Partial test on the universe: every enumerable extension of a class
     member by a class member stays in the class.  The class of everything and
@@ -676,9 +681,10 @@ def x_injective_envelope(b: Complex, x: XClassSpec,
     if not b.ring.is_modular:
         raise BuildError("envelope search requires a modular ring")
     u = module_universe(b.ring, module_bound)
+    key = (x.key(), u.describe())
     closure = {
-        "extension_closed": _check_extension_closure(x, u),
-        "quotient_closed": _check_quotient_closure(x, u),
+        "extension_closed": _EXTENSION_CLOSURE.lookup(key, lambda: _check_extension_closure(x, u)),
+        "quotient_closed": _QUOTIENT_CLOSURE.lookup(key, lambda: _check_quotient_closure(x, u)),
     }
     if not all(closure.values()):
         raise OracleHypothesisError(

@@ -603,17 +603,13 @@ def _solve_local(rows: list, rhs_cols: list, p: int, k: int):
 
 
 def _solve_mod_columns(rows: list, rhs_cols: list, n: int):
-    """Solve A x = b over Z/n for every b in ``rhs_cols``, with one
-    elimination per prime power of n.  Returns (particulars, Howell kernel
-    rows); ``particulars[c]`` is None when column c has no solution, and
-    otherwise the canonical (lexicographically least) representative of its
-    coset modulo the kernel.
+    """Solve A x = b (at least one row) over Z/n for every b in ``rhs_cols``,
+    with one elimination per prime power of n.  Returns (particulars, Howell
+    kernel rows); ``particulars[c]`` is None when column c has no solution,
+    and otherwise the canonical (lexicographically least) representative of
+    its coset modulo the kernel.
     """
-    ncols = len(rows[0]) if rows else 0
-    if not rows:
-        # no constraints: everything is a solution
-        basis = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-        return [[0] * ncols for _ in rhs_cols], basis
+    ncols = len(rows[0])
     # CRT-combine the local data
     parts = [[0] * ncols for _ in rhs_cols]
     gens = []
@@ -642,13 +638,10 @@ def _hermite_reduce(x: list, basis: list) -> list:
 
 
 def _solve_int_columns(rows: list, rhs_cols: list):
-    """Solve A x = b over Z for every b in ``rhs_cols`` from one Smith normal
-    form.  Returns (particulars, Hermite kernel rows); ``particulars[c]`` is
-    None when column c has no solution."""
-    ncols = len(rows[0]) if rows else 0
-    if not rows:
-        basis = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-        return [[0] * ncols for _ in rhs_cols], basis
+    """Solve A x = b (at least one row) over Z for every b in ``rhs_cols``
+    from one Smith normal form.  Returns (particulars, Hermite kernel rows);
+    ``particulars[c]`` is None when column c has no solution."""
+    ncols = len(rows[0])
     a = IntMatrix.from_rows(rows, cols=ncols)
     u, d, v, _, _ = _snf_full(a)
     diag = [d.entries[i][i] if i < min(a.rows, ncols) else 0
@@ -730,6 +723,10 @@ class CongruenceSystem:
         canonical solution for column c, or None when it has none."""
         if any(len(col) != len(self._rows) for col in columns):
             raise ExactAlgError(f"right-hand sides need {len(self._rows)} values")
+        if not self._rows:
+            # no constraints: zero solves every column and the kernel is everything
+            return [[0] * self.nvars for _ in columns], \
+                [[int(i == j) for j in range(self.nvars)] for i in range(self.nvars)]
         n = self.ring.modulus
         if self.ring.is_modular:
             rows = []

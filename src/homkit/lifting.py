@@ -36,7 +36,7 @@ from .complexes import (
     _retraction,
     chain_group_compose,
     chain_map_group,
-    homology_at,
+    exact_at,
     hom_complex_data,
     is_exact,
     null_homotopy,
@@ -268,9 +268,8 @@ def eps1_perp_homotopy(i: Complex, eu: Eps1Universe,
         verdict = Verdict(True, eu.describe() + ", closed under shifts")
         for e_cx, src in ((e_cx, src) for e_cx in eu.members for src in _slid_sources(e_cx, i)):
             data = hom_complex_data(src, i, degrees=(-1, 0, 1))
-            h0 = homology_at(data.complex, 0)
             verdict.checked += 1
-            if h0.is_zero():
+            if exact_at(data.complex, (0,)):
                 if keep_witnesses:
                     verdict.witnesses.append({
                         "kind": "perp", "member": e_cx,

@@ -22,6 +22,7 @@ from .exactalg import (
     IntMatrix,
     RingSpec,
     _factorize,
+    _howell_basis,
     _snf_full,
     integer_kernel,
 )
@@ -370,6 +371,25 @@ def kernel(f: ModuleMap) -> SubquotientWitness:
 def image(f: ModuleMap) -> SubquotientWitness:
     """Image of f as a certified submodule of the target."""
     return submodule_witness(f.target, f.matrix)
+
+
+def image_order(f: ModuleMap) -> int:
+    """|im f| for a map over Z/n, from one Howell basis of its columns.
+
+    The target, a sum of Z/e_i, embeds in (Z/n)^r by x_i -> (n/e_i) x_i;
+    a Howell basis of the embedded columns spans a group of order
+    prod n/lead over its rows, each lead a divisor of n (Howell, "Spans in
+    the module (Z_m)^s", 1986)."""
+    ring = f.target.ring
+    if not ring.is_modular:
+        raise ModuleError("image orders are counted over Z/n only")
+    n = ring.modulus
+    scales = [n // e for e in f.target.factors]
+    cols = [[s * x % n for s, x in zip(scales, col)] for col in f.matrix.columns()]
+    order = 1
+    for row in _howell_basis(cols, len(scales), n):
+        order *= n // next(x for x in row if x)
+    return order
 
 
 def _cokernel(f: ModuleMap) -> tuple:

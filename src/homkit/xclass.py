@@ -36,7 +36,7 @@ from .complexes import (
     _subcomplex,
     chain_map_group,
     disk,
-    is_exact,
+    exact_at,
     sphere,
     zero_complex,
 )
@@ -172,14 +172,11 @@ def contains_complex(x: XClassSpec, c: Complex) -> bool:
 # Module universes
 # ---------------------------------------------------------------------------
 
-def _divisors(n: int) -> list:
-    return [d for d in range(2, n + 1) if n % d == 0]
-
-
 def _factor_chains(n: int, bound: int) -> list:
     """All divisibility chains of divisors of n with product <= bound."""
     out = [()]
-    divs = _divisors(n)
+    # a chain's factors are at most its product, so larger divisors never fit
+    divs = [d for d in range(2, min(n, bound) + 1) if n % d == 0]
 
     def extend(prefix: tuple, prod: int):
         for d in divs:
@@ -595,7 +592,7 @@ class Eps1Universe:
         return self._members
 
     def _qualifies(self, c: Complex) -> bool:
-        if not is_exact(c).exact:
+        if not exact_at(c, c.degrees()):
             return False
         for k in c.degrees():
             ker = kernel(c.differential(k)).sub if not c.component(k + 1).is_zero() \

@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 
 from homkit import caches
-from homkit.complexes import hom_complex_data, sphere
+from homkit.complexes import hom_complex_data, sphere, zero_complex
 from homkit.construct import (
     OracleHypothesisError,
     _verify_oracle,
     precover_bounded,
     verify_precover_factorization,
+    x_injective_envelope,
 )
 from homkit.exactalg import IntMatrix, Zmod
 from homkit.lifting import x_injective_complex, x_injective_module
@@ -95,6 +96,7 @@ def fill() -> None:
     hom_complex_data(cu4.members[-1], cu4.members[-1])
     ext1_module(Z2, Z2)
     verify_precover_factorization(precover_bounded(y, ALL, u=u4), y, ALL, u4)
+    x_injective_envelope(zero_complex(R4), ALL)
 
 
 def test_clear_caches_empties_every_table_and_resets_counters():

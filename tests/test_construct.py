@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from homkit import caches
 from homkit.exactalg import IntMatrix, Zmod
 from homkit.modules import FpModule, ModuleMap, cokernel, kernel
 from homkit.complexes import (
@@ -237,6 +238,19 @@ class TestEnvelopeSearch:
             x_injective_envelope(sphere(0, Z2), FREE)  # free class not quotient closed
         with pytest.raises(OracleHypothesisError):
             x_injective_envelope(sphere(0, Z2), ann(2))  # not extension closed
+
+    def test_closure_checks_are_remembered(self):
+        def hits():
+            stats = caches.stats()
+            return [stats[f"construct.{name}_closure"]["hits"] for name in ("extension", "quotient")]
+
+        zc = zero_complex(Zmod(6))
+        first = x_injective_envelope(zc, ann(2), module_bound=4)
+        before = hits()
+        second = x_injective_envelope(zc, ann(2), module_bound=4)
+        assert hits() == [h + 1 for h in before]
+        assert second.closure_report == first.closure_report == \
+            {"extension_closed": True, "quotient_closed": True}
 
     def test_maximality(self):
         res = x_injective_envelope(sphere(0, Z2), ALL)

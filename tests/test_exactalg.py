@@ -182,6 +182,12 @@ class TestSolveLinear:
             col = IntMatrix.from_columns([list(kern.col(j))])
             assert (a @ col).is_zero()
 
+    @pytest.mark.parametrize("ring", [Zmod(4), ZZ], ids=str)
+    def test_no_equations_keep_their_unknowns(self, ring):
+        part, kern = solve_linear(IntMatrix.zero(0, 3), IntMatrix.zero(0, 2), ring)
+        assert part == IntMatrix.zero(3, 2)
+        assert kern == IntMatrix.identity(3)
+
     def test_determinism(self):
         a = mat([[2, 1, 3], [0, 2, 2]])
         b = mat([[3], [2]])
@@ -203,6 +209,12 @@ class TestCongruenceSystem:
         sys_.add({0: 1}, 0, 3)
         with pytest.raises(ExactAlgError):
             sys_.solve()
+
+    @pytest.mark.parametrize("ring", [Zmod(6), ZZ], ids=str)
+    def test_no_rows_solve_everything(self, ring):
+        sys_ = CongruenceSystem(ring, 2)
+        assert sys_.solve_columns([(), ()]) == ([[0, 0], [0, 0]], [[1, 0], [0, 1]])
+        assert sys_.solve() == ([0, 0], [[1, 0], [0, 1]])
 
     def test_integer_rows(self):
         sys_ = CongruenceSystem(ZZ, 2)

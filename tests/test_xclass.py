@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -15,6 +16,7 @@ from homkit.xclass import (
     UniverseCapError,
     XClassSpec,
     ZERO_ONLY,
+    _factor_chains,
     ann,
     contains_complex,
     contains_module,
@@ -99,6 +101,26 @@ class TestModuleUniverse:
         u = module_universe(R4, 8)
         keys = [m.factors for m in u.members]
         assert len(keys) == len(set(keys))
+
+    def test_factor_chains_scan_divisors_up_to_the_bound(self):
+        def old_factor_chains(n, bound):
+            out = [()]
+            divs = [d for d in range(2, n + 1) if n % d == 0]
+
+            def extend(prefix, prod):
+                for d in divs:
+                    if (prefix and d % prefix[-1]) or prod * d > bound:
+                        continue
+                    out.append(prefix + (d,))
+                    extend(prefix + (d,), prod * d)
+
+            extend((), 1)
+            return sorted(set(out), key=lambda f: (math.prod(f) if f else 1, len(f), f))
+
+        for n in range(2, 201):
+            for bound in range(1, 65):
+                assert _factor_chains(n, bound) == old_factor_chains(n, bound), (n, bound)
+        assert _factor_chains(2 ** 61 - 1, 8) == [()]
 
 
 class TestEnumerateMonos:
