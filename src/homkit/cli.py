@@ -68,6 +68,11 @@ class DocumentError(ValueError):
     pass
 
 
+# checks and builders walk every degree between the lowest and the highest
+# component, so a document's nonzero components may span at most this many
+_SUPPORT_SPAN_CAP = 256
+
+
 # ---------------------------------------------------------------------------
 # Document codec
 # ---------------------------------------------------------------------------
@@ -131,6 +136,10 @@ def complex_from_doc(doc, check: bool = True) -> Complex:
         if not isinstance(factors, list) or not all(isinstance(d, int) for d in factors):
             raise DocumentError(f"factor list at degree {k} must be a list of integers")
         comps[k] = FpModule(ring, tuple(factors))
+    support = [k for k, m in comps.items() if not m.is_zero()]
+    if support and max(support) - min(support) >= _SUPPORT_SPAN_CAP:
+        raise DocumentError(f"components span degrees {min(support)}..{max(support)}; "
+                            f"at most {_SUPPORT_SPAN_CAP} degrees are accepted")
     diffs_doc = doc.get("diff", {})
     if not isinstance(diffs_doc, dict):
         raise DocumentError("'diff' must map degrees to matrices")

@@ -10,6 +10,7 @@ of the glued map, which the solvers here decide exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from . import caches
@@ -470,14 +471,46 @@ def hom_complex_data(x: Complex, y: Complex, degrees: Optional[Sequence[int]] = 
     return HomComplexData(x, y, Complex(ring, comps, diffs, check=False), deg_data)
 
 
-def _block_sum(src: DirectSum, tgt: DirectSum, blocks: list) -> ModuleMap:
-    """The map src.module -> tgt.module assembled from blocks: the sum of
-    injection t o block o projection s over the (s, t, block matrix) in
-    ``blocks``, reduced once at the end."""
-    total = IntMatrix.zero(tgt.module.ngens, src.module.ngens)
+def _block_sum(src: DirectSum, tgt: DirectSum, blocks: list,
+               right: Optional[ModuleMap] = None) -> ModuleMap:
+    """The map src.module -> tgt.module assembled from blocks, followed by
+    ``right`` when given: the sum of injection t o block o projection s over
+    the (s, t, block matrix) in ``blocks``, at most one block per (s, t).
+
+    It is computed as one integer product Inj @ Big @ Proj (@ right), with
+    Inj the injections side by side, Proj the projections stacked and Big
+    every block copied in at its summand offsets, and reduced once at the
+    end; the product equals the sum of the per-block products entry for
+    entry."""
+    toff = list(accumulate((f.source.ngens for f in tgt.injections), initial=0))
+    soff = list(accumulate((f.target.ngens for f in src.projections), initial=0))
+    big = [[0] * soff[-1] for _ in range(toff[-1])]
     for s, t, block in blocks:
-        total = total + tgt.injections[t].matrix @ block @ src.projections[s].matrix
-    return ModuleMap(src.module, tgt.module, total)
+        for r, row in enumerate(block.entries, toff[t]):
+            big[r][soff[s]:soff[s + 1]] = row
+    inj = [sum((f.matrix.entries[i] for f in tgt.injections), ()) for i in range(tgt.module.ngens)]
+    proj = [row for f in src.projections for row in f.matrix.entries]
+    total = _row_product(_row_product(inj, big, soff[-1]), proj, src.module.ngens)
+    source = src.module
+    if right is not None:
+        source = right.source
+        total = _row_product(total, right.matrix.entries, source.ngens)
+    return ModuleMap(source, tgt.module, IntMatrix.from_rows(total, cols=source.ngens))
+
+
+def _row_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int) -> list:
+    """a @ b on lists of rows, b with ``width`` columns, skipping the zero
+    entries of both factors."""
+    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for k, x in enumerate(row):
+            if x:
+                for j, y in sparse[k]:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def hom_complex(x: Complex, y: Complex) -> Complex:
@@ -722,7 +755,7 @@ def chain_group_compose(g_from: ChainMapGroup, g_to: ChainMapGroup, phi: ChainMa
     slots = {i: t for t, (i, _) in enumerate(tgt.blocks)}
     blocks = [(s, slots[i], compose(hm, tgt.blocks[slots[i]][1], phi.component(i)).matrix)
               for s, (i, hm) in enumerate(src.blocks) if i in slots]
-    image = _block_sum(src.sum, tgt.sum, blocks).compose(g_from._inclusion)
+    image = _block_sum(src.sum, tgt.sum, blocks, right=g_from._inclusion)
     parts = _solve_in_module_columns(tgt.sum.module, g_to._inclusion.matrix,
                                      image.matrix.columns())
     if any(part is None for part in parts):

@@ -639,14 +639,14 @@ def _hermite_reduce(x: list, basis: list) -> list:
 
 def _solve_int_columns(rows: list, rhs_cols: list):
     """Solve A x = b (at least one row) over Z for every b in ``rhs_cols``
-    from one Smith normal form.  Returns (particulars, Hermite kernel rows);
-    ``particulars[c]`` is None when column c has no solution."""
+    from one Smith normal form.  Returns (particulars, kernel generators),
+    neither reduced; ``particulars[c]`` is None when column c has no
+    solution."""
     ncols = len(rows[0])
     a = IntMatrix.from_rows(rows, cols=ncols)
     u, d, v, _, _ = _snf_full(a)
     diag = [d.entries[i][i] if i < min(a.rows, ncols) else 0
             for i in range(max(a.rows, ncols))]
-    basis = hermite_rows([list(v.col(j)) for j in range(ncols) if diag[j] == 0], ncols)
 
     def particular(rhs):
         c = [sum(u.entries[i][t] * rhs[t] for t in range(a.rows)) for i in range(a.rows)]
@@ -658,10 +658,10 @@ def _solve_int_columns(rows: list, rhs_cols: list):
                 z[i] = c[i] // diag[i]
             elif c[i] != 0:
                 return None
-        x = [sum(v.entries[i][j] * z[j] for j in range(ncols)) for i in range(ncols)]
-        return _hermite_reduce(x, basis)
+        return [sum(v.entries[i][j] * z[j] for j in range(ncols)) for i in range(ncols)]
 
-    return [particular(rhs) for rhs in rhs_cols], basis
+    return [particular(rhs) for rhs in rhs_cols], \
+        [list(v.col(j)) for j in range(ncols) if diag[j] == 0]
 
 
 def solve_linear(a: IntMatrix, b: IntMatrix, ring: RingSpec):

@@ -136,9 +136,12 @@ def _lifting_verdict(obj, x: XClassSpec, u, pool: Callable, injective: bool,
     ``pool()`` yields the universe maps phi (injections when ``injective``,
     else surjections) with their cokernels (kernels); those whose cokernel
     (kernel) passes ``member`` are tested by surjectivity of the map that
-    ``_induced_restriction`` builds from ``hom``.  ``level`` ("module" or
-    "complex") names the certificates, ``cap`` bounds the re-confirmation,
-    and ``finish`` may add to the verdict before it is cached.
+    ``_induced_restriction`` builds from ``hom``: by the section solve when
+    witnesses are kept (its columns are the witness), else by the rank test
+    (over Z, the cokernel), and the cokernel is taken only to find a
+    counterexample.  ``level`` ("module" or "complex") names the
+    certificates, ``cap`` bounds the re-confirmation, and ``finish`` may add
+    to the verdict before it is cached.
     """
     side, role, part = ("extension", "mono", "cokernel") if injective \
         else ("lift", "epi", "kernel")
@@ -151,12 +154,21 @@ def _lifting_verdict(obj, x: XClassSpec, u, pool: Callable, injective: bool,
                 continue
             restr, grp_from, grp_to, fn = _induced_restriction(phi, obj, injective, hom)
             verdict.checked += 1
-            cok, proj = cokernel(restr)
-            if cok.is_zero():
+            cok = None
+            if keep_witnesses:
+                sections = _section_certificate(restr)
+                onto = None not in sections
+            elif restr.target.ring.is_modular:
+                onto = restr.is_epi()
+            else:
+                cok = cokernel(restr)
+                onto = cok[0].is_zero()
+            if onto:
                 if keep_witnesses:
                     verdict.witnesses.append({"kind": kind, role: phi, part: quotient,
-                                              "section": _section_certificate(restr)})
+                                              "section": sections})
                 continue
+            _, proj = cok or cokernel(restr)
             f = grp_to.decode(_first_outside_image(proj))
             _confirm_no_preimage(grp_from, fn, f, cap)
             verdict.holds = False

@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
 from homkit.cli import (
+    _SUPPORT_SPAN_CAP,
+    DocumentError,
     chain_map_from_doc,
     chain_map_to_doc,
     complex_from_doc,
@@ -378,3 +381,29 @@ def test_failed_build_verification_exits_two(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert "build failed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("top", [200000, 10 ** 9])
+@pytest.mark.parametrize("verb", [["validate"], ["check", "exact"]], ids=" ".join)
+def test_wide_support_exits_two_at_once(tmp_path, capsys, verb, top):
+    # every check walks each degree between the lowest and the highest
+    # component, so a wide gap is refused while the document is read
+    doc = {"ring": {"mod": 2}, "modules": {"0": [2], str(top): [2]}}
+    path = write(tmp_path, "c.json", doc)
+    started = time.perf_counter()
+    assert main(verb + [path]) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert "span" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_support_span_cap_boundary():
+    widest = {"ring": {"mod": 2}, "modules": {"0": [2], str(_SUPPORT_SPAN_CAP - 1): [2]}}
+    assert complex_from_doc(widest).support == (0, _SUPPORT_SPAN_CAP - 1)
+    widest["modules"][str(_SUPPORT_SPAN_CAP)] = [2]
+    with pytest.raises(DocumentError, match="span"):
+        complex_from_doc(widest)
+    # zero components do not count towards the span
+    assert complex_from_doc({"ring": {"mod": 2},
+                             "modules": {"0": [2], "1": [2], "100000": []}}).support == (0, 1)

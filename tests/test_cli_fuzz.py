@@ -1,16 +1,21 @@
 """Any JSON document given to ``homkit validate`` or ``homkit check exact``
-exits 0, 1 or 2, never with a traceback.
+exits 0, 1 or 2, and given to ``check x-injective``, ``check eps1-perp``,
+``check dg-injective`` or ``build precover`` exits 0, 1, 2 or 3, never with
+a traceback.
 
 Documents come from two strategies: arbitrary JSON values, and objects
 shaped like a complex document (ring, modules, diff) whose parts are
 sometimes well formed and sometimes arbitrary, so that well-formed
-complexes reach ``is_exact`` and its counting path.
+complexes reach ``is_exact`` and its counting path.  The checkers and the
+builder also get two-degree complexes with well-defined differentials, so
+that they run past the codec.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -37,9 +42,32 @@ complex_docs = st.fixed_dictionaries({
 })
 
 
+@st.composite
+def well_formed_docs(draw):
+    """Two-degree complexes over Z/n whose differential is well defined,
+    so that the checkers and builders run past the codec."""
+    n = draw(st.sampled_from([2, 3, 4, 6]))
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    lo = draw(st.integers(-2, 2))
+    src, tgt = (draw(st.lists(st.sampled_from(divisors), max_size=2).map(sorted))
+                for _ in range(2))
+    # entry (i, j) is a multiple of t_i / gcd(t_i, s_j), so every column dies
+    # where its source generator does
+    rows = [[draw(st.integers(0, 3)) * (t // math.gcd(t, s)) for s in src] for t in tgt]
+    doc = {"ring": {"mod": n}, "modules": {str(lo): src, str(lo + 1): tgt}, "diff": {}}
+    if src and tgt:
+        doc["diff"][str(lo)] = rows
+    return doc
+
+
 @pytest.fixture(scope="module")
 def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+def run(argv: list) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
 
 
 @pytest.mark.parametrize("command", [["validate"], ["check", "exact"]], ids=" ".join)
@@ -51,6 +79,26 @@ def doc_path(tmp_path_factory):
               "diff": {"0": [[1]], "1": [[1]]}})
 def test_any_json_document_exits_cleanly(command, doc_path, doc):
     doc_path.write_text(json.dumps(doc))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        rc = main(command + [str(doc_path)])
-    assert rc in (0, 1, 2)
+    assert run(command + [str(doc_path)]) in (0, 1, 2)
+
+
+# the checkers and a builder on small universes; exit 3 (a hypothesis not
+# established) is a clean answer as well
+SMALL = ["--bound", "2", "--window", "1"]
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "x-injective", "{doc}", *SMALL],
+    ["check", "eps1-perp", "{doc}", *SMALL],
+    ["check", "dg-injective", "{doc}", *SMALL],
+    ["build", "precover", "{doc}", "--output", "{out}"],
+], ids=lambda argv: " ".join(argv[:2]))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=json_values | complex_docs | well_formed_docs())
+@example(doc={"ring": {"mod": 4}, "modules": {"0": [2], "1": [2]}, "diff": {"0": [[1]]}})
+@example(doc={"ring": {"mod": 6}, "modules": {"0": [6]}, "diff": {}})
+def test_checks_and_builds_exit_cleanly(command, doc_path, doc):
+    doc_path.write_text(json.dumps(doc))
+    argv = [a.format(doc=doc_path, out=doc_path.parent / "out") for a in command]
+    assert run(argv) in (0, 1, 2, 3)

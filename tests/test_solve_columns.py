@@ -1,10 +1,11 @@
 """The multi-right-hand-side solvers against one solve per column.
 
-``_solve_mod_columns`` and ``_solve_int_columns`` eliminate once and read
-off every column's solution.  ``old_solve_mod`` and ``old_solve_int`` below
-are the single-column solvers they replaced, kept as the oracle: every
-column's particular solution and the kernel basis must match them bit for
-bit, and a column must be unsolvable exactly when the oracle says so.
+``_solve_mod_columns`` and, over Z, ``CongruenceSystem.solve_columns``
+eliminate once and read off every column's solution.  ``old_solve_mod``
+and ``old_solve_int`` below are the single-column solvers they replaced,
+kept as the oracle: every column's particular solution and the kernel basis
+must match them bit for bit, and a column must be unsolvable exactly when
+the oracle says so.
 """
 from __future__ import annotations
 
@@ -13,13 +14,14 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from homkit.exactalg import (
+    ZZ,
+    CongruenceSystem,
     IntMatrix,
     Zmod,
     _factorize,
     _howell_basis,
     _howell_reduce_vector,
     _snf_full,
-    _solve_int_columns,
     _solve_mod_columns,
     _val,
     hermite_rows,
@@ -192,7 +194,10 @@ def test_mod_columns_match_one_solve_per_column(n, data):
 @given(st.data())
 def test_int_columns_match_one_solve_per_column(data):
     rows, cols = data.draw(systems(-6, 6))
-    parts, basis = _solve_int_columns(rows, cols)
+    system = CongruenceSystem(ZZ, len(rows[0]))
+    for row in rows:
+        system.add(dict(enumerate(row)), 0, 0)
+    parts, basis = system.solve_columns(cols)
     assert len(parts) == len(cols)
     assert_matches_per_column(parts, basis, [old_solve_int(rows, col) for col in cols])
 
