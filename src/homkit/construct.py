@@ -29,13 +29,13 @@ from .modules import (
     FpModule,
     MapSystem,
     ModuleMap,
+    _kernel_inclusion,
     _solve_in_module,
     all_submodules,
     cokernel,
     direct_sum,
     hom_module,
     injective_hull,
-    kernel,
     span_elements,
     submodule_from_elements,
 )
@@ -106,7 +106,7 @@ def _side_words(injective: bool) -> tuple:
 
 def _quotient(f: ModuleMap, injective: bool) -> FpModule:
     """The cokernel of an envelope map, or the kernel of a cover map."""
-    return cokernel(f)[0] if injective else kernel(f).sub
+    return cokernel(f)[0] if injective else _kernel_inclusion(f)[0]
 
 
 def _passing(members, x: XClassSpec, u: ModuleUniverse, injective: bool):

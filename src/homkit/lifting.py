@@ -134,7 +134,8 @@ def _lifting_verdict(obj, x: XClassSpec, u, pool: Callable, injective: bool,
     """The pool loop shared by the four lifting checkers.
 
     ``pool()`` yields the universe maps phi (injections when ``injective``,
-    else surjections) with their cokernels (kernels); those whose cokernel
+    else surjections) with their cokernels (kernels), and the loop reads it
+    only up to the first counterexample; those whose cokernel
     (kernel) passes ``member`` are tested by surjectivity of the map that
     ``_induced_restriction`` builds from ``hom``: by the section solve when
     witnesses are kept (its columns are the witness), else by the rank test
@@ -240,9 +241,10 @@ def x_injective_complex(c: Complex, x: XClassSpec, cu: ComplexUniverse,
                         keep_witnesses: bool = True) -> Verdict:
     """Every chain map into c from the source of a universe chain injection
     whose cokernel complex is a class complex must extend over the injection."""
-    # injections whose source misses c's support only restrict the zero map
+    # the pool is read lazily, up to the first counterexample; injections
+    # whose source misses c's support only restrict the zero map
     return _lifting_verdict(
-        c, x, cu, lambda: (pair for pair in cu.mono_pool()
+        c, x, cu, lambda: (pair for pair in cu.monos
                            if _supports_overlap(pair[0].source, c)),
         True, keep_witnesses, level="complex", hom=chain_map_group,
         member=contains_complex, cap=_CHAIN_SEARCH_CAP)
@@ -252,9 +254,10 @@ def x_projective_complex(c: Complex, x: XClassSpec, cu: ComplexUniverse,
                          keep_witnesses: bool = True) -> Verdict:
     """Every chain map from c to the target of a universe chain surjection
     whose kernel complex is a class complex must lift through the surjection."""
-    # surjections whose target misses c's support only receive the zero map
+    # the pool is read lazily, up to the first counterexample; surjections
+    # whose target misses c's support only receive the zero map
     return _lifting_verdict(
-        c, x, cu, lambda: (pair for pair in cu.epi_pool()
+        c, x, cu, lambda: (pair for pair in cu.epis
                            if _supports_overlap(pair[0].target, c)),
         False, keep_witnesses, level="complex", hom=chain_map_group,
         member=contains_complex, cap=_CHAIN_SEARCH_CAP)

@@ -185,7 +185,7 @@ class ModuleMap:
         if ring.is_modular:
             return _injective_on(self.matrix.entries, self.source.factors,
                                  self.target.factors, _primes(ring.modulus))
-        return kernel(self).sub.is_zero()
+        return _kernel_inclusion(self)[0].is_zero()
 
     def is_epi(self) -> bool:
         ring = self.source.ring
@@ -680,8 +680,8 @@ def ext1_module(m: FpModule, n: FpModule) -> FpModule:
         raise ModuleError("mixed rings in ext")
     f0 = FpModule.free(m.ring, m.ngens)
     proj = ModuleMap(f0, m, IntMatrix.identity(m.ngens))
-    kw = kernel(proj)
-    restriction = hom_precompose(hom_module(f0, n), hom_module(kw.sub, n), kw.inclusion)
+    sub, inclusion = _kernel_inclusion(proj)
+    restriction = hom_precompose(hom_module(f0, n), hom_module(sub, n), inclusion)
     return cokernel(restriction)[0]
 
 

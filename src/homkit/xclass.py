@@ -14,8 +14,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
-from itertools import product as iproduct
-from typing import Iterator, Optional, Sequence, Tuple
+from itertools import islice, product as iproduct
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from . import caches
 from .exactalg import RingSpec, _val
@@ -24,11 +24,12 @@ from .modules import (
     ModuleError,
     ModuleMap,
     _injective_on,
+    _kernel_inclusion,
     _primes,
+    _sublattice_module,
     _surjective_on,
     cokernel,
     hom_module,
-    kernel,
 )
 from .complexes import (
     ChainMap,
@@ -208,8 +209,10 @@ class ModuleUniverse:
         self.ring = ring
         self.size_bound = size_bound
         self._members: Optional[list] = None
-        self._mono_pool: Optional[list] = None
-        self._epi_pool: Optional[list] = None
+        self.monos = _Pool(lambda: _pool(self.members, False, _hom_scan(_image),
+                                         lambda f: cokernel(f)[0], _module_parts))
+        self.epis = _Pool(lambda: _pool(self.members, True, _hom_scan(_kernel_elements),
+                                        lambda f: _kernel_inclusion(f)[0], _module_parts))
 
     @property
     def members(self) -> list:
@@ -223,17 +226,11 @@ class ModuleUniverse:
 
     def mono_pool(self) -> list:
         """Injections between members, one per image, with their cokernels."""
-        if self._mono_pool is None:
-            self._mono_pool = _pool(self.members, False, _hom_scan(_image),
-                                    lambda f: cokernel(f)[0])
-        return self._mono_pool
+        return self.monos.drained()
 
     def epi_pool(self) -> list:
         """Surjections between members, one per kernel, with their kernels."""
-        if self._epi_pool is None:
-            self._epi_pool = _pool(self.members, True, _hom_scan(_kernel_elements),
-                                   lambda f: kernel(f).sub)
-        return self._epi_pool
+        return self.epis.drained()
 
 
 _MODULE_UNIVERSES = caches.table("xclass.module_universes")
@@ -330,8 +327,10 @@ class ComplexUniverse:
             disk_degrees = range(lo - 1, hi + 1)
         self.disk_degrees = tuple(disk_degrees)
         self._members: Optional[list] = None
-        self._mono_pool: Optional[list] = None
-        self._epi_pool: Optional[list] = None
+        self.monos = _Pool(lambda: _pool(self.members, False, chain_monos, cokernel_complex,
+                                         partial(_complex_parts, epi=False)))
+        self.epis = _Pool(lambda: _pool(self.members, True, chain_epis, kernel_complex,
+                                        partial(_complex_parts, epi=True)))
 
     def describe(self) -> str:
         return (f"complexes({self.ring}, full<= {self.full_bound} on "
@@ -368,41 +367,90 @@ class ComplexUniverse:
     def mono_pool(self) -> list:
         """Degreewise injective chain maps between members, one per image
         subcomplex, with their degreewise cokernel complexes."""
-        if self._mono_pool is None:
-            self._mono_pool = _pool(self.members, False, chain_monos, cokernel_complex)
-        return self._mono_pool
+        return self.monos.drained()
 
     def epi_pool(self) -> list:
         """Degreewise surjective chain maps between members, one per kernel
         subcomplex, with their kernel complexes."""
-        if self._epi_pool is None:
-            self._epi_pool = _pool(self.members, True, chain_epis, kernel_complex)
-        return self._epi_pool
+        return self.epis.drained()
 
 
-def _pool(members: list, epi: bool, scan, close) -> list:
-    """The mono pool (epi pool when ``epi``) of a universe: for each member b
-    (source a) and each nonzero member a (target b) that embeds in it (is a
-    quotient of it), the first map a -> b per image (kernel) key of
-    ``scan(a, b)``, with ``close`` of it, its cokernel (kernel).
+class _Pool:
+    """A universe pool, produced on demand and memoised by prefix.
+
+    ``make()`` returns a fresh generator of the pool's entries.  Iterating
+    the pool replays the entries produced so far and then resumes the one
+    shared generator, so every reader sees the same entries in the same
+    order and each entry is built once; a reader that stops early (a lifting
+    test at its first counterexample) builds only the prefix it read.  A
+    generator that raises is never taken for a complete pool: the next reader
+    that needs more entries restarts it past the kept prefix and meets the
+    same error again.
+    """
+
+    __slots__ = ("entries", "_make", "_source", "_complete")
+
+    def __init__(self, make: Callable[[], Iterator[tuple]]):
+        self.entries: list = []
+        self._make = make
+        self._source: Optional[Iterator[tuple]] = None
+        self._complete = False
+
+    def __iter__(self) -> Iterator[tuple]:
+        i = 0
+        while i < len(self.entries) or self._grow():
+            yield self.entries[i]
+            i += 1
+
+    def _grow(self) -> bool:
+        """Append the next entry; False once the pool is complete."""
+        if self._complete:
+            return False
+        if self._source is None:
+            self._source = islice(self._make(), len(self.entries), None)
+        try:
+            self.entries.append(next(self._source))
+        except StopIteration:
+            self._complete = True
+            return False
+        except BaseException:
+            self._source = None
+            raise
+        return True
+
+    def drained(self) -> list:
+        """The whole pool: the list of entries it keeps, built to the end."""
+        while self._grow():
+            pass
+        return self.entries
+
+
+def _pool(members: list, epi: bool, scan, close, parts) -> Iterator[tuple]:
+    """The entries of the mono pool (epi pool when ``epi``) of a universe:
+    for each member b (source a) and each nonzero member a (target b) that
+    can embed in it (be a quotient of it), the first map a -> b per image
+    (kernel) key of ``scan(a, b)``, with ``close`` of it, its cokernel
+    (kernel).
 
     Maps from (onto) zero impose no lifting constraint.  Two injections with
     the same image differ by an automorphism of the source (two surjections
     with the same kernel by one of the target), which changes no universal
-    lifting test, so keeping one per key is lossless.
+    lifting test, so keeping one per key is lossless.  A pair is scanned
+    only if each group of ``parts`` of the smaller member embeds in the
+    matching group of the larger (``_fits``), which every injection
+    (surjection) between them needs.
     """
-    pool = []
-    for fixed in members:
+    shapes = [_shape(parts(m)) for m in members]
+    for j, fixed in enumerate(members):
         seen = set()
-        for other in members:
-            if other.is_zero() or not _support_embeds(other, fixed):
+        for i, other in enumerate(members):
+            if other.is_zero() or not _fits(shapes[i], shapes[j]):
                 continue
             for key, decode in scan(*((fixed, other) if epi else (other, fixed))):
                 if key not in seen:
                     seen.add(key)
                     f = decode()
-                    pool.append((f, close(f)))
-    return pool
+                    yield f, close(f)
 
 
 def _exponents(m: FpModule, p: int) -> list:
@@ -410,24 +458,58 @@ def _exponents(m: FpModule, p: int) -> list:
     return sorted((_val(d, p) for d in m.factors if d % p == 0), reverse=True)
 
 
-def _support_embeds(a, b) -> bool:
-    """Whether every component of the complex a embeds in the component of
-    b in the same degree, which a degreewise injection a -> b needs; for
-    modules a and b, whether a embeds in b (the one-degree case).
+def _shape(parts: dict) -> dict:
+    """The exponent partition at each prime of each module of ``parts``,
+    keyed (part, prime), leaving out the empty ones."""
+    out = {}
+    for key, m in parts.items():
+        for p in _primes(m.ring.modulus):
+            exps = _exponents(m, p)
+            if exps:
+                out[(key, p)] = exps
+    return out
+
+
+def _fits(small: dict, big: dict) -> bool:
+    """Whether every group of the shape ``small`` embeds in the group of the
+    shape ``big`` under the same key.
 
     A finite abelian p-group embeds in another iff its exponent partition
-    lies inside the other's, part by part.  A finite abelian group is a
-    quotient of another iff it embeds in it, so ``_support_embeds(b, a)``
-    is the same test for degreewise surjections a -> b.
+    lies inside the other's, part by part, and it is a quotient of another
+    iff it embeds in it (Macdonald, *Symmetric Functions and Hall
+    Polynomials*, 1995, ch. II); so one test serves injections and
+    surjections alike.
     """
-    pairs = [(a, b)] if isinstance(a, FpModule) else \
-        [(a.component(k), b.component(k)) for k in a.degrees()]
-    for ma, mb in pairs:
-        for p in _primes(a.ring.modulus):
-            ea, eb = _exponents(ma, p), _exponents(mb, p)
-            if len(ea) > len(eb) or any(x > y for x, y in zip(ea, eb)):
-                return False
+    for key, ea in small.items():
+        eb = big.get(key, ())
+        if len(ea) > len(eb) or any(x > y for x, y in zip(ea, eb)):
+            return False
     return True
+
+
+def _module_parts(m: FpModule) -> dict:
+    """The one group a module pool compares: the module itself."""
+    return {0: m}
+
+
+def _complex_parts(c: Complex, epi: bool) -> dict:
+    """The groups of c that a degreewise injection into (surjection onto) a
+    complex needs to embed in (be quotients of) the matching groups there:
+    for each d^k with a nonzero end, the component C^k, the image of d^k
+    and its kernel (its cokernel when ``epi``).
+
+    A degreewise injection phi: a -> b carries ker d_a^k into ker d_b^k and
+    im d_a^k into im d_b^k injectively; a degreewise surjection psi: a -> b
+    carries im d_a^k onto im d_b^k and so induces coker d_a^k ->> coker d_b^k.
+    """
+    out = {}
+    for k in set(c.degrees()) | {k - 1 for k in c.degrees()}:
+        d = c.differential(k)
+        out[(k, "component")] = c.component(k)
+        out[(k, "image")] = _sublattice_module(d.target, d.matrix)[0]
+        out[(k, "cokernel" if epi else "kernel")] = \
+            cokernel(d)[0] if epi else _kernel_inclusion(d)[0]
+    return out
 
 
 def _pool_scan(grp, components: list, component_key, cap: int = 1 << 16) -> list:
@@ -523,7 +605,7 @@ def cokernel_complex(phi: ChainMap) -> Complex:
 def kernel_complex(psi: ChainMap) -> Complex:
     """Degreewise kernel of a surjective chain map, with induced maps."""
     a = psi.source
-    return _subcomplex(a, {k: kernel(psi.component(k)).inclusion for k in a.degrees()},
+    return _subcomplex(a, {k: _kernel_inclusion(psi.component(k))[1] for k in a.degrees()},
                        check=False)
 
 
@@ -563,13 +645,19 @@ def default_complex_universe(ring: RingSpec, for_support: Optional[Tuple[int, in
 class Eps1Universe:
     """Exact complexes on a bounded window whose differential kernels all lie
     in the distinguished class (the zero complex always qualifies).  The
-    window must hold one to four degrees, else UniverseCapError."""
+    window must hold two to four degrees, else UniverseCapError: an exact
+    complex concentrated in one degree is zero, so a narrower window holds
+    only the zero complex and every verdict over it would be vacuous."""
 
     def __init__(self, ring: RingSpec, xclass: XClassSpec,
                  base_bound: int = 4, window: Tuple[int, int] = (-1, 1)):
         lo, hi = window
         if hi < lo:
             raise UniverseCapError(f"exactness universe window {list(window)} is empty")
+        if hi == lo:
+            raise UniverseCapError(
+                f"exactness universe window {list(window)} holds one degree, where the "
+                "only exact complex is zero")
         if hi - lo + 1 > 4:
             raise UniverseCapError("exactness universe window is capped at 4 degrees")
         self.ring = ring
@@ -595,7 +683,7 @@ class Eps1Universe:
         if not exact_at(c, c.degrees()):
             return False
         for k in c.degrees():
-            ker = kernel(c.differential(k)).sub if not c.component(k + 1).is_zero() \
+            ker = _kernel_inclusion(c.differential(k))[0] if not c.component(k + 1).is_zero() \
                 else c.component(k)
             if not contains_module(self.xclass, ker):
                 return False

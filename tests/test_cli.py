@@ -329,6 +329,25 @@ def test_empty_windows_are_refused_by_the_universes():
         default_complex_universe(R4, (0, -1))
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "eps1-perp", "{input}", "--window", "1"],
+    ["check", "dg-injective", "{input}", "--window", "1"],
+    ["check", "dg-projective", "{input}", "--window", "1"],
+    ["universe", "eps1", "--ring", "4", "--window", "1"],
+])
+def test_one_degree_exactness_window_exits_two(tmp_path, capsys, argv):
+    # an exact complex concentrated in one degree is zero, so the window
+    # [-1, -1] holds only the zero complex: eps1-perp on this sphere used
+    # to hold there although it fails at the default window
+    path = write(tmp_path, "c.json", SPHERE_DOC)
+    assert main([a.format(input=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert "one degree" in captured.err and "Traceback" not in captured.err
+    assert '"verdict"' not in captured.out
+    with pytest.raises(UniverseCapError, match="one degree"):
+        Eps1Universe(R4, ALL, window=(2, 2))
+
+
 @pytest.mark.parametrize("verb,case", [
     ("validate", "not-utf8"),
     ("check", "not-utf8"),

@@ -1,6 +1,6 @@
 """Any JSON document given to ``homkit validate`` or ``homkit check exact``
-exits 0, 1 or 2, and given to ``check x-injective``, ``check eps1-perp``,
-``check dg-injective`` or ``build precover`` exits 0, 1, 2 or 3, never with
+exits 0, 1 or 2, and given to any other check or build (``check
+homotopic-zero`` takes a chain-map document) exits 0, 1, 2 or 3, never with
 a traceback.
 
 Documents come from two strategies: arbitrary JSON values, and objects
@@ -43,13 +43,13 @@ complex_docs = st.fixed_dictionaries({
 
 
 @st.composite
-def well_formed_docs(draw):
+def well_formed_docs(draw, max_factors: int = 2):
     """Two-degree complexes over Z/n whose differential is well defined,
     so that the checkers and builders run past the codec."""
     n = draw(st.sampled_from([2, 3, 4, 6]))
     divisors = [d for d in range(2, n + 1) if n % d == 0]
     lo = draw(st.integers(-2, 2))
-    src, tgt = (draw(st.lists(st.sampled_from(divisors), max_size=2).map(sorted))
+    src, tgt = (draw(st.lists(st.sampled_from(divisors), max_size=max_factors).map(sorted))
                 for _ in range(2))
     # entry (i, j) is a multiple of t_i / gcd(t_i, s_j), so every column dies
     # where its source generator does
@@ -83,8 +83,9 @@ def test_any_json_document_exits_cleanly(command, doc_path, doc):
 
 
 # the checkers and a builder on small universes; exit 3 (a hypothesis not
-# established) is a clean answer as well
-SMALL = ["--bound", "2", "--window", "1"]
+# established) is a clean answer as well.  Exactness universes need two
+# degrees, so the eps1 and dg checks take `--window 2`.
+SMALL = ["--bound", "2", "--window", "2"]
 
 
 @pytest.mark.parametrize("command", [
@@ -102,3 +103,67 @@ def test_checks_and_builds_exit_cleanly(command, doc_path, doc):
     doc_path.write_text(json.dumps(doc))
     argv = [a.format(doc=doc_path, out=doc_path.parent / "out") for a in command]
     assert run(argv) in (0, 1, 2, 3)
+
+
+classes = st.sampled_from(["all", "ann:2", "free", "zero", "pred:2?", "ann:0", "bogus"])
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "x-projective", "{doc}", *SMALL],
+    ["check", "dg-projective", "{doc}", *SMALL],
+    ["build", "preenvelope", "{doc}", "--output", "{out}"],
+], ids=lambda argv: " ".join(argv[:2]))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=json_values | complex_docs | well_formed_docs(), xclass=classes)
+@example(doc={"ring": {"mod": 4}, "modules": {"0": [2], "1": [2]}, "diff": {"0": [[1]]}},
+         xclass="all")
+@example(doc={"ring": {"mod": 6}, "modules": {"0": [6]}, "diff": {}}, xclass="ann:2")
+def test_lazy_pool_commands_exit_cleanly(command, doc_path, doc, xclass):
+    doc_path.write_text(json.dumps(doc))
+    argv = [a.format(doc=doc_path, out=doc_path.parent / "out") for a in command]
+    assert run(argv + ["--class", xclass]) in (0, 1, 2, 3)
+
+
+# the envelope search enumerates subcomplexes of its input, which takes
+# minutes on two factors of Z/4 in each of two degrees, so its documents
+# keep one invariant factor per degree
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=json_values | well_formed_docs(max_factors=1), xclass=classes)
+@example(doc={"ring": {"mod": 4}, "modules": {"0": [2], "1": [4]}, "diff": {"0": [[2]]}},
+         xclass="all")
+def test_build_envelope_exits_cleanly(doc_path, doc, xclass):
+    doc_path.write_text(json.dumps(doc))
+    assert run(["build", "envelope", str(doc_path), "--bound", "2",
+                "--output", str(doc_path.parent / "out"), "--class", xclass]) in (0, 1, 2, 3)
+
+
+@st.composite
+def chain_map_docs(draw):
+    """Chain-map documents: the identity or zero map of a well-formed
+    complex, or arbitrary matrices between well-formed or arbitrary ends."""
+    source = draw(well_formed_docs())
+    shape = draw(st.sampled_from(["identity", "zero", "arbitrary"]))
+    if shape == "arbitrary":
+        target = draw(well_formed_docs() | complex_docs)
+        maps = draw(st.dictionaries(degrees, matrices, max_size=2) | json_values)
+    else:
+        target = source
+        maps = {k: [[int(shape == "identity" and i == j) for j in range(len(fs))]
+                    for i in range(len(fs))]
+                for k, fs in source["modules"].items() if fs}
+    return {"source": source, "target": target, "map": maps}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=json_values | chain_map_docs())
+@example(doc={"source": {"ring": {"mod": 4}, "modules": {"0": [4], "1": [4]},
+                         "diff": {"0": [[1]]}},
+              "target": {"ring": {"mod": 4}, "modules": {"0": [4], "1": [4]},
+                         "diff": {"0": [[1]]}},
+              "map": {"0": [[1]], "1": [[1]]}})
+def test_homotopic_zero_exits_cleanly(doc_path, doc):
+    doc_path.write_text(json.dumps(doc))
+    assert run(["check", "homotopic-zero", str(doc_path)]) in (0, 1, 2, 3)
