@@ -27,9 +27,7 @@ from .modules import (
     image_order,
     integer_kernel,
     _kernel_inclusion,
-    kernel,
     normalize_presentation,
-    submodule_witness,
     _scan_maps,
     _solve_in_module,
     _solve_in_module_columns,
@@ -289,25 +287,21 @@ class ShortExactOfComplexes:
     surj: ChainMap
 
     def validate(self) -> bool:
+        """Degreewise exactness of 0 -> L^k -> M^k -> R^k -> 0: surj o inj
+        is zero and the row L^k -> M^k -> R^k is exact at all three terms."""
         degs = set(self.middle.degrees()) | set(self.left.degrees()) | set(self.right.degrees())
         for k in degs:
-            if not self.inj.component(k).is_mono():
-                return False
-            if not self.surj.component(k).is_epi():
-                return False
-            comp = self.surj.component(k).compose(self.inj.component(k))
-            if not comp.is_zero():
-                return False
-            # exactness at the middle: the image sits inside the kernel and
-            # they agree as submodules (same invariant factors + containment)
-            kw = kernel(self.surj.component(k))
-            im = self.inj.component(k)
-            imw = submodule_witness(self.middle.component(k), im.matrix)
-            if kw.sub.factors != imw.sub.factors:
-                return False
-            if not kw.quotient_map.compose(im).is_zero():
+            inj, surj = self.inj.component(k), self.surj.component(k)
+            if not surj.compose(inj).is_zero() or not exact_at(_row_complex(inj, surj), (0, 1, 2)):
                 return False
         return True
+
+
+def _row_complex(first: ModuleMap, second: ModuleMap) -> Complex:
+    """The three-term complex first, second in degrees 0, 1, 2, for maps
+    with second o first = 0."""
+    return Complex(first.source.ring, {0: first.source, 1: first.target, 2: second.target},
+                   {0: first, 1: second}, check=False)
 
 
 def direct_sum_complexes(xs: Sequence[Complex]) -> tuple:

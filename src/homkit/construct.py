@@ -31,6 +31,7 @@ from .modules import (
     ModuleMap,
     _kernel_inclusion,
     _solve_in_module,
+    _span_inclusion,
     all_submodules,
     cokernel,
     direct_sum,
@@ -165,7 +166,7 @@ def _oracle_failure(e: FpModule, f: ModuleMap, x: XClassSpec, u: Optional[Module
         return f"{built} module failed the {prop} test"
     for cand in _passing(u.members, x, u, injective):
         restr = _induced_restriction(f, cand, injective, hom_module)[0]
-        if not cokernel(restr)[0].is_zero():
+        if not restr.is_epi():
             return (f"map {'into' if injective else 'from'} {cand.describe()} does not "
                     f"factor through the {built}")
     return None
@@ -656,10 +657,16 @@ def _closed_under_differential(cx: Complex, chosen: dict) -> bool:
 
 def _subcomplex_to_complex(amb: Complex, chosen: dict) -> tuple:
     """Materialize a per-degree element-set subcomplex: (complex, inclusion)."""
-    incls = {k: submodule_from_elements(amb.component(k), sorted(elems)).inclusion
+    incls = {k: _span_inclusion(amb.component(k), sorted(elems))[1]
              for k, elems in chosen.items()}
     sub = _subcomplex(amb, incls)
     return sub, ChainMap(sub, amb, incls, check=False)
+
+
+# the subcomplex search enumerates every submodule of each ambient component:
+# all_submodules takes at most 0.5 s on the modules of up to 36 elements,
+# but 8.6 s on (Z/2)^6 and 88 s on (Z/4)^4
+_AMBIENT_COMPONENT_CAP = 36
 
 
 def x_injective_envelope(b: Complex, x: XClassSpec,
@@ -696,6 +703,9 @@ def x_injective_envelope(b: Complex, x: XClassSpec,
     if b.total_size() is None or b.total_size() > size_cap:
         raise BuildError("input complex exceeds the envelope size cap")
     amb, incl = _ambient_injective(b)
+    if any(amb.component(k).size() > _AMBIENT_COMPONENT_CAP for k in amb.degrees()):
+        raise BuildError(f"an ambient component exceeds the envelope search cap of "
+                         f"{_AMBIENT_COMPONENT_CAP} elements")
     if cu is None:
         cu = default_complex_universe(b.ring, amb.support, full_bound=4,
                                       disk_bound=module_bound)
@@ -710,8 +720,7 @@ def x_injective_envelope(b: Complex, x: XClassSpec,
 
     def admissible_at(k: int, s: frozenset) -> bool:
         q = quotients[k]
-        return contains_module(
-            x, submodule_from_elements(q.target, sorted({q.apply(v) for v in s})).sub)
+        return contains_module(x, _span_inclusion(q.target, sorted({q.apply(v) for v in s}))[0])
 
     candidates = list(_subcomplexes(amb, image))
     # degrees where S is zero are not judged

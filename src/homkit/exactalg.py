@@ -202,7 +202,7 @@ def det(a: IntMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 class _SnfState:
-    """Mutable elimination state tracking u, v and their inverses."""
+    """Mutable elimination state tracking u, v and the inverse of u."""
 
     def __init__(self, a: IntMatrix):
         self.m = [list(r) for r in a.entries]
@@ -210,7 +210,6 @@ class _SnfState:
         self.u = [[1 if i == j else 0 for j in range(self.R)] for i in range(self.R)]
         self.ui = [[1 if i == j else 0 for j in range(self.R)] for i in range(self.R)]
         self.v = [[1 if i == j else 0 for j in range(self.C)] for i in range(self.C)]
-        self.vi = [[1 if i == j else 0 for j in range(self.C)] for i in range(self.C)]
 
     # row ops act on m and u on the left; ui absorbs the inverse on the right
     def row_swap(self, i, j):
@@ -237,7 +236,6 @@ class _SnfState:
             r[i], r[j] = r[j], r[i]
         for r in self.v:
             r[i], r[j] = r[j], r[i]
-        self.vi[i], self.vi[j] = self.vi[j], self.vi[i]
 
     def col_add(self, j, k, c):
         # col_j += c * col_k
@@ -245,18 +243,16 @@ class _SnfState:
             r[j] += c * r[k]
         for r in self.v:
             r[j] += c * r[k]
-        self.vi[k] = [x - c * y for x, y in zip(self.vi[k], self.vi[j])]
 
     def col_neg(self, j):
         for r in self.m:
             r[j] = -r[j]
         for r in self.v:
             r[j] = -r[j]
-        self.vi[j] = [-x for x in self.vi[j]]
 
 
 def _snf_full(a: IntMatrix):
-    """Return (u, d, v, u_inv, v_inv) with u*a*v = d in Smith normal form."""
+    """Return (u, d, v, u_inv) with u*a*v = d in Smith normal form."""
     st = _SnfState(a)
     m, R, C = st.m, st.R, st.C
     t = 0
@@ -317,8 +313,7 @@ def _snf_full(a: IntMatrix):
             st.row_add(t, offender, 1)
         t += 1
     to_mat = lambda lst, r, c: IntMatrix(r, c, tuple(tuple(row) for row in lst))
-    return (to_mat(st.u, R, R), to_mat(m, R, C), to_mat(st.v, C, C),
-            to_mat(st.ui, R, R), to_mat(st.vi, C, C))
+    return to_mat(st.u, R, R), to_mat(m, R, C), to_mat(st.v, C, C), to_mat(st.ui, R, R)
 
 
 def smith_normal_form(a: IntMatrix):
@@ -327,13 +322,13 @@ def smith_normal_form(a: IntMatrix):
     Returns ``(u, d, v)`` with ``u @ a @ v == d``, u and v unimodular, and d
     diagonal with nonnegative entries satisfying d1 | d2 | ... .
     """
-    u, d, v, _, _ = _snf_full(a)
+    u, d, v, _ = _snf_full(a)
     return u, d, v
 
 
 def integer_kernel(a: IntMatrix) -> list:
     """Columns generating {x in Z^cols : a @ x = 0} (a lattice basis)."""
-    _, d, v, _, _ = _snf_full(a)
+    _, d, v, _ = _snf_full(a)
     gens = []
     for j in range(a.cols):
         dj = d.entries[j][j] if j < min(a.rows, a.cols) else 0
@@ -644,7 +639,7 @@ def _solve_int_columns(rows: list, rhs_cols: list):
     solution."""
     ncols = len(rows[0])
     a = IntMatrix.from_rows(rows, cols=ncols)
-    u, d, v, _, _ = _snf_full(a)
+    u, d, v, _ = _snf_full(a)
     diag = [d.entries[i][i] if i < min(a.rows, ncols) else 0
             for i in range(max(a.rows, ncols))]
 

@@ -280,7 +280,7 @@ def normalize_presentation(ring: RingSpec, ngens: int, relations: IntMatrix) -> 
     rel = relations
     if ring.is_modular:
         rel = rel.hstack(IntMatrix.identity(ngens).scale(ring.modulus))
-    u, d, v, ui, vi = _snf_full(rel)
+    u, d, v, ui = _snf_full(rel)
     diag = [d.entries[i][i] if i < min(d.rows, d.cols) else 0 for i in range(ngens)]
     keep = [i for i, x in enumerate(diag) if x != 1]
     factors = tuple(diag[i] for i in keep)
@@ -769,9 +769,18 @@ def all_submodules(m: FpModule) -> list:
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
-def submodule_from_elements(m: FpModule, elems: Sequence[tuple]) -> SubquotientWitness:
+def _span_inclusion(m: FpModule, elems: Sequence[tuple]) -> tuple:
+    """The submodule of m spanned by ``elems`` as (submodule, inclusion),
+    without the quotient that ``submodule_from_elements`` adds."""
     gen_cols = IntMatrix.from_columns([list(e) for e in elems], rows=m.ngens)
-    return submodule_witness(m, gen_cols)
+    sub, incl_mat = _sublattice_module(m, gen_cols)
+    return sub, ModuleMap(sub, m, incl_mat)
+
+
+def submodule_from_elements(m: FpModule, elems: Sequence[tuple]) -> SubquotientWitness:
+    sub, inclusion = _span_inclusion(m, elems)
+    quot, qmap = cokernel(inclusion)
+    return SubquotientWitness(m, sub, inclusion, quot, qmap)
 
 
 # ---------------------------------------------------------------------------

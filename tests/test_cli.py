@@ -426,3 +426,18 @@ def test_support_span_cap_boundary():
     # zero components do not count towards the span
     assert complex_from_doc({"ring": {"mod": 2},
                              "modules": {"0": [2], "1": [2], "100000": []}}).support == (0, 1)
+
+
+def test_oversize_envelope_search_exits_two_at_once(tmp_path, capsys):
+    # the ambient of this complex is (Z/4)^4 in degree 1, whose 1,983
+    # submodules take minutes to enumerate, so the search is refused first
+    doc = {"ring": {"mod": 4}, "modules": {"1": [4, 4], "2": [4, 4]},
+           "diff": {"1": [[2, 2], [2, 3]]}}
+    started = time.perf_counter()
+    code = main(["build", "envelope", write(tmp_path, "c.json", doc), "--bound", "2",
+                 "--output", str(tmp_path / "out")])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "envelope search cap" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""

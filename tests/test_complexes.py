@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from homkit.exactalg import IntMatrix, Zmod
+from homkit.exactalg import ZZ, IntMatrix, Zmod
 from homkit.modules import FpModule, ModuleMap, hom_module
 from homkit.complexes import (
     ChainMap,
@@ -226,6 +226,16 @@ class TestSplits:
         seq = ShortExactOfComplexes(zc, zc, zc, ChainMap.zero(zc, zc),
                                     ChainMap.zero(zc, zc))
         assert splits(seq) is not None
+
+    def test_short_exact_over_z_needs_the_image_to_be_the_kernel(self):
+        # 0 -> Z --x4--> Z -> Z/2 -> 0 has kernel 2Z and image 4Z in the
+        # middle: isomorphic submodules, but H^1 of the row is Z/2
+        z, z2 = FpModule.free(ZZ, 1), FpModule(ZZ, (2,))
+        left, middle, right = sphere(0, z), sphere(0, z), sphere(0, z2)
+        seq = ShortExactOfComplexes(left, middle, right,
+                                    ChainMap(left, middle, {0: mm(z, z, [[4]])}),
+                                    ChainMap(middle, right, {0: mm(z, z2, [[1]])}))
+        assert not seq.validate()
 
     def test_cone_splitting_matches_null_homotopy(self):
         # the flagship equivalence, on random chain maps over three rings

@@ -1,0 +1,66 @@
+"""Every private helper in ``src/homkit`` is used: each ``_``-prefixed
+function or method (dunders aside) is referenced somewhere in the package
+outside its own definition, so a helper whose last caller was removed does
+not linger."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "homkit"
+
+
+def _private(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+        node.name.startswith("_") and not node.name.endswith("__")
+
+
+def unreferenced_private_functions(paths) -> list:
+    """``file:line name`` of each private function or method defined in
+    ``paths`` that no name or attribute outside its own body refers to."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    uses = {}   # name -> [(path, line)]
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None:
+                uses.setdefault(name, []).append((path, node.lineno))
+    found = []
+    for path, tree in trees.items():
+        for node in filter(_private, ast.walk(tree)):
+            if not any(p != path or not node.lineno <= line <= node.end_lineno
+                       for p, line in uses.get(node.name, [])):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    return sorted(found)
+
+
+def test_every_private_helper_is_referenced():
+    assert unreferenced_private_functions(sorted(SRC.glob("*.py"))) == []
+
+
+def test_the_scan_sees_an_unused_helper(tmp_path):
+    used = tmp_path / "used.py"
+    used.write_text("from .helpers import _called\n\n\ndef run():\n    return _called()\n")
+    helpers = tmp_path / "helpers.py"
+    helpers.write_text(
+        "def _called():\n    return 1\n\n\n"
+        "class A:\n    def __init__(self):\n        self._go()\n\n"
+        "    def _go(self):\n        pass\n\n"
+        "    def _idle(self):\n        return self._idle()\n")
+    assert unreferenced_private_functions([used, helpers]) == ["helpers.py:12 _idle"]
+
+
+def test_the_scan_sees_a_leftover_slide_helper(tmp_path):
+    # the per-position source list that eps1-perp no longer reads
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    lifting = tmp_path / "lifting.py"
+    line = len(lifting.read_text().splitlines()) + 3
+    lifting.write_text(lifting.read_text() + (
+        "\n\ndef _slid_sources(e_cx, i):\n"
+        "    base = shift(e_cx, -1)\n"
+        "    (blo, bhi), (ilo, ihi) = base.support, i.support\n"
+        "    return [shift(base, -s) for s in range(ilo - bhi, ihi - blo + 2)]\n"))
+    assert unreferenced_private_functions(sorted(tmp_path.glob("*.py"))) == \
+        [f"lifting.py:{line} _slid_sources"]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from homkit.exactalg import IntMatrix, Zmod
+from homkit.exactalg import ZZ, IntMatrix, Zmod
 from homkit.modules import FpModule, MapSystem, ModuleMap, hom_module, kernel
 from homkit.complexes import (
     ChainMap,
@@ -295,6 +295,15 @@ class TestHomExactness:
         with pytest.raises(HypothesisError):
             # not exact at the middle: zero then doubling
             hom_exactness(ModuleMap.zero(Z4, Z4), b2, disk(0, Z4), "left", ALL)
+
+
+    def test_row_over_z_with_isomorphic_kernel_and_image(self):
+        # Z --x4--> Z --mod 2--> Z/2 composes to zero, and kernel 2Z and
+        # image 4Z are both Z, but the row is not exact at its middle
+        z = FpModule.free(ZZ, 1)
+        times4, mod2 = mm(z, z, [[4]]), mm(z, FpModule(ZZ, (2,)), [[1]])
+        with pytest.raises(HypothesisError, match="row is not exact at its middle module"):
+            hom_exactness(times4, mod2, sphere(0, z), "left", ALL)
 
 
 def old_hom_exactness_loop(beta, theta, probe, side) -> tuple:

@@ -129,7 +129,7 @@ def old_solve_int(rows, rhs):
         basis = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
         return [0] * ncols, basis
     a = IntMatrix.from_rows(rows, cols=ncols)
-    u, d, v, _, _ = _snf_full(a)
+    u, d, v, _ = _snf_full(a)
     c = [sum(u.entries[i][t] * rhs[t] for t in range(a.rows)) for i in range(a.rows)]
     z = [0] * ncols
     for i in range(a.rows):

@@ -7,8 +7,8 @@ import math
 import pytest
 
 from homkit.exactalg import IntMatrix, Zmod
-from homkit.modules import FpModule, ModuleMap
-from homkit.complexes import disk, is_exact, kernel, sphere, zero_complex
+from homkit.modules import FpModule, ModuleMap, kernel
+from homkit.complexes import disk, is_exact, sphere, zero_complex
 from homkit.xclass import (
     ALL,
     FREE,
