@@ -379,12 +379,15 @@ def cmd_build(args) -> int:
                "--output", outdir]
     try:
         if args.kind in ("precover", "preenvelope"):
+            if args.bound < 1:
+                raise UniverseCapError("size bound must be at least 1")
+            u = module_universe(y.ring, args.bound) if y.ring.is_modular else None
             if args.kind == "preenvelope":
-                result = preenvelope_bounded(y, xclass)
+                result = preenvelope_bounded(y, xclass, u=u)
                 built, name = result.env, "envelope"
                 membership_key, membership = "cokernel_membership", result.cokernel_membership
             else:
-                result = precover_bounded(y, xclass)
+                result = precover_bounded(y, xclass, u=u)
                 built, name = result.cover, "cover"
                 membership_key, membership = "kernel_membership", result.kernel_membership
             built_doc = complex_to_doc(built)

@@ -489,7 +489,8 @@ def _block_sum(src: DirectSum, tgt: DirectSum, blocks: list,
     if right is not None:
         source = right.source
         total = _row_product(total, right.matrix.entries, source.ngens)
-    return ModuleMap(source, tgt.module, IntMatrix.from_rows(total, cols=source.ngens))
+    # a product of well-defined maps is well defined
+    return ModuleMap._trusted(source, tgt.module, total)
 
 
 def _row_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int) -> list:
@@ -730,27 +731,37 @@ def _chain_map_group(a: Complex, b: Complex) -> ChainMapGroup:
     return ChainMapGroup(a, b, sub, data, inclusion)
 
 
-def chain_group_compose(g_from: ChainMapGroup, g_to: ChainMapGroup, phi: ChainMap,
-                        pre: bool) -> ModuleMap:
-    """The map g_from.module -> g_to.module sending f to f o phi (``pre``)
-    or to phi o f, as one matrix.
+def chain_group_image(g_from: ChainMapGroup, g_to: ChainMapGroup, phi: ChainMap,
+                      pre: bool) -> ModuleMap:
+    """The map g_from.module -> Hom^0 of g_to sending f to f o phi (``pre``)
+    or to phi o f, in the coordinates of the hom-complex degree zero that
+    holds g_to's cycles; both groups must have a cycle inclusion.
 
     On Hom^0 = sum_i Hom(x^i, y^i) the map is block diagonal in the
-    degreewise ``hom_precompose`` (``hom_postcompose``) matrices by phi^i.
-    Applied to the inclusion columns of g_from's cycles it gives the
-    composites in g_to's Hom^0, and all of them are solved against g_to's
-    inclusion with one elimination; each column is the canonical solution
-    ``g_to.encode`` would return.
-    """
-    if g_from._inclusion is None or g_to._inclusion is None:
-        return ModuleMap.zero(g_from.module, g_to.module)
+    degreewise ``hom_precompose`` (``hom_postcompose``) matrices by phi^i,
+    applied to the inclusion columns of g_from's cycles: one block-sum
+    product.  It equals g_to's inclusion after ``chain_group_compose``."""
     src, tgt = g_from._data.degrees[0], g_to._data.degrees[0]
     compose = hom_precompose if pre else hom_postcompose
     slots = {i: t for t, (i, _) in enumerate(tgt.blocks)}
     blocks = [(s, slots[i], compose(hm, tgt.blocks[slots[i]][1], phi.component(i)).matrix)
               for s, (i, hm) in enumerate(src.blocks) if i in slots]
-    image = _block_sum(src.sum, tgt.sum, blocks, right=g_from._inclusion)
-    parts = _solve_in_module_columns(tgt.sum.module, g_to._inclusion.matrix,
+    return _block_sum(src.sum, tgt.sum, blocks, right=g_from._inclusion)
+
+
+def chain_group_compose(g_from: ChainMapGroup, g_to: ChainMapGroup, phi: ChainMap,
+                        pre: bool) -> ModuleMap:
+    """The map g_from.module -> g_to.module sending f to f o phi (``pre``)
+    or to phi o f, as one matrix.
+
+    The composites of g_from's cycle generators, ``chain_group_image``, are
+    solved against g_to's inclusion with one elimination; each column is
+    the canonical solution ``g_to.encode`` would return.
+    """
+    if g_from._inclusion is None or g_to._inclusion is None:
+        return ModuleMap.zero(g_from.module, g_to.module)
+    image = chain_group_image(g_from, g_to, phi, pre)
+    parts = _solve_in_module_columns(image.target, g_to._inclusion.matrix,
                                      image.matrix.columns())
     if any(part is None for part in parts):
         raise AssertionError("composite escaped the chain-map group")

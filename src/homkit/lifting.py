@@ -2,8 +2,7 @@
 
 Each checker quantifies over a declared finite universe and returns a Verdict
 that names the universe, carries a re-validatable certificate for every tested
-instance, and on failure reports the enumeration-order-first counterexample,
-re-confirmed by exhaustive search before being returned.
+instance, and on failure reports the enumeration-order-first counterexample.
 
 A lifting test "every f extends along i" (or, dually, "every f lifts through
 q") is decided in one stroke as surjectivity of the induced map between hom
@@ -11,7 +10,10 @@ groups; when that map is onto, the canonical preimages of the hom-group
 generators form the stored certificate, and when it is not, the first hom
 element outside the image is the counterexample.  One driver runs this loop
 for all four checkers (injective or projective, modules or complexes), and
-one confirmer re-checks each counterexample by enumerating the hom group.
+one confirmer re-checks each counterexample by enumerating its hom group
+when that group has at most ``_MODULE_SEARCH_CAP`` = 2^16 (modules) or
+``_CHAIN_SEARCH_CAP`` = 2^14 (chain maps) elements; larger groups are not
+enumerated.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .modules import (
     hom_module,
     hom_postcompose,
     hom_precompose,
+    image_order,
 )
 from .complexes import (
     ChainMap,
@@ -37,6 +40,7 @@ from .complexes import (
     _retraction,
     _row_complex,
     chain_group_compose,
+    chain_group_image,
     chain_map_group,
     exact_at,
     hom_complex_data,
@@ -84,6 +88,14 @@ _CHAIN_SEARCH_CAP = 1 << 14
 # The lifting driver
 # ---------------------------------------------------------------------------
 
+def _hom_groups(phi, obj, injective: bool, hom: Callable) -> tuple:
+    """(Hom(B, obj), Hom(A, obj)) for phi: A -> B when ``injective``, else
+    (Hom(obj, A), Hom(obj, B)): the source and target of the map a lifting
+    test needs to be onto."""
+    return (hom(phi.target, obj), hom(phi.source, obj)) if injective \
+        else (hom(obj, phi.source), hom(obj, phi.target))
+
+
 def _induced_restriction(phi, obj, injective: bool, hom: Callable) -> tuple:
     """The map a lifting test needs to be onto, for phi: A -> B:
 
@@ -94,8 +106,7 @@ def _induced_restriction(phi, obj, injective: bool, hom: Callable) -> tuple:
     modules the map is the memoised ``hom_precompose`` (``hom_postcompose``)
     matrix; for complexes ``chain_group_compose`` assembles it from those
     matrices degree by degree, with one elimination for all generators."""
-    grp_from, grp_to = (hom(phi.target, obj), hom(phi.source, obj)) if injective \
-        else (hom(obj, phi.source), hom(obj, phi.target))
+    grp_from, grp_to = _hom_groups(phi, obj, injective, hom)
     fn = (lambda f: f.compose(phi)) if injective else phi.compose
     if isinstance(phi, ModuleMap):
         restr = (hom_precompose if injective else hom_postcompose)(grp_from, grp_to, phi)
@@ -112,10 +123,41 @@ def _first_outside_image(proj: ModuleMap) -> tuple:
 
 
 def _section_certificate(restr: ModuleMap):
-    """Canonical preimages of the target generators (the lift data)."""
+    """Canonical preimages of the target generators (the lift data) of a
+    restriction matrix."""
     n = restr.target.ngens
     units = [[1 if r == g else 0 for r in range(n)] for g in range(n)]
     return _solve_in_module_columns(restr.target, restr.matrix, units)
+
+
+def _onto(phi, obj, injective: bool, hom: Callable, keep_witnesses: bool) -> tuple:
+    """(whether the map of ``_induced_restriction`` is onto, the canonical
+    preimages of its target group's generators when ``keep_witnesses``).
+
+    Modules, and complexes over Z, read that map: the section solve, or the
+    rank test (over Z, the cokernel).  Chain-map groups over Z/n never build
+    it: its composite with the target group's cycle inclusion is
+    ``chain_group_image``, and as the inclusion is injective, image @ s =
+    inclusion column g has the solutions of restriction @ s = generator g,
+    so one elimination gives the same canonical sections, and without
+    witnesses onto is the count |im| == |target group|."""
+    if isinstance(phi, ModuleMap) or not phi.source.ring.is_modular:
+        restr = _induced_restriction(phi, obj, injective, hom)[0]
+        if not keep_witnesses:
+            return restr.is_epi(), None
+        sections = _section_certificate(restr)
+        return None not in sections, sections
+    grp_from, grp_to = _hom_groups(phi, obj, injective, hom)
+    if grp_to.module.is_zero():
+        return True, []
+    if grp_from._inclusion is None:
+        return False, None
+    image = chain_group_image(grp_from, grp_to, phi, injective)
+    if not keep_witnesses:
+        return image_order(image) == grp_to.module.size(), None
+    sections = _solve_in_module_columns(image.target, image.matrix,
+                                        grp_to._inclusion.matrix.columns())
+    return None not in sections, sections
 
 
 def _confirm_no_preimage(grp, fn: Callable, f, cap: int) -> None:
@@ -138,11 +180,11 @@ def _lifting_verdict(obj, x: XClassSpec, u, pool: Callable, injective: bool,
     ``pool()`` yields the universe maps phi (injections when ``injective``,
     else surjections) with their cokernels (kernels), and the loop reads it
     only up to the first counterexample; those whose cokernel
-    (kernel) passes ``member`` are tested by surjectivity of the map that
-    ``_induced_restriction`` builds from ``hom``: by the section solve when
-    witnesses are kept (its columns are the witness), else by the rank test
-    (over Z, the cokernel), and the cokernel is taken only to find a
-    counterexample.  ``level`` ("module" or "complex") names the
+    (kernel) passes ``member`` are tested by whether the map of
+    ``_induced_restriction`` is onto, decided by ``_onto``: by one section
+    solve when witnesses are kept (its columns are the witness), else by
+    counting.  The restriction matrix and its cokernel are built only to
+    find a counterexample.  ``level`` ("module" or "complex") names the
     certificates, ``cap`` bounds the re-confirmation, and ``finish`` may add
     to the verdict before it is cached.
     """
@@ -155,18 +197,14 @@ def _lifting_verdict(obj, x: XClassSpec, u, pool: Callable, injective: bool,
         for phi, quotient in pool():
             if not member(x, quotient):
                 continue
-            restr, grp_from, grp_to, fn = _induced_restriction(phi, obj, injective, hom)
             verdict.checked += 1
-            if keep_witnesses:
-                sections = _section_certificate(restr)
-                onto = None not in sections
-            else:
-                onto = restr.is_epi()
+            onto, sections = _onto(phi, obj, injective, hom, keep_witnesses)
             if onto:
                 if keep_witnesses:
                     verdict.witnesses.append({"kind": kind, role: phi, part: quotient,
                                               "section": sections})
                 continue
+            restr, grp_from, grp_to, fn = _induced_restriction(phi, obj, injective, hom)
             _, proj = cokernel(restr)
             f = grp_to.decode(_first_outside_image(proj))
             _confirm_no_preimage(grp_from, fn, f, cap)

@@ -185,6 +185,19 @@ class TestBuildCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["cokernel_membership"]["0"]["in_class"] is True
 
+    @pytest.mark.parametrize("kind", ["precover", "preenvelope"])
+    def test_build_reads_its_universe_bound(self, kind, tmp_path, capsys):
+        # Z/3 over Z/9 needs Z/9 in the module universe: bound 8 leaves it
+        # out and the module factorization check fails, bound 9 has it
+        path = write(tmp_path, "c.json", {"ring": {"mod": 9}, "modules": {"0": [3]}})
+        out = str(tmp_path / "outb")
+        assert main(["build", kind, path, "--output", out, "--bound", "8"]) == 3
+        assert main(["build", kind, path, "--output", out, "--bound", "9"]) == 0
+        capsys.readouterr()
+        for bound in ("0", "-3"):
+            assert main(["build", kind, path, "--output", out, "--bound", bound]) == 2
+            assert "size bound must be at least 1" in capsys.readouterr().err
+
     def test_envelope(self, tmp_path, capsys):
         out = str(tmp_path / "outv")
         code = main(["build", "envelope", write(tmp_path, "c.json", SPHERE_DOC),
