@@ -119,8 +119,8 @@ class ModuleMap:
 
     Column j holds the image of source generator j in target coordinates.
     Well-definedness (dj * column_j dies in the target) is checked on
-    construction and entries are reduced mod the target factors, so equal
-    maps compare equal structurally.
+    construction, except through ``_trusted``, and entries are always reduced
+    mod the target factors, so equal maps compare equal structurally.
     """
 
     source: FpModule
