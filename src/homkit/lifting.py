@@ -134,14 +134,14 @@ def _onto(phi, obj, injective: bool, hom: Callable, keep_witnesses: bool) -> tup
     """(whether the map of ``_induced_restriction`` is onto, the canonical
     preimages of its target group's generators when ``keep_witnesses``).
 
-    Modules, and complexes over Z, read that map: the section solve, or the
-    rank test (over Z, the cokernel).  Chain-map groups over Z/n never build
-    it: its composite with the target group's cycle inclusion is
+    Modules read that map: the section solve, or the rank test (over Z, the
+    cokernel).  Chain-map groups never build it (complex universes are over
+    Z/n only): its composite with the target group's cycle inclusion is
     ``chain_group_image``, and as the inclusion is injective, image @ s =
     inclusion column g has the solutions of restriction @ s = generator g,
     so one elimination gives the same canonical sections, and without
     witnesses onto is the count |im| == |target group|."""
-    if isinstance(phi, ModuleMap) or not phi.source.ring.is_modular:
+    if isinstance(phi, ModuleMap):
         restr = _induced_restriction(phi, obj, injective, hom)[0]
         if not keep_witnesses:
             return restr.is_epi(), None

@@ -5,7 +5,7 @@ between chain-map groups (f -> f o phi on the injective side, f -> phi o f on
 the projective side) is onto.  ``lifting._onto`` no longer builds that
 restriction: it solves the composites of the source group's cycle generators,
 written in the target group's Hom^0 coordinates (``chain_group_image``),
-against the target group's cycle inclusion, and without witnesses over Z/n
+against the target group's cycle inclusion, and without witnesses
 it counts the image order.  The oracle, kept only here, is the old path:
 the restriction matrix from ``chain_group_compose`` (one elimination), the
 canonical preimages of its target generators (a second elimination), and
