@@ -489,8 +489,7 @@ def _block_sum(src: DirectSum, tgt: DirectSum, blocks: list,
     if right is not None:
         source = right.source
         total = _row_product(total, right.matrix.entries, source.ngens)
-    # a product of well-defined maps is well defined
-    return ModuleMap._trusted(source, tgt.module, total)
+    return ModuleMap(source, tgt.module, IntMatrix.from_rows(total, cols=source.ngens))
 
 
 def _row_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int) -> list:

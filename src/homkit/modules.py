@@ -119,8 +119,8 @@ class ModuleMap:
 
     Column j holds the image of source generator j in target coordinates.
     Well-definedness (dj * column_j dies in the target) is checked on
-    construction, except through ``_trusted``, and entries are always reduced
-    mod the target factors, so equal maps compare equal structurally.
+    construction and entries are reduced mod the target factors, so equal
+    maps compare equal structurally.
     """
 
     source: FpModule
@@ -152,29 +152,8 @@ class ModuleMap:
         return ModuleMap(m, m, IntMatrix.identity(m.ngens))
 
     @staticmethod
-    def _trusted(source: FpModule, target: FpModule, rows: Sequence[Sequence[int]]) -> "ModuleMap":
-        """The map with these integer rows, known to be well defined: the
-        entries are reduced modulo the target factors, as the validating
-        constructor reduces them, and the ring and shape are checked, but
-        the per-entry well-definedness test is skipped.  Only for maps whose
-        well-definedness follows from their factors (block assemblies of
-        well-defined maps, zero maps); documents and user input go through
-        ``ModuleMap(...)``."""
-        if source.ring != target.ring:
-            raise ModuleError("source and target live over different rings")
-        if len(rows) != target.ngens:
-            raise ModuleError(f"{len(rows)} rows do not match {target.ngens} target generators")
-        red = tuple(tuple(x % d for x in row) if d else tuple(row)
-                    for row, d in zip(rows, target.factors))
-        f = object.__new__(ModuleMap)
-        object.__setattr__(f, "source", source)
-        object.__setattr__(f, "target", target)
-        object.__setattr__(f, "matrix", IntMatrix(target.ngens, source.ngens, red))
-        return f
-
-    @staticmethod
     def zero(source: FpModule, target: FpModule) -> "ModuleMap":
-        return ModuleMap._trusted(source, target, [(0,) * source.ngens] * target.ngens)
+        return ModuleMap(source, target, IntMatrix.zero(target.ngens, source.ngens))
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self after other."""
