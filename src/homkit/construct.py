@@ -47,7 +47,6 @@ from .complexes import (
     chain_map_group,
     direct_sum_complexes,
     disk,
-    disk_maps,
     exact_at,
     validate_complex,
     zero_complex,
@@ -66,7 +65,7 @@ from .xclass import (
 )
 from .lifting import (
     Verdict,
-    _induced_restriction,
+    _onto,
     x_injective_complex,
     x_injective_module,
     x_projective_module,
@@ -105,9 +104,15 @@ def _side_words(injective: bool) -> tuple:
         else ("projective", "cover", "kernel", "onto")
 
 
+# a quotient is a pure function of the map, and builds and their verifiers
+# ask for the same ones again and again
+_QUOTIENTS = caches.table("construct.quotients")
+
+
 def _quotient(f: ModuleMap, injective: bool) -> FpModule:
     """The cokernel of an envelope map, or the kernel of a cover map."""
-    return cokernel(f)[0] if injective else _kernel_inclusion(f)[0]
+    return _QUOTIENTS.lookup(
+        (f, injective), lambda: cokernel(f)[0] if injective else _kernel_inclusion(f)[0])
 
 
 def _passing(members, x: XClassSpec, u: ModuleUniverse, injective: bool):
@@ -165,8 +170,7 @@ def _oracle_failure(e: FpModule, f: ModuleMap, x: XClassSpec, u: Optional[Module
     if not test(e, x, u, keep_witnesses=False).holds:
         return f"{built} module failed the {prop} test"
     for cand in _passing(u.members, x, u, injective):
-        restr = _induced_restriction(f, cand, injective, hom_module)[0]
-        if not restr.is_epi():
+        if not _onto(f, cand, injective, hom_module, False)[0]:
             return (f"map {'into' if injective else 'from'} {cand.describe()} does not "
                     f"factor through the {built}")
     return None
@@ -363,10 +367,7 @@ def _verified_membership(built: Complex, cmap: ChainMap, y: Complex, x: XClassSp
     for k in built.degrees():
         quot = _quotient(cmap.component(k), injective)
         membership[k] = (quot.factors, contains_module(x, quot))
-    if not validate_complex(built).ok:
-        raise BuildError(f"built {name} is not a complex")
-    if not cmap.commutes():
-        raise BuildError(f"{name} map is not a chain map")
+    _check_chain_data(built, cmap, name)
     if not exact_at(built, built.degrees()):
         raise BuildError(f"built {name} is not exact")
     for k in y.degrees():
@@ -376,6 +377,14 @@ def _verified_membership(built: Complex, cmap: ChainMap, y: Complex, x: XClassSp
         if not ok:
             raise BuildError(f"{name} {part} at degree {k} left the class: {fac}")
     return membership
+
+
+def _check_chain_data(built: Complex, cmap: ChainMap, name: str) -> None:
+    """BuildError unless ``built`` is a complex and ``cmap`` a chain map."""
+    if not validate_complex(built).ok:
+        raise BuildError(f"built {name} is not a complex")
+    if not cmap.commutes():
+        raise BuildError(f"{name} map is not a chain map")
 
 
 def preenvelope_bounded(y: Complex, x: XClassSpec,
@@ -505,46 +514,59 @@ def _verify_factorization(built: Complex, cmap: ChainMap, y: Complex, x: XClassS
     returns the number of maps this certifies, the sum of the competitors'
     chain-map group orders.
 
-    The maps h that factor are the image of g -> cmap o g (g o cmap), a
-    subgroup, so a competitor is certified by the generators its disk
-    adjunction gives (``disk_maps``), in one elimination.  A competitor with
-    a generator that does not factor, or with an infinite group, is checked
-    element by element instead, which names the enumeration-order-first map
-    that does not factor."""
+    By the disk adjunction, chain maps D^k(m) -> Y are Hom(m, Y^k) and chain
+    maps Y -> D^k(m) are Hom(Y^{k+1}, m), naturally in Y.  So once built is
+    checked to be a complex and cmap a chain map from it to y (from y to
+    it), every h of the competitor D^k(m) factors iff Hom(m, P^k) ->
+    Hom(m, Y^k), g -> cmap^k o g, is onto (Hom(E^{k+1}, m) -> Hom(Y^{k+1},
+    m), u -> u o cmap^{k+1}): one ``lifting._onto`` test per competitor.  A
+    competitor that fails it, or whose group is infinite, is checked element
+    by element on its disk, which names the first map that does not factor."""
+    name = _side_words(injective)[1]
+    _check_chain_data(built, cmap, name)
+    if (cmap.source, cmap.target) != ((y, built) if injective else (built, y)):
+        raise BuildError(f"{name} map does not run between the input and the {name}")
     if y.is_zero():
         return 0
     lo, hi = y.support
     tested = 0
-    for comp in _competitors(x, u, range(lo - 1, hi + 1), injective):
-        k = comp.support[0]
-        gens, order = disk_maps(k, comp.component(k), y, into=injective)
-        first_failure = _factorization_check(built, cmap, y, comp, injective)
-        if order is not None and first_failure(gens) is None:
-            tested += order
-            continue
-        for h in (chain_map_group(y, comp) if injective else chain_map_group(comp, y)).elements():
-            tested += 1
-            failure = first_failure([h])
-            if failure is not None:
-                raise BuildError(failure)
+    nonzero = [m for m in u.members if not m.is_zero()]
+    for m in _passing(nonzero, x, u, injective):
+        for k in range(lo - 1, hi + 1):
+            deg = k + 1 if injective else k
+            hm = hom_module(y.component(deg), m) if injective else hom_module(m, y.component(deg))
+            order = hm.module.size()
+            if order is not None and _onto(cmap.component(deg), m, injective, hom_module, False)[0]:
+                tested += order
+                continue
+            comp = disk(k, m)
+            first_failure = _factorization_check(built, cmap, y, comp, injective)
+            group = chain_map_group(y, comp) if injective else chain_map_group(comp, y)
+            for h in group.elements():
+                tested += 1
+                failure = first_failure([h])
+                if failure is not None:
+                    raise BuildError(failure)
     return tested
 
 
 def verify_precover_factorization(result: PrecoverResult, y: Complex, x: XClassSpec,
                                   u: ModuleUniverse) -> int:
     """Check that every chain map from a disk competitor into y factors
-    through the cover.  Each competitor is certified on the generators of
-    its chain-map group; returns the sum of the group orders, the number of
-    maps certified."""
+    through the cover, by one onto test of the module restriction map per
+    competitor (the disk adjunction); returns the sum of the competitors'
+    group orders, the number of maps certified.  BuildError when the result
+    is not a chain map into y or a map does not factor."""
     return _verify_factorization(result.cover, result.map, y, x, u, injective=False)
 
 
 def verify_preenvelope_factorization(result: PreenvelopeResult, y: Complex,
                                      x: XClassSpec, u: ModuleUniverse) -> int:
     """Check that every chain map from y into a disk competitor factors
-    through the preenvelope.  Each competitor is certified on the generators
-    of its chain-map group; returns the sum of the group orders, the number
-    of maps certified."""
+    through the preenvelope, by one onto test of the module restriction map
+    per competitor (the disk adjunction); returns the sum of the
+    competitors' group orders, the number of maps certified.  BuildError
+    when the result is not a chain map out of y or a map does not factor."""
     return _verify_factorization(result.env, result.map, y, x, u, injective=True)
 
 

@@ -10,6 +10,7 @@ from homkit import (
     ModuleMap,
     RingSpec,
     chain_map_group,
+    disk,
     hom_module,
 )
 
@@ -64,3 +65,24 @@ def random_chain_map(rng: random.Random, x: Complex, y: Complex) -> ChainMap:
         return ChainMap.zero(x, y)
     els = list(grp.module.elements())
     return grp.decode(els[rng.randrange(len(els))])
+
+
+def disk_maps(k: int, m: FpModule, y: Complex, into: bool) -> tuple:
+    """Generators and order of the group of chain maps disk(k, m) -> y, or
+    y -> disk(k, m) when ``into``: a chain map disk(k, m) -> y is
+    (f, d_y^k o f) for a unique f in Hom(m, y^k), and a chain map
+    y -> disk(k, m) is (g o d_y^k, g) for a unique g in Hom(y^{k+1}, m).
+    The order is None when the group is infinite."""
+    d = disk(k, m)
+    hm = hom_module(y.component(k + 1), m) if into else hom_module(m, y.component(k))
+    ngens = hm.module.ngens
+    gens = []
+    for t in range(ngens):
+        f = hm.decode(tuple(1 if s == t else 0 for s in range(ngens)))
+        if into:
+            comps = {k: f.compose(y.differential(k)), k + 1: f}
+            gens.append(ChainMap(y, d, comps, check=False))
+        else:
+            comps = {k: f, k + 1: y.differential(k).compose(f)}
+            gens.append(ChainMap(d, y, comps, check=False))
+    return gens, hm.module.size()

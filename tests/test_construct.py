@@ -10,6 +10,7 @@ from homkit import caches
 from homkit.exactalg import IntMatrix, Zmod
 from homkit.modules import FpModule, ModuleMap, cokernel, kernel
 from homkit.complexes import (
+    ChainMap,
     Complex,
     disk,
     is_exact,
@@ -28,7 +29,10 @@ from homkit.xclass import (
 )
 from homkit.lifting import x_injective_complex, x_injective_module, x_projective_module
 from homkit.construct import (
+    BuildError,
     OracleHypothesisError,
+    PrecoverResult,
+    PreenvelopeResult,
     fixture_injective_components_not_injective_complex,
     module_epi_precover,
     module_mono_preenvelope,
@@ -211,6 +215,39 @@ class TestPreenvelopeBounded:
     def test_deterministic_rebuild(self):
         y = disk(0, Z2)
         assert preenvelope_bounded(y, ALL).env == preenvelope_bounded(y, ALL).env
+
+
+class TestFactorizationHypotheses:
+    """The factorization verifiers certify a result only when its built
+    object is a complex and its map a chain map between it and the input."""
+
+    SIDES = [(precover_bounded, verify_precover_factorization),
+             (preenvelope_bounded, verify_preenvelope_factorization)]
+
+    @pytest.mark.parametrize("build,verify", SIDES, ids=["precover", "preenvelope"])
+    def test_result_for_another_input_is_refused(self, build, verify):
+        r = build(sphere(0, Z4), ALL, u=U8)
+        assert verify(r, sphere(0, Z4), ALL, U8) > 0
+        with pytest.raises(BuildError, match="map does not run between the input"):
+            verify(r, sphere(0, Z2), ALL, U8)
+
+    @pytest.mark.parametrize("build,verify", SIDES, ids=["precover", "preenvelope"])
+    def test_non_commuting_map_is_refused(self, build, verify):
+        # the map keeps only its degree-0 (degree-1) component, so the square
+        # through the disk's identity differential no longer commutes
+        y = disk(0, Z4)
+        r = build(y, ALL, u=U8)
+        if build is precover_bounded:
+            cmap = ChainMap(r.cover, y, {0: r.map.component(0)}, check=False)
+            broken = PrecoverResult(r.cover, cmap, r.per_degree_oracle,
+                                    r.kernel_membership, r.build_log)
+        else:
+            cmap = ChainMap(y, r.env, {1: r.map.component(1)}, check=False)
+            broken = PreenvelopeResult(r.env, cmap, r.per_degree_oracle,
+                                       r.cokernel_membership, r.build_log)
+        assert not cmap.commutes()
+        with pytest.raises(BuildError, match="map is not a chain map"):
+            verify(broken, y, ALL, U8)
 
 
 class TestEnvelopeSearch:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from homkit.complexes import ChainMap, Complex, chain_map_group, disk, disk_maps, sphere
+from homkit.complexes import ChainMap, Complex, chain_map_group, disk, sphere
 from homkit.construct import (
     BuildError,
     PrecoverResult,
@@ -29,7 +29,7 @@ from homkit.exactalg import Zmod
 from homkit.modules import FpModule, MapSystem, hom_module, span_elements
 from homkit.xclass import ALL, module_universe
 
-from .helpers import small_modules
+from .helpers import disk_maps, small_modules
 
 
 def old_verify_factorization(built, cmap, y, x, u, injective):
