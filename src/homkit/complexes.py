@@ -403,18 +403,6 @@ class HomComplexData:
     complex: Complex
     degrees: dict            # n -> HomDegree
 
-    def family_from_element(self, n: int, elem: Sequence[int]) -> dict:
-        data = self.degrees.get(n)
-        if data is None:
-            return {}
-        out = {}
-        for idx, (i, hm) in enumerate(data.blocks):
-            coords = data.sum.projections[idx].apply(elem)
-            f = hm.decode(coords)
-            if not f.is_zero():
-                out[i] = f
-        return out
-
     def element_from_family(self, n: int, family: dict) -> tuple:
         data = self.degrees.get(n)
         if data is None:
@@ -689,20 +677,28 @@ class ChainMapGroup:
     _inclusion: Optional[ModuleMap]        # cycles -> hom-degree-0 component
 
     def decode(self, elem: Sequence[int]) -> ChainMap:
-        return ChainMap(self.source, self.target, self._family(elem), check=False)
+        comps = {}
+        for k, rows in self._rows(elem).items():
+            src, tgt = self.source.component(k), self.target.component(k)
+            comps[k] = ModuleMap(src, tgt, IntMatrix.from_rows(rows, cols=src.ngens))
+        return ChainMap(self.source, self.target, comps, check=False)
 
-    def _family(self, elem: Sequence[int]) -> dict:
+    def _rows(self, elem: Sequence[int]) -> dict:
+        """The matrix rows of the chain map of ``elem`` in each degree with a
+        nonzero Hom block, as ``HomModule._rows`` gives them."""
         if self._inclusion is None:
             return {}
+        data = self._data.degrees[0]
         coords = self._inclusion.apply(elem)
-        return self._data.family_from_element(0, coords)
+        return {i: hm._rows(data.sum.projections[idx].apply(coords))
+                for idx, (i, hm) in enumerate(data.blocks)}
 
     def _scan(self) -> Iterator[tuple]:
         """``_scan_maps`` of this group, in the degrees where source and
         target are both nonzero."""
         shapes = [(k, self.source.component(k).ngens, self.target.component(k).factors)
                   for k in self.source.degrees() if not self.target.component(k).is_zero()]
-        return _scan_maps(self.module, self._family, shapes)
+        return _scan_maps(self.module, self._rows, shapes)
 
     def elements(self) -> Iterator[ChainMap]:
         if self.module.size() is None:

@@ -29,7 +29,6 @@ from .modules import (
     FpModule,
     MapSystem,
     ModuleMap,
-    _kernel_inclusion,
     _solve_in_module,
     _span_inclusion,
     all_submodules,
@@ -55,6 +54,7 @@ from .xclass import (
     ComplexUniverse,
     ModuleUniverse,
     XClassSpec,
+    _map_quotient,
     cokernel_complex,
     contains_module,
     default_complex_universe,
@@ -104,15 +104,10 @@ def _side_words(injective: bool) -> tuple:
         else ("projective", "cover", "kernel", "onto")
 
 
-# a quotient is a pure function of the map, and builds and their verifiers
-# ask for the same ones again and again
-_QUOTIENTS = caches.table("construct.quotients")
-
-
 def _quotient(f: ModuleMap, injective: bool) -> FpModule:
-    """The cokernel of an envelope map, or the kernel of a cover map."""
-    return _QUOTIENTS.lookup(
-        (f, injective), lambda: cokernel(f)[0] if injective else _kernel_inclusion(f)[0])
+    """The cokernel of an envelope map, or the kernel of a cover map, read
+    from the per-map quotient table the pools share."""
+    return _map_quotient(f, injective)[0]
 
 
 def _passing(members, x: XClassSpec, u: ModuleUniverse, injective: bool):

@@ -202,58 +202,68 @@ def det(a: IntMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 class _SnfState:
-    """Mutable elimination state tracking u, v and the inverse of u."""
+    """Mutable elimination state tracking u and its inverse (``left``) and v
+    (``right``); an untracked transform is None and costs nothing."""
 
-    def __init__(self, a: IntMatrix):
+    def __init__(self, a: IntMatrix, left: bool, right: bool):
         self.m = [list(r) for r in a.entries]
         self.R, self.C = a.rows, a.cols
-        self.u = [[1 if i == j else 0 for j in range(self.R)] for i in range(self.R)]
-        self.ui = [[1 if i == j else 0 for j in range(self.R)] for i in range(self.R)]
-        self.v = [[1 if i == j else 0 for j in range(self.C)] for i in range(self.C)]
+        eye = lambda n: [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        self.u = eye(self.R) if left else None
+        self.ui = eye(self.R) if left else None
+        self.v = eye(self.C) if right else None
 
     # row ops act on m and u on the left; ui absorbs the inverse on the right
     def row_swap(self, i, j):
         self.m[i], self.m[j] = self.m[j], self.m[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
-        for r in self.ui:
-            r[i], r[j] = r[j], r[i]
+        if self.u is not None:
+            self.u[i], self.u[j] = self.u[j], self.u[i]
+            for r in self.ui:
+                r[i], r[j] = r[j], r[i]
 
     def row_add(self, i, j, c):
         # row_i += c * row_j
         self.m[i] = [x + c * y for x, y in zip(self.m[i], self.m[j])]
-        self.u[i] = [x + c * y for x, y in zip(self.u[i], self.u[j])]
-        for r in self.ui:
-            r[j] -= c * r[i]
+        if self.u is not None:
+            self.u[i] = [x + c * y for x, y in zip(self.u[i], self.u[j])]
+            for r in self.ui:
+                r[j] -= c * r[i]
 
     def row_neg(self, i):
         self.m[i] = [-x for x in self.m[i]]
-        self.u[i] = [-x for x in self.u[i]]
-        for r in self.ui:
-            r[i] = -r[i]
+        if self.u is not None:
+            self.u[i] = [-x for x in self.u[i]]
+            for r in self.ui:
+                r[i] = -r[i]
 
     def col_swap(self, i, j):
         for r in self.m:
             r[i], r[j] = r[j], r[i]
-        for r in self.v:
+        for r in self.v or ():
             r[i], r[j] = r[j], r[i]
 
     def col_add(self, j, k, c):
         # col_j += c * col_k
         for r in self.m:
             r[j] += c * r[k]
-        for r in self.v:
+        for r in self.v or ():
             r[j] += c * r[k]
 
     def col_neg(self, j):
         for r in self.m:
             r[j] = -r[j]
-        for r in self.v:
+        for r in self.v or ():
             r[j] = -r[j]
 
 
-def _snf_full(a: IntMatrix):
-    """Return (u, d, v, u_inv) with u*a*v = d in Smith normal form."""
-    st = _SnfState(a)
+def _snf_full(a: IntMatrix, left: bool = True, right: bool = True):
+    """Return (u, d, v, u_inv) with u*a*v = d in Smith normal form.
+
+    u and u_inv are tracked only when ``left`` and v only when ``right``;
+    an untracked transform is returned as None.  The pivot sequence reads
+    only the working matrix, so d and every tracked transform are the same
+    whatever is left out."""
+    st = _SnfState(a, left, right)
     m, R, C = st.m, st.R, st.C
     t = 0
     while True:
@@ -312,7 +322,8 @@ def _snf_full(a: IntMatrix):
                 break
             st.row_add(t, offender, 1)
         t += 1
-    to_mat = lambda lst, r, c: IntMatrix(r, c, tuple(tuple(row) for row in lst))
+    to_mat = lambda lst, r, c: None if lst is None else \
+        IntMatrix(r, c, tuple(tuple(row) for row in lst))
     return to_mat(st.u, R, R), to_mat(m, R, C), to_mat(st.v, C, C), to_mat(st.ui, R, R)
 
 
@@ -328,7 +339,7 @@ def smith_normal_form(a: IntMatrix):
 
 def integer_kernel(a: IntMatrix) -> list:
     """Columns generating {x in Z^cols : a @ x = 0} (a lattice basis)."""
-    _, d, v, _ = _snf_full(a)
+    _, d, v, _ = _snf_full(a, left=False)
     gens = []
     for j in range(a.cols):
         dj = d.entries[j][j] if j < min(a.rows, a.cols) else 0

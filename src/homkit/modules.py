@@ -280,7 +280,7 @@ def normalize_presentation(ring: RingSpec, ngens: int, relations: IntMatrix) -> 
     rel = relations
     if ring.is_modular:
         rel = rel.hstack(IntMatrix.identity(ngens).scale(ring.modulus))
-    u, d, v, ui = _snf_full(rel)
+    u, d, _, ui = _snf_full(rel, right=False)
     diag = [d.entries[i][i] if i < min(d.rows, d.cols) else 0 for i in range(ngens)]
     keep = [i for i, x in enumerate(diag) if x != 1]
     factors = tuple(diag[i] for i in keep)
@@ -540,14 +540,19 @@ class HomModule:
         return self.module.reduce_element(out)
 
     def decode(self, elem: Sequence[int]) -> ModuleMap:
+        return ModuleMap(self.source, self.target,
+                         IntMatrix.from_rows(self._rows(elem), cols=self.source.ngens))
+
+    def _rows(self, elem: Sequence[int]) -> list:
+        """The matrix rows of the map of ``elem``, each entry reduced modulo
+        its row's target factor."""
         raw = [sum(self.from_canonical.entries[t][r] * elem[r] for r in range(self.module.ngens))
                for t in range(len(self.pairs))]
         mat = [[0] * self.source.ngens for _ in range(self.target.ngens)]
         for (idx, (i, j, order, scale)) in enumerate(self.pairs):
             c = raw[idx] % order if order else raw[idx]
             mat[i][j] = c * scale
-        return ModuleMap(self.source, self.target,
-                         IntMatrix.from_rows(mat, cols=self.source.ngens))
+        return mat
 
     def elements(self) -> Iterator[ModuleMap]:
         for elem in self.module.elements():
@@ -555,45 +560,59 @@ class HomModule:
 
     def _scan(self) -> Iterator[tuple]:
         """``_scan_maps`` of this group, in degree 0."""
-        return _scan_maps(self.module, lambda elem: {0: self.decode(elem)},
+        return _scan_maps(self.module, lambda elem: {0: self._rows(elem)},
                           [(0, self.source.ngens, self.target.factors)])
 
 
-def _scan_maps(module: FpModule, family, shapes: list) -> Iterator[tuple]:
+def _scan_maps(module: FpModule, rows, shapes: list) -> Iterator[tuple]:
     """``(element, blocks)`` for every element of a finite group of maps, in
     ``module.elements()`` order, with ``blocks`` holding its raw matrix (a
     tuple of row tuples) in each degree of ``shapes``: ``(degree, source
-    generators, target factors)``.  ``family(elem)`` decodes an element into
-    its nonzero maps by degree.  Decoding is a homomorphism, so each
-    generator is decoded once and elements are walked by running sums of the
-    flattened generator matrices, reduced modulo each row's target factor.
+    generators, target factors)``.
+
+    ``rows(elem)`` gives an element's matrix rows by degree (a degree it
+    leaves out is zero); it is read once per generator and builds no
+    ``ModuleMap``.  Decoding is a homomorphism, so each element's flattened
+    matrix is the integer sum of its coordinates times the generators'; the
+    walk keeps that sum in one vector, stepping it from each element to the
+    next in ``itertools.product`` order, and reduces a copy modulo each
+    row's target factor.  When coordinate i advances and every later one
+    wraps from f_j - 1 to 0, the step is gens[i] - sum_{j>i} (f_j - 1) gens[j].
     """
     if module.size() is None:
         raise ModuleError("cannot enumerate an infinite module")
     mods = [e for _, ncols, fac in shapes for e in fac for _ in range(ncols)]
-    ngens = module.ngens
+    factors, ngens = module.factors, module.ngens
     gens = []
     for g in range(ngens):
-        maps = family(tuple(1 if t == g else 0 for t in range(ngens)))
+        blocks = rows(tuple(1 if t == g else 0 for t in range(ngens)))
         gens.append([x for k, ncols, fac in shapes
-                     for row in (maps[k].matrix.entries if k in maps else [[0] * ncols] * len(fac))
-                     for x in row])
+                     for row in blocks.get(k, [[0] * ncols] * len(fac)) for x in row])
+    steps = []
+    for i in range(ngens):
+        step = gens[i]
+        for j in range(i + 1, ngens):
+            step = [s - (factors[j] - 1) * x for s, x in zip(step, gens[j])]
+        steps.append(step)
+    tops = [f - 1 for f in factors]
+    cuts = []
+    pos = 0
+    for k, ncols, fac in shapes:
+        cuts.append((k, [(pos + r * ncols, pos + (r + 1) * ncols) for r in range(len(fac))]))
+        pos += ncols * len(fac)
 
-    def walk(i: int, elem: tuple, vec: list):
-        if i < ngens:
-            for c in range(module.factors[i]):
-                yield from walk(i + 1, elem + (c,), vec)
-                vec = [x + y for x, y in zip(vec, gens[i])]
-            return
-        vec = [x % m if m else x for x, m in zip(vec, mods)]
-        blocks, pos = {}, 0
-        for k, ncols, fac in shapes:
-            blocks[k] = tuple(tuple(vec[pos + r * ncols: pos + (r + 1) * ncols])
-                              for r in range(len(fac)))
-            pos += ncols * len(fac)
-        yield elem, blocks
+    def walk():
+        vec = [0] * len(mods)
+        for elem in iproduct(*(range(f) for f in factors)):
+            red = [x % m if m else x for x, m in zip(vec, mods)]
+            yield elem, {k: tuple(tuple(red[a:b]) for a, b in spans) for k, spans in cuts}
+            i = ngens - 1
+            while i >= 0 and elem[i] == tops[i]:
+                i -= 1
+            if i >= 0:
+                vec = [x + s for x, s in zip(vec, steps[i])]
 
-    return walk(0, (), [0] * len(mods))
+    return walk()
 
 
 def _hom_pair_data(ring: RingSpec, dj: int, di: int):
@@ -685,16 +704,25 @@ def ext1_module(m: FpModule, n: FpModule) -> FpModule:
     return cokernel(restriction)[0]
 
 
+# a hull is a pure function of the module, and builds ask for it per degree
+_INJECTIVE_HULLS = caches.table("modules.injective_hull")
+
+
 def injective_hull(m: FpModule) -> tuple:
     """Injective hull over Z/n: returns (hull, essential mono embedding).
 
     Each factor d splits into its prime parts Z/p^a, and Z/p^a embeds
     essentially in Z/p^{v_p(n)} by multiplication with p^{v-a}.  Over Z the
     hull of a torsion module is not finitely generated, so only modular
-    rings are supported.
+    rings are supported.  Memoised per module.
     """
     if not m.ring.is_modular:
         raise ModuleError("injective hulls are only computable over Z/n here")
+    return _INJECTIVE_HULLS.lookup(m, lambda: _injective_hull(m))
+
+
+def _injective_hull(m: FpModule) -> tuple:
+    """The body of ``injective_hull`` on a miss of its table."""
     n = m.ring.modulus
     nfac = dict(_factorize(n))
     hull_factors = []

@@ -29,6 +29,7 @@ from .modules import (
     _sublattice_module,
     _surjective_on,
     cokernel,
+    cokernel_with_section,
     hom_module,
 )
 from .complexes import (
@@ -568,11 +569,26 @@ def _hom_scan(component_key):
     return lambda a, b: _pool_scan(hom_module(a, b), [(0, a, b)], component_key, 1 << 20)
 
 
+# a component key is a pure function of (key function, source, target,
+# rows), and the pairs of one complex universe meet the same components over
+# and over; module pools scan each (source, target) once, so they skip it
+_COMPONENT_KEYS = caches.table("xclass.component_keys")
+
+
+def _shared_key(component_key):
+    """``component_key`` read through ``xclass.component_keys``."""
+    def key(src: FpModule, tgt: FpModule, rows: Optional[tuple]) -> Optional[tuple]:
+        return _COMPONENT_KEYS.lookup((component_key, src, tgt, rows),
+                                      lambda: component_key(src, tgt, rows))
+    return key
+
+
 def chain_monos(a: Complex, b: Complex) -> list:
     """The injective chain maps a -> b as ``(image, decoder)`` pairs, the
     image listing each degree's image elements in sorted order."""
     return _pool_scan(chain_map_group(a, b),
-                      [(k, a.component(k), b.component(k)) for k in a.degrees()], _image)
+                      [(k, a.component(k), b.component(k)) for k in a.degrees()],
+                      _shared_key(_image))
 
 
 def chain_epis(a: Complex, b: Complex) -> list:
@@ -580,16 +596,27 @@ def chain_epis(a: Complex, b: Complex) -> list:
     kernel listing each degree's kernel elements in sorted order."""
     degrees = sorted(set(a.degrees()) | set(b.degrees()))
     return _pool_scan(chain_map_group(a, b),
-                      [(k, a.component(k), b.component(k)) for k in degrees], _kernel_elements)
+                      [(k, a.component(k), b.component(k)) for k in degrees],
+                      _shared_key(_kernel_elements))
+
+
+# the cokernel (with its section) of an injection and the kernel (with its
+# inclusion) of a surjection are pure functions of the map; pool closes meet
+# the same components across entries, and builds ask for the same quotients
+_MAP_QUOTIENTS = caches.table("xclass.map_quotients")
+
+
+def _map_quotient(f: ModuleMap, injective: bool) -> tuple:
+    """``cokernel_with_section(f)`` when ``injective``, else
+    ``_kernel_inclusion(f)``; memoised per (map, side)."""
+    return _MAP_QUOTIENTS.lookup(
+        (f, injective), lambda: cokernel_with_section(f) if injective else _kernel_inclusion(f))
 
 
 def cokernel_complex(phi: ChainMap) -> Complex:
     """Degreewise cokernel of an injective chain map, with induced maps."""
-    from .modules import cokernel_with_section
     b = phi.target
-    data = {}
-    for k in b.degrees():
-        data[k] = cokernel_with_section(phi.component(k))
+    data = {k: _map_quotient(phi.component(k), True) for k in b.degrees()}
     comps = {k: d[0] for k, d in data.items()}
     diffs = {}
     for k in b.degrees():
@@ -605,7 +632,7 @@ def cokernel_complex(phi: ChainMap) -> Complex:
 def kernel_complex(psi: ChainMap) -> Complex:
     """Degreewise kernel of a surjective chain map, with induced maps."""
     a = psi.source
-    return _subcomplex(a, {k: _kernel_inclusion(psi.component(k))[1] for k in a.degrees()},
+    return _subcomplex(a, {k: _map_quotient(psi.component(k), False)[1] for k in a.degrees()},
                        check=False)
 
 

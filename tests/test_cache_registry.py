@@ -18,9 +18,17 @@ from homkit.construct import (
     verify_precover_factorization,
     x_injective_envelope,
 )
-from homkit.exactalg import IntMatrix, Zmod
+from homkit.exactalg import IntMatrix, RingSpec, Zmod
 from homkit.lifting import x_injective_complex, x_injective_module
-from homkit.modules import FpModule, ModuleMap, direct_sum, ext1_module, hom_module
+from homkit.modules import (
+    FpModule,
+    ModuleMap,
+    _injective_hull,
+    direct_sum,
+    ext1_module,
+    hom_module,
+    injective_hull,
+)
 from homkit.xclass import ALL, default_complex_universe, eps1_universe, module_universe
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "homkit"
@@ -95,6 +103,7 @@ def fill() -> None:
     eps1_universe(R4, ALL, base_bound=2, window=(-1, 0))
     hom_complex_data(cu4.members[-1], cu4.members[-1])
     ext1_module(Z2, Z2)
+    injective_hull(Z2)
     verify_precover_factorization(precover_bounded(y, ALL, u=u4), y, ALL, u4)
     x_injective_envelope(zero_complex(R4), ALL)
 
@@ -158,3 +167,16 @@ def test_a_remembered_oracle_failure_raises_afresh():
     for _ in range(2):
         _verify_oracle(z4, onto, ALL, u4, injective=False)
     assert caches.stats()["construct.oracle_verifications"]["hits"] == 2
+
+
+def test_a_remembered_injective_hull_is_the_fresh_one():
+    caches.clear_caches()
+    m = FpModule(Zmod(12), (2, 6))
+    first = injective_hull(m)
+    assert injective_hull(m) is first
+    assert first == _injective_hull(m)
+    assert caches.stats()["modules.injective_hull"] == {"entries": 1, "hits": 1, "misses": 1}
+    # a refused ring stores nothing
+    with pytest.raises(ValueError):
+        injective_hull(FpModule(RingSpec(0), (2,)))
+    assert caches.stats()["modules.injective_hull"]["entries"] == 1

@@ -1,0 +1,290 @@
+"""Pool scans against the per-pair, per-element path they replace.
+
+The oracle is the scan as it stood before component keys and quotients
+were shared, kept only as a test:
+
+- a recursive walk over the group elements, one running sum per level;
+- generators decoded into validated ``ModuleMap``s (``HomModule.decode``
+  per Hom block) and flattened back into rows;
+- component keys memoised per scanned pair only;
+- cokernel and kernel complexes closed without a memo;
+- every Smith normal form tracking all of u, u^-1 and v.
+
+Pools, raw scans and ``complex_isomorphic`` must agree with it exactly:
+same entries in the same order, same representative maps and same closes,
+whether a pool is read to the end or read in part and then replayed.
+"""
+from __future__ import annotations
+
+from functools import partial
+from itertools import islice
+
+import pytest
+
+from homkit import caches, exactalg, modules
+from homkit.complexes import (
+    ChainMap,
+    Complex,
+    _subcomplex,
+    chain_map_group,
+    complex_isomorphic,
+)
+from homkit.exactalg import IntMatrix, Zmod
+from homkit.modules import (
+    ModuleMap,
+    _kernel_inclusion,
+    cokernel,
+    cokernel_with_section,
+    hom_module,
+)
+from homkit.xclass import (
+    ComplexUniverse,
+    ModuleUniverse,
+    _complex_parts,
+    _image,
+    _kernel_elements,
+    _module_parts,
+    _pool,
+)
+
+# (modulus, disk bound) of the twelve complex pools, each read for monos and epis
+POOLS = [(2, 8), (4, 4), (4, 8), (6, 4), (8, 4), (9, 4)]
+MODULE_RINGS = [2, 4, 6, 8, 9, 12]
+FULL_TRACKING = exactalg._snf_full
+
+
+# -- the oracle -----------------------------------------------------------
+
+def old_scan_maps(module, family, shapes: list) -> list:
+    """The recursive walk over ``module.elements()``, with every generator
+    decoded by ``family`` into ``ModuleMap``s and flattened."""
+    mods = [e for _, ncols, fac in shapes for e in fac for _ in range(ncols)]
+    ngens = module.ngens
+    gens = []
+    for g in range(ngens):
+        maps = family(tuple(1 if t == g else 0 for t in range(ngens)))
+        gens.append([x for k, ncols, fac in shapes
+                     for row in (maps[k].matrix.entries if k in maps else [[0] * ncols] * len(fac))
+                     for x in row])
+
+    def walk(i: int, elem: tuple, vec: list):
+        if i < ngens:
+            for c in range(module.factors[i]):
+                yield from walk(i + 1, elem + (c,), vec)
+                vec = [x + y for x, y in zip(vec, gens[i])]
+            return
+        vec = [x % m if m else x for x, m in zip(vec, mods)]
+        blocks, pos = {}, 0
+        for k, ncols, fac in shapes:
+            blocks[k] = tuple(tuple(vec[pos + r * ncols: pos + (r + 1) * ncols])
+                              for r in range(len(fac)))
+            pos += ncols * len(fac)
+        yield elem, blocks
+
+    return list(walk(0, (), [0] * len(mods)))
+
+
+def old_family(grp, elem) -> dict:
+    """The nonzero maps of a chain-map group element, each Hom block
+    decoded by ``HomModule.decode``."""
+    if grp._inclusion is None:
+        return {}
+    data = grp._data.degrees[0]
+    coords = grp._inclusion.apply(elem)
+    maps = {i: hm.decode(data.sum.projections[idx].apply(coords))
+            for idx, (i, hm) in enumerate(data.blocks)}
+    return {i: f for i, f in maps.items() if not f.is_zero()}
+
+
+def old_decode(grp, elem):
+    if hasattr(grp, "pairs"):        # a HomModule
+        return grp.decode(elem)
+    return ChainMap(grp.source, grp.target, old_family(grp, elem), check=False)
+
+
+def old_group_scan(grp) -> list:
+    if hasattr(grp, "pairs"):        # a HomModule
+        return old_scan_maps(grp.module, lambda elem: {0: grp.decode(elem)},
+                             [(0, grp.source.ngens, grp.target.factors)])
+    shapes = [(k, grp.source.component(k).ngens, grp.target.component(k).factors)
+              for k in grp.source.degrees() if not grp.target.component(k).is_zero()]
+    return old_scan_maps(grp.module, partial(old_family, grp), shapes)
+
+
+def old_pool_scan(grp, components: list, component_key) -> list:
+    parts = {}
+    out = []
+    for elem, blocks in old_group_scan(grp):
+        key = []
+        for k, src, tgt in components:
+            rows = blocks.get(k)
+            if (k, rows) not in parts:
+                parts[(k, rows)] = component_key(src, tgt, rows)
+            part = parts[(k, rows)]
+            if part is None:
+                break
+            key.append((k, part))
+        else:
+            out.append((tuple(key), partial(old_decode, grp, elem)))
+    return out
+
+
+def old_chain_monos(a, b) -> list:
+    return old_pool_scan(chain_map_group(a, b),
+                         [(k, a.component(k), b.component(k)) for k in a.degrees()], _image)
+
+
+def old_chain_epis(a, b) -> list:
+    degrees = sorted(set(a.degrees()) | set(b.degrees()))
+    return old_pool_scan(chain_map_group(a, b),
+                         [(k, a.component(k), b.component(k)) for k in degrees],
+                         _kernel_elements)
+
+
+def old_hom_scan(component_key):
+    return lambda a, b: old_pool_scan(hom_module(a, b), [(0, a, b)], component_key)
+
+
+def old_cokernel_complex(phi) -> Complex:
+    b = phi.target
+    data = {k: cokernel_with_section(phi.component(k)) for k in b.degrees()}
+    comps = {k: d[0] for k, d in data.items()}
+    diffs = {}
+    for k in b.degrees():
+        if (k + 1) not in data or data[k][0].is_zero() or data[k + 1][0].is_zero():
+            continue
+        cok, proj, section = data[k]
+        cok2, proj2, _ = data[k + 1]
+        diffs[k] = ModuleMap(cok, cok2, proj2.matrix @ b.differential(k).matrix @ section)
+    return Complex(b.ring, comps, diffs, check=False)
+
+
+def old_kernel_complex(psi) -> Complex:
+    a = psi.source
+    return _subcomplex(a, {k: _kernel_inclusion(psi.component(k))[1] for k in a.degrees()},
+                       check=False)
+
+
+def old_isomorphic(a, b) -> bool:
+    if a.degrees() != b.degrees():
+        return False
+    if any(a.component(k).factors != b.component(k).factors for k in a.degrees()):
+        return False
+
+    def iso(k: int, rows: tuple) -> bool:
+        src, tgt = a.component(k), b.component(k)
+        f = ModuleMap(src, tgt, IntMatrix(tgt.ngens, src.ngens, rows))
+        return f.is_mono() and f.is_epi()
+
+    return any(all(iso(k, blocks[k]) for k in a.degrees())
+               for _, blocks in old_group_scan(chain_map_group(a, b)))
+
+
+@pytest.fixture
+def oracle(monkeypatch):
+    """Run a callable on the old path: empty caches and full Smith tracking;
+    the caches are emptied again afterwards, so the path under test builds
+    its own."""
+    def run(fn):
+        caches.clear_caches()
+        full = lambda a, left=True, right=True: FULL_TRACKING(a)
+        with monkeypatch.context() as patched:
+            patched.setattr(exactalg, "_snf_full", full)
+            patched.setattr(modules, "_snf_full", full)
+            out = fn()
+        caches.clear_caches()
+        return out
+    return run
+
+
+def old_complex_pool(cu: ComplexUniverse, epi: bool) -> list:
+    return list(_pool(cu.members, epi, old_chain_epis if epi else old_chain_monos,
+                      old_kernel_complex if epi else old_cokernel_complex,
+                      partial(_complex_parts, epi=epi)))
+
+
+def old_module_pool(u: ModuleUniverse, epi: bool) -> list:
+    return list(_pool(u.members, epi, old_hom_scan(_kernel_elements if epi else _image),
+                      (lambda f: _kernel_inclusion(f)[0]) if epi else (lambda f: cokernel(f)[0]),
+                      _module_parts))
+
+
+def fresh_universe(n: int, disk_bound: int) -> ComplexUniverse:
+    return ComplexUniverse(Zmod(n), full_bound=4, full_window=(0, 1),
+                           disk_bound=disk_bound, disk_degrees=(-1, 0, 1))
+
+
+def keys(pool) -> list:
+    return [(f.canonical_key(), c.canonical_key()) for f, c in pool]
+
+
+# -- the gate ---------------------------------------------------------------
+
+@pytest.mark.parametrize("epi", [False, True], ids=["mono", "epi"])
+@pytest.mark.parametrize("n,disk_bound", POOLS)
+def test_complex_pools_match_the_old_scan(n, disk_bound, epi, oracle):
+    want = keys(oracle(lambda: old_complex_pool(fresh_universe(n, disk_bound), epi)))
+    assert want
+    cu = fresh_universe(n, disk_bound)
+    assert keys(cu.epi_pool() if epi else cu.mono_pool()) == want
+    # read in part by one reader, then replayed and drained by another
+    caches.clear_caches()
+    cu = fresh_universe(n, disk_bound)
+    holder = cu.epis if epi else cu.monos
+    first = max(1, len(want) // 3)
+    assert keys(islice(holder, first)) == want[:first]
+    assert keys(holder) == want
+
+
+@pytest.mark.parametrize("epi", [False, True], ids=["mono", "epi"])
+@pytest.mark.parametrize("n", MODULE_RINGS)
+def test_module_pools_match_the_old_scan(n, epi, oracle):
+    want = oracle(lambda: old_module_pool(ModuleUniverse(Zmod(n), 8), epi))
+    assert want
+    u = ModuleUniverse(Zmod(n), 8)
+    assert (u.epi_pool() if epi else u.mono_pool()) == want
+
+
+def test_module_pools_leave_the_component_table_alone():
+    caches.clear_caches()
+    ModuleUniverse(Zmod(12), 8).mono_pool()
+    ModuleUniverse(Zmod(12), 8).epi_pool()
+    assert caches.stats()["xclass.component_keys"]["entries"] == 0
+
+
+@pytest.mark.parametrize("n", MODULE_RINGS)
+def test_raw_hom_scans_match_the_old_walk(n):
+    members = ModuleUniverse(Zmod(n), 8).members
+    for a in members:
+        for b in members:
+            hm = hom_module(a, b)
+            assert list(hm._scan()) == old_group_scan(hm), (a.describe(), b.describe())
+
+
+def test_raw_chain_group_scans_match_the_old_walk():
+    members = fresh_universe(4, 4).members
+    scanned = 0
+    for a in members:
+        for b in members:
+            grp = chain_map_group(a, b)
+            if grp.module.size() > 1 << 10:
+                continue
+            assert list(grp._scan()) == old_group_scan(grp), (a.describe(), b.describe())
+            scanned += 1
+    assert scanned > 1000
+
+
+def test_complex_isomorphic_matches_the_old_scan_on_pool_pairs():
+    cu = fresh_universe(4, 4)
+    complexes = {c.canonical_key(): c for c in cu.members}
+    for _, close in cu.mono_pool() + cu.epi_pool():
+        complexes.setdefault(close.canonical_key(), close)
+    shape = lambda c: [(k, c.component(k).factors) for k in c.degrees()]
+    seen = {True: 0, False: 0}
+    for a in complexes.values():
+        for b in complexes.values():
+            if shape(a) == shape(b):
+                got = complex_isomorphic(a, b)
+                assert got == old_isomorphic(a, b), (a.describe(), b.describe())
+                seen[got] += 1
+    assert seen[True] and seen[False]
