@@ -75,9 +75,11 @@ class Verdict:
     extra: dict = field(default_factory=dict)
 
 
-# witness-free verdicts are pure functions of (object, class, universe), so
-# repeated checks inside large suites hit this table instead of re-scanning
+# the four lifting checkers' witness-free verdicts are pure functions of
+# (object, class, universe): repeated checks hit this table, not a re-scan
 _VERDICT_CACHE = caches.table("lifting.verdicts")
+# one hom-exactness answer per (source, target), read by eps1-perp and dg
+_HOM_EXACT = caches.table("lifting.hom_exact")
 
 # exhaustive searches of a hom group enumerate it only up to these sizes
 _MODULE_SEARCH_CAP = 1 << 16
@@ -303,6 +305,17 @@ def x_projective_complex(c: Complex, x: XClassSpec, cu: ComplexUniverse,
 # Homotopy-level orthogonality and differential-graded checks
 # ---------------------------------------------------------------------------
 
+def _hom_inexact_degree(source: Complex, target: Complex) -> Optional[int]:
+    """The least degree where Hom(source, target) is not exact, or None when
+    it is exact everywhere; computed once per pair of canonical keys."""
+    def compute() -> Optional[int]:
+        hom = hom_complex_data(source, target).complex
+        degrees = () if hom.is_zero() else range(hom.support[0], hom.support[1] + 1)
+        return next((k for k in degrees if not exact_at(hom, (k,))), None)
+
+    return _HOM_EXACT.lookup((source.canonical_key(), target.canonical_key()), compute)
+
+
 def eps1_perp_homotopy(i: Complex, eu: Eps1Universe,
                        keep_witnesses: bool = True) -> Verdict:
     """Every chain map from a shifted universe member into the complex must be
@@ -313,44 +326,40 @@ def eps1_perp_homotopy(i: Complex, eu: Eps1Universe,
     complex's support and the maps from shift(E, -1) are tested in every
     overlapping position s, which holds iff Hom(shift(E, -1 - s), C) is exact
     in degree zero.  That is Hom(E, C) in degree s + 1, with the same blocks
-    and signed differential, so one hom complex per member answers every
-    position.  A nonzero homology whose chain-map group is too large to
-    search for the non-null-homotopic map raises UniverseCapError."""
-    def run() -> Verdict:
-        verdict = Verdict(True, eu.describe() + ", closed under shifts")
-        for e_cx in eu.members:
-            hom = hom_complex_data(e_cx, i).complex
-            base = shift(e_cx, -1)
-            if e_cx.is_zero() or i.is_zero():
-                slides = range(1)
-            else:
-                # a homotopy reaches one degree below the source
-                (blo, bhi), (ilo, ihi) = base.support, i.support
-                slides = range(ilo - bhi, ihi - blo + 2)
-            for s in slides:
-                verdict.checked += 1
-                if exact_at(hom, (s + 1,)):
-                    if keep_witnesses:
-                        verdict.witnesses.append({
-                            "kind": "perp", "member": e_cx,
-                            "position": shift(base, -s).support, "h0_trivial": True,
-                        })
-                    continue
-                src = shift(base, -s)
-                g = _first_non_nullhomotopic(src, i)
-                if g is None:
-                    size = chain_map_group(src, i).module.size()
-                    raise UniverseCapError(
-                        f"no non-null-homotopic chain map found among the {size} chain maps "
-                        f"from {src.describe()} (search cap {_CHAIN_SEARCH_CAP})")
-                verdict.holds = False
-                verdict.counterexample = {"kind": "perp", "member": e_cx, "map": g}
-                return verdict
-        return verdict
-
-    if keep_witnesses:
-        return run()
-    return _VERDICT_CACHE.lookup(("perp", i.canonical_key(), eu.describe()), run)
+    and signed differential.  The slides cover its support and the degree
+    above, so position s fails iff s + 1 is the least degree where Hom(E, C)
+    is not exact (``_hom_inexact_degree``).  A nonzero homology whose
+    chain-map group is too large to search raises UniverseCapError."""
+    verdict = Verdict(True, eu.describe() + ", closed under shifts")
+    for e_cx in eu.members:
+        inexact = _hom_inexact_degree(e_cx, i)
+        base = shift(e_cx, -1)
+        if e_cx.is_zero() or i.is_zero():
+            slides = range(1)
+        else:
+            # a homotopy reaches one degree below the source
+            (blo, bhi), (ilo, ihi) = base.support, i.support
+            slides = range(ilo - bhi, ihi - blo + 2)
+        for s in slides:
+            verdict.checked += 1
+            if s + 1 != inexact:
+                if keep_witnesses:
+                    verdict.witnesses.append({
+                        "kind": "perp", "member": e_cx,
+                        "position": shift(base, -s).support, "h0_trivial": True,
+                    })
+                continue
+            src = shift(base, -s)
+            g = _first_non_nullhomotopic(src, i)
+            if g is None:
+                size = chain_map_group(src, i).module.size()
+                raise UniverseCapError(
+                    f"no non-null-homotopic chain map found among the {size} chain maps "
+                    f"from {src.describe()} (search cap {_CHAIN_SEARCH_CAP})")
+            verdict.holds = False
+            verdict.counterexample = {"kind": "perp", "member": e_cx, "map": g}
+            return verdict
+    return verdict
 
 
 def _first_non_nullhomotopic(src: Complex, tgt: Complex) -> Optional[ChainMap]:
@@ -369,7 +378,8 @@ def _dg_verdict(i: Complex, x: XClassSpec, eu: Eps1Universe,
                 injective: bool) -> Verdict:
     """Component test on every degree, then exactness of the internal hom from
     every universe member into the complex (injective) or from the complex
-    into every member (projective)."""
+    into every member (projective), read from ``_hom_inexact_degree``; the
+    homology is computed only for a counterexample."""
     if mu is None:
         mu = module_universe(i.ring, 8)
     component_test = x_injective_module if injective else x_projective_module
@@ -383,13 +393,13 @@ def _dg_verdict(i: Complex, x: XClassSpec, eu: Eps1Universe,
                                       "inner": comp_verdict.counterexample}
             return verdict
     for e_cx in eu.members:
-        data = hom_complex_data(e_cx, i) if injective else hom_complex_data(i, e_cx)
-        rep = is_exact(data.complex)
+        pair = (e_cx, i) if injective else (i, e_cx)
         verdict.checked += 1
-        if not rep.exact:
+        if _hom_inexact_degree(*pair) is not None:
+            hom = hom_complex_data(*pair).complex
             verdict.holds = False
             verdict.counterexample = {"kind": "hom-not-exact", "member": e_cx,
-                                      "homology": rep.homology}
+                                      "homology": is_exact(hom).homology}
             return verdict
         if keep_witnesses:
             verdict.witnesses.append({"kind": "hom-exact", "member": e_cx})
@@ -426,6 +436,8 @@ def hom_exactness(beta: ModuleMap, theta: ModuleMap, probe: Complex,
     where maps(probe, M) are the chain maps into the degree-zero sphere on M
     and dually.  Hypotheses (the row is exact at B and the stated class
     membership) are verified first; a violation raises HypothesisError.
+    The middle maps are enumerated only up to ``_CHAIN_SEARCH_CAP``; more
+    raise UniverseCapError.
     """
     if beta.target != theta.source:
         raise ValueError("the two maps do not compose")
@@ -449,7 +461,13 @@ def hom_exactness(beta: ModuleMap, theta: ModuleMap, probe: Complex,
     # probe -> sphere(0, B) (left) or sphere(0, B) -> probe (right)
     ends = (probe, sphere(0, beta.target)) if left else (sphere(0, beta.target), probe)
     key, name = ("lift", "u") if left else ("factor", "h")
-    gs = [f.component(0) for f in chain_map_group(*ends).elements()]
+    grp = chain_map_group(*ends)
+    size = grp.module.size()
+    if size is not None and size > _CHAIN_SEARCH_CAP:
+        raise UniverseCapError(
+            f"too many chain maps to enumerate: {size} chain maps from {ends[0].describe()} "
+            f"to {ends[1].describe()} (search cap {_CHAIN_SEARCH_CAP})")
+    gs = [f.component(0) for f in grp.elements()]
     gs = [g for g in gs if (theta.compose(g) if left else g.compose(beta)).is_zero()]
     ms = MapSystem(probe.ring)
     zero_rhs = []     # the right-hand sides after g's, all zero

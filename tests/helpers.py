@@ -86,3 +86,22 @@ def disk_maps(k: int, m: FpModule, y: Complex, into: bool) -> tuple:
             comps = {k: f, k + 1: y.differential(k).compose(f)}
             gens.append(ChainMap(d, y, comps, check=False))
     return gens, hm.module.size()
+
+
+def random_automorphism(rng: random.Random, m: FpModule) -> tuple:
+    """(a, a^-1) for an automorphism a of a finite module drawn by ``rng``
+    from the invertible elements of Hom(m, m)."""
+    hm = hom_module(m, m)
+    isos = [f for f in map(hm.decode, hm.module.elements()) if f.is_mono() and f.is_epi()]
+    a = rng.choice(isos)
+    one = ModuleMap.identity(m)
+    return a, next(b for b in isos if b.compose(a) == one)
+
+
+def twisted_copy(rng: random.Random, c: Complex) -> Complex:
+    """An isomorphic copy of c: each d^k becomes a_{k+1} o d^k o a_k^-1 for
+    random automorphisms a_k of the components."""
+    autos = {k: random_automorphism(rng, c.component(k)) for k in c.degrees()}
+    diffs = {k: autos[k + 1][0].compose(c.differential(k)).compose(autos[k][1])
+             for k in c.degrees() if k + 1 in autos}
+    return Complex(c.ring, {k: c.component(k) for k in c.degrees()}, diffs)

@@ -11,7 +11,9 @@ from homkit.complexes import _CHAIN_GROUP_CACHE, sphere
 from homkit.construct import precover_bounded, verify_precover_factorization
 from homkit.exactalg import Zmod
 from homkit.lifting import (
+    _HOM_EXACT,
     _VERDICT_CACHE,
+    dg_x_injective,
     eps1_perp_homotopy,
     x_injective_complex,
     x_injective_module,
@@ -37,6 +39,7 @@ def sizes() -> dict:
             "eps1 universes": len(_EPS1_UNIVERSES),
             "chain-map groups": len(_CHAIN_GROUP_CACHE),
             "verdicts": len(_VERDICT_CACHE),
+            "hom exactness": len(_HOM_EXACT),
             "hom modules": hom_module.cache_info().currsize,
             "ext modules": ext1_module.cache_info().currsize}
 
@@ -54,7 +57,8 @@ def run() -> list:
     y = sphere(0, Z2)
     verdicts = [x_injective_module(Z2, ALL, u4, keep_witnesses=False),
                 x_injective_complex(y, ALL, cu4),
-                eps1_perp_homotopy(sphere(0, Z4), eu4)]
+                eps1_perp_homotopy(sphere(0, Z4), eu4),
+                dg_x_injective(sphere(0, Z2), ALL, eu4, u4)]
     out = [(v.holds, v.checked, v.universe, digest(v.witnesses),
             digest(v.counterexample), digest(v.extra)) for v in verdicts]
     out.append(ext1_module(Z2, Z2).factors)

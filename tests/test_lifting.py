@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from homkit.exactalg import ZZ, IntMatrix, Zmod
 from homkit.modules import FpModule, MapSystem, ModuleMap, hom_module, kernel
 from homkit.complexes import (
     ChainMap,
+    ComplexError,
     chain_map_group,
     direct_sum_complexes,
     disk,
@@ -304,6 +306,22 @@ class TestHomExactness:
         times4, mod2 = mm(z, z, [[4]]), mm(z, FpModule(ZZ, (2,)), [[1]])
         with pytest.raises(HypothesisError, match="row is not exact at its middle module"):
             hom_exactness(times4, mod2, sphere(0, z), "left", ALL)
+
+    def test_middle_maps_above_the_search_cap_are_refused(self):
+        # 4^9 = 262,144 chain maps sphere(0, (Z/4)^3) -> sphere(0, (Z/4)^3)
+        b = FpModule(R4, (4, 4, 4))
+        beta, theta = ModuleMap.identity(b), ModuleMap.zero(b, FpModule.zero(R4))
+        for side in ("left", "right"):
+            start = time.perf_counter()
+            with pytest.raises(UniverseCapError, match=r"262144 chain maps .*\(search cap 16384\)"):
+                hom_exactness(beta, theta, sphere(0, b), side, ALL)
+            assert time.perf_counter() - start < 1.0
+
+    def test_infinite_middle_group_is_still_a_complex_error(self):
+        z = FpModule.free(ZZ, 1)
+        beta, theta = ModuleMap.zero(FpModule.zero(ZZ), z), ModuleMap.identity(z)
+        with pytest.raises(ComplexError, match="infinite chain map group"):
+            hom_exactness(beta, theta, sphere(0, z), "left", ALL)
 
 
 def old_hom_exactness_loop(beta, theta, probe, side) -> tuple:
