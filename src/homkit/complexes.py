@@ -30,7 +30,6 @@ from .modules import (
     normalize_presentation,
     _scan_maps,
     _solve_in_module,
-    _solve_in_module_columns,
 )
 
 
@@ -748,33 +747,15 @@ def chain_group_image(g_from: ChainMapGroup, g_to: ChainMapGroup, phi: ChainMap,
     On Hom^0 = sum_i Hom(x^i, y^i) the map is block diagonal in the
     degreewise ``hom_precompose`` (``hom_postcompose``) matrices by phi^i,
     applied to the inclusion columns of g_from's cycles: one block-sum
-    product.  It equals g_to's inclusion after ``chain_group_compose``."""
+    product.  It is the restriction between the two groups followed by
+    g_to's injective cycle inclusion, so lifting reads sections and
+    counterexamples off it without solving for the restriction itself."""
     src, tgt = g_from._data.degrees[0], g_to._data.degrees[0]
     compose = hom_precompose if pre else hom_postcompose
     slots = {i: t for t, (i, _) in enumerate(tgt.blocks)}
     blocks = [(s, slots[i], compose(hm, tgt.blocks[slots[i]][1], phi.component(i)).matrix)
               for s, (i, hm) in enumerate(src.blocks) if i in slots]
     return _block_sum(src.sum, tgt.sum, blocks, right=g_from._inclusion)
-
-
-def chain_group_compose(g_from: ChainMapGroup, g_to: ChainMapGroup, phi: ChainMap,
-                        pre: bool) -> ModuleMap:
-    """The map g_from.module -> g_to.module sending f to f o phi (``pre``)
-    or to phi o f, as one matrix.
-
-    The composites of g_from's cycle generators, ``chain_group_image``, are
-    solved against g_to's inclusion with one elimination; each column is
-    the canonical solution ``g_to.encode`` would return.
-    """
-    if g_from._inclusion is None or g_to._inclusion is None:
-        return ModuleMap.zero(g_from.module, g_to.module)
-    image = chain_group_image(g_from, g_to, phi, pre)
-    parts = _solve_in_module_columns(image.target, g_to._inclusion.matrix,
-                                     image.matrix.columns())
-    if any(part is None for part in parts):
-        raise AssertionError("composite escaped the chain-map group")
-    return ModuleMap(g_from.module, g_to.module,
-                     IntMatrix.from_columns(parts, rows=g_to.module.ngens))
 
 
 def chain_maps(a: Complex, b: Complex, cap: int = 100000) -> list:

@@ -5,15 +5,18 @@ that names the universe, carries a re-validatable certificate for every tested
 instance, and on failure reports the enumeration-order-first counterexample.
 
 A lifting test "every f extends along i" (or, dually, "every f lifts through
-q") is decided in one stroke as surjectivity of the induced map between hom
-groups; when that map is onto, the canonical preimages of the hom-group
-generators form the stored certificate, and when it is not, the first hom
-element outside the image is the counterexample.  One driver runs this loop
-for all four checkers (injective or projective, modules or complexes), and
-one confirmer re-checks each counterexample by enumerating its hom group
-when that group has at most ``_MODULE_SEARCH_CAP`` = 2^16 (modules) or
-``_CHAIN_SEARCH_CAP`` = 2^14 (chain maps) elements; larger groups are not
-enumerated.
+q") is decided as surjectivity of the restriction between hom groups, read
+off its image in the target's ambient group (a hom module is its own, a
+chain-map group sits in Hom^0) and the target's inclusion: the sections
+(the certificate) are one solve against the inclusion columns, and the
+counterexample is the first element whose inclusion leaves the image.  Only
+the witness-free onto test depends on the type: hom modules take the rank
+test, which also runs over Z and costs less, and chain-map groups count the
+image order.  One driver runs this for all four checkers (injective or
+projective, modules or complexes), and one confirmer re-checks each
+counterexample by enumerating its hom group when that group has at most
+``_MODULE_SEARCH_CAP`` = 2^16 (modules) or ``_CHAIN_SEARCH_CAP`` = 2^14
+(chain maps) elements.
 """
 from __future__ import annotations
 
@@ -39,7 +42,6 @@ from .complexes import (
     Complex,
     _retraction,
     _row_complex,
-    chain_group_compose,
     chain_group_image,
     chain_map_group,
     exact_at,
@@ -90,75 +92,55 @@ _CHAIN_SEARCH_CAP = 1 << 14
 # The lifting driver
 # ---------------------------------------------------------------------------
 
-def _hom_groups(phi, obj, injective: bool, hom: Callable) -> tuple:
-    """(Hom(B, obj), Hom(A, obj)) for phi: A -> B when ``injective``, else
-    (Hom(obj, A), Hom(obj, B)): the source and target of the map a lifting
-    test needs to be onto."""
-    return (hom(phi.target, obj), hom(phi.source, obj)) if injective \
-        else (hom(obj, phi.source), hom(obj, phi.target))
-
-
-def _induced_restriction(phi, obj, injective: bool, hom: Callable) -> tuple:
-    """The map a lifting test needs to be onto, for phi: A -> B:
+def _restriction_image(phi, obj, injective: bool, hom: Callable) -> tuple:
+    """(source group, target group, image, inclusion) of the restriction a
+    lifting test needs to be onto, for phi: A -> B:
 
     injective:  Hom(B, obj) -> Hom(A, obj), f -> f o phi
     otherwise:  Hom(obj, A) -> Hom(obj, B), f -> phi o f
 
-    Returns (map, source group, target group, f -> image of f).  For
-    modules the map is the memoised ``hom_precompose`` (``hom_postcompose``)
-    matrix; for complexes ``chain_group_compose`` assembles it from those
-    matrices degree by degree, with one elimination for all generators."""
-    grp_from, grp_to = _hom_groups(phi, obj, injective, hom)
-    fn = (lambda f: f.compose(phi)) if injective else phi.compose
+    ``image`` is the restriction followed by the target's ``inclusion``: the
+    memoised ``hom_precompose`` (``hom_postcompose``) matrix for hom
+    modules, ``chain_group_image`` (zero without source cycles) for
+    chain-map groups; both are None when the target group is zero."""
+    grp_from, grp_to = (hom(phi.target, obj), hom(phi.source, obj)) if injective \
+        else (hom(obj, phi.source), hom(obj, phi.target))
+    if grp_to.module.is_zero():
+        return grp_from, grp_to, None, None
     if isinstance(phi, ModuleMap):
-        restr = (hom_precompose if injective else hom_postcompose)(grp_from, grp_to, phi)
+        image = (hom_precompose if injective else hom_postcompose)(grp_from, grp_to, phi)
+    elif grp_from._inclusion is None:
+        image = ModuleMap.zero(grp_from.module, grp_to._inclusion.target)
     else:
-        restr = chain_group_compose(grp_from, grp_to, phi, pre=injective)
-    return restr, grp_from, grp_to, fn
+        image = chain_group_image(grp_from, grp_to, phi, injective)
+    return grp_from, grp_to, image, grp_to._inclusion
 
 
-def _first_outside_image(proj: ModuleMap) -> tuple:
-    """First element of a map's target group (in enumeration order) outside
-    its image, given the projection onto its nonzero cokernel: an element
-    lies outside the image iff it projects to a nonzero class."""
+def _first_outside_image(image: ModuleMap, inclusion: ModuleMap) -> tuple:
+    """First target-group element (in enumeration order) outside the
+    restriction's image: as the image factors through the injective
+    inclusion, the first whose inclusion projects to a nonzero class."""
+    proj = cokernel(image)[1].compose(inclusion)
     return next(elem for elem in proj.source.elements() if any(proj.apply(elem)))
 
 
-def _section_certificate(restr: ModuleMap):
-    """Canonical preimages of the target generators (the lift data) of a
-    restriction matrix."""
-    n = restr.target.ngens
-    units = [[1 if r == g else 0 for r in range(n)] for g in range(n)]
-    return _solve_in_module_columns(restr.target, restr.matrix, units)
-
-
 def _onto(phi, obj, injective: bool, hom: Callable, keep_witnesses: bool) -> tuple:
-    """(whether the map of ``_induced_restriction`` is onto, the canonical
-    preimages of its target group's generators when ``keep_witnesses``).
-
-    Modules read that map: the section solve, or the rank test (over Z, the
-    cokernel).  Chain-map groups never build it (complex universes are over
-    Z/n only): its composite with the target group's cycle inclusion is
-    ``chain_group_image``, and as the inclusion is injective, image @ s =
-    inclusion column g has the solutions of restriction @ s = generator g,
-    so one elimination gives the same canonical sections, and without
-    witnesses onto is the count |im| == |target group|."""
-    if isinstance(phi, ModuleMap):
-        restr = _induced_restriction(phi, obj, injective, hom)[0]
-        if not keep_witnesses:
-            return restr.is_epi(), None
-        sections = _section_certificate(restr)
-        return None not in sections, sections
-    grp_from, grp_to = _hom_groups(phi, obj, injective, hom)
-    if grp_to.module.is_zero():
+    """(whether the restriction of ``_restriction_image`` is onto, the
+    canonical preimages of its target group's generators when
+    ``keep_witnesses``): as the inclusion is injective, image @ s =
+    inclusion column g has the solutions of restriction @ s = generator g.
+    Without witnesses hom modules take ``is_epi``, the one test that also
+    runs over Z and the cheaper one, and chain-map groups (over Z/n only)
+    compare the image order with the target group's."""
+    _, grp_to, image, inclusion = _restriction_image(phi, obj, injective, hom)
+    if image is None:
         return True, []
-    if grp_from._inclusion is None:
-        return False, None
-    image = chain_group_image(grp_from, grp_to, phi, injective)
     if not keep_witnesses:
-        return image_order(image) == grp_to.module.size(), None
+        onto = image.is_epi() if isinstance(phi, ModuleMap) \
+            else image_order(image) == grp_to.module.size()
+        return onto, None
     sections = _solve_in_module_columns(image.target, image.matrix,
-                                        grp_to._inclusion.matrix.columns())
+                                        inclusion.matrix.columns())
     return None not in sections, sections
 
 
@@ -182,13 +164,13 @@ def _lifting_verdict(obj, x: XClassSpec, u, pool: Callable, injective: bool,
     ``pool()`` yields the universe maps phi (injections when ``injective``,
     else surjections) with their cokernels (kernels), and the loop reads it
     only up to the first counterexample; those whose cokernel
-    (kernel) passes ``member`` are tested by whether the map of
-    ``_induced_restriction`` is onto, decided by ``_onto``: by one section
-    solve when witnesses are kept (its columns are the witness), else by
-    counting.  The restriction matrix and its cokernel are built only to
-    find a counterexample.  ``level`` ("module" or "complex") names the
-    certificates, ``cap`` bounds the re-confirmation, and ``finish`` may add
-    to the verdict before it is cached.
+    (kernel) passes ``member`` are tested by whether the restriction of
+    ``_restriction_image`` is onto, decided by ``_onto``: by one section
+    solve when witnesses are kept (its columns are the witness), else by a
+    rank or order test.  A cokernel is taken only to find a counterexample.
+    ``level`` ("module" or "complex") names the certificates, ``cap`` bounds
+    the re-confirmation, and ``finish`` may add to the verdict before it is
+    cached.
     """
     side, role, part = ("extension", "mono", "cokernel") if injective \
         else ("lift", "epi", "kernel")
@@ -206,9 +188,9 @@ def _lifting_verdict(obj, x: XClassSpec, u, pool: Callable, injective: bool,
                     verdict.witnesses.append({"kind": kind, role: phi, part: quotient,
                                               "section": sections})
                 continue
-            restr, grp_from, grp_to, fn = _induced_restriction(phi, obj, injective, hom)
-            _, proj = cokernel(restr)
-            f = grp_to.decode(_first_outside_image(proj))
+            grp_from, grp_to, image, inclusion = _restriction_image(phi, obj, injective, hom)
+            f = grp_to.decode(_first_outside_image(image, inclusion))
+            fn = (lambda g: g.compose(phi)) if injective else phi.compose
             _confirm_no_preimage(grp_from, fn, f, cap)
             verdict.holds = False
             verdict.counterexample = {"kind": kind, role: phi, "map": f}

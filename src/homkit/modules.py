@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from typing import Iterator, Optional, Sequence
 
@@ -562,6 +562,11 @@ class HomModule:
         """``_scan_maps`` of this group, in degree 0."""
         return _scan_maps(self.module, lambda elem: {0: self._rows(elem)},
                           [(0, self.source.ngens, self.target.factors)])
+
+    @cached_property
+    def _inclusion(self) -> "ModuleMap":
+        """The group's embedding in its ambient group: itself, by the identity."""
+        return ModuleMap.identity(self.module)
 
 
 def _scan_maps(module: FpModule, rows, shapes: list) -> Iterator[tuple]:

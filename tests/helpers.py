@@ -13,6 +13,9 @@ from homkit import (
     disk,
     hom_module,
 )
+from homkit.complexes import chain_group_image
+from homkit.exactalg import IntMatrix
+from homkit.modules import _solve_in_module_columns, hom_postcompose, hom_precompose
 
 
 def small_modules(ring: RingSpec, max_size: int) -> list:
@@ -105,3 +108,59 @@ def twisted_copy(rng: random.Random, c: Complex) -> Complex:
     diffs = {k: autos[k + 1][0].compose(c.differential(k)).compose(autos[k][1])
              for k in c.degrees() if k + 1 in autos}
     return Complex(c.ring, {k: c.component(k) for k in c.degrees()}, diffs)
+
+
+# ---------------------------------------------------------------------------
+# The per-type lifting path, kept as a test-only oracle: the restriction
+# between hom groups as its own matrix, its sections and its first element
+# outside the image
+# ---------------------------------------------------------------------------
+
+def chain_group_compose(g_from, g_to, phi: ChainMap, pre: bool) -> ModuleMap:
+    """The map g_from.module -> g_to.module sending f to f o phi (``pre``)
+    or to phi o f, as one matrix: the composites of g_from's cycle
+    generators, ``chain_group_image``, solved against g_to's inclusion with
+    one elimination; each column is the canonical solution ``g_to.encode``
+    would return."""
+    if g_from._inclusion is None or g_to._inclusion is None:
+        return ModuleMap.zero(g_from.module, g_to.module)
+    image = chain_group_image(g_from, g_to, phi, pre)
+    parts = _solve_in_module_columns(image.target, g_to._inclusion.matrix,
+                                     image.matrix.columns())
+    if any(part is None for part in parts):
+        raise AssertionError("composite escaped the chain-map group")
+    return ModuleMap(g_from.module, g_to.module,
+                     IntMatrix.from_columns(parts, rows=g_to.module.ngens))
+
+
+def induced_restriction(phi, obj, injective: bool, hom) -> tuple:
+    """The map a lifting test needs to be onto, for phi: A -> B:
+
+    injective:  Hom(B, obj) -> Hom(A, obj), f -> f o phi
+    otherwise:  Hom(obj, A) -> Hom(obj, B), f -> phi o f
+
+    Returns (map, source group, target group, f -> image of f).  For
+    modules the map is the memoised ``hom_precompose`` (``hom_postcompose``)
+    matrix; for complexes ``chain_group_compose``."""
+    grp_from, grp_to = (hom(phi.target, obj), hom(phi.source, obj)) if injective \
+        else (hom(obj, phi.source), hom(obj, phi.target))
+    fn = (lambda f: f.compose(phi)) if injective else phi.compose
+    if isinstance(phi, ModuleMap):
+        restr = (hom_precompose if injective else hom_postcompose)(grp_from, grp_to, phi)
+    else:
+        restr = chain_group_compose(grp_from, grp_to, phi, pre=injective)
+    return restr, grp_from, grp_to, fn
+
+
+def section_certificate(restr: ModuleMap) -> list:
+    """Canonical preimages of the target generators (the lift data) of a
+    restriction matrix."""
+    n = restr.target.ngens
+    units = [[1 if r == g else 0 for r in range(n)] for g in range(n)]
+    return _solve_in_module_columns(restr.target, restr.matrix, units)
+
+
+def first_outside_image(proj: ModuleMap) -> tuple:
+    """First element of a map's target group (in enumeration order) outside
+    its image, given the projection onto its nonzero cokernel."""
+    return next(elem for elem in proj.source.elements() if any(proj.apply(elem)))

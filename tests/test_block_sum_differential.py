@@ -1,13 +1,14 @@
 """Block assembly and the lifting driver against the paths they replace.
 
 ``complexes._block_sum`` computes a hom-complex differential, or with a right
-factor a chain-group composition, as one product Inj @ Big @ Proj, and
-``lifting._lifting_verdict`` decides whether the induced map is onto by the
-section solve (with witnesses) or the rank test, taking the cokernel only for
-a counterexample.  The oracles are the old paths, kept only as tests: the sum
-of injection @ block @ projection over the blocks, composed with the cycle
-inclusion as a second map, and the lifting loop that takes the cokernel of
-every tested map first.  Matrices must agree bit for bit, and verdicts in
+factor the image of a chain-group restriction in Hom^0, as one product
+Inj @ Big @ Proj, and ``lifting._lifting_verdict`` decides whether the
+induced map is onto by the section solve (with witnesses) or the rank or
+order test, taking a cokernel only for a counterexample.  The oracles are the
+old paths, kept only as tests: the sum of injection @ block @ projection over
+the blocks, composed with the cycle inclusion as a second map, and the
+lifting loop that builds the restriction matrix of every tested map
+(``tests/helpers.induced_restriction``) and takes its cokernel first.  Matrices must agree bit for bit, and verdicts in
 ``holds``, ``checked``, witnesses (sections included) and counterexample.
 """
 from __future__ import annotations
@@ -15,17 +16,13 @@ from __future__ import annotations
 import pytest
 
 from homkit import complexes, lifting
-from homkit.complexes import (
-    chain_group_compose,
-    chain_map_group,
-    disk,
-    hom_complex_data,
-    sphere,
-)
+from homkit.complexes import chain_map_group, disk, hom_complex_data, sphere
 from homkit.exactalg import ZZ, IntMatrix, Zmod
 from homkit.modules import FpModule, ModuleMap, _solve_in_module_columns, cokernel, kernel
 from homkit.xclass import ALL, ann, default_complex_universe, module_universe
 
+from .helpers import chain_group_compose, first_outside_image, induced_restriction, \
+    section_certificate
 from .test_pool_differential import UNIVERSES, fresh_universe
 
 
@@ -62,15 +59,15 @@ def old_lifting_verdict(obj, x, u, pool, injective, keep_witnesses, *, level, ho
     for phi, quotient in pool():
         if not member(x, quotient):
             continue
-        restr, grp_from, grp_to, fn = lifting._induced_restriction(phi, obj, injective, hom)
+        restr, grp_from, grp_to, fn = induced_restriction(phi, obj, injective, hom)
         verdict.checked += 1
         cok, proj = cokernel(restr)
         if cok.is_zero():
             if keep_witnesses:
                 verdict.witnesses.append({"kind": kind, role: phi, part: quotient,
-                                          "section": lifting._section_certificate(restr)})
+                                          "section": section_certificate(restr)})
             continue
-        f = grp_to.decode(lifting._first_outside_image(proj))
+        f = grp_to.decode(first_outside_image(proj))
         lifting._confirm_no_preimage(grp_from, fn, f, cap)
         verdict.holds = False
         verdict.counterexample = {"kind": kind, role: phi, "map": f}

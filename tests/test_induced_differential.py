@@ -1,13 +1,16 @@
 """Induced maps between hom groups against the loop they replace.
 
 A lifting test needs the map f -> f o phi (injective side) or f -> phi o f
-(projective side) between hom groups.  Between chain-map groups it is now one
-matrix assembled from memoised degreewise ``hom_precompose`` /
-``hom_postcompose`` matrices, solved against the target group's inclusion
-with one elimination; between hom modules it is the memoised composition
-matrix.  The oracle is the old element-by-element ``_induced``, kept only as
-a test: decode each generator, compose, encode.  Both must give the same
-matrix bit for bit on every (pool map, universe member) pair.
+(projective side) between hom groups.  ``lifting._restriction_image`` gives
+it followed by the target group's inclusion into its ambient: between
+chain-map groups one matrix into Hom^0 (``chain_group_image``) assembled from
+memoised degreewise ``hom_precompose`` / ``hom_postcompose`` matrices, and
+between hom modules the memoised composition matrix itself (the inclusion is
+the identity).  The oracle is the old element-by-element ``_induced``, kept
+only as a test: decode each generator, compose, encode.  The image must equal
+the inclusion after the oracle bit for bit, and so must the test-only
+restriction matrix of ``tests/helpers.induced_restriction``, on every
+(pool map, universe member) pair.
 
 Every pair of the four complex universes is 181,808 pairs, about three
 minutes, so the Z/4, Z/6 and Z/8 universes meet every pool map with every
@@ -18,11 +21,13 @@ from __future__ import annotations
 
 import pytest
 
-from homkit.complexes import ChainMap, chain_group_compose, chain_map_group, disk
+from homkit.complexes import ChainMap, chain_map_group, disk
 from homkit.exactalg import IntMatrix, Zmod
-from homkit.lifting import _induced_restriction
-from homkit.modules import FpModule, ModuleMap, hom_module
+from homkit.lifting import _restriction_image
+from homkit.modules import FpModule, ModuleMap, hom_module, hom_postcompose, hom_precompose
 from homkit.xclass import ComplexUniverse, ModuleUniverse
+
+from .helpers import chain_group_compose, induced_restriction
 
 # (modulus, disk bound, member stride): the universes of
 # tests/test_pool_differential.py
@@ -48,6 +53,17 @@ def assert_identical(got: ModuleMap, want: ModuleMap) -> None:
     assert got.matrix == want.matrix
 
 
+def assert_image_is_included(parts: tuple, want: ModuleMap) -> None:
+    """``lifting._restriction_image``'s image is its inclusion after the
+    oracle's restriction; a zero target group has neither."""
+    grp_from, grp_to, image, inclusion = parts
+    if image is None:
+        assert grp_to.module.is_zero() and inclusion is None
+        return
+    assert inclusion.source == grp_to.module
+    assert_identical(image, inclusion.compose(want))
+
+
 def pairs(pool: list, members: list, stride: int):
     for idx, (phi, _) in enumerate(pool):
         for c in members[idx % stride::stride]:
@@ -62,8 +78,10 @@ def test_chain_group_induced_matches_oracle(n, disk_bound, stride, injective):
     pool = cu.mono_pool() if injective else cu.epi_pool()
     checked = nonzero = 0
     for phi, c in pairs(pool, cu.members, stride):
-        restr, grp_from, grp_to, fn = _induced_restriction(phi, c, injective, chain_map_group)
-        assert_identical(restr, oracle_induced(grp_from, grp_to, fn))
+        restr, grp_from, grp_to, fn = induced_restriction(phi, c, injective, chain_map_group)
+        want = oracle_induced(grp_from, grp_to, fn)
+        assert_identical(restr, want)
+        assert_image_is_included(_restriction_image(phi, c, injective, chain_map_group), want)
         checked += 1
         nonzero += not restr.is_zero()
     assert checked >= len(pool) and nonzero
@@ -79,8 +97,12 @@ def test_hom_module_induced_matches_oracle(n, bound, injective):
         for c in u.members:
             # the second call reads the memoised matrix
             for _ in range(2):
-                restr, grp_from, grp_to, fn = _induced_restriction(phi, c, injective, hom_module)
-                assert_identical(restr, oracle_induced(grp_from, grp_to, fn))
+                restr, grp_from, grp_to, fn = induced_restriction(phi, c, injective, hom_module)
+                want = oracle_induced(grp_from, grp_to, fn)
+                assert_identical(restr, want)
+                compose = hom_precompose if injective else hom_postcompose
+                assert_identical(compose(grp_from, grp_to, phi), want)
+                assert_image_is_included(_restriction_image(phi, c, injective, hom_module), want)
             nonzero += not restr.is_zero()
     assert nonzero
 

@@ -7,17 +7,24 @@ random automorphisms a_k.  The witness-free verdicts of the five complex
 checkers must agree on ``holds`` and ``checked`` across the copies, and a
 counterexample must name the same universe map, exactness member or
 component degree.  This guards every memo keyed by a canonical key: an
-isomorphic copy has a different key, so it is computed afresh.
+isomorphic copy has a different key, so it is computed afresh.  The same
+holds at the command line: ``homkit check`` on a document and on two
+twisted copies of it exits alike and reports the same ``checked`` and the
+same counterexample kind and degree.
 """
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from homkit import clear_caches
+from homkit.cli import complex_to_doc, main
 from homkit.complexes import Complex
-from homkit.exactalg import Zmod
+from homkit.construct import fixture_injective_components_not_injective_complex
+from homkit.exactalg import IntMatrix, Zmod
+from homkit.modules import FpModule, ModuleMap
 from homkit.lifting import (
     dg_x_injective,
     dg_x_projective,
@@ -81,3 +88,47 @@ def test_verdicts_are_invariant_under_twisted_copies(n):
     # fail on these inputs
     assert twisted
     assert ("x-injective", True) in outcomes and ("x-injective", False) in outcomes
+
+
+CLI_KINDS = ("x-injective", "x-projective", "eps1-perp", "dg-injective", "dg-projective")
+
+
+def two_degree(n: int, m0: tuple, m1: tuple, rows: list) -> Complex:
+    ring = Zmod(n)
+    a, b = FpModule(ring, m0), FpModule(ring, m1)
+    return Complex(ring, {0: a, 1: b}, {0: ModuleMap(a, b, IntMatrix.from_rows(rows))})
+
+
+def cli_outcome(kind: str, c: Complex, path, capsys) -> tuple:
+    """(exit code, checked, counterexample kind, counterexample degree) of
+    ``homkit check kind`` on the document of c."""
+    path.write_text(json.dumps(complex_to_doc(c)))
+    capsys.readouterr()
+    code = main(["check", kind, str(path)])
+    report = json.loads(capsys.readouterr().out)
+    counterexample = report.get("counterexample") or {}
+    return code, report["checked"], counterexample.get("kind"), counterexample.get("degree")
+
+
+def test_cli_checks_are_invariant_under_twisted_copies(tmp_path, capsys):
+    complexes = [
+        two_degree(4, (2,), (2, 2), [[0], [1]]),
+        two_degree(4, (2, 2), (4,), [[0, 2]]),
+        fixture_injective_components_not_injective_complex(),
+        two_degree(6, (2,), (2, 2), [[0], [1]]),
+        two_degree(6, (2, 2), (2,), [[0, 1]]),
+        two_degree(6, (3,), (3,), [[2]]),
+    ]
+    rng = random.Random(0)
+    codes, twisted = set(), 0
+    for c in complexes:
+        copies = [twisted_copy(rng, c) for _ in range(2)]
+        twisted += sum(copy.canonical_key() != c.canonical_key() for copy in copies)
+        for kind in CLI_KINDS:
+            first = cli_outcome(kind, c, tmp_path / "input.json", capsys)
+            codes.add(first[0])
+            for copy in copies:
+                assert cli_outcome(kind, copy, tmp_path / "copy.json", capsys) == first, \
+                    (kind, c, copy)
+    # some copies differ from their complex, and checks both pass and fail
+    assert twisted and codes == {0, 1}
