@@ -104,11 +104,16 @@ def complex_to_doc(c: Complex) -> dict:
     return doc
 
 
-def _parse_degree(key) -> int:
+def _parse_degree(key, seen: dict) -> int:
+    """The degree a key names; a key that is not a decimal integer, or one
+    naming a degree already in ``seen`` ("0" after "00"), is a DocumentError."""
     try:
-        return int(key)
+        k = int(key)
     except (TypeError, ValueError):
         raise DocumentError(f"degree key {key!r} is not a decimal integer")
+    if k in seen:
+        raise DocumentError(f"degree key {key!r} names degree {k} a second time")
+    return k
 
 
 def _matrix_from_doc(rows, cols: int, what: str) -> IntMatrix:
@@ -132,7 +137,7 @@ def complex_from_doc(doc, check: bool = True) -> Complex:
         raise DocumentError("'modules' must map degrees to factor lists")
     comps = {}
     for key, factors in modules_doc.items():
-        k = _parse_degree(key)
+        k = _parse_degree(key, comps)
         if not isinstance(factors, list) or not all(isinstance(d, int) for d in factors):
             raise DocumentError(f"factor list at degree {k} must be a list of integers")
         comps[k] = FpModule(ring, tuple(factors))
@@ -145,7 +150,7 @@ def complex_from_doc(doc, check: bool = True) -> Complex:
         raise DocumentError("'diff' must map degrees to matrices")
     diffs = {}
     for key, rows in diffs_doc.items():
-        k = _parse_degree(key)
+        k = _parse_degree(key, diffs)
         src = comps.get(k, FpModule.zero(ring))
         tgt = comps.get(k + 1, FpModule.zero(ring))
         mat = _matrix_from_doc(rows, src.ngens, f"matrix at degree {k}")
@@ -180,7 +185,7 @@ def chain_map_from_doc(doc, check: bool = True) -> ChainMap:
         raise DocumentError("'map' must map degrees to matrices")
     comps = {}
     for key, rows in maps_doc.items():
-        k = _parse_degree(key)
+        k = _parse_degree(key, comps)
         src = source.component(k)
         tgt = target.component(k)
         mat = _matrix_from_doc(rows, src.ngens, f"chain map matrix at degree {k}")
@@ -242,24 +247,29 @@ def _emit(report: dict) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key it repeats is a DocumentError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DocumentError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str):
-    """The parsed document; an unreadable file, bytes that are not UTF-8 and
-    malformed JSON are a DocumentError."""
+    """The parsed document; an unreadable file, bytes that are not UTF-8,
+    malformed JSON and an object that repeats a key are a DocumentError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DocumentError(str(exc)) from None
 
 
 def cmd_validate(args) -> int:
     try:
-        doc = _load_json(args.input)
-    except DocumentError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        c = complex_from_doc(doc, check=False)
+        c = complex_from_doc(_load_json(args.input), check=False)
     except DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,8 @@ The preenvelope construction mirrors this on the injective side with
 
 Every build is re-verified from scratch before being returned: exactness,
 degreewise surjectivity (injectivity), kernel (cokernel) class membership,
-and the factorization property against the enumerated competitor family.
+and the factorization property against the disk competitors: one onto test
+each, and the first map outside the image named for a competitor that fails.
 """
 from __future__ import annotations
 
@@ -65,7 +66,9 @@ from .xclass import (
 )
 from .lifting import (
     Verdict,
+    _first_outside_image,
     _onto,
+    _restriction_image,
     x_injective_complex,
     x_injective_module,
     x_projective_module,
@@ -460,63 +463,22 @@ def injective_competitors(ring, x: XClassSpec, u: ModuleUniverse, degrees) -> li
     return _competitors(x, u, degrees, injective=True)
 
 
-def _factorization_check(built: Complex, cmap: ChainMap, y: Complex, comp: Complex,
-                         injective: bool):
-    """The test of maps h between y and one competitor: the returned function
-    takes a list of such maps and gives the failure message of the first one
-    that does not factor through cmap, or None when all do.  One map system
-    serves every h; only its right-hand sides change."""
-    name = _side_words(injective)[1]
-    src, tgt = (built, comp) if injective else (comp, built)   # g runs src -> tgt
-    ms = MapSystem(y.ring)
-    names = {k: ms.unknown(f"g{k}", src.component(k), tgt.component(k))
-             for k in comp.degrees() if not built.component(k).is_zero()}
-    vanishing = [k for k in comp.degrees() if k not in names]
-    slots = []        # per equation, the degree of h on its right-hand side
-    for k in names:
-        left, right = (None, cmap.component(k)) if injective else (cmap.component(k), None)
-        space = (y.component(k), comp.component(k)) if injective \
-            else (comp.component(k), y.component(k))
-        ms.equation([(left, names[k], right, 1)], None, space)
-        slots.append(k)
-        if (k + 1) in names:
-            ms.equation([(None, names[k + 1], src.differential(k), 1),
-                         (tgt.differential(k), names[k], None, -1)],
-                        None, (src.component(k), tgt.component(k + 1)))
-            slots.append(None)
-
-    def first_failure(hs: list) -> Optional[str]:
-        possible = [all(h.component(k).is_zero() for k in vanishing) for h in hs]
-        sols = iter(ms.solve_each([[h.component(k) if k is not None else None for k in slots]
-                                   for h, ok in zip(hs, possible) if ok]))
-        for ok in possible:
-            if not ok:
-                return f"factorization impossible: {name} vanishes where the map does not"
-            if next(sols) is None:
-                return (f"map into {comp.describe()} does not factor through the envelope"
-                        if injective else
-                        f"competitor map from {comp.describe()} does not factor through the cover")
-        return None
-
-    return first_failure
-
-
 def _verify_factorization(built: Complex, cmap: ChainMap, y: Complex, x: XClassSpec,
                           u: ModuleUniverse, injective: bool) -> int:
     """Check that every chain map h from a projective competitor into y
     factors as cmap o g through the precover, or dually that every h from y
     into an injective competitor factors as g o cmap through the preenvelope;
-    returns the number of maps this certifies, the sum of the competitors'
+    returns the number of maps certified, the sum of the competitors'
     chain-map group orders.
 
     By the disk adjunction, chain maps D^k(m) -> Y are Hom(m, Y^k) and chain
     maps Y -> D^k(m) are Hom(Y^{k+1}, m), naturally in Y.  So once built is
-    checked to be a complex and cmap a chain map from it to y (from y to
-    it), every h of the competitor D^k(m) factors iff Hom(m, P^k) ->
-    Hom(m, Y^k), g -> cmap^k o g, is onto (Hom(E^{k+1}, m) -> Hom(Y^{k+1},
-    m), u -> u o cmap^{k+1}): one ``lifting._onto`` test per competitor.  A
-    competitor that fails it, or whose group is infinite, is checked element
-    by element on its disk, which names the first map that does not factor."""
+    checked to be a complex and cmap a chain map, every h of D^k(m) factors
+    iff g -> cmap^k o g, Hom(m, P^k) -> Hom(m, Y^k), is onto (u -> u o
+    cmap^{k+1}, Hom(E^{k+1}, m) -> Hom(Y^{k+1}, m)): one ``lifting._onto``
+    test per competitor.  The first competitor that fails it raises
+    BuildError for the first h outside the image of the chain-map
+    restriction, read off its cokernel (``lifting._first_outside_image``)."""
     name = _side_words(injective)[1]
     _check_chain_data(built, cmap, name)
     if (cmap.source, cmap.target) != ((y, built) if injective else (built, y)):
@@ -529,39 +491,36 @@ def _verify_factorization(built: Complex, cmap: ChainMap, y: Complex, x: XClassS
     for m in _passing(nonzero, x, u, injective):
         for k in range(lo - 1, hi + 1):
             deg = k + 1 if injective else k
-            hm = hom_module(y.component(deg), m) if injective else hom_module(m, y.component(deg))
-            order = hm.module.size()
-            if order is not None and _onto(cmap.component(deg), m, injective, hom_module, False)[0]:
-                tested += order
+            if _onto(cmap.component(deg), m, injective, hom_module, False)[0]:
+                hm = hom_module(y.component(deg), m) if injective else hom_module(m, y.component(deg))
+                tested += hm.module.size()
                 continue
             comp = disk(k, m)
-            first_failure = _factorization_check(built, cmap, y, comp, injective)
-            group = chain_map_group(y, comp) if injective else chain_map_group(comp, y)
-            for h in group.elements():
-                tested += 1
-                failure = first_failure([h])
-                if failure is not None:
-                    raise BuildError(failure)
+            _, grp, image, inclusion = _restriction_image(cmap, comp, injective, chain_map_group)
+            h = grp.decode(_first_outside_image(image, inclusion))
+            if any(built.component(j).is_zero() and not h.component(j).is_zero()
+                   for j in comp.degrees()):
+                raise BuildError(f"factorization impossible: {name} vanishes where the map does not")
+            side = "map into" if injective else "competitor map from"
+            raise BuildError(f"{side} {comp.describe()} does not factor through the {name}")
     return tested
 
 
 def verify_precover_factorization(result: PrecoverResult, y: Complex, x: XClassSpec,
                                   u: ModuleUniverse) -> int:
     """Check that every chain map from a disk competitor into y factors
-    through the cover, by one onto test of the module restriction map per
-    competitor (the disk adjunction); returns the sum of the competitors'
-    group orders, the number of maps certified.  BuildError when the result
-    is not a chain map into y or a map does not factor."""
+    through the cover (``_verify_factorization``); returns the number of maps
+    certified.  BuildError when the result is not a chain map into y or a map
+    does not factor."""
     return _verify_factorization(result.cover, result.map, y, x, u, injective=False)
 
 
 def verify_preenvelope_factorization(result: PreenvelopeResult, y: Complex,
                                      x: XClassSpec, u: ModuleUniverse) -> int:
     """Check that every chain map from y into a disk competitor factors
-    through the preenvelope, by one onto test of the module restriction map
-    per competitor (the disk adjunction); returns the sum of the
-    competitors' group orders, the number of maps certified.  BuildError
-    when the result is not a chain map out of y or a map does not factor."""
+    through the preenvelope (``_verify_factorization``); returns the number of
+    maps certified.  BuildError when the result is not a chain map out of y or
+    a map does not factor."""
     return _verify_factorization(result.env, result.map, y, x, u, injective=True)
 
 

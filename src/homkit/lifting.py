@@ -116,12 +116,13 @@ def _restriction_image(phi, obj, injective: bool, hom: Callable) -> tuple:
     return grp_from, grp_to, image, grp_to._inclusion
 
 
-def _first_outside_image(image: ModuleMap, inclusion: ModuleMap) -> tuple:
-    """First target-group element (in enumeration order) outside the
-    restriction's image: as the image factors through the injective
-    inclusion, the first whose inclusion projects to a nonzero class."""
+def _first_outside_image(image: ModuleMap, inclusion: ModuleMap) -> Optional[tuple]:
+    """First element (in enumeration order) of the group the injective
+    ``inclusion`` embeds whose inclusion leaves ``image``, a map into the same
+    ambient: the first that projects to a nonzero class of the image's
+    cokernel.  None when every element lies in the image."""
     proj = cokernel(image)[1].compose(inclusion)
-    return next(elem for elem in proj.source.elements() if any(proj.apply(elem)))
+    return next((elem for elem in proj.source.elements() if any(proj.apply(elem))), None)
 
 
 def _onto(phi, obj, injective: bool, hom: Callable, keep_witnesses: bool) -> tuple:
@@ -310,8 +311,10 @@ def eps1_perp_homotopy(i: Complex, eu: Eps1Universe,
     in degree zero.  That is Hom(E, C) in degree s + 1, with the same blocks
     and signed differential.  The slides cover its support and the degree
     above, so position s fails iff s + 1 is the least degree where Hom(E, C)
-    is not exact (``_hom_inexact_degree``).  A nonzero homology whose
-    chain-map group is too large to search raises UniverseCapError."""
+    is not exact (``_hom_inexact_degree``).  The counterexample is then the
+    first chain map outside the image of the hom complex's d^{-1}, the
+    null-homotopic maps (``_first_non_nullhomotopic``); a nonzero homology
+    whose chain-map group is too large to search raises UniverseCapError."""
     verdict = Verdict(True, eu.describe() + ", closed under shifts")
     for e_cx in eu.members:
         inexact = _hom_inexact_degree(e_cx, i)
@@ -345,14 +348,19 @@ def eps1_perp_homotopy(i: Complex, eu: Eps1Universe,
 
 
 def _first_non_nullhomotopic(src: Complex, tgt: Complex) -> Optional[ChainMap]:
+    """The first chain map src -> tgt outside the image of d^{-1}: s -> d o s
+    + s o d of Hom(src, tgt), the null-homotopic maps, confirmed by one solve;
+    None when there is none or more than ``_CHAIN_SEARCH_CAP`` chain maps."""
     grp = chain_map_group(src, tgt)
     size = grp.module.size()
-    if size is None or size > _CHAIN_SEARCH_CAP:
+    if size is None or size > _CHAIN_SEARCH_CAP or grp._inclusion is None:
         return None
-    for g in grp.elements():
-        if null_homotopy(g) is None:
-            return g
-    return None
+    boundaries = hom_complex_data(src, tgt, degrees=(-1, 0)).complex.differential(-1)
+    elem = _first_outside_image(boundaries, grp._inclusion)
+    g = None if elem is None else grp.decode(elem)
+    if g is not None and null_homotopy(g) is not None:
+        raise AssertionError("counterexample refuted by a null-homotopy")
+    return g
 
 
 def _dg_verdict(i: Complex, x: XClassSpec, eu: Eps1Universe,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 from homkit import (
     ChainMap,
@@ -13,9 +14,11 @@ from homkit import (
     disk,
     hom_module,
 )
-from homkit.complexes import chain_group_image
+from homkit.complexes import chain_group_image, null_homotopy
+from homkit.construct import _side_words
 from homkit.exactalg import IntMatrix
-from homkit.modules import _solve_in_module_columns, hom_postcompose, hom_precompose
+from homkit.lifting import _CHAIN_SEARCH_CAP
+from homkit.modules import MapSystem, _solve_in_module_columns, hom_postcompose, hom_precompose
 
 
 def small_modules(ring: RingSpec, max_size: int) -> list:
@@ -164,3 +167,65 @@ def first_outside_image(proj: ModuleMap) -> tuple:
     """First element of a map's target group (in enumeration order) outside
     its image, given the projection onto its nonzero cokernel."""
     return next(elem for elem in proj.source.elements() if any(proj.apply(elem)))
+
+
+# ---------------------------------------------------------------------------
+# The per-element counterexample searches, kept as test-only oracles: one
+# linear solve per group element, where ``lifting._first_outside_image``
+# reads the first element outside an image off its cokernel
+# ---------------------------------------------------------------------------
+
+def factorization_check(built: Complex, cmap: ChainMap, y: Complex, comp: Complex,
+                        injective: bool):
+    """The test of maps h between y and one competitor: the returned function
+    takes a list of such maps and gives the failure message of the first one
+    that does not factor through cmap, or None when all do.  One map system
+    serves every h; only its right-hand sides change."""
+    name = _side_words(injective)[1]
+    src, tgt = (built, comp) if injective else (comp, built)   # g runs src -> tgt
+    ms = MapSystem(y.ring)
+    names = {k: ms.unknown(f"g{k}", src.component(k), tgt.component(k))
+             for k in comp.degrees() if not built.component(k).is_zero()}
+    vanishing = [k for k in comp.degrees() if k not in names]
+    slots = []        # per equation, the degree of h on its right-hand side
+    for k in names:
+        left, right = (None, cmap.component(k)) if injective else (cmap.component(k), None)
+        space = (y.component(k), comp.component(k)) if injective \
+            else (comp.component(k), y.component(k))
+        ms.equation([(left, names[k], right, 1)], None, space)
+        slots.append(k)
+        if (k + 1) in names:
+            ms.equation([(None, names[k + 1], src.differential(k), 1),
+                         (tgt.differential(k), names[k], None, -1)],
+                        None, (src.component(k), tgt.component(k + 1)))
+            slots.append(None)
+
+    def first_failure(hs: list) -> Optional[str]:
+        possible = [all(h.component(k).is_zero() for k in vanishing) for h in hs]
+        sols = iter(ms.solve_each([[h.component(k) if k is not None else None for k in slots]
+                                   for h, ok in zip(hs, possible) if ok]))
+        for ok in possible:
+            if not ok:
+                return f"factorization impossible: {name} vanishes where the map does not"
+            if next(sols) is None:
+                return (f"map into {comp.describe()} does not factor through the envelope"
+                        if injective else
+                        f"competitor map from {comp.describe()} does not factor through the cover")
+        return None
+
+    return first_failure
+
+
+def first_non_nullhomotopic(src: Complex, tgt: Complex) -> Optional[ChainMap]:
+    """The first chain map src -> tgt (in enumeration order) for which
+    ``null_homotopy`` finds no homotopy, one solve per chain map; None when
+    every one is null-homotopic or the group has more than
+    ``lifting._CHAIN_SEARCH_CAP`` elements."""
+    grp = chain_map_group(src, tgt)
+    size = grp.module.size()
+    if size is None or size > _CHAIN_SEARCH_CAP:
+        return None
+    for g in grp.elements():
+        if null_homotopy(g) is None:
+            return g
+    return None

@@ -454,3 +454,42 @@ def test_oversize_envelope_search_exits_two_at_once(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "envelope search cap" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# one degree named by two keys: "0" and "00", "0" and "+0", or one key twice
+DUPLICATE_DEGREE_TEXTS = {
+    "00": '{"ring": {"mod": 4}, "modules": {"0": [4], "1": [4]},'
+          ' "diff": {"0": [[1]], "00": [[2]]}}',
+    "+0": '{"ring": {"mod": 4}, "modules": {"0": [2], "+0": [4], "1": [4]},'
+          ' "diff": {"0": [[2]]}}',
+    "repeated-key": '{"ring": {"mod": 4}, "modules": {"0": [4], "1": [4]},'
+                    ' "diff": {"0": [[1]], "0": [[2]]}}',
+}
+
+
+@pytest.mark.parametrize("case", list(DUPLICATE_DEGREE_TEXTS))
+@pytest.mark.parametrize("verb", [
+    ["validate", "{input}"],
+    ["check", "exact", "{input}"],
+    ["check", "homotopic-zero", "{input}"],
+    ["build", "precover", "{input}", "--output", "{out}"],
+], ids=lambda verb: " ".join(verb[:2]))
+def test_one_degree_named_twice_exits_two(tmp_path, capsys, verb, case):
+    text = DUPLICATE_DEGREE_TEXTS[case]
+    if verb[1] == "homotopic-zero":
+        text = f'{{"source": {text}, "target": {text}, "map": {{}}}}'
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    argv = [a.format(input=str(path), out=str(tmp_path / "out")) for a in verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert ("degree 0" if case != "repeated-key" else "'0'") in err
+    assert "Traceback" not in err
+
+
+def test_chain_map_keys_naming_one_degree_are_refused():
+    doc = {"source": DISK_DOC, "target": DISK_DOC, "map": {"0": [[1]], "-0": [[1]]}}
+    with pytest.raises(DocumentError, match="degree 0"):
+        chain_map_from_doc(doc)
+    doc["map"] = {"0": [[1]], "1": [[1]]}
+    assert chain_map_from_doc(doc) == ChainMap.identity(complex_from_doc(DISK_DOC))

@@ -24,7 +24,6 @@ from typing import Optional
 
 import pytest
 
-from homkit import lifting
 from homkit.complexes import (
     ChainMap,
     ShortExactOfComplexes,
@@ -48,6 +47,9 @@ from homkit.xclass import (
     module_universe,
 )
 
+from .helpers import first_non_nullhomotopic
+
+
 def old_slid_sources(e_cx, i) -> list:
     if e_cx.is_zero() or i.is_zero():
         return [shift(e_cx, -1)] if not e_cx.is_zero() else [e_cx]
@@ -70,7 +72,7 @@ def old_eps1_perp_homotopy(i, eu, keep_witnesses: bool) -> Verdict:
                         "position": src.support, "h0_trivial": True,
                     })
                 continue
-            g = lifting._first_non_nullhomotopic(src, i)
+            g = first_non_nullhomotopic(src, i)
             if g is None:
                 size = chain_map_group(src, i).module.size()
                 raise UniverseCapError(f"{size} chain maps from {src.describe()}")

@@ -47,6 +47,8 @@ from homkit.xclass import (
     module_universe,
 )
 
+from .helpers import first_non_nullhomotopic
+
 
 def old_eps1_perp_homotopy(i, eu, keep_witnesses: bool) -> Verdict:
     verdict = Verdict(True, eu.describe() + ", closed under shifts")
@@ -68,7 +70,7 @@ def old_eps1_perp_homotopy(i, eu, keep_witnesses: bool) -> Verdict:
                     })
                 continue
             src = shift(base, -s)
-            g = lifting._first_non_nullhomotopic(src, i)
+            g = first_non_nullhomotopic(src, i)
             if g is None:
                 size = chain_map_group(src, i).module.size()
                 raise UniverseCapError(f"{size} chain maps from {src.describe()}")

@@ -6,7 +6,8 @@ decide each disk competitor by one onto test of a module restriction map
 implementation, kept here as the oracle: it read the generators of each
 competitor's chain-map group off the adjunction (``helpers.disk_maps``,
 formerly ``complexes.disk_maps``), solved them
-in one map system (``_factorization_check``, ``MapSystem.solve_each``) and
+in one map system (``helpers.factorization_check``, formerly
+``construct._factorization_check``, with ``MapSystem.solve_each``) and
 fell back to the group's elements when one did not factor.  Both must
 report the same number of maps on built results, against the classes
 everything, free and ann(2), and raise the same exception with the same
@@ -36,7 +37,6 @@ from homkit.construct import (
     BuildError,
     OracleHypothesisError,
     _competitors,
-    _factorization_check,
     precover_bounded,
     preenvelope_bounded,
     verify_precover_factorization,
@@ -46,7 +46,7 @@ from homkit.exactalg import ZZ, IntMatrix, Zmod
 from homkit.modules import FpModule, ModuleMap, hom_module
 from homkit.xclass import ALL, FREE, ann
 
-from .helpers import disk_maps, random_complex, small_modules
+from .helpers import disk_maps, factorization_check, random_complex, small_modules
 from .test_factorization_differential import (
     BROKEN_CASES,
     CASES,
@@ -74,7 +74,7 @@ def generator_verify(built, cmap, y, x, u, injective) -> int:
     for comp in _competitors(x, u, range(lo - 1, hi + 1), injective):
         k = comp.support[0]
         gens, order = disk_maps(k, comp.component(k), y, into=injective)
-        first_failure = _factorization_check(built, cmap, y, comp, injective)
+        first_failure = factorization_check(built, cmap, y, comp, injective)
         if order is not None and first_failure(gens) is None:
             tested += order
             continue
