@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from typing import Optional
@@ -105,12 +106,13 @@ def complex_to_doc(c: Complex) -> dict:
 
 
 def _parse_degree(key, seen: dict) -> int:
-    """The degree a key names; a key that is not a decimal integer, or one
-    naming a degree already in ``seen`` ("0" after "00"), is a DocumentError."""
-    try:
-        k = int(key)
-    except (TypeError, ValueError):
+    """The degree a key names; a key that is not a decimal integer in ASCII
+    digits with an optional sign ("1_0", " 11 " and other digits are not),
+    or one naming a degree already in ``seen`` ("0" after "00"), is a
+    DocumentError."""
+    if not isinstance(key, str) or re.fullmatch(r"[+-]?[0-9]+", key) is None:
         raise DocumentError(f"degree key {key!r} is not a decimal integer")
+    k = int(key)
     if k in seen:
         raise DocumentError(f"degree key {key!r} names degree {k} a second time")
     return k

@@ -37,6 +37,7 @@ from .complexes import (
     Complex,
     _subcomplex,
     chain_map_group,
+    complex_isomorphic,
     disk,
     exact_at,
     sphere,
@@ -440,12 +441,35 @@ def _pool(members: list, epi: bool, scan, close, parts) -> Iterator[tuple]:
     only if each group of ``parts`` of the smaller member embeds in the
     matching group of the larger (``_fits``), which every injection
     (surjection) between them needs.
+
+    Nor is a pair scanned whose member m (the source of the injections,
+    the target of the surjections) is isomorphic to an earlier member r:
+    an isomorphism between them turns each injection m -> b into one
+    r -> b with the same image, and each surjection a -> m into one a -> r
+    with the same kernel, and r, of the same shape, was scanned against
+    the same fixed member before m, so every key of the pair is already
+    seen.  Whether a member repeats an earlier one is decided once, when
+    the pool first reaches it, against the earlier members of its shape
+    that repeat none (a shape records each component's factors); the
+    members of a module universe have pairwise distinct shapes, so a
+    module pool never tests one.
     """
     shapes = [_shape(parts(m)) for m in members]
+    firsts = {}     # shape -> the members of that shape that repeat no earlier one
+    repeats = {}    # member index -> whether it is isomorphic to an earlier member
+
+    def repeat(i: int) -> bool:
+        if i not in repeats:
+            same = firsts.setdefault(frozenset(shapes[i].items()), [])
+            repeats[i] = any(_isomorphic(members[r], members[i], epi) for r in same)
+            if not repeats[i]:
+                same.append(i)
+        return repeats[i]
+
     for j, fixed in enumerate(members):
         seen = set()
         for i, other in enumerate(members):
-            if other.is_zero() or not _fits(shapes[i], shapes[j]):
+            if other.is_zero() or not _fits(shapes[i], shapes[j]) or repeat(i):
                 continue
             for key, decode in scan(*((fixed, other) if epi else (other, fixed))):
                 if key not in seen:
@@ -454,9 +478,20 @@ def _pool(members: list, epi: bool, scan, close, parts) -> Iterator[tuple]:
                     yield f, close(f)
 
 
+def _isomorphic(earlier: Complex, member: Complex, epi: bool) -> bool:
+    """Whether ``member`` is isomorphic to ``earlier``, read off the group
+    of chain maps the pool scans for the two: ``earlier`` into ``member``,
+    or ``member`` onto ``earlier`` when ``epi``.  A group beyond
+    ``_pool_scan``'s cap counts as not isomorphic, so the pool raises at
+    the pair where it raises without the skip."""
+    a, b = (member, earlier) if epi else (earlier, member)
+    size = chain_map_group(a, b).module.size()
+    return size is not None and size <= _SCAN_CAP and complex_isomorphic(a, b)
+
+
 def _exponents(m: FpModule, p: int) -> list:
     """Exponents of p in the invariant factors of m, largest first."""
-    return sorted((_val(d, p) for d in m.factors if d % p == 0), reverse=True)
+    return tuple(sorted((_val(d, p) for d in m.factors if d % p == 0), reverse=True))
 
 
 def _shape(parts: dict) -> dict:
@@ -513,7 +548,10 @@ def _complex_parts(c: Complex, epi: bool) -> dict:
     return out
 
 
-def _pool_scan(grp, components: list, component_key, cap: int = 1 << 16) -> list:
+_SCAN_CAP = 1 << 16
+
+
+def _pool_scan(grp, components: list, component_key, cap: int = _SCAN_CAP) -> list:
     """``(key, decoder)`` for each element of ``grp`` (a ``HomModule`` or
     ``ChainMapGroup``) whose components all pass, in group order.
 

@@ -19,6 +19,7 @@ from homkit.construct import _side_words
 from homkit.exactalg import IntMatrix
 from homkit.lifting import _CHAIN_SEARCH_CAP
 from homkit.modules import MapSystem, _solve_in_module_columns, hom_postcompose, hom_precompose
+from homkit.xclass import _fits, _shape
 
 
 def small_modules(ring: RingSpec, max_size: int) -> list:
@@ -229,3 +230,19 @@ def first_non_nullhomotopic(src: Complex, tgt: Complex) -> Optional[ChainMap]:
         if null_homotopy(g) is None:
             return g
     return None
+
+
+def pool_without_repeat_skip(members: list, epi: bool, scan, close, parts):
+    """``xclass._pool`` as it was before it skipped a member isomorphic to
+    an earlier one: every nonzero member that fits the fixed one is scanned."""
+    shapes = [_shape(parts(m)) for m in members]
+    for j, fixed in enumerate(members):
+        seen = set()
+        for i, other in enumerate(members):
+            if other.is_zero() or not _fits(shapes[i], shapes[j]):
+                continue
+            for key, decode in scan(*((fixed, other) if epi else (other, fixed))):
+                if key not in seen:
+                    seen.add(key)
+                    f = decode()
+                    yield f, close(f)

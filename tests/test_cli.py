@@ -493,3 +493,40 @@ def test_chain_map_keys_naming_one_degree_are_refused():
         chain_map_from_doc(doc)
     doc["map"] = {"0": [[1]], "1": [[1]]}
     assert chain_map_from_doc(doc) == ChainMap.identity(complex_from_doc(DISK_DOC))
+
+
+# degree keys that int() reads but that are not ASCII decimal integers
+NON_DECIMAL_DEGREE_TEXTS = {
+    "underscore-and-spaces": '{"ring": {"mod": 4}, "modules": {"1_0": [4], " 11 ": [4]},'
+                             ' "diff": {"1_0": [[1]]}}',
+    "spaces": '{"ring": {"mod": 4}, "modules": {"0": [4], " 1": [4]}}',
+    "fullwidth": '{"ring": {"mod": 4}, "modules": {"\\uff10": [4]}}',
+    "arabic-indic": '{"ring": {"mod": 4}, "modules": {"0": [4]}, "diff": {"\\u0661": []}}',
+}
+
+
+@pytest.mark.parametrize("case", list(NON_DECIMAL_DEGREE_TEXTS))
+@pytest.mark.parametrize("verb", [
+    ["validate", "{input}"],
+    ["check", "exact", "{input}"],
+    ["check", "homotopic-zero", "{input}"],
+    ["build", "precover", "{input}", "--output", "{out}"],
+], ids=lambda verb: " ".join(verb[:2]))
+def test_degree_keys_that_are_not_ascii_decimals_exit_two(tmp_path, capsys, verb, case):
+    text = NON_DECIMAL_DEGREE_TEXTS[case]
+    if verb[1] == "homotopic-zero":
+        text = f'{{"source": {text}, "target": {text}, "map": {{}}}}'
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    argv = [a.format(input=str(path), out=str(tmp_path / "out")) for a in verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "is not a decimal integer" in err
+    assert "Traceback" not in err
+
+
+def test_chain_map_keys_that_are_not_ascii_decimals_are_refused():
+    for key in ("0_0", " 0", "０"):
+        doc = {"source": DISK_DOC, "target": DISK_DOC, "map": {key: [[1]], "1": [[1]]}}
+        with pytest.raises(DocumentError, match="not a decimal integer"):
+            chain_map_from_doc(doc)
