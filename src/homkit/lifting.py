@@ -156,22 +156,35 @@ def _confirm_no_preimage(grp, fn: Callable, f, cap: int) -> None:
             raise AssertionError("counterexample refuted by exhaustive search")
 
 
-def _lifting_verdict(obj, x: XClassSpec, u, pool: Callable, injective: bool,
+def _lifting_verdict(obj, x: XClassSpec, u, blocks: Callable, injective: bool,
                      keep_witnesses: bool, *, level: str, hom: Callable,
                      member: Callable, cap: int,
                      finish: Optional[Callable] = None) -> Verdict:
-    """The pool loop shared by the four lifting checkers.
+    """The block loop shared by the four lifting checkers.
 
-    ``pool()`` yields the universe maps phi (injections when ``injective``,
-    else surjections) with their cokernels (kernels), and the loop reads it
-    only up to the first counterexample; those whose cokernel
-    (kernel) passes ``member`` are tested by whether the restriction of
-    ``_restriction_image`` is onto, decided by ``_onto``: by one section
-    solve when witnesses are kept (its columns are the witness), else by a
-    rank or order test.  A cokernel is taken only to find a counterexample.
-    ``level`` ("module" or "complex") names the certificates, ``cap`` bounds
-    the re-confirmation, and ``finish`` may add to the verdict before it is
-    cached.
+    ``blocks()`` yields ``(repeat, entries)``: the universe maps phi
+    (injections when ``injective``, else surjections) with their cokernels
+    (kernels), one block per fixed member of a complex pool (the target of
+    the injections, the source of the surjections; ``xclass._Pool``) and
+    one block for a module pool.  ``repeat`` is the index of the earlier
+    block whose fixed member this one's is isomorphic to, or None.  The
+    loop reads the blocks in order, up to the first counterexample; the
+    maps whose cokernel (kernel) passes ``member`` are tested by whether the
+    restriction of ``_restriction_image`` is onto, decided by ``_onto``: by
+    one section solve when witnesses are kept (its columns are the witness),
+    else by a rank or order test.  A cokernel is taken only to find a
+    counterexample.
+
+    Without witnesses a repeat block is not read; it adds the ``checked``
+    count of the block it repeats, and that is exact: the loop reached it,
+    so that block passed in full, and composing with the isomorphism pairs
+    the two blocks' entries one to one with the same scanned member (the
+    same support filter), isomorphic cokernels (kernels: the same
+    ``member`` answer) and the same onto answer, lifting being a property
+    of the isomorphism class.  With witnesses every block is read, since
+    each instance carries its own sections.  ``level`` ("module" or
+    "complex") names the certificates, ``cap`` bounds the re-confirmation,
+    and ``finish`` may add to the verdict before it is cached.
     """
     side, role, part = ("extension", "mono", "cokernel") if injective \
         else ("lift", "epi", "kernel")
@@ -179,23 +192,33 @@ def _lifting_verdict(obj, x: XClassSpec, u, pool: Callable, injective: bool,
 
     def run() -> Verdict:
         verdict = Verdict(True, u.describe() + f", class={x.key()}")
-        for phi, quotient in pool():
-            if not member(x, quotient):
+        checked = []    # the count each block added, by block index
+        for repeat, entries in blocks():
+            if repeat is not None and not keep_witnesses:
+                checked.append(checked[repeat])
+                verdict.checked += checked[repeat]
                 continue
-            verdict.checked += 1
-            onto, sections = _onto(phi, obj, injective, hom, keep_witnesses)
-            if onto:
-                if keep_witnesses:
-                    verdict.witnesses.append({"kind": kind, role: phi, part: quotient,
-                                              "section": sections})
-                continue
-            grp_from, grp_to, image, inclusion = _restriction_image(phi, obj, injective, hom)
-            f = grp_to.decode(_first_outside_image(image, inclusion))
-            fn = (lambda g: g.compose(phi)) if injective else phi.compose
-            _confirm_no_preimage(grp_from, fn, f, cap)
-            verdict.holds = False
-            verdict.counterexample = {"kind": kind, role: phi, "map": f}
-            break
+            start = verdict.checked
+            for phi, quotient in entries:
+                if not member(x, quotient):
+                    continue
+                verdict.checked += 1
+                onto, sections = _onto(phi, obj, injective, hom, keep_witnesses)
+                if onto:
+                    if keep_witnesses:
+                        verdict.witnesses.append({"kind": kind, role: phi, part: quotient,
+                                                  "section": sections})
+                    continue
+                grp_from, grp_to, image, inclusion = _restriction_image(phi, obj, injective, hom)
+                f = grp_to.decode(_first_outside_image(image, inclusion))
+                fn = (lambda g: g.compose(phi)) if injective else phi.compose
+                _confirm_no_preimage(grp_from, fn, f, cap)
+                verdict.holds = False
+                verdict.counterexample = {"kind": kind, role: phi, "map": f}
+                break
+            if not verdict.holds:
+                break
+            checked.append(verdict.checked - start)
         if finish is not None:
             finish(verdict)
         return verdict
@@ -232,8 +255,8 @@ def x_injective_module(e: FpModule, x: XClassSpec, u: ModuleUniverse,
         verdict.extra["ext_vanishing_holds"] = ext_holds
         verdict.extra["criteria_agree"] = ext_holds == verdict.holds
 
-    return _lifting_verdict(e, x, u, u.mono_pool, True, keep_witnesses, level="module",
-                            hom=hom_module, member=contains_module,
+    return _lifting_verdict(e, x, u, lambda: [(None, u.mono_pool())], True, keep_witnesses,
+                            level="module", hom=hom_module, member=contains_module,
                             cap=_MODULE_SEARCH_CAP, finish=ext_vanishing)
 
 
@@ -242,8 +265,8 @@ def x_projective_module(p: FpModule, x: XClassSpec, u: ModuleUniverse,
     """Dual lifting test: every map from p to the target of a universe
     surjection with class-member kernel lifts through the surjection."""
     _check_rings(p, u)
-    return _lifting_verdict(p, x, u, u.epi_pool, False, keep_witnesses, level="module",
-                            hom=hom_module, member=contains_module,
+    return _lifting_verdict(p, x, u, lambda: [(None, u.epi_pool())], False, keep_witnesses,
+                            level="module", hom=hom_module, member=contains_module,
                             cap=_MODULE_SEARCH_CAP)
 
 
@@ -258,6 +281,13 @@ def _supports_overlap(a: Complex, b: Complex) -> bool:
     return sa[0] <= sb[1] and sb[0] <= sa[1]
 
 
+def _blocks_meeting(pool, c: Complex, scanned: Callable) -> Callable:
+    """``pool``'s blocks, each read for the maps whose ``scanned`` end
+    overlaps c's support only; a block no reader reads is not built."""
+    return lambda: ((repeat, (pair for pair in block if _supports_overlap(scanned(pair[0]), c)))
+                    for repeat, block in pool.blocks())
+
+
 def x_injective_complex(c: Complex, x: XClassSpec, cu: ComplexUniverse,
                         keep_witnesses: bool = True) -> Verdict:
     """Every chain map into c from the source of a universe chain injection
@@ -265,10 +295,8 @@ def x_injective_complex(c: Complex, x: XClassSpec, cu: ComplexUniverse,
     # the pool is read lazily, up to the first counterexample; injections
     # whose source misses c's support only restrict the zero map
     return _lifting_verdict(
-        c, x, cu, lambda: (pair for pair in cu.monos
-                           if _supports_overlap(pair[0].source, c)),
-        True, keep_witnesses, level="complex", hom=chain_map_group,
-        member=contains_complex, cap=_CHAIN_SEARCH_CAP)
+        c, x, cu, _blocks_meeting(cu.monos, c, lambda phi: phi.source), True, keep_witnesses,
+        level="complex", hom=chain_map_group, member=contains_complex, cap=_CHAIN_SEARCH_CAP)
 
 
 def x_projective_complex(c: Complex, x: XClassSpec, cu: ComplexUniverse,
@@ -278,10 +306,8 @@ def x_projective_complex(c: Complex, x: XClassSpec, cu: ComplexUniverse,
     # the pool is read lazily, up to the first counterexample; surjections
     # whose target misses c's support only receive the zero map
     return _lifting_verdict(
-        c, x, cu, lambda: (pair for pair in cu.epis
-                           if _supports_overlap(pair[0].target, c)),
-        False, keep_witnesses, level="complex", hom=chain_map_group,
-        member=contains_complex, cap=_CHAIN_SEARCH_CAP)
+        c, x, cu, _blocks_meeting(cu.epis, c, lambda psi: psi.target), False, keep_witnesses,
+        level="complex", hom=chain_map_group, member=contains_complex, cap=_CHAIN_SEARCH_CAP)
 
 
 # ---------------------------------------------------------------------------

@@ -53,16 +53,19 @@ _RAISED_CAP: ContextVar = ContextVar("homkit_raised_cap", default=None)
 
 
 def hard_module_cap() -> int:
+    """The cap of an enclosing ``raised_module_cap``, else ``HOMKIT_CAP``
+    when it is set and not empty, else the default.  ``HOMKIT_CAP`` must be
+    an ASCII decimal integer of at least 1; any other value is a
+    UniverseCapError."""
     raised = _RAISED_CAP.get()
     if raised is not None:
         return raised
     env = os.environ.get("HOMKIT_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_MODULE_SIZE_CAP
+    if not env:
+        return DEFAULT_MODULE_SIZE_CAP
+    if not re.fullmatch("[0-9]+", env) or int(env) < 1:
+        raise UniverseCapError(f"HOMKIT_CAP={env!r} is not a decimal integer of at least 1")
+    return int(env)
 
 
 @contextmanager
@@ -377,62 +380,101 @@ class ComplexUniverse:
         return self.epis.drained()
 
 
-class _Pool:
-    """A universe pool, produced on demand and memoised by prefix.
+class _Replay:
+    """A generator produced on demand and memoised by prefix.
 
-    ``make()`` returns a fresh generator of the pool's entries.  Iterating
-    the pool replays the entries produced so far and then resumes the one
-    shared generator, so every reader sees the same entries in the same
-    order and each entry is built once; a reader that stops early (a lifting
-    test at its first counterexample) builds only the prefix it read.  A
-    generator that raises is never taken for a complete pool: the next reader
-    that needs more entries restarts it past the kept prefix and meets the
-    same error again.
+    ``make()`` returns a fresh generator.  Iterating replays the items
+    produced so far and then resumes the one shared generator, so every
+    reader sees the same items in the same order and each item is built
+    once; a reader that stops early (a lifting test at its first
+    counterexample) builds only the prefix it read.  A generator that raises
+    is never taken for a complete one: the next reader that needs more items
+    restarts it past the kept prefix and meets the same error again.
     """
 
-    __slots__ = ("entries", "_make", "_source", "_complete")
+    __slots__ = ("entries", "complete", "_make", "_source")
 
-    def __init__(self, make: Callable[[], Iterator[tuple]]):
+    def __init__(self, make: Callable[[], Iterator]):
         self.entries: list = []
+        self.complete = False
         self._make = make
-        self._source: Optional[Iterator[tuple]] = None
-        self._complete = False
+        self._source: Optional[Iterator] = None
 
-    def __iter__(self) -> Iterator[tuple]:
+    def __iter__(self) -> Iterator:
         i = 0
         while i < len(self.entries) or self._grow():
             yield self.entries[i]
             i += 1
 
     def _grow(self) -> bool:
-        """Append the next entry; False once the pool is complete."""
-        if self._complete:
+        """Append the next item; False once the generator is exhausted."""
+        if self.complete:
             return False
         if self._source is None:
             self._source = islice(self._make(), len(self.entries), None)
         try:
             self.entries.append(next(self._source))
         except StopIteration:
-            self._complete = True
+            self.complete = True
             return False
         except BaseException:
             self._source = None
             raise
         return True
 
+
+class _Pool:
+    """A universe pool, one block per fixed member.
+
+    ``make()`` returns a fresh generator of ``(repeat, make_block)`` per
+    fixed member (``_pool``).  ``blocks()`` replays them as ``(repeat,
+    block)``, each block a ``_Replay`` of ``make_block()``, and takes a tag
+    only when a reader first reaches its block; a reader that skips a block
+    builds none of it, and a later reader builds it when it reads it.
+    Iterating the pool reads the blocks in order, every entry in pool order.
+    """
+
+    __slots__ = ("_blocks", "_drained")
+
+    def __init__(self, make: Callable[[], Iterator[tuple]]):
+        self._blocks = _Replay(lambda: ((repeat, _Replay(block)) for repeat, block in make()))
+        self._drained: Optional[list] = None
+
+    def blocks(self) -> Iterator[tuple]:
+        return iter(self._blocks)
+
+    def __iter__(self) -> Iterator[tuple]:
+        for _, block in self._blocks:
+            yield from block
+
+    @property
+    def entries(self) -> list:
+        """The entries built so far in pool order: those of the blocks up to
+        the first one not built to its end, and that one's prefix."""
+        if self._drained is not None:
+            return self._drained
+        out = []
+        for _, block in self._blocks.entries:
+            out += block.entries
+            if not block.complete:
+                break
+        return out
+
     def drained(self) -> list:
-        """The whole pool: the list of entries it keeps, built to the end."""
-        while self._grow():
-            pass
-        return self.entries
+        """The whole pool: one list of its entries, built to the end."""
+        if self._drained is None:
+            self._drained = list(self)
+        return self._drained
 
 
 def _pool(members: list, epi: bool, scan, close, parts) -> Iterator[tuple]:
-    """The entries of the mono pool (epi pool when ``epi``) of a universe:
-    for each member b (source a) and each nonzero member a (target b) that
+    """The mono pool (epi pool when ``epi``) of a universe, as one
+    ``(repeat, make_block)`` per member b (source a), in member order:
+    ``make_block()`` generates, for each nonzero member a (target b) that
     can embed in it (be a quotient of it), the first map a -> b per image
     (kernel) key of ``scan(a, b)``, with ``close`` of it, its cokernel
-    (kernel).
+    (kernel); ``repeat`` is the earliest member b (a) is isomorphic to, or
+    None.
 
     Maps from (onto) zero impose no lifting constraint.  Two injections with
     the same image differ by an automorphism of the source (two surjections
@@ -448,34 +490,45 @@ def _pool(members: list, epi: bool, scan, close, parts) -> Iterator[tuple]:
     r -> b with the same image, and each surjection a -> m into one a -> r
     with the same kernel, and r, of the same shape, was scanned against
     the same fixed member before m, so every key of the pair is already
-    seen.  Whether a member repeats an earlier one is decided once, when
-    the pool first reaches it, against the earlier members of its shape
-    that repeat none (a shape records each component's factors); the
-    members of a module universe have pairwise distinct shapes, so a
-    module pool never tests one.
+    seen.  On the fixed side the same argument pairs the entries of the
+    block of a member isomorphic to r one to one with r's, with the same
+    scanned member (in the same order), isomorphic cokernels (kernels) and
+    so the same lifting answers; a reader that needs only those may skip
+    the block.  Whether a member repeats an earlier one is decided once,
+    against the earlier members of its shape that repeat none, and only
+    after those are decided, so the earliest member of each isomorphism
+    class represents it however the pool is read (a shape records each
+    component's factors); the members of a module universe have pairwise
+    distinct shapes, so a module pool never tests one.
     """
     shapes = [_shape(parts(m)) for m in members]
     firsts = {}     # shape -> the members of that shape that repeat no earlier one
-    repeats = {}    # member index -> whether it is isomorphic to an earlier member
+    earliest = {}   # member index -> the earliest member isomorphic to it
 
-    def repeat(i: int) -> bool:
-        if i not in repeats:
+    def first(i: int) -> int:
+        # blocks are tagged in member order and a block scans the members of
+        # a shape in index order, so the earlier members of i's shape are decided
+        if i not in earliest:
             same = firsts.setdefault(frozenset(shapes[i].items()), [])
-            repeats[i] = any(_isomorphic(members[r], members[i], epi) for r in same)
-            if not repeats[i]:
+            earliest[i] = next((r for r in same if _isomorphic(members[r], members[i], epi)), i)
+            if earliest[i] == i:
                 same.append(i)
-        return repeats[i]
+        return earliest[i]
 
-    for j, fixed in enumerate(members):
+    def block(j: int) -> Iterator[tuple]:
         seen = set()
         for i, other in enumerate(members):
-            if other.is_zero() or not _fits(shapes[i], shapes[j]) or repeat(i):
+            if other.is_zero() or not _fits(shapes[i], shapes[j]) or first(i) != i:
                 continue
-            for key, decode in scan(*((fixed, other) if epi else (other, fixed))):
+            for key, decode in scan(*((members[j], other) if epi else (other, members[j]))):
                 if key not in seen:
                     seen.add(key)
                     f = decode()
                     yield f, close(f)
+
+    for j in range(len(members)):
+        r = first(j)
+        yield (None if r == j else r), partial(block, j)
 
 
 def _isomorphic(earlier: Complex, member: Complex, epi: bool) -> bool:

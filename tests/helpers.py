@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Optional
 
 from homkit import (
@@ -233,16 +234,28 @@ def first_non_nullhomotopic(src: Complex, tgt: Complex) -> Optional[ChainMap]:
 
 
 def pool_without_repeat_skip(members: list, epi: bool, scan, close, parts):
-    """``xclass._pool`` as it was before it skipped a member isomorphic to
-    an earlier one: every nonzero member that fits the fixed one is scanned."""
+    """``xclass._pool``'s entries as they were before it skipped a member
+    isomorphic to an earlier one, one list: every nonzero member that fits
+    the fixed one is scanned."""
+    for _, block in blocks_without_repeat_skip(members, epi, scan, close, parts):
+        yield from block()
+
+
+def blocks_without_repeat_skip(members: list, epi: bool, scan, close, parts):
+    """``pool_without_repeat_skip`` in the form of ``xclass._pool``: one
+    ``(None, make_block)`` per fixed member, no block tagged as a repeat."""
     shapes = [_shape(parts(m)) for m in members]
-    for j, fixed in enumerate(members):
+
+    def block(j: int):
         seen = set()
         for i, other in enumerate(members):
             if other.is_zero() or not _fits(shapes[i], shapes[j]):
                 continue
-            for key, decode in scan(*((fixed, other) if epi else (other, fixed))):
+            for key, decode in scan(*((members[j], other) if epi else (other, members[j]))):
                 if key not in seen:
                     seen.add(key)
                     f = decode()
                     yield f, close(f)
+
+    for j in range(len(members)):
+        yield None, partial(block, j)

@@ -19,7 +19,7 @@ from homkit.construct import (
     x_injective_envelope,
 )
 from homkit.exactalg import IntMatrix, RingSpec, Zmod
-from homkit.lifting import x_injective_complex, x_injective_module
+from homkit.lifting import eps1_perp_homotopy, x_injective_complex, x_injective_module
 from homkit.modules import (
     FpModule,
     ModuleMap,
@@ -100,7 +100,8 @@ def fill() -> None:
     y = sphere(0, Z2)
     x_injective_module(Z2, ALL, u4, keep_witnesses=False)
     x_injective_complex(y, ALL, cu4, keep_witnesses=False)
-    eps1_universe(R4, ALL, base_bound=2, window=(-1, 0))
+    eps1_perp_homotopy(y, eps1_universe(R4, ALL, base_bound=2, window=(-1, 0)),
+                       keep_witnesses=False)
     hom_complex_data(cu4.members[-1], cu4.members[-1])
     ext1_module(Z2, Z2)
     injective_hull(Z2)

@@ -317,6 +317,34 @@ def test_module_universe_keyed_on_the_cap_in_force(monkeypatch):
         module_universe(Zmod(4), 128)
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+@pytest.mark.parametrize("verb", [
+    ["check", "x-injective", "{input}", "--bound", "4"],
+    ["build", "precover", "{input}", "--output", "{out}"],
+    ["universe", "modules", "--ring", "4", "--bound", "4"],
+], ids=lambda verb: " ".join(verb[:2]))
+def test_a_cap_that_is_not_a_positive_decimal_exits_two(tmp_path, capsys, monkeypatch,
+                                                        verb, value):
+    # it used to fall back to the default ("abc") or to refuse every bound
+    # as over the cap ("0", "-1")
+    monkeypatch.setenv("HOMKIT_CAP", value)
+    with pytest.raises(UniverseCapError, match="HOMKIT_CAP"):
+        hard_module_cap()
+    path = write(tmp_path, "c.json", DISK_DOC)
+    argv = [a.format(input=path, out=str(tmp_path / "out")) for a in verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"HOMKIT_CAP={value!r} is not a decimal integer of at least 1" in err
+    assert "Traceback" not in err
+
+
+def test_a_positive_decimal_cap_is_read_and_an_empty_one_is_unset(monkeypatch):
+    monkeypatch.setenv("HOMKIT_CAP", "8")
+    assert hard_module_cap() == 8
+    monkeypatch.setenv("HOMKIT_CAP", "")
+    assert hard_module_cap() == DEFAULT_MODULE_SIZE_CAP
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "eps1-perp", "{input}", "--window", "0"],
     ["check", "eps1-perp", "{input}", "--window", "-1"],

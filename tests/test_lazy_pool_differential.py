@@ -1,12 +1,13 @@
 """Lazy, prefix-memoised pools against the eager pool builder they replace.
 
-``xclass._pool`` is a generator behind a replay holder (``xclass._Pool``),
-and it skips pairs by the kernel/image/cokernel partition test as well as
-by components.  The oracle is the old driver, kept only as a test: it builds
-the whole pool as a list, skips pairs by the component test alone, and takes
-kernels through ``kernel(...)`` with its cokernel.  Pools must agree entry
-for entry however they are read, and the four lifting checkers must give
-equal verdicts on either pool.
+``xclass._pool`` generates a pool's blocks, one per fixed member, behind a
+replay holder (``xclass._Pool``), and it skips pairs by the
+kernel/image/cokernel partition test as well as by components.  The oracle
+is the old driver, kept only as a test: it builds the whole pool as a list,
+skips pairs by the component test alone, and takes kernels through
+``kernel(...)`` with its cokernel.  Pools must agree entry for entry however
+they are read, and the four lifting checkers must give equal verdicts on
+either pool.
 """
 from __future__ import annotations
 
@@ -208,6 +209,14 @@ def pool_with_scan(cu: ComplexUniverse, scan, epi: bool):
                  partial(_complex_parts, epi=epi))
 
 
+class EagerPool(list):
+    """An oracle's pool list, handed to the checkers as one block that
+    repeats nothing, so they read every entry."""
+
+    def blocks(self):
+        yield None, self
+
+
 class EagerPools:
     """A universe whose pools are the oracle's lists."""
 
@@ -216,11 +225,11 @@ class EagerPools:
 
     @cached_property
     def monos(self) -> list:
-        return eager_pool(self.u, False)
+        return EagerPool(eager_pool(self.u, False))
 
     @cached_property
     def epis(self) -> list:
-        return eager_pool(self.u, True)
+        return EagerPool(eager_pool(self.u, True))
 
     def describe(self) -> str:
         return self.u.describe()

@@ -4,7 +4,7 @@ the pool that scans every pair.
 ``xclass._pool`` scans no pair whose member (the source of the injections,
 the target of the surjections) is isomorphic to an earlier member: every
 key of such a pair is already seen.  The oracle is the pool without that
-skip (``helpers.pool_without_repeat_skip``).  On the complex universes of
+skip (``helpers.blocks_without_repeat_skip``).  On the complex universes of
 ``test_pool_differential.py``, the default universes of the command line's
 pool-bound checks and the universe of the envelope search of sphere(0, Z/2),
 both pools give the same entries in the same order, read whole, in part and
@@ -36,7 +36,7 @@ from homkit.xclass import (
     default_complex_universe,
 )
 
-from .helpers import pool_without_repeat_skip
+from .helpers import blocks_without_repeat_skip
 
 
 def envelope_universe() -> ComplexUniverse:
@@ -73,7 +73,7 @@ def unskipped(monkeypatch, make, read):
     caches; the caches are emptied again afterwards."""
     caches.clear_caches()
     with monkeypatch.context() as patched:
-        patched.setattr(xclass, "_pool", pool_without_repeat_skip)
+        patched.setattr(xclass, "_pool", blocks_without_repeat_skip)
         out = read(make())
     caches.clear_caches()
     return out

@@ -8,7 +8,9 @@ were shared, kept only as a test:
   per Hom block) and flattened back into rows;
 - component keys memoised per scanned pair only;
 - cokernel and kernel complexes closed without a memo;
-- every Smith normal form tracking all of u, u^-1 and v.
+- every Smith normal form tracking all of u, u^-1 and v;
+- the pool loop that scans every fitting pair, a repeated member's too
+  (``helpers.pool_without_repeat_skip``).
 
 Pools, raw scans and ``complex_isomorphic`` must agree with it exactly:
 same entries in the same order, same representative maps and same closes,
@@ -44,8 +46,9 @@ from homkit.xclass import (
     _image,
     _kernel_elements,
     _module_parts,
-    _pool,
 )
+
+from .helpers import pool_without_repeat_skip
 
 # (modulus, disk bound) of the twelve complex pools, each read for monos and epis
 POOLS = [(2, 8), (4, 4), (4, 8), (6, 4), (8, 4), (9, 4)]
@@ -198,15 +201,17 @@ def oracle(monkeypatch):
 
 
 def old_complex_pool(cu: ComplexUniverse, epi: bool) -> list:
-    return list(_pool(cu.members, epi, old_chain_epis if epi else old_chain_monos,
-                      old_kernel_complex if epi else old_cokernel_complex,
-                      partial(_complex_parts, epi=epi)))
+    return list(pool_without_repeat_skip(cu.members, epi,
+                                         old_chain_epis if epi else old_chain_monos,
+                                         old_kernel_complex if epi else old_cokernel_complex,
+                                         partial(_complex_parts, epi=epi)))
 
 
 def old_module_pool(u: ModuleUniverse, epi: bool) -> list:
-    return list(_pool(u.members, epi, old_hom_scan(_kernel_elements if epi else _image),
-                      (lambda f: _kernel_inclusion(f)[0]) if epi else (lambda f: cokernel(f)[0]),
-                      _module_parts))
+    return list(pool_without_repeat_skip(
+        u.members, epi, old_hom_scan(_kernel_elements if epi else _image),
+        (lambda f: _kernel_inclusion(f)[0]) if epi else (lambda f: cokernel(f)[0]),
+        _module_parts))
 
 
 def fresh_universe(n: int, disk_bound: int) -> ComplexUniverse:

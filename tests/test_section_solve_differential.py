@@ -106,7 +106,8 @@ def old_lifting_verdict(obj, x, u, pool, injective, keep_witnesses, *, level, ho
         else ("lift", "epi", "kernel")
     kind = f"{level}-{side}"
     verdict = lifting.Verdict(True, u.describe() + f", class={x.key()}")
-    for phi, quotient in pool():
+    # every entry of every block, a repeat block's too
+    for phi, quotient in (entry for _, block in pool() for entry in block):
         if not member(x, quotient):
             continue
         grp_from, grp_to = groups(phi, obj, injective, hom)
