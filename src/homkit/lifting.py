@@ -337,30 +337,39 @@ def eps1_perp_homotopy(i: Complex, eu: Eps1Universe,
     in degree zero.  That is Hom(E, C) in degree s + 1, with the same blocks
     and signed differential.  The slides cover its support and the degree
     above, so position s fails iff s + 1 is the least degree where Hom(E, C)
-    is not exact (``_hom_inexact_degree``).  The counterexample is then the
-    first chain map outside the image of the hom complex's d^{-1}, the
-    null-homotopic maps (``_first_non_nullhomotopic``); a nonzero homology
-    whose chain-map group is too large to search raises UniverseCapError."""
+    is not exact (``_hom_inexact_degree``).  That degree is the same for
+    isomorphic members, so from the universe's second check on it is read
+    once per isomorphism class, under the member's representative
+    (``Eps1Universe.representatives``); ``checked`` still counts every member
+    and slide, and each witness names the member itself and its position,
+    the support of shift(E, -1 - s).  The counterexample is the first chain
+    map from shift(E, -1 - s), the only shifted complex built, outside the
+    image of the hom complex's d^{-1}, the null-homotopic maps
+    (``_first_non_nullhomotopic``); a nonzero homology whose chain-map group
+    is too large to search raises UniverseCapError."""
     verdict = Verdict(True, eu.describe() + ", closed under shifts")
-    for e_cx in eu.members:
-        inexact = _hom_inexact_degree(e_cx, i)
-        base = shift(e_cx, -1)
-        if e_cx.is_zero() or i.is_zero():
+    members, rep = eu.members, eu.representatives()
+    for idx, e_cx in enumerate(members):
+        inexact = _hom_inexact_degree(members[rep(idx)], i)
+        support = e_cx.support
+        if support is None or i.is_zero():
             slides = range(1)
         else:
             # a homotopy reaches one degree below the source
-            (blo, bhi), (ilo, ihi) = base.support, i.support
-            slides = range(ilo - bhi, ihi - blo + 2)
+            (elo, ehi), (ilo, ihi) = support, i.support
+            slides = range(ilo - ehi - 1, ihi - elo + 1)
         for s in slides:
             verdict.checked += 1
             if s + 1 != inexact:
                 if keep_witnesses:
                     verdict.witnesses.append({
                         "kind": "perp", "member": e_cx,
-                        "position": shift(base, -s).support, "h0_trivial": True,
+                        "position": None if support is None
+                        else (support[0] + 1 + s, support[1] + 1 + s),
+                        "h0_trivial": True,
                     })
                 continue
-            src = shift(base, -s)
+            src = shift(e_cx, -1 - s)
             g = _first_non_nullhomotopic(src, i)
             if g is None:
                 size = chain_map_group(src, i).module.size()
@@ -394,8 +403,12 @@ def _dg_verdict(i: Complex, x: XClassSpec, eu: Eps1Universe,
                 injective: bool) -> Verdict:
     """Component test on every degree, then exactness of the internal hom from
     every universe member into the complex (injective) or from the complex
-    into every member (projective), read from ``_hom_inexact_degree``; the
-    homology is computed only for a counterexample."""
+    into every member (projective), read from ``_hom_inexact_degree``.
+    Exactness is invariant under isomorphism of the member, so from the
+    universe's second check on it is read once per isomorphism class, under
+    the member's representative (``Eps1Universe.representatives``);
+    ``checked`` and the witnesses still list every member, and the homology
+    is computed, on the member itself, only for a counterexample."""
     if mu is None:
         mu = module_universe(i.ring, 8)
     component_test = x_injective_module if injective else x_projective_module
@@ -408,11 +421,12 @@ def _dg_verdict(i: Complex, x: XClassSpec, eu: Eps1Universe,
             verdict.counterexample = {"kind": "component", "degree": k,
                                       "inner": comp_verdict.counterexample}
             return verdict
-    for e_cx in eu.members:
-        pair = (e_cx, i) if injective else (i, e_cx)
+    members, rep = eu.members, eu.representatives()
+    for idx, e_cx in enumerate(members):
         verdict.checked += 1
-        if _hom_inexact_degree(*pair) is not None:
-            hom = hom_complex_data(*pair).complex
+        r = members[rep(idx)]
+        if _hom_inexact_degree(*((r, i) if injective else (i, r))) is not None:
+            hom = hom_complex_data(*((e_cx, i) if injective else (i, e_cx))).complex
             verdict.holds = False
             verdict.counterexample = {"kind": "hom-not-exact", "member": e_cx,
                                       "homology": is_exact(hom).homology}

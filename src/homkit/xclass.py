@@ -494,26 +494,15 @@ def _pool(members: list, epi: bool, scan, close, parts) -> Iterator[tuple]:
     block of a member isomorphic to r one to one with r's, with the same
     scanned member (in the same order), isomorphic cokernels (kernels) and
     so the same lifting answers; a reader that needs only those may skip
-    the block.  Whether a member repeats an earlier one is decided once,
-    against the earlier members of its shape that repeat none, and only
-    after those are decided, so the earliest member of each isomorphism
-    class represents it however the pool is read (a shape records each
-    component's factors); the members of a module universe have pairwise
-    distinct shapes, so a module pool never tests one.
+    the block.  Which earlier member a member repeats is decided once per
+    pool by ``_Repeats``, bucketed by shape (each component's factors
+    among them), so the earliest member of each isomorphism class
+    represents it however the pool is read; the members of a module
+    universe have pairwise distinct shapes, so a module pool never tests
+    one.
     """
     shapes = [_shape(parts(m)) for m in members]
-    firsts = {}     # shape -> the members of that shape that repeat no earlier one
-    earliest = {}   # member index -> the earliest member isomorphic to it
-
-    def first(i: int) -> int:
-        # blocks are tagged in member order and a block scans the members of
-        # a shape in index order, so the earlier members of i's shape are decided
-        if i not in earliest:
-            same = firsts.setdefault(frozenset(shapes[i].items()), [])
-            earliest[i] = next((r for r in same if _isomorphic(members[r], members[i], epi)), i)
-            if earliest[i] == i:
-                same.append(i)
-        return earliest[i]
+    first = _Repeats(shapes, lambda r, i: _isomorphic(members[r], members[i], epi))
 
     def block(j: int) -> Iterator[tuple]:
         seen = set()
@@ -529,6 +518,41 @@ def _pool(members: list, epi: bool, scan, close, parts) -> Iterator[tuple]:
     for j in range(len(members)):
         r = first(j)
         yield (None if r == j else r), partial(block, j)
+
+
+class _Repeats:
+    """The earliest member each member of a list is isomorphic to, decided
+    lazily: called with index i, it returns that member's index, or i when
+    no earlier member is isomorphic to it.
+
+    ``shapes[i]`` is the ``_shape`` of member i, an isomorphism invariant,
+    and ``isomorphic(r, i)`` decides whether member i is isomorphic to the
+    earlier member r.  Member i is tested only against the earlier members
+    of its shape that repeat none, and only after every earlier member of
+    its shape is decided, in index order; so the earliest member of each
+    class represents it in whatever order the indices are asked.
+    """
+
+    def __init__(self, shapes: list, isomorphic: Callable[[int, int], bool]):
+        self._keys = [frozenset(shape.items()) for shape in shapes]
+        self._isomorphic = isomorphic
+        self._same = {}       # shape -> its members, in index order
+        for i, key in enumerate(self._keys):
+            self._same.setdefault(key, []).append(i)
+        self._firsts = {}     # shape -> its decided members that repeat none
+        self._earliest = {}   # member index -> the earliest member isomorphic to it
+
+    def __call__(self, i: int) -> int:
+        if i not in self._earliest:
+            firsts = self._firsts.setdefault(self._keys[i], [])
+            for j in self._same[self._keys[i]]:
+                if j > i:
+                    break
+                if j not in self._earliest:
+                    self._earliest[j] = next((r for r in firsts if self._isomorphic(r, j)), j)
+                    if self._earliest[j] == j:
+                        firsts.append(j)
+        return self._earliest[i]
 
 
 def _isomorphic(earlier: Complex, member: Complex, epi: bool) -> bool:
@@ -783,6 +807,8 @@ class Eps1Universe:
         self.base_bound = base_bound
         self.window = window
         self._members: Optional[list] = None
+        self._checks = 0
+        self._repeats: Optional[_Repeats] = None
 
     def describe(self) -> str:
         return (f"eps1({self.ring}, class={self.xclass.key()}, base<={self.base_bound}, "
@@ -796,6 +822,23 @@ class Eps1Universe:
             c for c in _window_complexes(self.ring, self.base_bound, self.window)
             if self._qualifies(c)]
         return self._members
+
+    def representatives(self) -> Callable[[int], int]:
+        """For a check about to read the members in order: maps member i to
+        the member under which it may read an answer that is invariant under
+        isomorphism.  The first check gets i itself, so a one-shot check
+        never pays for the partition; from the second check on, every check
+        shares one ``_Repeats``, the earliest member isomorphic to member i,
+        bucketed by the shape of ``_complex_parts`` and tested as a complex
+        mono pool tests it (``_isomorphic``)."""
+        self._checks += 1
+        if self._checks == 1:
+            return lambda i: i
+        if self._repeats is None:
+            members = self.members
+            self._repeats = _Repeats([_shape(_complex_parts(c, epi=False)) for c in members],
+                                     lambda r, i: _isomorphic(members[r], members[i], False))
+        return self._repeats
 
     def _qualifies(self, c: Complex) -> bool:
         if not exact_at(c, c.degrees()):

@@ -12,10 +12,11 @@ it keeps no witnesses: it adds the earlier block's ``checked`` count.
 The oracle is the pool without any repeat skip
 (``helpers.blocks_without_repeat_skip``, no block tagged), read by the same
 checkers.  On five universes both must give the same verdicts, with
-witnesses and without; the tags, read alone from a fresh pool or after the
-pool is built, must be the repeats found by a brute-force isomorphism test;
-a reader that skips the repeat blocks builds none of them, and the pool
-read afterwards is the oracle's, entry for entry.
+witnesses and without, and on one of them also for a ``pred:`` class; the
+tags, read alone from a fresh pool or after the pool is built, must be the
+repeats found by a brute-force isomorphism test; a reader that skips the
+repeat blocks builds none of them, and the pool read afterwards is the
+oracle's, entry for entry.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from homkit.cli import complex_to_doc, main
 from homkit.complexes import complex_isomorphic, disk, sphere
 from homkit.exactalg import Zmod
 from homkit.modules import FpModule
-from homkit.xclass import ALL, ComplexUniverse, _window_complexes, ann
+from homkit.xclass import ALL, ComplexUniverse, _window_complexes, ann, parse_class_spec
 
 from .helpers import blocks_without_repeat_skip, pool_without_repeat_skip
 from .test_pool_repeat_differential import isomorphic_by_brute_force, keys, plain
@@ -53,10 +54,10 @@ def probes(n: int) -> list:
         [disk(0, free), disk(1, free), sphere(0, free), sphere(1, free)]
 
 
-def verdicts(n: int, cu: ComplexUniverse, keep: bool) -> list:
+def verdicts(n: int, cu: ComplexUniverse, keep: bool, classes: tuple = (ALL, ann(2))) -> list:
     out = []
     for c in probes(n):
-        for x in (ALL, ann(2)):
+        for x in classes:
             for check in CHECKS:
                 lifting._VERDICT_CACHE.clear()      # so that every check runs
                 v = check(c, x, cu, keep_witnesses=keep)
@@ -88,6 +89,22 @@ def test_verdicts_match_the_driver_that_reads_every_block(n, bound, monkeypatch)
     cu = fresh_universe(n, bound)
     for keep in (False, True):
         assert verdicts(n, cu, keep) == want[keep]
+    assert {v[0] for v in want[False]} == {True, False}
+
+
+def test_a_pred_class_matches_the_driver_that_reads_every_block(monkeypatch):
+    """The skip needs class membership of a cokernel (kernel) to be invariant
+    under isomorphism, as it is for a ``pred:`` class, a pattern on the
+    invariant factors: here the cyclic modules (and zero)."""
+    cyclic = (parse_class_spec("pred:[0-9]+"),)
+    caches.clear_caches()
+    with monkeypatch.context() as patched:
+        patched.setattr(xclass, "_pool", blocks_without_repeat_skip)
+        oracle = fresh_universe(4, 4)
+        want = {keep: verdicts(4, oracle, keep, cyclic) for keep in (False, True)}
+    cu = fresh_universe(4, 4)
+    for keep in (False, True):
+        assert verdicts(4, cu, keep, cyclic) == want[keep]
     assert {v[0] for v in want[False]} == {True, False}
 
 

@@ -7,10 +7,13 @@ degree s + 1 for every slide s.  ``old_dg_verdict`` is the previous dg body:
 it rebuilt Hom(E, C) (injective) or Hom(C, E) (projective) for every member
 and ran ``is_exact`` on it.  Both checkers now read
 ``lifting._hom_inexact_degree``, the least degree where the hom complex is
-not exact, memoised per pair of canonical keys; they must return the same
-``holds``, ``checked``, universe, witnesses and counterexample (the dg
-homology included), with witnesses on and off, right after
-``clear_caches()`` and again with the table warm.
+not exact, memoised per pair of canonical keys, and from a universe's
+second check on read it under the earliest member isomorphic to the member
+(``Eps1Universe.representatives``).  They must return the same ``holds``,
+``checked``, universe, witnesses and counterexample (the dg homology
+included), with witnesses on and off, right after ``clear_caches()`` and
+again with the table warm; also for a ``pred:`` class and on the wider
+window (-1, 2).
 """
 from __future__ import annotations
 
@@ -45,6 +48,7 @@ from homkit.xclass import (
     ann,
     eps1_universe,
     module_universe,
+    parse_class_spec,
 )
 
 from .helpers import first_non_nullhomotopic
@@ -180,6 +184,42 @@ def test_eps1_and_dg_match_the_per_slide_and_rebuilt_hom_oracles(n):
     for side in ("inj", "proj"):
         assert (((side, "all", True), False, "component") in outcomes) == (n != 6)
         assert (((side, "zero", True), False, "hom-not-exact") in outcomes) == (n != 6)
+
+
+# a ``pred:`` class: the cyclic modules (and zero)
+CYCLIC = parse_class_spec("pred:[0-9]+")
+
+
+def test_a_pred_class_and_a_wider_window_match_the_oracles():
+    """From a universe's second check on, eps1-perp and dg read one answer
+    per isomorphism class of members, which needs class membership to be
+    invariant under isomorphism: so also for a ``pred:`` class (the
+    universe's class and a dg component class), and on the window (-1, 2),
+    whose 133 members fall into 27 classes."""
+    ring = Zmod(4)
+    mu = module_universe(ring, 8)
+    z2, z4 = FpModule(ring, (2,)), FpModule(ring, (4,))
+    cyclic, wide = eps1_universe(ring, CYCLIC), eps1_universe(ring, ALL, window=(-1, 2))
+    few = [disk(0, z4), disk(1, z4), sphere(0, z2), sphere(1, z4),
+           fixture_injective_components_not_injective_complex()]
+    cases = [(c, cyclic, mu) for c in inputs(4)] + [(c, wide, mu) for c in few]
+    classes = (ZERO_ONLY, CYCLIC)
+    clear_caches()
+    cold = new_answers(cases, classes)
+    warm = new_answers(cases, classes)
+    old = old_answers(cases, classes)
+    assert cold == old
+    assert warm == old
+    assert len(wide.members) == 133
+    for eu in (cyclic, wide):
+        outcomes = {(ans[0], (ans[4] or {}).get("kind")) for key, ans in old.items()
+                    if key[1] == "eps1" and cases[key[0]][1] is eu}
+        assert outcomes == {(True, None), (False, "perp")}
+    outcomes = {(key[1:3], ans[0], (ans[4] or {}).get("kind")) for key, ans in old.items()}
+    for side in ("inj", "proj"):
+        assert ((side, CYCLIC.key()), True, None) in outcomes
+        assert ((side, CYCLIC.key()), False, "component") in outcomes
+        assert ((side, "zero"), False, "hom-not-exact") in outcomes
 
 
 def test_dg_builds_a_hom_complex_only_for_its_counterexample(monkeypatch):

@@ -4,7 +4,8 @@ Each two-degree complex over Z/4 and Z/6 (components of at most four
 elements, the first three differentials of each pair of components in
 enumeration order) gets four twisted copies, d^k -> a_{k+1} d^k a_k^-1 for
 random automorphisms a_k.  The witness-free verdicts of the five complex
-checkers must agree on ``holds`` and ``checked`` across the copies, and a
+checkers, under the class of all modules and under a ``pred:`` class over
+Z/4, must agree on ``holds`` and ``checked`` across the copies, and a
 counterexample must name the same universe map, exactness member or
 component degree.  This guards every memo keyed by a canonical key: an
 isomorphic copy has a different key, so it is computed afresh.  The same
@@ -33,7 +34,13 @@ from homkit.lifting import (
     x_projective_complex,
 )
 from homkit.modules import hom_module
-from homkit.xclass import ALL, default_complex_universe, eps1_universe, module_universe
+from homkit.xclass import (
+    ALL,
+    default_complex_universe,
+    eps1_universe,
+    module_universe,
+    parse_class_spec,
+)
 
 from .helpers import small_modules, twisted_copy
 
@@ -61,15 +68,25 @@ def named(counterexample):
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_verdicts_are_invariant_under_twisted_copies(n):
+    invariant_under_twisted_copies(n, ALL)
+
+
+def test_verdicts_under_a_pred_class_are_invariant_under_twisted_copies():
+    # the cyclic modules (and zero), as the class of the checks and of the
+    # exactness universe
+    invariant_under_twisted_copies(4, parse_class_spec("pred:[0-9]+"))
+
+
+def invariant_under_twisted_copies(n: int, x) -> None:
     ring = Zmod(n)
     cu = default_complex_universe(ring, (0, 1), full_bound=2, disk_bound=4)
-    eu, mu = eps1_universe(ring, ALL), module_universe(ring, 8)
+    eu, mu = eps1_universe(ring, x), module_universe(ring, 8)
     checkers = {
-        "x-injective": lambda c: x_injective_complex(c, ALL, cu, keep_witnesses=False),
-        "x-projective": lambda c: x_projective_complex(c, ALL, cu, keep_witnesses=False),
+        "x-injective": lambda c: x_injective_complex(c, x, cu, keep_witnesses=False),
+        "x-projective": lambda c: x_projective_complex(c, x, cu, keep_witnesses=False),
         "eps1-perp": lambda c: eps1_perp_homotopy(c, eu, keep_witnesses=False),
-        "dg-injective": lambda c: dg_x_injective(c, ALL, eu, mu, keep_witnesses=False),
-        "dg-projective": lambda c: dg_x_projective(c, ALL, eu, mu, keep_witnesses=False),
+        "dg-injective": lambda c: dg_x_injective(c, x, eu, mu, keep_witnesses=False),
+        "dg-projective": lambda c: dg_x_projective(c, x, eu, mu, keep_witnesses=False),
     }
     rng = random.Random(n)
     clear_caches()

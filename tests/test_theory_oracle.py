@@ -7,7 +7,10 @@ and ``x_projective_module`` on a universe large enough to hold Z/n itself
 must both hold exactly on those members.  A direct sum of disks on free
 modules is contractible with injective components, so it passes every
 complex-level check, and a sphere on a non-injective module fails the
-component test of ``dg_x_injective``.
+component test of ``dg_x_injective``.  A bounded complex of injective modules
+is DG-injective, so every complex on two degrees with injective components
+passes ``eps1_perp_homotopy`` and ``dg_x_injective``: many checks against one
+exactness universe, most of them read once per isomorphism class of members.
 """
 from __future__ import annotations
 
@@ -23,7 +26,13 @@ from homkit.lifting import (
     x_projective_module,
 )
 from homkit.modules import FpModule
-from homkit.xclass import ALL, default_complex_universe, eps1_universe, module_universe
+from homkit.xclass import (
+    ALL,
+    _window_complexes,
+    default_complex_universe,
+    eps1_universe,
+    module_universe,
+)
 
 
 def is_quasi_frobenius_free(n: int, factors: tuple) -> bool:
@@ -71,3 +80,17 @@ def test_spheres_on_non_injective_modules_fail_at_the_component(n):
         assert not verdict.holds, m.factors
         assert (verdict.counterexample["kind"], verdict.counterexample["degree"]) == \
             ("component", 2), m.factors
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 9, 10, 12])
+def test_complexes_of_injectives_on_two_degrees_pass_eps1_perp_and_dg(n):
+    # the window complexes with components of at most n elements, so that
+    # Z/n itself is among them
+    ring = Zmod(n)
+    eu, mu = eps1_universe(ring, ALL), module_universe(ring, max(n, 8))
+    complexes = [c for c in _window_complexes(ring, n, (0, 1))
+                 if all(is_quasi_frobenius_free(n, c.component(k).factors) for k in c.degrees())]
+    assert complexes
+    for c in complexes:
+        assert eps1_perp_homotopy(c, eu, keep_witnesses=False).holds, c.describe()
+        assert dg_x_injective(c, ALL, eu, mu, keep_witnesses=False).holds, c.describe()
