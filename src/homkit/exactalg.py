@@ -526,27 +526,28 @@ def _val(x: int, p: int) -> int:
     return v
 
 
-def _solve_local(rows: list, rhs_cols: list, p: int, k: int):
-    """Solve A x = b over Z/p^k for every right-hand side b in ``rhs_cols``
-    by one valuation-pivoted elimination.
+def _eliminate_local(rows: list, p: int, k: int):
+    """One valuation-pivoted elimination of A over Z/p^k, kept for any number
+    of right-hand sides given then or later.
 
     Pivots are chosen with minimal p-adic valuation (ties broken by column,
     then row), and only not-yet-pivoted rows are cleared: an unused row's
     entries all have valuation >= the current pivot exponent, so the clearing
     division is exact.  A pivot row is never touched again, which keeps every
     entry of pivot row t at valuation >= e_t; back-substitution in reverse
-    pivot order is therefore exact as well.  Each row operation is applied to
-    all right-hand sides at once.
+    pivot order is therefore exact as well.
 
-    Returns ``(particulars, kernel generators)``; ``particulars[c]`` is None
-    when column c has no solution.
+    Returns ``(solve, kernel generators)``.  ``solve(rhs_cols)`` replays the
+    recorded row operations, in the order they were applied, on all
+    right-hand sides at once and back-substitutes through the reduced pivot
+    rows; ``solve(rhs_cols)[c]`` is None when column c has no solution.
     """
     q = p ** k
     m = [[x % q for x in row] for row in rows]
-    b = [[col[i] % q for col in rhs_cols] for i in range(len(rows))]
     nrows, ncols = len(m), (len(m[0]) if m else 0)
     used = [False] * nrows
     pivots = []  # (row, col, exponent) in processing order; exponents nondecreasing
+    ops = []     # (pivot row, inverse unit, [(cleared row, multiple), ...]) per pivot
     while True:
         best = None
         for j in range(ncols):
@@ -565,16 +566,17 @@ def _solve_local(rows: list, rhs_cols: list, p: int, k: int):
         unit = (m[i][j] // (p ** e)) % q
         inv = pow(unit, -1, q)
         m[i] = [(inv * x) % q for x in m[i]]
-        b[i] = [(inv * x) % q for x in b[i]]
         pivots.append((i, j, e))
         pe = p ** e
+        clears = []
         for i2 in range(nrows):
             if used[i2] or m[i2][j] == 0:
                 continue
             c = m[i2][j] // pe
             m[i2] = [(x - c * y) % q for x, y in zip(m[i2], m[i])]
-            b[i2] = [(x - c * y) % q for x, y in zip(b[i2], b[i])]
-    leftover = [b[i] for i in range(nrows) if not used[i]]
+            clears.append((i2, c))
+        ops.append((i, inv, clears))
+    unused = [i for i in range(nrows) if not used[i]]
 
     def fill(x, rhs_by_pivot, upto):
         # fill pivot coordinates upto..0 in reverse processing order
@@ -587,9 +589,16 @@ def _solve_local(rows: list, rhs_cols: list, p: int, k: int):
             x[j] = (s // pe) % (p ** (k - e))
         return x
 
-    parts = [None if any(row[c] for row in leftover) else
-             fill([0] * ncols, [b[i][c] for i, _, _ in pivots], len(pivots) - 1)
-             for c in range(len(rhs_cols))]
+    def solve(rhs_cols: list) -> list:
+        b = [[col[i] % q for col in rhs_cols] for i in range(nrows)]
+        for i, inv, clears in ops:
+            b[i] = [(inv * x) % q for x in b[i]]
+            for i2, c in clears:
+                b[i2] = [(x - c * y) % q for x, y in zip(b[i2], b[i])]
+        return [None if any(b[i][c] for i in unused) else
+                fill([0] * ncols, [b[i][c] for i, _, _ in pivots], len(pivots) - 1)
+                for c in range(len(rhs_cols))]
+
     zeros = [0] * len(pivots)
     gens = []
     for t0, (i0, j0, e0) in enumerate(pivots):
@@ -605,32 +614,38 @@ def _solve_local(rows: list, rhs_cols: list, p: int, k: int):
         x = [0] * ncols
         x[c] = 1
         gens.append(fill(x, zeros, len(pivots) - 1))
-    return parts, gens
+    return solve, gens
 
 
-def _solve_mod_columns(rows: list, rhs_cols: list, n: int):
-    """Solve A x = b (at least one row) over Z/n for every b in ``rhs_cols``,
-    with one elimination per prime power of n.  Returns (particulars, Howell
-    kernel rows); ``particulars[c]`` is None when column c has no solution,
-    and otherwise the canonical (lexicographically least) representative of
-    its coset modulo the kernel.
-    """
+def _eliminate_mod(rows: list, n: int):
+    """One elimination per prime power of n of A (at least one row) over
+    Z/n, with the CRT coefficients that combine them.  Returns ``(solve,
+    Howell kernel rows)``; ``solve(rhs_cols)[c]`` is None when column c has
+    no solution, and otherwise the canonical (lexicographically least)
+    representative of its coset modulo the kernel."""
     ncols = len(rows[0])
-    # CRT-combine the local data
-    parts = [[0] * ncols for _ in rhs_cols]
+    local_solves = []
     gens = []
     for p, k in _factorize(n):
         q = p ** k
-        local_parts, local_gens = _solve_local(rows, rhs_cols, p, k)
         rest = n // q
         coeff = 1 if rest == 1 else (rest * pow(rest % q, -1, q)) % n
-        parts = [None if part is None or local is None else
-                 [(a + coeff * b) % n for a, b in zip(part, local)]
-                 for part, local in zip(parts, local_parts)]
+        local_solve, local_gens = _eliminate_local(rows, p, k)
+        local_solves.append((coeff, local_solve))
         gens.extend([(coeff * x) % n for x in g] for g in local_gens)
     basis = _howell_basis(gens, ncols, n)
-    return [None if part is None else _howell_reduce_vector(part, basis, n)
-            for part in parts], basis
+
+    def solve(rhs_cols: list) -> list:
+        # CRT-combine the local solutions
+        parts = [[0] * ncols for _ in rhs_cols]
+        for coeff, local_solve in local_solves:
+            parts = [None if part is None or local is None else
+                     [(a + coeff * b) % n for a, b in zip(part, local)]
+                     for part, local in zip(parts, local_solve(rhs_cols))]
+        return [None if part is None else _howell_reduce_vector(part, basis, n)
+                for part in parts]
+
+    return solve, basis
 
 
 def _hermite_reduce(x: list, basis: list) -> list:
@@ -643,11 +658,10 @@ def _hermite_reduce(x: list, basis: list) -> list:
     return x
 
 
-def _solve_int_columns(rows: list, rhs_cols: list):
-    """Solve A x = b (at least one row) over Z for every b in ``rhs_cols``
-    from one Smith normal form.  Returns (particulars, kernel generators),
-    neither reduced; ``particulars[c]`` is None when column c has no
-    solution."""
+def _eliminate_int(rows: list):
+    """One Smith normal form u A v = d of A (at least one row) over Z.
+    Returns ``(solve, kernel generators)``; ``solve(rhs_cols)[c]`` is column
+    c's particular solution, not reduced, or None when it has none."""
     ncols = len(rows[0])
     a = IntMatrix.from_rows(rows, cols=ncols)
     u, d, v, _ = _snf_full(a)
@@ -666,7 +680,7 @@ def _solve_int_columns(rows: list, rhs_cols: list):
                 return None
         return [sum(v.entries[i][j] * z[j] for j in range(ncols)) for i in range(ncols)]
 
-    return [particular(rhs) for rhs in rhs_cols], \
+    return (lambda rhs_cols: [particular(rhs) for rhs in rhs_cols]), \
         [list(v.col(j)) for j in range(ncols) if diag[j] == 0]
 
 
@@ -699,9 +713,10 @@ class CongruenceSystem:
     over Z a modulus m > 0 adds one auxiliary unknown with coefficient m, and
     m == 0 means exact equality.  Solving projects auxiliaries away and
     returns canonical particular solutions plus kernel generators for the
-    real unknowns.  ``solve_columns`` eliminates the coefficient rows once
-    for any number of right-hand sides ("factor once, solve many"); ``solve``
-    is its one-column case.
+    real unknowns.  ``factor`` eliminates the coefficient rows once into a
+    record that solves any number of right-hand sides, then or later
+    ("factor once, solve many"); ``solve_columns`` and ``solve`` are its
+    many- and one-column uses.
     """
 
     def __init__(self, ring: RingSpec, nvars: int):
@@ -727,13 +742,18 @@ class CongruenceSystem:
         value per added row, in order; the values given to ``add`` are not
         read).  Returns ``(particulars, kernel)``: ``particulars[c]`` is the
         canonical solution for column c, or None when it has none."""
-        if any(len(col) != len(self._rows) for col in columns):
-            raise ExactAlgError(f"right-hand sides need {len(self._rows)} values")
+        return self.factor().solve_columns(columns)
+
+    def factor(self) -> "_FactoredSystem":
+        """One elimination of the rows added so far (their right-hand sides
+        are not read), as a record whose ``solve_columns`` answers as this
+        system's would, for any columns and as often as asked."""
+        nvars, n = self.nvars, self.ring.modulus
         if not self._rows:
             # no constraints: zero solves every column and the kernel is everything
-            return [[0] * self.nvars for _ in columns], \
-                [[int(i == j) for j in range(self.nvars)] for i in range(self.nvars)]
-        n = self.ring.modulus
+            return _FactoredSystem(0, lambda columns: (
+                [[0] * nvars for _ in columns],
+                [[int(i == j) for j in range(nvars)] for i in range(nvars)]))
         if self.ring.is_modular:
             rows = []
             scales = []
@@ -741,19 +761,21 @@ class CongruenceSystem:
                 if m == 0 or n % m != 0:
                     raise ExactAlgError(f"row modulus {m} does not divide ring modulus {n}")
                 scale = n // m
-                row = [0] * self.nvars
+                row = [0] * nvars
                 for var, c in coeffs.items():
                     row[var] = (row[var] + scale * c) % n
                 rows.append(row)
                 scales.append(scale)
-            rhs_cols = [[(s * r) % n for s, r in zip(scales, col)] for col in columns]
-            parts, kern = _solve_mod_columns(rows, rhs_cols, n)
-            return parts, [g for g in kern if any(g)]
+            solve, basis = _eliminate_mod(rows, n)
+            kernel = [g for g in basis if any(g)]
+            return _FactoredSystem(len(rows), lambda columns: (
+                solve([[(s * r) % n for s, r in zip(scales, col)] for col in columns]),
+                [list(g) for g in kernel]))
         # over Z: auxiliary unknowns absorb the moduli
         naux = sum(1 for m in self._mods if m > 0)
-        total = self.nvars + naux
+        total = nvars + naux
         rows = []
-        aux = self.nvars
+        aux = nvars
         for coeffs, m in zip(self._rows, self._mods):
             row = [0] * total
             for var, c in coeffs.items():
@@ -762,8 +784,30 @@ class CongruenceSystem:
                 row[aux] = m
                 aux += 1
             rows.append(row)
-        parts, kern = _solve_int_columns(rows, [list(col) for col in columns])
-        gens = [g[: self.nvars] for g in kern]
-        basis = hermite_rows([g for g in gens if any(g)], self.nvars)
-        return [None if part is None else _hermite_reduce(part[: self.nvars], basis)
-                for part in parts], basis
+        solve, kern = _eliminate_int(rows)
+        gens = [g[:nvars] for g in kern]
+        basis = hermite_rows([g for g in gens if any(g)], nvars)
+        return _FactoredSystem(len(rows), lambda columns: (
+            [None if part is None else _hermite_reduce(part[:nvars], basis)
+             for part in solve([list(col) for col in columns])],
+            [list(g) for g in basis]))
+
+
+class _FactoredSystem:
+    """A ``CongruenceSystem`` after its one elimination.  ``solve_columns``
+    replays it on new right-hand sides; it never changes the elimination
+    and every list it returns is new, so one record serves every later solve
+    of the same rows."""
+
+    __slots__ = ("nrows", "_solve")
+
+    def __init__(self, nrows: int, solve):
+        self.nrows = nrows
+        self._solve = solve
+
+    def solve_columns(self, columns: Sequence[Sequence[int]]):
+        """``(particulars, kernel)`` for right-hand sides of one value per
+        row, as ``CongruenceSystem.solve_columns``."""
+        if any(len(col) != self.nrows for col in columns):
+            raise ExactAlgError(f"right-hand sides need {self.nrows} values")
+        return self._solve(columns)

@@ -695,8 +695,6 @@ def hom_postcompose(h_from: HomModule, h_to: HomModule, psi: ModuleMap) -> Modul
     return _POSTCOMPOSE.lookup((h_to.source, psi), lambda: _induced(h_from, h_to, psi.compose))
 
 
-@caches.register_lru("modules.ext1_module")
-@lru_cache(maxsize=None)
 def ext1_module(m: FpModule, n: FpModule) -> FpModule:
     """Ext^1(m, n) computed from the canonical one-step free presentation
     0 -> K -> F0 -> m -> 0 as the cokernel of Hom(F0, n) -> Hom(K, n)."""
@@ -820,6 +818,11 @@ def submodule_from_elements(m: FpModule, elems: Sequence[tuple]) -> SubquotientW
 # Linear systems whose unknowns are module maps
 # ---------------------------------------------------------------------------
 
+# a MapSystem's coefficient rows are a function of its structure alone, and
+# builds and homotopy searches pose the same few systems again and again
+_MAP_SYSTEMS = caches.table("modules.map_systems")
+
+
 class MapSystem:
     """Simultaneous linear equations over unknown module maps.
 
@@ -829,7 +832,10 @@ class MapSystem:
         sum_k  L_k o U_{name_k} o R_k  =  rhs      in Hom(S, T)
 
     entered per term, and every solve returns the canonical solution, so
-    downstream constructions are reproducible.
+    downstream constructions are reproducible.  The elimination of a system
+    is memoised in ``modules.map_systems`` by its structure (ring, unknowns,
+    equation terms and spaces), so a system posed again with other
+    right-hand sides is not eliminated again.
     """
 
     def __init__(self, ring: RingSpec):
@@ -859,11 +865,16 @@ class MapSystem:
         ModuleMaps (or None for identity) composing as L o U o R."""
         self._equations.append((list(terms), rhs, space))
 
-    def _system(self, rhs_column: Sequence[int]) -> CongruenceSystem:
+    def _key(self) -> tuple:
+        """Everything the coefficient rows are built from, in order."""
+        return (self.ring,
+                tuple((name, *self._shapes[name]) for name in self._unknowns),
+                tuple((tuple(map(tuple, terms)), *space) for terms, _, space in self._equations))
+
+    def _system(self) -> CongruenceSystem:
         """The congruences of the unknowns' well-definedness followed by those
-        of the equations, with right-hand sides from ``rhs_column``."""
+        of the equations, with zero right-hand sides."""
         sys = CongruenceSystem(self.ring, self._nvars)
-        rhs_values = iter(rhs_column)
         default_mod = self.ring.modulus if self.ring.is_modular else 0
         for name in self._unknowns:
             src, tgt = self._shapes[name]
@@ -872,7 +883,7 @@ class MapSystem:
                     continue
                 for p, dp in enumerate(tgt.factors):
                     modulus = dp if dp else default_mod
-                    sys.add({self._var(name, p, q): dq}, next(rhs_values), modulus)
+                    sys.add({self._var(name, p, q): dq}, 0, modulus)
         for terms, _, (S, T) in self._equations:
             for r in range(T.ngens):
                 modulus = T.factors[r] if T.factors[r] else default_mod
@@ -892,7 +903,7 @@ class MapSystem:
                                     continue
                                 var = self._var(name, p, q)
                                 coeffs[var] = coeffs.get(var, 0) + sign * lv * rv
-                    sys.add(coeffs, next(rhs_values), modulus)
+                    sys.add(coeffs, 0, modulus)
         return sys
 
     def _rhs_column(self, rhss: Sequence[Optional[ModuleMap]]) -> list:
@@ -922,19 +933,17 @@ class MapSystem:
     def solve(self) -> Optional[dict]:
         """The canonical solution for the equations' own right-hand sides,
         as a map per unknown, or None."""
-        rhs = self._rhs_column([rhs for _, rhs, _ in self._equations])
-        part, _ = self._system(rhs).solve()
-        return self._maps(part)
+        return self.solve_each([[rhs for _, rhs, _ in self._equations]])[0]
 
     def solve_each(self, rhs_sets: Sequence[Sequence[Optional[ModuleMap]]]) -> list:
         """Solve the system once per entry of ``rhs_sets`` with one
-        elimination.  Each entry gives a right-hand side map (None for zero)
-        per equation, in the order the equations were added, in place of the
-        equations' own; the result is the solution ``solve`` would return for
-        it, or None."""
+        elimination (none when the same system was eliminated before).  Each
+        entry gives a right-hand side map (None for zero) per equation, in
+        the order the equations were added, in place of the equations' own;
+        the result is the solution ``solve`` would return for it, or None."""
         if not rhs_sets:
             return []
         columns = [self._rhs_column(rhss) for rhss in rhs_sets]
-        # solve_columns reads only ``columns``, not the values the rows carry
-        parts, _ = self._system(columns[0]).solve_columns(columns)
+        factored = _MAP_SYSTEMS.lookup(self._key(), lambda: self._system().factor())
+        parts, _ = factored.solve_columns(columns)
         return [self._maps(part) for part in parts]

@@ -7,7 +7,7 @@ import json
 
 import homkit
 from homkit.cli import _payload_to_doc
-from homkit.complexes import _CHAIN_GROUP_CACHE, sphere
+from homkit.complexes import _CHAIN_GROUP_CACHE, ChainMap, disk, null_homotopy, sphere
 from homkit.construct import precover_bounded, verify_precover_factorization
 from homkit.exactalg import Zmod
 from homkit.lifting import (
@@ -18,7 +18,7 @@ from homkit.lifting import (
     x_injective_complex,
     x_injective_module,
 )
-from homkit.modules import FpModule, ext1_module, hom_module
+from homkit.modules import _MAP_SYSTEMS, FpModule, ext1_module, hom_module
 from homkit.xclass import (
     ALL,
     _COMPLEX_UNIVERSES,
@@ -41,7 +41,7 @@ def sizes() -> dict:
             "verdicts": len(_VERDICT_CACHE),
             "hom exactness": len(_HOM_EXACT),
             "hom modules": hom_module.cache_info().currsize,
-            "ext modules": ext1_module.cache_info().currsize}
+            "map systems": len(_MAP_SYSTEMS)}
 
 
 def digest(value) -> str:
@@ -62,6 +62,7 @@ def run() -> list:
     out = [(v.holds, v.checked, v.universe, digest(v.witnesses),
             digest(v.counterexample), digest(v.extra)) for v in verdicts]
     out.append(ext1_module(Z2, Z2).factors)
+    out.append(null_homotopy(ChainMap.identity(disk(0, Z4))).component(1))
     out.append(verify_precover_factorization(precover_bounded(y, ALL, u=u4), y, ALL, u4))
     return out
 
@@ -72,3 +73,9 @@ def test_clear_caches_empties_every_cache_and_answers_stay():
     homkit.clear_caches()
     assert not any(sizes().values()), sizes()
     assert run() == first
+
+
+def test_ext1_module_is_not_memoised():
+    # Ext^1 modules are almost never asked for twice, so they keep no table
+    assert "modules.ext1_module" not in homkit.caches.stats()
+    assert not hasattr(ext1_module, "cache_info")

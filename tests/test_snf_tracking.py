@@ -16,8 +16,8 @@ from homkit.exactalg import (
     ZZ,
     IntMatrix,
     Zmod,
+    _eliminate_int,
     _snf_full,
-    _solve_int_columns,
     integer_kernel,
     smith_normal_form,
 )
@@ -81,7 +81,12 @@ def test_integer_solves_match_full_tracking(a, data):
     rhs = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=a.rows, max_size=a.rows),
                              min_size=1, max_size=3))
     rows = [list(r) for r in a.entries]
-    assert _solve_int_columns(rows, rhs) == tracked(lambda: _solve_int_columns(rows, rhs))
+
+    def solve():
+        solve_columns, gens = _eliminate_int(rows)
+        return solve_columns(rhs), gens
+
+    assert solve() == tracked(solve)
 
 
 def test_one_row_shapes():

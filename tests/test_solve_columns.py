@@ -1,11 +1,12 @@
 """The multi-right-hand-side solvers against one solve per column.
 
-``_solve_mod_columns`` and, over Z, ``CongruenceSystem.solve_columns``
-eliminate once and read off every column's solution.  ``old_solve_mod``
-and ``old_solve_int`` below are the single-column solvers they replaced,
-kept as the oracle: every column's particular solution and the kernel basis
-must match them bit for bit, and a column must be unsolvable exactly when
-the oracle says so.
+``_eliminate_mod`` and, over Z, ``CongruenceSystem.solve_columns``
+eliminate once and read off every column's solution, and the record
+``CongruenceSystem.factor`` returns keeps doing so batch after batch.
+``old_solve_mod`` and ``old_solve_int`` below are the single-column solvers
+they replaced, kept as the oracle: every column's particular solution and
+the kernel basis must match them bit for bit, and a column must be
+unsolvable exactly when the oracle says so.
 """
 from __future__ import annotations
 
@@ -18,11 +19,11 @@ from homkit.exactalg import (
     CongruenceSystem,
     IntMatrix,
     Zmod,
+    _eliminate_mod,
     _factorize,
     _howell_basis,
     _howell_reduce_vector,
     _snf_full,
-    _solve_mod_columns,
     _val,
     hermite_rows,
 )
@@ -155,12 +156,18 @@ def old_solve_int(rows, rhs):
     return x, basis
 
 
+def solve_mod_columns(rows, cols, n):
+    """Every column's solution and the Howell kernel from one elimination
+    of the rows over Z/n."""
+    solve, basis = _eliminate_mod(rows, n)
+    return solve(cols), basis
+
+
 @st.composite
-def systems(draw, lo, hi):
-    """Rows of a random system and a few right-hand sides: some random, some
-    images of a random vector (solvable), always the zero column."""
-    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    rows = [[draw(st.integers(lo, hi)) for _ in range(c)] for _ in range(r)]
+def right_hand_sides(draw, rows, lo, hi):
+    """A few right-hand sides for ``rows``: some random, some images of a
+    random vector (solvable), always the zero column first."""
+    r, c = len(rows), len(rows[0])
     cols = [[0] * r]
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
@@ -168,7 +175,15 @@ def systems(draw, lo, hi):
         else:
             x = [draw(st.integers(lo, hi)) for _ in range(c)]
             cols.append([sum(a * b for a, b in zip(row, x)) for row in rows])
-    return rows, cols
+    return cols
+
+
+@st.composite
+def systems(draw, lo, hi):
+    """Rows of a random system and a few right-hand sides for it."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = [[draw(st.integers(lo, hi)) for _ in range(c)] for _ in range(r)]
+    return rows, draw(right_hand_sides(rows, lo, hi))
 
 
 def assert_matches_per_column(parts, basis, oracle):
@@ -185,7 +200,7 @@ def assert_matches_per_column(parts, basis, oracle):
 @given(st.sampled_from([2, 4, 6, 8, 9, 12, 36]), st.data())
 def test_mod_columns_match_one_solve_per_column(n, data):
     rows, cols = data.draw(systems(-2 * n, 2 * n))
-    parts, basis = _solve_mod_columns(rows, cols, n)
+    parts, basis = solve_mod_columns(rows, cols, n)
     assert len(parts) == len(cols)
     assert_matches_per_column(parts, basis, [old_solve_mod(rows, col, n) for col in cols])
 
@@ -200,6 +215,43 @@ def test_int_columns_match_one_solve_per_column(data):
     parts, basis = system.solve_columns(cols)
     assert len(parts) == len(cols)
     assert_matches_per_column(parts, basis, [old_solve_int(rows, col) for col in cols])
+
+
+def solve_in_batches(ring, rows, batches, oracle):
+    """Factor the rows once, solve each batch on the record and then the
+    first batch again: every column must match ``oracle``.  Everything a
+    solve returns is scribbled on before the next, which must not reach
+    the record."""
+    system = CongruenceSystem(ring, len(rows[0]))
+    for row in rows:
+        system.add(dict(enumerate(row)), 0, ring.modulus)
+    record = system.factor()
+    for batch in [*batches, batches[0]]:
+        parts, basis = record.solve_columns(batch)
+        assert len(parts) == len(batch)
+        assert_matches_per_column(parts, basis, [oracle(col) for col in batch])
+        for part in parts:
+            if part:
+                part[0] += 1
+        for row in basis:
+            row.append(1)
+        basis.append([1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8, 9, 12, 36]), st.data())
+def test_a_mod_record_solves_batch_after_batch(n, data):
+    rows, first = data.draw(systems(-2 * n, 2 * n))
+    batches = [first] + [data.draw(right_hand_sides(rows, -2 * n, 2 * n)) for _ in range(2)]
+    solve_in_batches(Zmod(n), rows, batches, lambda col: old_solve_mod(rows, col, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_an_int_record_solves_batch_after_batch(data):
+    rows, first = data.draw(systems(-6, 6))
+    batches = [first] + [data.draw(right_hand_sides(rows, -6, 6)) for _ in range(2)]
+    solve_in_batches(ZZ, rows, batches, lambda col: old_solve_int(rows, col))
 
 
 @settings(max_examples=100, deadline=None)
