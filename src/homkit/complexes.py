@@ -625,40 +625,53 @@ def null_homotopy(f: ChainMap) -> Optional[Homotopy]:
 
 def splits(seq: ShortExactOfComplexes) -> Optional[ChainMap]:
     """A retraction r with r o inj = id as chain maps, or None."""
-    return _retraction(seq.left, seq.middle, seq.inj)
+    return _factor_through(seq.inj, [ChainMap.identity(seq.left)], True)[0]
 
 
-def _retraction(L: Complex, M: Complex, inj: ChainMap) -> Optional[ChainMap]:
-    """The canonical chain map r: M -> L with r o inj = id, or None."""
-    if L.is_zero():
-        return ChainMap.zero(M, L)
-    ms = MapSystem(L.ring)
-    names = {}
-    for k in M.degrees():
-        if not L.component(k).is_zero():
-            names[k] = ms.unknown(f"r{k}", M.component(k), L.component(k))
-    degs = set(M.degrees()) | set(L.degrees())
-    for k in degs:
-        # chain square r^{k+1} d_M = d_L r^k
-        if not M.component(k).is_zero() and not L.component(k + 1).is_zero():
-            terms = []
-            if (k + 1) in names:
-                terms.append((None, names[k + 1], M.differential(k), 1))
-            if k in names:
-                terms.append((L.differential(k), names[k], None, -1))
-            if terms:
-                ms.equation(terms, None, (M.component(k), L.component(k + 1)))
-        # retraction on the inclusion
-        if not L.component(k).is_zero():
-            if k not in names:
-                return None
-            ms.equation([(None, names[k], inj.component(k), 1)],
-                        ModuleMap.identity(L.component(k)), (L.component(k), L.component(k)))
-    sol = ms.solve()
-    if sol is None:
-        return None
-    comps = {k: sol[name] for k, name in names.items()}
-    return ChainMap(M, L, comps, check=False)
+def _sphere_map(f: ModuleMap) -> ChainMap:
+    """f as a chain map of the degree-zero spheres on its ends."""
+    return ChainMap(sphere(0, f.source), sphere(0, f.target), {0: f}, check=False)
+
+
+def _factor_through(phi, fs: Sequence, injective: bool) -> list:
+    """For each f in ``fs`` the canonical chain map g with g o phi = f
+    (``injective``) or phi o g = f, or None.  Module maps are taken as maps
+    of degree-zero spheres; the fs share their ends.  g's components in
+    degree order are the unknowns of one ``MapSystem``, its equations are
+    g's chain squares and components, and each f is one right-hand side."""
+    if isinstance(phi, ModuleMap):
+        phi, fs = _sphere_map(phi), [_sphere_map(f) for f in fs]
+    # g: S -> T, and the component equations live in Hom(A^k, C^k)
+    (S, T), (A, C) = ((phi.target, fs[0].target), (phi.source, fs[0].target)) if injective \
+        else ((fs[0].source, phi.source), (fs[0].source, phi.target))
+    ms = MapSystem(S.ring)
+    names = {k: ms.unknown(f"g{k}", S.component(k), T.component(k))
+             for k in S.degrees() if not T.component(k).is_zero()}
+    slots = []      # per equation, the degree of f its right-hand side is, or None
+    for k in S.degrees():
+        # chain square g^{k+1} d_S = d_T g^k
+        if T.component(k + 1).is_zero():
+            continue
+        terms = [(None, names[k + 1], S.differential(k), 1)] if (k + 1) in names else []
+        if k in names:
+            terms.append((T.differential(k), names[k], None, -1))
+        if terms:
+            ms.equation(terms, None, (S.component(k), T.component(k + 1)))
+            slots.append(None)
+    for k in A.degrees():
+        # g^k o phi^k = f^k (injective) or phi^k o g^k = f^k; with no g^k, f^k = 0
+        if C.component(k).is_zero():
+            continue
+        terms = []
+        if k in names:
+            terms.append((None, names[k], phi.component(k), 1) if injective
+                         else (phi.component(k), names[k], None, 1))
+        ms.equation(terms, None, (A.component(k), C.component(k)))
+        slots.append(k)
+    sols = ms.solve_each([[None if k is None else f.component(k) for k in slots] for f in fs])
+    return [None if sol is None else
+            ChainMap(S, T, {k: sol[name] for k, name in names.items()}, check=False)
+            for sol in sols]
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ counterexample is the first element whose inclusion leaves the image.  Only
 the witness-free onto test depends on the type: hom modules take the rank
 test, which also runs over Z and costs less, and chain-map groups count the
 image order.  One driver runs this for all four checkers (injective or
-projective, modules or complexes), and one confirmer re-checks each
-counterexample by enumerating its hom group when that group has at most
-``_MODULE_SEARCH_CAP`` = 2^16 (modules) or ``_CHAIN_SEARCH_CAP`` = 2^14
-(chain maps) elements.
+projective, modules or complexes), and each counterexample is confirmed by
+one solve of its extension (lift) system, ``complexes._factor_through``,
+whatever the size of its hom group and over Z too.
 """
 from __future__ import annotations
 
@@ -27,7 +26,6 @@ from . import caches
 from .modules import (
     FpModule,
     ModuleMap,
-    MapSystem,
     _kernel_inclusion,
     _solve_in_module_columns,
     cokernel,
@@ -40,8 +38,9 @@ from .modules import (
 from .complexes import (
     ChainMap,
     Complex,
-    _retraction,
+    _factor_through,
     _row_complex,
+    _sphere_map,
     chain_group_image,
     chain_map_group,
     exact_at,
@@ -57,6 +56,7 @@ from .xclass import (
     ModuleUniverse,
     UniverseCapError,
     XClassSpec,
+    cokernel_complex,
     contains_complex,
     contains_module,
     module_universe,
@@ -83,8 +83,7 @@ _VERDICT_CACHE = caches.table("lifting.verdicts")
 # one hom-exactness answer per (source, target), read by eps1-perp and dg
 _HOM_EXACT = caches.table("lifting.hom_exact")
 
-# exhaustive searches of a hom group enumerate it only up to these sizes
-_MODULE_SEARCH_CAP = 1 << 16
+# exhaustive searches of a chain-map group enumerate it only up to this size
 _CHAIN_SEARCH_CAP = 1 << 14
 
 
@@ -145,21 +144,9 @@ def _onto(phi, obj, injective: bool, hom: Callable, keep_witnesses: bool) -> tup
     return None not in sections, sections
 
 
-def _confirm_no_preimage(grp, fn: Callable, f, cap: int) -> None:
-    """Exhaustively re-verify that no g in the group has fn(g) == f; groups
-    above ``cap`` elements are not enumerated."""
-    size = grp.module.size()
-    if size is None or size > cap:
-        return
-    for g in grp.elements():
-        if fn(g) == f:
-            raise AssertionError("counterexample refuted by exhaustive search")
-
-
 def _lifting_verdict(obj, x: XClassSpec, u, blocks: Callable, injective: bool,
                      keep_witnesses: bool, *, level: str, hom: Callable,
-                     member: Callable, cap: int,
-                     finish: Optional[Callable] = None) -> Verdict:
+                     member: Callable, finish: Optional[Callable] = None) -> Verdict:
     """The block loop shared by the four lifting checkers.
 
     ``blocks()`` yields ``(repeat, entries)``: the universe maps phi
@@ -173,7 +160,9 @@ def _lifting_verdict(obj, x: XClassSpec, u, blocks: Callable, injective: bool,
     restriction of ``_restriction_image`` is onto, decided by ``_onto``: by
     one section solve when witnesses are kept (its columns are the witness),
     else by a rank or order test.  A cokernel is taken only to find a
-    counterexample.
+    counterexample, and the counterexample f is confirmed by one solve for
+    a g with g o phi = f (phi o g = f), ``_factor_through``, of any group
+    size and over Z too; a g found refutes it.
 
     Without witnesses a repeat block is not read; it adds the ``checked``
     count of the block it repeats, and that is exact: the loop reached it,
@@ -183,8 +172,8 @@ def _lifting_verdict(obj, x: XClassSpec, u, blocks: Callable, injective: bool,
     ``member`` answer) and the same onto answer, lifting being a property
     of the isomorphism class.  With witnesses every block is read, since
     each instance carries its own sections.  ``level`` ("module" or
-    "complex") names the certificates, ``cap`` bounds the re-confirmation,
-    and ``finish`` may add to the verdict before it is cached.
+    "complex") names the certificates, and ``finish`` may add to the verdict
+    before it is cached.
     """
     side, role, part = ("extension", "mono", "cokernel") if injective \
         else ("lift", "epi", "kernel")
@@ -209,10 +198,10 @@ def _lifting_verdict(obj, x: XClassSpec, u, blocks: Callable, injective: bool,
                         verdict.witnesses.append({"kind": kind, role: phi, part: quotient,
                                                   "section": sections})
                     continue
-                grp_from, grp_to, image, inclusion = _restriction_image(phi, obj, injective, hom)
+                _, grp_to, image, inclusion = _restriction_image(phi, obj, injective, hom)
                 f = grp_to.decode(_first_outside_image(image, inclusion))
-                fn = (lambda g: g.compose(phi)) if injective else phi.compose
-                _confirm_no_preimage(grp_from, fn, f, cap)
+                if _factor_through(phi, [f], injective)[0] is not None:
+                    raise AssertionError("counterexample refuted by a solve")
                 verdict.holds = False
                 verdict.counterexample = {"kind": kind, role: phi, "map": f}
                 break
@@ -257,7 +246,7 @@ def x_injective_module(e: FpModule, x: XClassSpec, u: ModuleUniverse,
 
     return _lifting_verdict(e, x, u, lambda: [(None, u.mono_pool())], True, keep_witnesses,
                             level="module", hom=hom_module, member=contains_module,
-                            cap=_MODULE_SEARCH_CAP, finish=ext_vanishing)
+                            finish=ext_vanishing)
 
 
 def x_projective_module(p: FpModule, x: XClassSpec, u: ModuleUniverse,
@@ -266,8 +255,7 @@ def x_projective_module(p: FpModule, x: XClassSpec, u: ModuleUniverse,
     surjection with class-member kernel lifts through the surjection."""
     _check_rings(p, u)
     return _lifting_verdict(p, x, u, lambda: [(None, u.epi_pool())], False, keep_witnesses,
-                            level="module", hom=hom_module, member=contains_module,
-                            cap=_MODULE_SEARCH_CAP)
+                            level="module", hom=hom_module, member=contains_module)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +284,7 @@ def x_injective_complex(c: Complex, x: XClassSpec, cu: ComplexUniverse,
     # whose source misses c's support only restrict the zero map
     return _lifting_verdict(
         c, x, cu, _blocks_meeting(cu.monos, c, lambda phi: phi.source), True, keep_witnesses,
-        level="complex", hom=chain_map_group, member=contains_complex, cap=_CHAIN_SEARCH_CAP)
+        level="complex", hom=chain_map_group, member=contains_complex)
 
 
 def x_projective_complex(c: Complex, x: XClassSpec, cu: ComplexUniverse,
@@ -307,7 +295,7 @@ def x_projective_complex(c: Complex, x: XClassSpec, cu: ComplexUniverse,
     # whose target misses c's support only receive the zero map
     return _lifting_verdict(
         c, x, cu, _blocks_meeting(cu.epis, c, lambda psi: psi.target), False, keep_witnesses,
-        level="complex", hom=chain_map_group, member=contains_complex, cap=_CHAIN_SEARCH_CAP)
+        level="complex", hom=chain_map_group, member=contains_complex)
 
 
 # ---------------------------------------------------------------------------
@@ -490,39 +478,27 @@ def hom_exactness(beta: ModuleMap, theta: ModuleMap, probe: Complex,
     # the middle maps g are the degree-zero components of the chain maps
     # probe -> sphere(0, B) (left) or sphere(0, B) -> probe (right)
     ends = (probe, sphere(0, beta.target)) if left else (sphere(0, beta.target), probe)
-    key, name = ("lift", "u") if left else ("factor", "h")
+    key = "lift" if left else "factor"
     grp = chain_map_group(*ends)
     size = grp.module.size()
     if size is not None and size > _CHAIN_SEARCH_CAP:
         raise UniverseCapError(
             f"too many chain maps to enumerate: {size} chain maps from {ends[0].describe()} "
             f"to {ends[1].describe()} (search cap {_CHAIN_SEARCH_CAP})")
-    gs = [f.component(0) for f in grp.elements()]
-    gs = [g for g in gs if (theta.compose(g) if left else g.compose(beta)).is_zero()]
-    ms = MapSystem(probe.ring)
-    zero_rhs = []     # the right-hand sides after g's, all zero
-    if left:  # u: probe^0 -> A with beta o u = g and u o d^{-1} = 0
-        ms.unknown(name, probe.component(0), beta.source)
-        ms.equation([(beta, name, None, 1)], None, (probe.component(0), beta.target))
-        if not probe.component(-1).is_zero():
-            ms.equation([(None, name, probe.differential(-1), 1)], None,
-                        (probe.component(-1), beta.source))
-            zero_rhs.append(None)
-    else:  # h: C -> probe^0 with h o theta = g and d^0 o h = 0
-        ms.unknown(name, theta.target, probe.component(0))
-        ms.equation([(None, name, theta, 1)], None, (theta.source, probe.component(0)))
-        if not probe.component(1).is_zero():
-            ms.equation([(probe.differential(0), name, None, 1)], None,
-                        (theta.target, probe.component(1)))
-            zero_rhs.append(None)
-    # every g is one right-hand side of the same system: one elimination
-    for g, sol in zip(gs, ms.solve_each([[g, *zero_rhs] for g in gs])):
+    fs = [f for f in grp.elements()
+          if (theta.compose(f.component(0)) if left else f.component(0).compose(beta)).is_zero()]
+    # a lift u (left: beta o u = g, u o d^{-1} = 0) or an extension h (right:
+    # h o theta = g, d^0 o h = 0) of each g is a chain map through the sphere
+    # map of beta (theta); one solve for all of them
+    sols = _factor_through(_sphere_map(beta if left else theta), fs, injective=not left)
+    for f, sol in zip(fs, sols):
+        g = f.component(0)
         verdict.checked += 1
         if sol is None:
             verdict.holds = False
             verdict.counterexample = {"kind": "hom-row", "map": g}
             break
-        verdict.witnesses.append({"kind": "hom-row", "middle": g, key: sol[name]})
+        verdict.witnesses.append({"kind": "hom-row", "middle": g, key: sol.component(0)})
     return verdict
 
 
@@ -575,11 +551,10 @@ def summand_retraction(xc: Complex, y: Complex, incl: ChainMap, x: XClassSpec,
         raise ValueError("inclusion endpoints do not match")
     if not incl.is_mono():
         raise HypothesisError("inclusion is not degreewise injective")
-    from .xclass import cokernel_complex
     cok = cokernel_complex(incl)
     if not contains_complex(x, cok):
         raise HypothesisError("cokernel complex is outside the class")
     hyp = x_injective_complex(xc, x, cu, keep_witnesses=False)
     if not hyp.holds:
         raise HypothesisError("included complex failed the injective-complex test")
-    return _retraction(xc, y, incl)
+    return _factor_through(incl, [ChainMap.identity(xc)], True)[0]

@@ -171,6 +171,57 @@ def first_outside_image(proj: ModuleMap) -> tuple:
     return next(elem for elem in proj.source.elements() if any(proj.apply(elem)))
 
 
+# the group sizes up to which the old lifting confirmer enumerated, by level
+CONFIRM_CAPS = {"module": 1 << 16, "complex": 1 << 14}
+
+
+def confirm_no_preimage(grp, fn, f, cap: int) -> None:
+    """The old lifting confirmer, kept as a test-only oracle: exhaustively
+    re-verify that no g in the group has fn(g) == f; groups above ``cap``
+    elements, and infinite ones, are not enumerated."""
+    size = grp.module.size()
+    if size is None or size > cap:
+        return
+    for g in grp.elements():
+        if fn(g) == f:
+            raise AssertionError("counterexample refuted by exhaustive search")
+
+
+def old_retraction(L: Complex, M: Complex, inj: ChainMap) -> Optional[ChainMap]:
+    """The canonical chain map r: M -> L with r o inj = id, or None, by the
+    retraction system ``splits`` solved before the shared factoring solver
+    (the test-only oracle)."""
+    if L.is_zero():
+        return ChainMap.zero(M, L)
+    ms = MapSystem(L.ring)
+    names = {}
+    for k in M.degrees():
+        if not L.component(k).is_zero():
+            names[k] = ms.unknown(f"r{k}", M.component(k), L.component(k))
+    degs = set(M.degrees()) | set(L.degrees())
+    for k in degs:
+        # chain square r^{k+1} d_M = d_L r^k
+        if not M.component(k).is_zero() and not L.component(k + 1).is_zero():
+            terms = []
+            if (k + 1) in names:
+                terms.append((None, names[k + 1], M.differential(k), 1))
+            if k in names:
+                terms.append((L.differential(k), names[k], None, -1))
+            if terms:
+                ms.equation(terms, None, (M.component(k), L.component(k + 1)))
+        # retraction on the inclusion
+        if not L.component(k).is_zero():
+            if k not in names:
+                return None
+            ms.equation([(None, names[k], inj.component(k), 1)],
+                        ModuleMap.identity(L.component(k)), (L.component(k), L.component(k)))
+    sol = ms.solve()
+    if sol is None:
+        return None
+    comps = {k: sol[name] for k, name in names.items()}
+    return ChainMap(M, L, comps, check=False)
+
+
 # ---------------------------------------------------------------------------
 # The per-element counterexample searches, kept as test-only oracles: one
 # linear solve per group element, where ``lifting._first_outside_image``

@@ -21,8 +21,8 @@ from homkit.exactalg import ZZ, IntMatrix, Zmod
 from homkit.modules import FpModule, ModuleMap, _solve_in_module_columns, cokernel, kernel
 from homkit.xclass import ALL, ann, default_complex_universe, module_universe
 
-from .helpers import chain_group_compose, first_outside_image, induced_restriction, \
-    section_certificate
+from .helpers import CONFIRM_CAPS, chain_group_compose, confirm_no_preimage, \
+    first_outside_image, induced_restriction, section_certificate
 from .test_pool_differential import UNIVERSES, fresh_universe
 
 
@@ -50,7 +50,7 @@ def old_chain_group_compose(g_from, g_to, phi, pre):
 
 
 def old_lifting_verdict(obj, x, u, pool, injective, keep_witnesses, *, level, hom,
-                        member, cap, finish=None):
+                        member, finish=None):
     """The driver loop as it was: the cokernel of every tested map first."""
     side, role, part = ("extension", "mono", "cokernel") if injective \
         else ("lift", "epi", "kernel")
@@ -69,7 +69,7 @@ def old_lifting_verdict(obj, x, u, pool, injective, keep_witnesses, *, level, ho
                                           "section": section_certificate(restr)})
             continue
         f = grp_to.decode(first_outside_image(proj))
-        lifting._confirm_no_preimage(grp_from, fn, f, cap)
+        confirm_no_preimage(grp_from, fn, f, CONFIRM_CAPS[level])
         verdict.holds = False
         verdict.counterexample = {"kind": kind, role: phi, "map": f}
         break

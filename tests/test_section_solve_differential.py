@@ -27,8 +27,8 @@ from homkit.exactalg import Zmod
 from homkit.modules import FpModule, _solve_in_module_columns, cokernel, hom_module
 from homkit.xclass import ALL, ann, default_complex_universe, module_universe
 
-from .helpers import chain_group_compose, first_outside_image, induced_restriction, \
-    section_certificate
+from .helpers import CONFIRM_CAPS, chain_group_compose, confirm_no_preimage, \
+    first_outside_image, induced_restriction, section_certificate
 
 RINGS = (4, 6, 8, 9)
 MODULE_RINGS = (2, 4, 6, 8, 9, 12)
@@ -98,7 +98,7 @@ def test_zero_cycle_groups():
 
 
 def old_lifting_verdict(obj, x, u, pool, injective, keep_witnesses, *, level, hom,
-                        member, cap, finish=None):
+                        member, finish=None):
     """The complex driver loop as it was: the restriction matrix of every
     tested map, its sections or its rank test, and its cokernel for a
     counterexample."""
@@ -128,7 +128,7 @@ def old_lifting_verdict(obj, x, u, pool, injective, keep_witnesses, *, level, ho
             continue
         _, proj = cokernel(restr)
         f = grp_to.decode(first_outside_image(proj))
-        lifting._confirm_no_preimage(grp_from, fn, f, cap)
+        confirm_no_preimage(grp_from, fn, f, CONFIRM_CAPS[level])
         verdict.holds = False
         verdict.counterexample = {"kind": kind, role: phi, "map": f}
         break
