@@ -293,16 +293,28 @@ def normalize_presentation(ring: RingSpec, ngens: int, relations: IntMatrix) -> 
     return Presentation(module, to_can, from_can)
 
 
+# lifting's section solves pose the same systems and right-hand sides again
+# and again; the answers are stored, not the (several times larger) eliminations
+_MODULE_SOLUTIONS = caches.table("modules.module_solutions")
+
+
 def _solve_in_module_columns(target: FpModule, mat: IntMatrix, columns) -> list:
     """Solve mat @ x = b, row i a congruence mod target factor i, for each
-    right-hand side b in ``columns`` with one elimination; returns each
-    column's particular solution, or None where it has none."""
-    ring = target.ring
-    sys = CongruenceSystem(ring, mat.cols)
-    for i, di in enumerate(target.factors):
-        modulus = di if di else (ring.modulus if ring.is_modular else 0)
-        sys.add({j: mat.entries[i][j] for j in range(mat.cols) if mat.entries[i][j]}, 0, modulus)
-    return sys.solve_columns(columns)[0]
+    right-hand side b in ``columns`` with one elimination, none when the same
+    system and columns were solved before (``modules.module_solutions``);
+    returns each column's particular solution as a new list, or None."""
+    columns = tuple(map(tuple, columns))
+
+    def solve() -> tuple:
+        ring = target.ring
+        sys = CongruenceSystem(ring, mat.cols)
+        for i, di in enumerate(target.factors):
+            modulus = di if di else (ring.modulus if ring.is_modular else 0)
+            sys.add({j: mat.entries[i][j] for j in range(mat.cols) if mat.entries[i][j]}, 0, modulus)
+        return tuple(None if part is None else tuple(part) for part in sys.solve_columns(columns)[0])
+
+    parts = _MODULE_SOLUTIONS.lookup((target.ring, target.factors, mat.cols, mat.entries, columns), solve)
+    return [None if part is None else list(part) for part in parts]
 
 
 def _solve_in_module(target: FpModule, mat: IntMatrix, rhs: IntMatrix):

@@ -17,9 +17,9 @@ from homkit import (
 )
 from homkit.complexes import chain_group_image, null_homotopy
 from homkit.construct import _side_words
-from homkit.exactalg import IntMatrix
+from homkit.exactalg import CongruenceSystem, IntMatrix
 from homkit.lifting import _CHAIN_SEARCH_CAP
-from homkit.modules import MapSystem, _solve_in_module_columns, hom_postcompose, hom_precompose
+from homkit.modules import MapSystem, hom_postcompose, hom_precompose
 from homkit.xclass import _fits, _shape
 
 
@@ -121,6 +121,19 @@ def twisted_copy(rng: random.Random, c: Complex) -> Complex:
 # outside the image
 # ---------------------------------------------------------------------------
 
+def solve_in_module_columns_oracle(target: FpModule, mat: IntMatrix, columns) -> list:
+    """``modules._solve_in_module_columns`` without its memo table: one
+    fresh elimination solving mat @ x = b, row i a congruence mod target
+    factor i, for each right-hand side b in ``columns``; each column's
+    particular solution, or None where it has none."""
+    ring = target.ring
+    sys = CongruenceSystem(ring, mat.cols)
+    for i, di in enumerate(target.factors):
+        modulus = di if di else (ring.modulus if ring.is_modular else 0)
+        sys.add({j: mat.entries[i][j] for j in range(mat.cols) if mat.entries[i][j]}, 0, modulus)
+    return sys.solve_columns(columns)[0]
+
+
 def chain_group_compose(g_from, g_to, phi: ChainMap, pre: bool) -> ModuleMap:
     """The map g_from.module -> g_to.module sending f to f o phi (``pre``)
     or to phi o f, as one matrix: the composites of g_from's cycle
@@ -130,8 +143,8 @@ def chain_group_compose(g_from, g_to, phi: ChainMap, pre: bool) -> ModuleMap:
     if g_from._inclusion is None or g_to._inclusion is None:
         return ModuleMap.zero(g_from.module, g_to.module)
     image = chain_group_image(g_from, g_to, phi, pre)
-    parts = _solve_in_module_columns(image.target, g_to._inclusion.matrix,
-                                     image.matrix.columns())
+    parts = solve_in_module_columns_oracle(image.target, g_to._inclusion.matrix,
+                                           image.matrix.columns())
     if any(part is None for part in parts):
         raise AssertionError("composite escaped the chain-map group")
     return ModuleMap(g_from.module, g_to.module,
@@ -162,7 +175,7 @@ def section_certificate(restr: ModuleMap) -> list:
     restriction matrix."""
     n = restr.target.ngens
     units = [[1 if r == g else 0 for r in range(n)] for g in range(n)]
-    return _solve_in_module_columns(restr.target, restr.matrix, units)
+    return solve_in_module_columns_oracle(restr.target, restr.matrix, units)
 
 
 def first_outside_image(proj: ModuleMap) -> tuple:

@@ -99,6 +99,7 @@ def fill() -> None:
     y = sphere(0, Z2)
     x_injective_module(Z2, ALL, u4, keep_witnesses=False)
     x_injective_complex(y, ALL, cu4, keep_witnesses=False)
+    x_injective_complex(y, ALL, cu4, keep_witnesses=True)
     eps1_perp_homotopy(y, eps1_universe(R4, ALL, base_bound=2, window=(-1, 0)),
                        keep_witnesses=False)
     hom_complex_data(cu4.members[-1], cu4.members[-1])
@@ -109,6 +110,7 @@ def fill() -> None:
 
 
 def test_clear_caches_empties_every_table_and_resets_counters():
+    caches.clear_caches()
     fill()
     before = caches.stats()
     assert all(s["entries"] for s in before.values()), before

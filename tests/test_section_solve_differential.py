@@ -24,11 +24,12 @@ import pytest
 from homkit import lifting
 from homkit.complexes import ChainMap, chain_map_group, disk, sphere, zero_complex
 from homkit.exactalg import Zmod
-from homkit.modules import FpModule, _solve_in_module_columns, cokernel, hom_module
+from homkit.modules import FpModule, cokernel, hom_module
 from homkit.xclass import ALL, ann, default_complex_universe, module_universe
 
 from .helpers import CONFIRM_CAPS, chain_group_compose, confirm_no_preimage, \
-    first_outside_image, induced_restriction, section_certificate
+    first_outside_image, induced_restriction, section_certificate, \
+    solve_in_module_columns_oracle
 
 RINGS = (4, 6, 8, 9)
 MODULE_RINGS = (2, 4, 6, 8, 9, 12)
@@ -116,7 +117,7 @@ def old_lifting_verdict(obj, x, u, pool, injective, keep_witnesses, *, level, ho
         verdict.checked += 1
         if keep_witnesses:
             n = restr.target.ngens
-            sections = _solve_in_module_columns(
+            sections = solve_in_module_columns_oracle(
                 restr.target, restr.matrix, [[int(r == g) for r in range(n)] for g in range(n)])
             onto = None not in sections
         else:
