@@ -1,9 +1,10 @@
 """Exact integer and modular matrix arithmetic.
 
-Smith normal form over Z, Howell canonical form over Z/n, and exact
-linear-system solving over both rings.  Everything runs on plain Python
-integers (arbitrary precision), matrices are immutable tuples of tuples,
-and all functions are pure, so the whole module is thread-safe.
+Smith normal form over Z, and one echelon routine, the Howell form over
+Z/n and the Hermite form over Z, through which every linear system over
+either ring is solved.  Everything runs on plain Python integers
+(arbitrary precision), matrices are immutable tuples of tuples, and all
+functions are pure, so the whole module is thread-safe.
 """
 from __future__ import annotations
 
@@ -348,52 +349,8 @@ def integer_kernel(a: IntMatrix) -> list:
     return gens
 
 
-def _hermite_insert(basis: dict, row: list):
-    """Insert a row into a column-indexed echelon basis over Z."""
-    r = list(row)
-    while True:
-        lead = None
-        for j, x in enumerate(r):
-            if x != 0:
-                lead = j
-                break
-        if lead is None:
-            return
-        if lead in basis:
-            p = basis[lead]
-            g, s, t, uu, vv = _gcdex(p[lead], r[lead])
-            newp = [s * x + t * y for x, y in zip(p, r)]
-            newr = [uu * x + vv * y for x, y in zip(p, r)]
-            basis[lead] = newp
-            r = newr
-        else:
-            if r[lead] < 0:
-                r = [-x for x in r]
-            basis[lead] = r
-            return
-
-
-def hermite_rows(rows: Iterable[Sequence[int]], cols: int) -> list:
-    """Canonical row Hermite form of the lattice spanned by ``rows``."""
-    basis: dict = {}
-    for row in rows:
-        _hermite_insert(basis, list(row))
-    pivots = sorted(basis)
-    out = [basis[j] for j in pivots]
-    # reduce entries above each pivot, sweeping pivot columns left to right
-    # (a later reduction never disturbs an earlier pivot column)
-    for idx in range(len(pivots)):
-        j = pivots[idx]
-        p = out[idx][j]
-        for k in range(idx):
-            q = out[k][j] // p
-            if q:
-                out[k] = [x - q * y for x, y in zip(out[k], out[idx])]
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Howell form over Z/n
+# Echelon forms: Howell over Z/n, Hermite over Z
 # ---------------------------------------------------------------------------
 
 def _unit_scaling(p: int, n: int) -> int:
@@ -410,57 +367,90 @@ def _unit_scaling(p: int, n: int) -> int:
     return (c + t * nbar) % n
 
 
-def _howell_insert(basis: dict, row: list, n: int):
-    """Phase-1 insertion: keep a triangular basis, preserving the row span."""
-    r = [x % n for x in row]
-    while True:
-        lead = None
-        for j, x in enumerate(r):
-            if x != 0:
-                lead = j
-                break
-        if lead is None:
-            return
-        if lead in basis:
-            p = basis[lead]
-            g, s, t, uu, vv = _gcdex(p[lead], r[lead])
-            newp = [(s * x + t * y) % n for x, y in zip(p, r)]
-            newr = [(uu * x + vv * y) % n for x, y in zip(p, r)]
-            basis[lead] = newp
-            r = newr
-        else:
-            basis[lead] = r
-            return
+def _lead(row: list) -> Optional[int]:
+    for j, x in enumerate(row):
+        if x:
+            return j
+    return None
 
 
-def _howell_basis(rows: Iterable[Sequence[int]], cols: int, n: int) -> list:
+def _mod(row: Sequence[int], n: int) -> list:
+    """A new list of row's entries, reduced mod n when n > 0."""
+    return [x % n for x in row] if n else list(row)
+
+
+def _comb(a: int, u: list, b: int, v: list, n: int) -> list:
+    """a*u + b*v, reduced mod n when n > 0."""
+    if n:
+        return [(a * x + b * y) % n for x, y in zip(u, v)]
+    return [a * x + b * y for x, y in zip(u, v)]
+
+
+def _echelon(rows: Iterable[Sequence[int]], cols: int, n: int) -> list:
+    """The canonical echelon basis of the span of ``rows``: the Howell basis
+    over Z/n when n > 1, the Hermite basis over Z when n == 0.
+
+    Each lead is a divisor of n (positive over Z) and the entries above it
+    are reduced below it.  Over Z/n the basis is closed under annihilator
+    multiples, so for every column k the rows leading past k span all of
+    the span that is zero up to k (Howell, "Spans in the module (Z_m)^s",
+    1986); over Z every echelon basis has that property."""
     basis: dict = {}
+
+    def insert(r: list) -> None:
+        lead = _lead(r)
+        while lead is not None:
+            p = basis.get(lead)
+            if p is None:
+                basis[lead] = r
+                return
+            # a lead that divides r's clears it; otherwise the unimodular
+            # gcd transform of the two rows takes the gcd as the lead
+            q, rem = divmod(r[lead], p[lead])
+            if rem:
+                _, s, t, u, v = _gcdex(p[lead], r[lead])
+                basis[lead], r = _comb(s, p, t, r, n), _comb(u, p, v, r, n)
+            else:
+                r = _comb(1, r, -q, p, n)
+            lead = _lead(r)
+
     for row in rows:
-        _howell_insert(basis, list(row), n)
-    # closure: annihilator multiples only create content to the right,
-    # so one left-to-right sweep suffices
-    for j in range(cols):
-        if j in basis:
-            p = basis[j][j]
-            ann = n // math.gcd(p, n)
-            if ann % n != 0:
-                w = [(ann * x) % n for x in basis[j]]
-                w[j] = 0
-                _howell_insert(basis, w, n)
+        insert(_mod(row, n))
+    if n:
+        # annihilator multiples only create content to the right, so one
+        # left-to-right sweep closes the basis
+        for j in range(cols):
+            if j in basis:
+                ann = n // math.gcd(basis[j][j], n)
+                if ann != n:
+                    insert([(ann * x) % n for x in basis[j]])
     pivots = sorted(basis)
     out = []
     for j in pivots:
         row = basis[j]
-        c = _unit_scaling(row[j], n)
-        out.append([(c * x) % n for x in row])
-    for idx in range(len(pivots)):
-        j = pivots[idx]
-        p = out[idx][j]
+        c = _unit_scaling(row[j], n) if n else (-1 if row[j] < 0 else 1)
+        out.append(_mod([c * x for x in row], n))
+    # reduce above each pivot, sweeping pivot columns left to right (a later
+    # reduction never disturbs an earlier pivot column)
+    for idx, j in enumerate(pivots):
+        p = out[idx]
         for k in range(idx):
-            q = out[k][j] // p
+            q = out[k][j] // p[j]
             if q:
-                out[k] = [(x - q * y) % n for x, y in zip(out[k], out[idx])]
+                out[k] = _comb(1, out[k], -q, p, n)
     return out
+
+
+def _echelon_reduce(x: Sequence[int], basis: list, n: int) -> list:
+    """The canonical representative of x modulo the span of an ``_echelon``
+    basis (or of a leading run of its rows)."""
+    x = _mod(x, n)
+    for row in basis:
+        lead = _lead(row)
+        q = x[lead] // row[lead]
+        if q:
+            x = _comb(1, x, -q, row, n)
+    return x
 
 
 def howell_form(a: IntMatrix, ring: RingSpec) -> IntMatrix:
@@ -469,33 +459,17 @@ def howell_form(a: IntMatrix, ring: RingSpec) -> IntMatrix:
     The result has the same shape as ``a`` (canonical rows first, zero rows
     padded below), preserves the row span exactly, and is idempotent.  Plain
     echelon forms do not determine row spans over Z/n; the Howell form does.
+    It is the form ``CongruenceSystem`` solves with, from the same routine.
     """
     if not ring.is_modular:
         raise ExactAlgError("howell_form requires a modular ring; use smith_normal_form over Z")
     n = ring.modulus
-    out = _howell_basis([list(r) for r in a.entries], a.cols, n)
+    out = _echelon(a.entries, a.cols, n)
     # annihilator rows can push the basis past the input row count, so pad
     # only up to whichever is larger; the result is still idempotent
     while len(out) < a.rows:
         out.append([0] * a.cols)
     return IntMatrix.from_rows(out, cols=a.cols)
-
-
-def _howell_reduce_vector(vec: list, basis: list, n: int) -> list:
-    """Canonical coset representative of vec modulo the span of a Howell basis."""
-    x = [v % n for v in vec]
-    for row in basis:
-        lead = None
-        for j, e in enumerate(row):
-            if e != 0:
-                lead = j
-                break
-        if lead is None:
-            continue
-        q = x[lead] // row[lead]
-        if q:
-            x = [(a - q * b) % n for a, b in zip(x, row)]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -526,173 +500,17 @@ def _val(x: int, p: int) -> int:
     return v
 
 
-def _eliminate_local(rows: list, p: int, k: int):
-    """One valuation-pivoted elimination of A over Z/p^k, kept for any number
-    of right-hand sides given then or later.
-
-    Pivots are chosen with minimal p-adic valuation (ties broken by column,
-    then row), and only not-yet-pivoted rows are cleared: an unused row's
-    entries all have valuation >= the current pivot exponent, so the clearing
-    division is exact.  A pivot row is never touched again, which keeps every
-    entry of pivot row t at valuation >= e_t; back-substitution in reverse
-    pivot order is therefore exact as well.
-
-    Returns ``(solve, kernel generators)``.  ``solve(rhs_cols)`` replays the
-    recorded row operations, in the order they were applied, on all
-    right-hand sides at once and back-substitutes through the reduced pivot
-    rows; ``solve(rhs_cols)[c]`` is None when column c has no solution.
-    """
-    q = p ** k
-    m = [[x % q for x in row] for row in rows]
-    nrows, ncols = len(m), (len(m[0]) if m else 0)
-    used = [False] * nrows
-    pivots = []  # (row, col, exponent) in processing order; exponents nondecreasing
-    ops = []     # (pivot row, inverse unit, [(cleared row, multiple), ...]) per pivot
-    while True:
-        best = None
-        for j in range(ncols):
-            for i in range(nrows):
-                if used[i] or m[i][j] == 0:
-                    continue
-                e = _val(m[i][j], p)
-                if best is None or e < best[0]:
-                    best = (e, j, i)
-            if best is not None and best[0] == 0:
-                break  # a unit pivot in the leftmost eligible column is optimal
-        if best is None:
-            break
-        e, j, i = best
-        used[i] = True
-        unit = (m[i][j] // (p ** e)) % q
-        inv = pow(unit, -1, q)
-        m[i] = [(inv * x) % q for x in m[i]]
-        pivots.append((i, j, e))
-        pe = p ** e
-        clears = []
-        for i2 in range(nrows):
-            if used[i2] or m[i2][j] == 0:
-                continue
-            c = m[i2][j] // pe
-            m[i2] = [(x - c * y) % q for x, y in zip(m[i2], m[i])]
-            clears.append((i2, c))
-        ops.append((i, inv, clears))
-    unused = [i for i in range(nrows) if not used[i]]
-
-    def fill(x, rhs_by_pivot, upto):
-        # fill pivot coordinates upto..0 in reverse processing order
-        for t in range(upto, -1, -1):
-            i, j, e = pivots[t]
-            s = (rhs_by_pivot[t] - sum(m[i][c] * x[c] for c in range(ncols) if c != j)) % q
-            pe = p ** e
-            if s % pe != 0:
-                return None
-            x[j] = (s // pe) % (p ** (k - e))
-        return x
-
-    def solve(rhs_cols: list) -> list:
-        b = [[col[i] % q for col in rhs_cols] for i in range(nrows)]
-        for i, inv, clears in ops:
-            b[i] = [(inv * x) % q for x in b[i]]
-            for i2, c in clears:
-                b[i2] = [(x - c * y) % q for x, y in zip(b[i2], b[i])]
-        return [None if any(b[i][c] for i in unused) else
-                fill([0] * ncols, [b[i][c] for i, _, _ in pivots], len(pivots) - 1)
-                for c in range(len(rhs_cols))]
-
-    zeros = [0] * len(pivots)
-    gens = []
-    for t0, (i0, j0, e0) in enumerate(pivots):
-        if e0 == 0:
-            continue
-        x = [0] * ncols
-        x[j0] = p ** (k - e0)
-        gens.append(fill(x, zeros, t0 - 1))
-    pivot_cols = {j for _, j, _ in pivots}
-    for c in range(ncols):
-        if c in pivot_cols:
-            continue
-        x = [0] * ncols
-        x[c] = 1
-        gens.append(fill(x, zeros, len(pivots) - 1))
-    return solve, gens
-
-
-def _eliminate_mod(rows: list, n: int):
-    """One elimination per prime power of n of A (at least one row) over
-    Z/n, with the CRT coefficients that combine them.  Returns ``(solve,
-    Howell kernel rows)``; ``solve(rhs_cols)[c]`` is None when column c has
-    no solution, and otherwise the canonical (lexicographically least)
-    representative of its coset modulo the kernel."""
-    ncols = len(rows[0])
-    local_solves = []
-    gens = []
-    for p, k in _factorize(n):
-        q = p ** k
-        rest = n // q
-        coeff = 1 if rest == 1 else (rest * pow(rest % q, -1, q)) % n
-        local_solve, local_gens = _eliminate_local(rows, p, k)
-        local_solves.append((coeff, local_solve))
-        gens.extend([(coeff * x) % n for x in g] for g in local_gens)
-    basis = _howell_basis(gens, ncols, n)
-
-    def solve(rhs_cols: list) -> list:
-        # CRT-combine the local solutions
-        parts = [[0] * ncols for _ in rhs_cols]
-        for coeff, local_solve in local_solves:
-            parts = [None if part is None or local is None else
-                     [(a + coeff * b) % n for a, b in zip(part, local)]
-                     for part, local in zip(parts, local_solve(rhs_cols))]
-        return [None if part is None else _howell_reduce_vector(part, basis, n)
-                for part in parts]
-
-    return solve, basis
-
-
-def _hermite_reduce(x: list, basis: list) -> list:
-    """Canonical representative of x modulo the span of a Hermite basis."""
-    for row in basis:
-        lead = next(j for j, e in enumerate(row) if e != 0)
-        q = x[lead] // row[lead]
-        if q:
-            x = [a - q * b for a, b in zip(x, row)]
-    return x
-
-
-def _eliminate_int(rows: list):
-    """One Smith normal form u A v = d of A (at least one row) over Z.
-    Returns ``(solve, kernel generators)``; ``solve(rhs_cols)[c]`` is column
-    c's particular solution, not reduced, or None when it has none."""
-    ncols = len(rows[0])
-    a = IntMatrix.from_rows(rows, cols=ncols)
-    u, d, v, _ = _snf_full(a)
-    diag = [d.entries[i][i] if i < min(a.rows, ncols) else 0
-            for i in range(max(a.rows, ncols))]
-
-    def particular(rhs):
-        c = [sum(u.entries[i][t] * rhs[t] for t in range(a.rows)) for i in range(a.rows)]
-        z = [0] * ncols
-        for i in range(a.rows):
-            if diag[i] != 0:
-                if c[i] % diag[i] != 0:
-                    return None
-                z[i] = c[i] // diag[i]
-            elif c[i] != 0:
-                return None
-        return [sum(v.entries[i][j] * z[j] for j in range(ncols)) for i in range(ncols)]
-
-    return (lambda rhs_cols: [particular(rhs) for rhs in rhs_cols]), \
-        [list(v.col(j)) for j in range(ncols) if diag[j] == 0]
-
-
 def solve_linear(a: IntMatrix, b: IntMatrix, ring: RingSpec):
-    """Solve ``a @ x = b`` over the ring, all columns of b in one elimination.
+    """Solve ``a @ x = b`` over the ring, all columns of b from one echelon
+    form of [a^T | I] (a ``CongruenceSystem`` with one row per row of a).
 
     Returns ``(particular, kernel)`` where ``particular`` is an
     ``a.cols x b.cols`` matrix (or None when some column is unsolvable) and
-    ``kernel`` is a matrix whose columns generate {v : a @ v = 0}.  The
-    particular solution is canonical: each column is reduced to the
-    distinguished representative of its solution coset, so repeated runs give
-    identical answers.
+    ``kernel`` is a matrix whose columns are the canonical (Howell over
+    Z/n, Hermite over Z) basis of {v : a @ v = 0}.  The particular solution
+    is canonical: each column is reduced against that basis to the
+    distinguished representative of its solution coset, so repeated runs
+    give identical answers.
     """
     if a.rows != b.rows:
         raise ExactAlgError(f"dimension mismatch: a has {a.rows} rows, b has {b.rows}")
@@ -711,12 +529,13 @@ class CongruenceSystem:
 
     Over Z/n every row modulus m must divide n and the row is rescaled by n/m;
     over Z a modulus m > 0 adds one auxiliary unknown with coefficient m, and
-    m == 0 means exact equality.  Solving projects auxiliaries away and
-    returns canonical particular solutions plus kernel generators for the
-    real unknowns.  ``factor`` eliminates the coefficient rows once into a
+    m == 0 means exact equality.  ``factor`` builds one echelon form of
+    [A^T | I], the Howell form over Z/n and the Hermite form over Z, into a
     record that solves any number of right-hand sides, then or later
     ("factor once, solve many"); ``solve_columns`` and ``solve`` are its
-    many- and one-column uses.
+    many- and one-column uses.  Solving projects auxiliaries away and
+    returns canonical particular solutions plus the canonical kernel basis
+    of the real unknowns.
     """
 
     def __init__(self, ring: RingSpec, nvars: int):
@@ -727,6 +546,18 @@ class CongruenceSystem:
         self._mods: list = []
 
     def add(self, coeffs: dict, rhs: int, modulus: int) -> None:
+        """Add the row  sum coeffs[i] * x_i = rhs (mod modulus): integer
+        coefficients of unknowns in range(nvars), an integer right-hand side
+        and a modulus >= 0."""
+        for var, c in coeffs.items():
+            if not isinstance(var, int) or not 0 <= var < self.nvars:
+                raise ExactAlgError(f"unknown {var!r} is not in range({self.nvars})")
+            if not isinstance(c, int):
+                raise ExactAlgError(f"coefficient {c!r} of unknown {var} is not an integer")
+        if not isinstance(rhs, int):
+            raise ExactAlgError(f"right-hand side {rhs!r} is not an integer")
+        if not isinstance(modulus, int) or modulus < 0:
+            raise ExactAlgError(f"row modulus {modulus!r} is not an integer >= 0")
         self._rows.append(dict(coeffs))
         self._rhs.append(rhs)
         self._mods.append(modulus)
@@ -745,52 +576,51 @@ class CongruenceSystem:
         return self.factor().solve_columns(columns)
 
     def factor(self) -> "_FactoredSystem":
-        """One elimination of the rows added so far (their right-hand sides
-        are not read), as a record whose ``solve_columns`` answers as this
-        system's would, for any columns and as often as asked."""
-        nvars, n = self.nvars, self.ring.modulus
-        if not self._rows:
-            # no constraints: zero solves every column and the kernel is everything
-            return _FactoredSystem(0, lambda columns: (
-                [[0] * nvars for _ in columns],
-                [[int(i == j) for j in range(nvars)] for i in range(nvars)]))
-        if self.ring.is_modular:
-            rows = []
-            scales = []
-            for coeffs, m in zip(self._rows, self._mods):
+        """One echelon form of [A^T | I], a row per unknown, for the rows
+        added so far (their right-hand sides are not read), as a record
+        whose ``solve_columns`` answers as this system's would, for any
+        columns and as often as asked.
+
+        The form spans {(A x, x)}.  Its rows leading in the A-block reduce
+        (-b, 0) to (0, x) with A x = b exactly when b has a solution; the
+        rest are (0, k) with A k = 0, the kernel's canonical basis, which
+        reduces x to the canonical particular solution."""
+        nvars, n, nrows = self.nvars, self.ring.modulus, len(self._rows)
+        if n:
+            for m in self._mods:
                 if m == 0 or n % m != 0:
                     raise ExactAlgError(f"row modulus {m} does not divide ring modulus {n}")
-                scale = n // m
-                row = [0] * nvars
-                for var, c in coeffs.items():
-                    row[var] = (row[var] + scale * c) % n
-                rows.append(row)
-                scales.append(scale)
-            solve, basis = _eliminate_mod(rows, n)
-            kernel = [g for g in basis if any(g)]
-            return _FactoredSystem(len(rows), lambda columns: (
-                solve([[(s * r) % n for s, r in zip(scales, col)] for col in columns]),
-                [list(g) for g in kernel]))
-        # over Z: auxiliary unknowns absorb the moduli
-        naux = sum(1 for m in self._mods if m > 0)
-        total = nvars + naux
-        rows = []
-        aux = nvars
-        for coeffs, m in zip(self._rows, self._mods):
-            row = [0] * total
+            scales = [n // m for m in self._mods]
+            aux = []
+        else:
+            scales = [1] * nrows
+            aux = [r for r, m in enumerate(self._mods) if m > 0]
+        total = nvars + len(aux)
+        # line i: unknown i's coefficient in each row, then e_i; an auxiliary
+        # unknown's one coefficient is its row's modulus
+        lines = [[0] * nrows + [int(i == j) for j in range(total)] for i in range(total)]
+        for r, (coeffs, s) in enumerate(zip(self._rows, scales)):
             for var, c in coeffs.items():
-                row[var] += c
-            if m > 0:
-                row[aux] = m
-                aux += 1
-            rows.append(row)
-        solve, kern = _eliminate_int(rows)
-        gens = [g[:nvars] for g in kern]
-        basis = hermite_rows([g for g in gens if any(g)], nvars)
-        return _FactoredSystem(len(rows), lambda columns: (
-            [None if part is None else _hermite_reduce(part[:nvars], basis)
-             for part in solve([list(col) for col in columns])],
-            [list(g) for g in basis]))
+                lines[var][r] += s * c
+        for i, r in enumerate(aux, nvars):
+            lines[i][r] = self._mods[r]
+        form = _echelon(lines, nrows + total, n)
+        split = next((k for k, row in enumerate(form) if not any(row[:nrows])), len(form))
+        pivots = form[:split]
+        kernel = [row[nrows:nrows + nvars] for row in form[split:]]
+        if aux:
+            # the projection of the kernel onto the real unknowns
+            kernel = _echelon(kernel, nvars, 0)
+
+        def solve(columns):
+            parts = []
+            for col in columns:
+                x = _echelon_reduce([-s * b for s, b in zip(scales, col)] + [0] * total, pivots, n)
+                parts.append(None if any(x[:nrows]) else
+                             _echelon_reduce(x[nrows:nrows + nvars], kernel, n))
+            return parts, [list(g) for g in kernel]
+
+        return _FactoredSystem(nrows, solve)
 
 
 class _FactoredSystem:

@@ -21,8 +21,8 @@ from .exactalg import (
     CongruenceSystem,
     IntMatrix,
     RingSpec,
+    _echelon,
     _factorize,
-    _howell_basis,
     _snf_full,
     integer_kernel,
 )
@@ -399,7 +399,7 @@ def image_order(f: ModuleMap) -> int:
     scales = [n // e for e in f.target.factors]
     cols = [[s * x % n for s, x in zip(scales, col)] for col in f.matrix.columns()]
     order = 1
-    for row in _howell_basis(cols, len(scales), n):
+    for row in _echelon(cols, len(scales), n):
         order *= n // next(x for x in row if x)
     return order
 
@@ -830,6 +830,11 @@ def submodule_from_elements(m: FpModule, elems: Sequence[tuple]) -> SubquotientW
 # Linear systems whose unknowns are module maps
 # ---------------------------------------------------------------------------
 
+def _check_rhs(rhs: Optional[ModuleMap], S: FpModule, T: FpModule) -> None:
+    if rhs is not None and (rhs.source, rhs.target) != (S, T):
+        raise ModuleError(f"right-hand side is not a map {S} -> {T}")
+
+
 # a MapSystem's coefficient rows are a function of its structure alone, and
 # builds and homotopy searches pose the same few systems again and again
 _MAP_SYSTEMS = caches.table("modules.map_systems")
@@ -873,8 +878,20 @@ class MapSystem:
 
     def equation(self, terms: Sequence[tuple], rhs: Optional[ModuleMap],
                  space: tuple) -> None:
-        """Add one map equation; ``terms`` are (L, name, R, sign) with L, R
-        ModuleMaps (or None for identity) composing as L o U o R."""
+        """Add one map equation in Hom(S, T), ``space = (S, T)``; ``terms``
+        are (L, name, R, sign) with L, R ModuleMaps (or None for identity)
+        composing as L o U o R: S -> T, and ``rhs`` is a map S -> T or None
+        for zero."""
+        S, T = space
+        for L, name, R, _ in terms:
+            if name not in self._shapes:
+                raise ModuleError(f"equation names undeclared unknown {name!r}")
+            src, tgt = self._shapes[name]
+            ends = ((tgt, tgt) if L is None else (L.source, L.target),
+                    (src, src) if R is None else (R.source, R.target))
+            if ends != ((tgt, T), (S, src)):
+                raise ModuleError(f"L o {name} o R does not compose to a map {S} -> {T}")
+        _check_rhs(rhs, S, T)
         self._equations.append((list(terms), rhs, space))
 
     def _key(self) -> tuple:
@@ -926,6 +943,7 @@ class MapSystem:
             src, tgt = self._shapes[name]
             col.extend(0 for dq in src.factors if dq != 0 for _ in tgt.factors)
         for (_, _, (S, T)), rhs in zip(self._equations, rhss, strict=True):
+            _check_rhs(rhs, S, T)
             col.extend(rhs.matrix.entries[r][c] if rhs is not None else 0
                        for r in range(T.ngens) for c in range(S.ngens))
         return col

@@ -1,6 +1,7 @@
-"""Shared deterministic generators for the randomized suites."""
+"""Shared deterministic generators and test-only oracles for the randomized suites."""
 from __future__ import annotations
 
+import math
 import random
 from functools import partial
 from typing import Optional
@@ -17,7 +18,15 @@ from homkit import (
 )
 from homkit.complexes import chain_group_image, null_homotopy
 from homkit.construct import _side_words
-from homkit.exactalg import CongruenceSystem, IntMatrix
+from homkit.exactalg import (
+    CongruenceSystem,
+    IntMatrix,
+    _factorize,
+    _gcdex,
+    _snf_full,
+    _unit_scaling,
+    _val,
+)
 from homkit.lifting import _CHAIN_SEARCH_CAP
 from homkit.modules import MapSystem, hom_postcompose, hom_precompose
 from homkit.xclass import _fits, _shape
@@ -323,3 +332,295 @@ def blocks_without_repeat_skip(members: list, epi: bool, scan, close, parts):
 
     for j in range(len(members)):
         yield None, partial(block, j)
+
+
+# ---------------------------------------------------------------------------
+# The congruence solvers ``exactalg`` used before one echelon form of
+# [A^T | I] replaced them: a valuation-pivoted elimination per prime power
+# of n recombined by CRT over Z/n, a Smith form over Z, and separate Hermite
+# and Howell bases for the kernels.  Kept verbatim as oracles.
+# ---------------------------------------------------------------------------
+
+def hermite_insert(basis: dict, row: list):
+    """Insert a row into a column-indexed echelon basis over Z."""
+    r = list(row)
+    while True:
+        lead = None
+        for j, x in enumerate(r):
+            if x != 0:
+                lead = j
+                break
+        if lead is None:
+            return
+        if lead in basis:
+            p = basis[lead]
+            g, s, t, uu, vv = _gcdex(p[lead], r[lead])
+            newp = [s * x + t * y for x, y in zip(p, r)]
+            newr = [uu * x + vv * y for x, y in zip(p, r)]
+            basis[lead] = newp
+            r = newr
+        else:
+            if r[lead] < 0:
+                r = [-x for x in r]
+            basis[lead] = r
+            return
+
+
+def hermite_rows(rows, cols: int) -> list:
+    """Canonical row Hermite form of the lattice spanned by ``rows``."""
+    basis: dict = {}
+    for row in rows:
+        hermite_insert(basis, list(row))
+    pivots = sorted(basis)
+    out = [basis[j] for j in pivots]
+    for idx in range(len(pivots)):
+        j = pivots[idx]
+        p = out[idx][j]
+        for k in range(idx):
+            q = out[k][j] // p
+            if q:
+                out[k] = [x - q * y for x, y in zip(out[k], out[idx])]
+    return out
+
+
+def hermite_reduce(x: list, basis: list) -> list:
+    """Canonical representative of x modulo the span of a Hermite basis."""
+    for row in basis:
+        lead = next(j for j, e in enumerate(row) if e != 0)
+        q = x[lead] // row[lead]
+        if q:
+            x = [a - q * b for a, b in zip(x, row)]
+    return x
+
+
+def howell_insert(basis: dict, row: list, n: int):
+    """Phase-1 insertion: keep a triangular basis, preserving the row span."""
+    r = [x % n for x in row]
+    while True:
+        lead = None
+        for j, x in enumerate(r):
+            if x != 0:
+                lead = j
+                break
+        if lead is None:
+            return
+        if lead in basis:
+            p = basis[lead]
+            g, s, t, uu, vv = _gcdex(p[lead], r[lead])
+            newp = [(s * x + t * y) % n for x, y in zip(p, r)]
+            newr = [(uu * x + vv * y) % n for x, y in zip(p, r)]
+            basis[lead] = newp
+            r = newr
+        else:
+            basis[lead] = r
+            return
+
+
+def howell_basis(rows, cols: int, n: int) -> list:
+    """Howell basis of the span of ``rows`` over Z/n."""
+    basis: dict = {}
+    for row in rows:
+        howell_insert(basis, list(row), n)
+    for j in range(cols):
+        if j in basis:
+            p = basis[j][j]
+            ann = n // math.gcd(p, n)
+            if ann % n != 0:
+                w = [(ann * x) % n for x in basis[j]]
+                w[j] = 0
+                howell_insert(basis, w, n)
+    pivots = sorted(basis)
+    out = []
+    for j in pivots:
+        row = basis[j]
+        c = _unit_scaling(row[j], n)
+        out.append([(c * x) % n for x in row])
+    for idx in range(len(pivots)):
+        j = pivots[idx]
+        p = out[idx][j]
+        for k in range(idx):
+            q = out[k][j] // p
+            if q:
+                out[k] = [(x - q * y) % n for x, y in zip(out[k], out[idx])]
+    return out
+
+
+def howell_reduce_vector(vec: list, basis: list, n: int) -> list:
+    """Canonical coset representative of vec modulo the span of a Howell basis."""
+    x = [v % n for v in vec]
+    for row in basis:
+        lead = None
+        for j, e in enumerate(row):
+            if e != 0:
+                lead = j
+                break
+        if lead is None:
+            continue
+        q = x[lead] // row[lead]
+        if q:
+            x = [(a - q * b) % n for a, b in zip(x, row)]
+    return x
+
+
+def eliminate_local(rows: list, p: int, k: int):
+    """One valuation-pivoted elimination of A over Z/p^k: ``(solve, kernel
+    generators)``, ``solve(rhs_cols)[c]`` None when column c has no
+    solution."""
+    q = p ** k
+    m = [[x % q for x in row] for row in rows]
+    nrows, ncols = len(m), (len(m[0]) if m else 0)
+    used = [False] * nrows
+    pivots = []
+    ops = []
+    while True:
+        best = None
+        for j in range(ncols):
+            for i in range(nrows):
+                if used[i] or m[i][j] == 0:
+                    continue
+                e = _val(m[i][j], p)
+                if best is None or e < best[0]:
+                    best = (e, j, i)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        e, j, i = best
+        used[i] = True
+        unit = (m[i][j] // (p ** e)) % q
+        inv = pow(unit, -1, q)
+        m[i] = [(inv * x) % q for x in m[i]]
+        pivots.append((i, j, e))
+        pe = p ** e
+        clears = []
+        for i2 in range(nrows):
+            if used[i2] or m[i2][j] == 0:
+                continue
+            c = m[i2][j] // pe
+            m[i2] = [(x - c * y) % q for x, y in zip(m[i2], m[i])]
+            clears.append((i2, c))
+        ops.append((i, inv, clears))
+    unused = [i for i in range(nrows) if not used[i]]
+
+    def fill(x, rhs_by_pivot, upto):
+        for t in range(upto, -1, -1):
+            i, j, e = pivots[t]
+            s = (rhs_by_pivot[t] - sum(m[i][c] * x[c] for c in range(ncols) if c != j)) % q
+            pe = p ** e
+            if s % pe != 0:
+                return None
+            x[j] = (s // pe) % (p ** (k - e))
+        return x
+
+    def solve(rhs_cols: list) -> list:
+        b = [[col[i] % q for col in rhs_cols] for i in range(nrows)]
+        for i, inv, clears in ops:
+            b[i] = [(inv * x) % q for x in b[i]]
+            for i2, c in clears:
+                b[i2] = [(x - c * y) % q for x, y in zip(b[i2], b[i])]
+        return [None if any(b[i][c] for i in unused) else
+                fill([0] * ncols, [b[i][c] for i, _, _ in pivots], len(pivots) - 1)
+                for c in range(len(rhs_cols))]
+
+    zeros = [0] * len(pivots)
+    gens = []
+    for t0, (i0, j0, e0) in enumerate(pivots):
+        if e0 == 0:
+            continue
+        x = [0] * ncols
+        x[j0] = p ** (k - e0)
+        gens.append(fill(x, zeros, t0 - 1))
+    pivot_cols = {j for _, j, _ in pivots}
+    for c in range(ncols):
+        if c in pivot_cols:
+            continue
+        x = [0] * ncols
+        x[c] = 1
+        gens.append(fill(x, zeros, len(pivots) - 1))
+    return solve, gens
+
+
+def eliminate_mod(rows: list, n: int):
+    """``eliminate_local`` per prime power of n, CRT-combined: ``(solve,
+    Howell kernel rows)``, each solution the canonical coset
+    representative."""
+    ncols = len(rows[0])
+    local_solves = []
+    gens = []
+    for p, k in _factorize(n):
+        q = p ** k
+        rest = n // q
+        coeff = 1 if rest == 1 else (rest * pow(rest % q, -1, q)) % n
+        local_solve, local_gens = eliminate_local(rows, p, k)
+        local_solves.append((coeff, local_solve))
+        gens.extend([(coeff * x) % n for x in g] for g in local_gens)
+    basis = howell_basis(gens, ncols, n)
+
+    def solve(rhs_cols: list) -> list:
+        parts = [[0] * ncols for _ in rhs_cols]
+        for coeff, local_solve in local_solves:
+            parts = [None if part is None or local is None else
+                     [(a + coeff * b) % n for a, b in zip(part, local)]
+                     for part, local in zip(parts, local_solve(rhs_cols))]
+        return [None if part is None else howell_reduce_vector(part, basis, n)
+                for part in parts]
+
+    return solve, basis
+
+
+def eliminate_int(rows: list):
+    """One Smith normal form of A over Z: ``(solve, kernel generators)``,
+    each solution not reduced."""
+    ncols = len(rows[0])
+    a = IntMatrix.from_rows(rows, cols=ncols)
+    u, d, v, _ = _snf_full(a)
+    diag = [d.entries[i][i] if i < min(a.rows, ncols) else 0
+            for i in range(max(a.rows, ncols))]
+
+    def particular(rhs):
+        c = [sum(u.entries[i][t] * rhs[t] for t in range(a.rows)) for i in range(a.rows)]
+        z = [0] * ncols
+        for i in range(a.rows):
+            if diag[i] != 0:
+                if c[i] % diag[i] != 0:
+                    return None
+                z[i] = c[i] // diag[i]
+            elif c[i] != 0:
+                return None
+        return [sum(v.entries[i][j] * z[j] for j in range(ncols)) for i in range(ncols)]
+
+    return (lambda rhs_cols: [particular(rhs) for rhs in rhs_cols]), \
+        [list(v.col(j)) for j in range(ncols) if diag[j] == 0]
+
+
+def old_solve_columns(ring: RingSpec, nvars: int, rows: list, columns) -> tuple:
+    """``CongruenceSystem.solve_columns`` as the old solvers answered it:
+    ``rows`` are ``(coefficients, modulus)`` pairs as given to ``add``."""
+    n = ring.modulus
+    if not rows:
+        return ([[0] * nvars for _ in columns],
+                [[int(i == j) for j in range(nvars)] for i in range(nvars)])
+    if n:
+        scales = [n // m for _, m in rows]
+        mat = [[0] * nvars for _ in rows]
+        for row, (coeffs, _), s in zip(mat, rows, scales):
+            for var, c in coeffs.items():
+                row[var] = (row[var] + s * c) % n
+        solve, basis = eliminate_mod(mat, n)
+        return (solve([[(s * r) % n for s, r in zip(scales, col)] for col in columns]),
+                [list(g) for g in basis if any(g)])
+    naux = sum(1 for _, m in rows if m > 0)
+    mat = []
+    aux = nvars
+    for coeffs, m in rows:
+        row = [0] * (nvars + naux)
+        for var, c in coeffs.items():
+            row[var] += c
+        if m > 0:
+            row[aux] = m
+            aux += 1
+        mat.append(row)
+    solve, kern = eliminate_int(mat)
+    basis = hermite_rows([g[:nvars] for g in kern if any(g[:nvars])], nvars)
+    return ([None if part is None else hermite_reduce(part[:nvars], basis)
+             for part in solve([list(col) for col in columns])], basis)

@@ -222,3 +222,28 @@ class TestCongruenceSystem:
         sys_.add({1: 3}, 0, 0)
         part, _ = sys_.solve()
         assert part[0] % 2 == 1 and part[1] == 0
+
+    def test_negative_index_is_rejected(self):
+        # it used to constrain the last unknown: x1 = 3 mod 4
+        sys_ = CongruenceSystem(Zmod(4), 2)
+        with pytest.raises(ExactAlgError, match="not in range"):
+            sys_.add({-1: 1}, 3, 4)
+
+    def test_index_past_the_unknowns_is_rejected_when_added(self):
+        # it used to raise a bare IndexError at solve time
+        sys_ = CongruenceSystem(ZZ, 2)
+        with pytest.raises(ExactAlgError, match="not in range"):
+            sys_.add({2: 1}, 0, 0)
+
+    @pytest.mark.parametrize("ring", [ZZ, Zmod(4)], ids=str)
+    def test_negative_modulus_is_rejected(self, ring):
+        # over Z it used to mean exact equality, over Z/4 the modulus 2
+        sys_ = CongruenceSystem(ring, 1)
+        with pytest.raises(ExactAlgError, match="modulus"):
+            sys_.add({0: 1}, 1, -2)
+
+    def test_non_integer_coefficient_is_rejected(self):
+        # it used to "solve" 1.5 x0 = 3 with x0 = 3
+        sys_ = CongruenceSystem(ZZ, 1)
+        with pytest.raises(ExactAlgError, match="not an integer"):
+            sys_.add({0: 1.5}, 3, 0)

@@ -144,25 +144,30 @@ F = ModuleMap(B, B, IntMatrix.from_rows([[2, 0], [1, 1]]))
 
 def system(ring=R4, source=A, target=B, sign=1, space=None, order=("u", "v"),
            left=F, right=None) -> MapSystem:
-    """u, v: source -> target with sign * left o u o right = rhs in ``space``
-    and v - u = 0."""
+    """u, v: source -> target with sign * left o u o right = rhs and
+    v - u = 0, and when ``space`` is given a termless equation 0 = 0 in it
+    (the terms of any other equation fix its space)."""
     ms = MapSystem(ring)
     for name in order:
         ms.unknown(name, source, target)
-    ms.equation([(left, "u", right, sign)], None, space or (source, target))
+    ms.equation([(left, "u", right, sign)], None, (source, target))
     ms.equation([(None, "v", None, 1), (None, "u", None, -1)], None, (source, target))
+    if space is not None:
+        ms.equation([], None, space)
     return ms
 
 
 def variants() -> dict:
     """Systems that each differ from another in a single part of the key:
-    a term's sign, an equation's space, the order of the unknowns, L
-    against R (``right`` against ``square``), or the ring."""
+    a term's sign, an equation's space (``space`` against ``termless``),
+    the order of the unknowns, L against R (``right`` against ``square``),
+    or the ring."""
     z_a, z_b = FpModule(ZZ, (2, 0)), FpModule(ZZ, (0, 0))
     z_f = ModuleMap(z_b, z_b, IntMatrix.from_rows([[2, 0], [1, 1]]))
     return {
         "base": system(),
         "sign": system(sign=-1),
+        "termless": system(space=(A, B)),
         "space": system(space=(A, FpModule(R4, (2, 4)))),
         "order": system(order=("v", "u")),
         "square": system(source=B),
@@ -172,15 +177,15 @@ def variants() -> dict:
 
 
 def right_hand_sides(ms: MapSystem) -> list:
-    """Right-hand sides for both equations: a few maps of the first
-    equation's space, and zero for the second."""
+    """Right-hand sides for every equation: a few maps of the first
+    equation's space, and zero for the others."""
     space = ms._equations[0][2]
     if not ms.ring.is_modular:
         maps = [ModuleMap(*space, IntMatrix.from_rows(rows))
                 for rows in ([[0, 0], [0, 0]], [[0, 1], [0, 2]], [[0, 4], [0, -3]])]
     else:
         maps = list(hom_module(*space).elements())[::5]
-    return [[rhs, None] for rhs in maps]
+    return [[rhs] + [None] * (len(ms._equations) - 1) for rhs in maps]
 
 
 def test_systems_differing_in_one_part_get_distinct_entries():

@@ -227,6 +227,39 @@ class TestPushout:
         assert cases >= 5
 
 
+class TestMapSystemEquation:
+    """An equation is checked when it is added: every term names a declared
+    unknown and composes to a map S -> T, and so does the right-hand side."""
+
+    def system(self):
+        ms = MapSystem(R4)
+        ms.unknown("x", Z4, Z4)
+        return ms
+
+    def test_undeclared_unknown_is_rejected(self):
+        # it used to raise a bare KeyError at solve time
+        with pytest.raises(ModuleError, match="undeclared unknown 'y'"):
+            self.system().equation([(None, "y", None, 1)], None, (Z4, Z4))
+
+    @pytest.mark.parametrize("side", ["L", "R"])
+    def test_a_term_that_does_not_compose_is_rejected(self, side):
+        # L = id on (Z/4)^2 used to be read as a sub-block and "solve" x = 3
+        wide = ModuleMap.identity(FpModule(R4, (4, 4)))
+        term = (wide, "x", None, 1) if side == "L" else (None, "x", wide, 1)
+        rhs = ModuleMap(Z4, Z4, IntMatrix.from_rows([[3]]))
+        with pytest.raises(ModuleError, match="does not compose"):
+            self.system().equation([term], rhs, (Z4, Z4))
+
+    def test_a_right_hand_side_outside_the_space_is_rejected(self):
+        ms = self.system()
+        wide = ModuleMap.identity(FpModule(R4, (4, 4)))
+        with pytest.raises(ModuleError, match="right-hand side"):
+            ms.equation([(None, "x", None, 1)], wide, (Z4, Z4))
+        ms.equation([(None, "x", None, 1)], None, (Z4, Z4))
+        with pytest.raises(ModuleError, match="right-hand side"):
+            ms.solve_each([[wide]])
+
+
 class TestHom:
     def test_hom_z2_z4(self):
         assert hom_module(Z2, Z4).module.factors == (2,)

@@ -16,7 +16,6 @@ from homkit.exactalg import (
     ZZ,
     IntMatrix,
     Zmod,
-    _eliminate_int,
     _snf_full,
     integer_kernel,
     smith_normal_form,
@@ -80,13 +79,9 @@ def test_presentations_match_full_tracking(rel, ring):
 def test_integer_solves_match_full_tracking(a, data):
     rhs = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=a.rows, max_size=a.rows),
                              min_size=1, max_size=3))
-    rows = [list(r) for r in a.entries]
-
-    def solve():
-        solve_columns, gens = _eliminate_int(rows)
-        return solve_columns(rhs), gens
-
-    assert solve() == tracked(solve)
+    # the kernel of [a | rhs] holds the integer solves of a x = -rhs
+    aug = a.hstack(IntMatrix.from_columns(rhs, rows=a.rows))
+    assert integer_kernel(aug) == tracked(lambda: integer_kernel(aug))
 
 
 def test_one_row_shapes():

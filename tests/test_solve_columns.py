@@ -1,12 +1,12 @@
 """The multi-right-hand-side solvers against one solve per column.
 
-``_eliminate_mod`` and, over Z, ``CongruenceSystem.solve_columns``
-eliminate once and read off every column's solution, and the record
-``CongruenceSystem.factor`` returns keeps doing so batch after batch.
-``old_solve_mod`` and ``old_solve_int`` below are the single-column solvers
-they replaced, kept as the oracle: every column's particular solution and
-the kernel basis must match them bit for bit, and a column must be
-unsolvable exactly when the oracle says so.
+``CongruenceSystem.solve_columns`` reads every column's solution off one
+echelon form, and the record ``CongruenceSystem.factor`` returns keeps
+doing so batch after batch.  ``old_solve_mod`` and ``old_solve_int`` below
+are the single-column solvers that preceded them, built on the old
+Hermite/Howell bases kept in ``helpers``: every column's particular
+solution and the kernel basis must match them bit for bit, and a column
+must be unsolvable exactly when the oracle says so.
 """
 from __future__ import annotations
 
@@ -19,15 +19,13 @@ from homkit.exactalg import (
     CongruenceSystem,
     IntMatrix,
     Zmod,
-    _eliminate_mod,
     _factorize,
-    _howell_basis,
-    _howell_reduce_vector,
     _snf_full,
     _val,
-    hermite_rows,
 )
 from homkit.modules import FpModule, MapSystem, ModuleMap
+
+from .helpers import hermite_rows, howell_basis, howell_reduce_vector
 
 
 def old_solve_local(rows, rhs, p, k):
@@ -120,8 +118,8 @@ def old_solve_mod(rows, rhs, n):
         part = [(a + coeff * b) % n for a, b in zip(part, parts[idx])]
         for g in genlists[idx]:
             gens.append([(coeff * x) % n for x in g])
-    basis = _howell_basis(gens, ncols, n)
-    return _howell_reduce_vector(part, basis, n), basis
+    basis = howell_basis(gens, ncols, n)
+    return howell_reduce_vector(part, basis, n), basis
 
 
 def old_solve_int(rows, rhs):
@@ -159,8 +157,10 @@ def old_solve_int(rows, rhs):
 def solve_mod_columns(rows, cols, n):
     """Every column's solution and the Howell kernel from one elimination
     of the rows over Z/n."""
-    solve, basis = _eliminate_mod(rows, n)
-    return solve(cols), basis
+    system = CongruenceSystem(Zmod(n), len(rows[0]))
+    for row in rows:
+        system.add(dict(enumerate(row)), 0, n)
+    return system.solve_columns(cols)
 
 
 @st.composite
