@@ -478,7 +478,7 @@ def _verify_factorization(built: Complex, cmap: ChainMap, y: Complex, x: XClassS
     cmap^{k+1}, Hom(E^{k+1}, m) -> Hom(Y^{k+1}, m)): one ``lifting._onto``
     test per competitor.  The first competitor that fails it raises
     BuildError for the first h outside the image of the chain-map
-    restriction, read off its cokernel (``lifting._first_outside_image``)."""
+    restriction, named by one solve (``lifting._first_outside_image``)."""
     name = _side_words(injective)[1]
     _check_chain_data(built, cmap, name)
     if (cmap.source, cmap.target) != ((y, built) if injective else (built, y)):

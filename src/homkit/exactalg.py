@@ -547,15 +547,13 @@ class CongruenceSystem:
 
     def add(self, coeffs: dict, rhs: int, modulus: int) -> None:
         """Add the row  sum coeffs[i] * x_i = rhs (mod modulus): integer
-        coefficients of unknowns in range(nvars), an integer right-hand side
-        and a modulus >= 0."""
+        coefficients of unknowns in range(nvars), a modulus >= 0 and a
+        right-hand side, an integer as every column ``solve_columns`` reads."""
         for var, c in coeffs.items():
             if not isinstance(var, int) or not 0 <= var < self.nvars:
                 raise ExactAlgError(f"unknown {var!r} is not in range({self.nvars})")
             if not isinstance(c, int):
                 raise ExactAlgError(f"coefficient {c!r} of unknown {var} is not an integer")
-        if not isinstance(rhs, int):
-            raise ExactAlgError(f"right-hand side {rhs!r} is not an integer")
         if not isinstance(modulus, int) or modulus < 0:
             raise ExactAlgError(f"row modulus {modulus!r} is not an integer >= 0")
         self._rows.append(dict(coeffs))
@@ -638,6 +636,7 @@ class _FactoredSystem:
     def solve_columns(self, columns: Sequence[Sequence[int]]):
         """``(particulars, kernel)`` for right-hand sides of one value per
         row, as ``CongruenceSystem.solve_columns``."""
-        if any(len(col) != self.nrows for col in columns):
-            raise ExactAlgError(f"right-hand sides need {self.nrows} values")
+        if any(len(col) != self.nrows for col in columns) or \
+                not all(isinstance(v, int) for col in columns for v in col):
+            raise ExactAlgError(f"right-hand sides need {self.nrows} integer values")
         return self._solve(columns)

@@ -9,13 +9,12 @@ q") is decided as surjectivity of the restriction between hom groups, read
 off its image in the target's ambient group (a hom module is its own, a
 chain-map group sits in Hom^0) and the target's inclusion: the sections
 (the certificate) are one solve against the inclusion columns, and the
-counterexample is the first element whose inclusion leaves the image.  Only
-the witness-free onto test depends on the type: hom modules take the rank
-test, which also runs over Z and costs less, and chain-map groups count the
-image order.  One driver runs this for all four checkers (injective or
-projective, modules or complexes), and each counterexample is confirmed by
-one solve of its extension (lift) system, ``complexes._factor_through``,
-whatever the size of its hom group and over Z too.
+counterexample is the last generator without a section.  Only the
+witness-free onto test depends on the type: hom modules take the rank test,
+which also runs over Z and costs less, and chain-map groups count the image
+order.  One driver runs this for all four checkers (injective or projective,
+modules or complexes), and each counterexample is confirmed by one solve of
+its extension (lift) system, ``complexes._factor_through``, of any size.
 """
 from __future__ import annotations
 
@@ -83,7 +82,7 @@ _VERDICT_CACHE = caches.table("lifting.verdicts")
 # one hom-exactness answer per (source, target), read by eps1-perp and dg
 _HOM_EXACT = caches.table("lifting.hom_exact")
 
-# exhaustive searches of a chain-map group enumerate it only up to this size
+# hom_exactness enumerates the middle maps only up to this many chain maps
 _CHAIN_SEARCH_CAP = 1 << 14
 
 
@@ -115,30 +114,35 @@ def _restriction_image(phi, obj, injective: bool, hom: Callable) -> tuple:
     return grp_from, grp_to, image, grp_to._inclusion
 
 
+def _first_without_section(sections: list) -> Optional[tuple]:
+    """The first element, in enumeration order (the last coordinate fastest),
+    outside the image that ``sections`` were solved against, one per group
+    generator (None for a generator outside it): as the elements before
+    generator e_j span e_(j+1)..e_k, it is e_j for the largest j with None."""
+    missing = [j for j, part in enumerate(sections) if part is None]
+    return tuple(int(i == missing[-1]) for i in range(len(sections))) if missing else None
+
+
 def _first_outside_image(image: ModuleMap, inclusion: ModuleMap) -> Optional[tuple]:
     """First element (in enumeration order) of the group the injective
-    ``inclusion`` embeds whose inclusion leaves ``image``, a map into the same
-    ambient: the first that projects to a nonzero class of the image's
-    cokernel.  None when every element lies in the image."""
-    proj = cokernel(image)[1].compose(inclusion)
-    return next((elem for elem in proj.source.elements() if any(proj.apply(elem))), None)
+    ``inclusion`` embeds whose inclusion leaves ``image``, or None: one solve."""
+    return _first_without_section(_solve_in_module_columns(
+        image.target, image.matrix, inclusion.matrix.columns()))
 
 
 def _onto(phi, obj, injective: bool, hom: Callable, keep_witnesses: bool) -> tuple:
     """(whether the restriction of ``_restriction_image`` is onto, the
-    canonical preimages of its target group's generators when
-    ``keep_witnesses``): as the inclusion is injective, image @ s =
-    inclusion column g has the solutions of restriction @ s = generator g.
-    Without witnesses hom modules take ``is_epi``, the one test that also
-    runs over Z and the cheaper one, and chain-map groups (over Z/n only)
-    compare the image order with the target group's."""
+    canonical preimages of its target group's generators, the solutions of
+    image @ s = inclusion column g as the inclusion is injective).  Without
+    witnesses hom modules first take ``is_epi``, the one test that also runs
+    over Z and the cheaper one, and chain-map groups (over Z/n only) compare
+    the image order with the target group's; onto, they give no preimages."""
     _, grp_to, image, inclusion = _restriction_image(phi, obj, injective, hom)
     if image is None:
         return True, []
-    if not keep_witnesses:
-        onto = image.is_epi() if isinstance(phi, ModuleMap) \
-            else image_order(image) == grp_to.module.size()
-        return onto, None
+    if not keep_witnesses and (image.is_epi() if isinstance(phi, ModuleMap)
+                               else image_order(image) == grp_to.module.size()):
+        return True, None
     sections = _solve_in_module_columns(image.target, image.matrix,
                                         inclusion.matrix.columns())
     return None not in sections, sections
@@ -157,12 +161,10 @@ def _lifting_verdict(obj, x: XClassSpec, u, blocks: Callable, injective: bool,
     block whose fixed member this one's is isomorphic to, or None.  The
     loop reads the blocks in order, up to the first counterexample; the
     maps whose cokernel (kernel) passes ``member`` are tested by whether the
-    restriction of ``_restriction_image`` is onto, decided by ``_onto``: by
-    one section solve when witnesses are kept (its columns are the witness),
-    else by a rank or order test.  A cokernel is taken only to find a
-    counterexample, and the counterexample f is confirmed by one solve for
-    a g with g o phi = f (phi o g = f), ``_factor_through``, of any group
-    size and over Z too; a g found refutes it.
+    restriction of ``_restriction_image`` is onto, decided by ``_onto``,
+    whose sections are the witness and name the counterexample f, the last
+    target generator without one; one solve for a g with g o phi = f (phi o
+    g = f), ``_factor_through``, of any size and over Z too, confirms it.
 
     Without witnesses a repeat block is not read; it adds the ``checked``
     count of the block it repeats, and that is exact: the loop reached it,
@@ -198,8 +200,8 @@ def _lifting_verdict(obj, x: XClassSpec, u, blocks: Callable, injective: bool,
                         verdict.witnesses.append({"kind": kind, role: phi, part: quotient,
                                                   "section": sections})
                     continue
-                _, grp_to, image, inclusion = _restriction_image(phi, obj, injective, hom)
-                f = grp_to.decode(_first_outside_image(image, inclusion))
+                grp_to = hom(phi.source, obj) if injective else hom(obj, phi.target)
+                f = grp_to.decode(_first_without_section(sections))
                 if _factor_through(phi, [f], injective)[0] is not None:
                     raise AssertionError("counterexample refuted by a solve")
                 verdict.holds = False
@@ -333,8 +335,7 @@ def eps1_perp_homotopy(i: Complex, eu: Eps1Universe,
     the support of shift(E, -1 - s).  The counterexample is the first chain
     map from shift(E, -1 - s), the only shifted complex built, outside the
     image of the hom complex's d^{-1}, the null-homotopic maps
-    (``_first_non_nullhomotopic``); a nonzero homology whose chain-map group
-    is too large to search raises UniverseCapError."""
+    (``_first_non_nullhomotopic``), which a nonzero homology guarantees."""
     verdict = Verdict(True, eu.describe() + ", closed under shifts")
     members, rep = eu.members, eu.representatives()
     for idx, e_cx in enumerate(members):
@@ -360,10 +361,8 @@ def eps1_perp_homotopy(i: Complex, eu: Eps1Universe,
             src = shift(e_cx, -1 - s)
             g = _first_non_nullhomotopic(src, i)
             if g is None:
-                size = chain_map_group(src, i).module.size()
-                raise UniverseCapError(
-                    f"no non-null-homotopic chain map found among the {size} chain maps "
-                    f"from {src.describe()} (search cap {_CHAIN_SEARCH_CAP})")
+                raise AssertionError(f"Hom is not exact in degree {inexact}, yet every chain "
+                                     f"map from {src.describe()} is null-homotopic")
             verdict.holds = False
             verdict.counterexample = {"kind": "perp", "member": e_cx, "map": g}
             return verdict
@@ -372,11 +371,10 @@ def eps1_perp_homotopy(i: Complex, eu: Eps1Universe,
 
 def _first_non_nullhomotopic(src: Complex, tgt: Complex) -> Optional[ChainMap]:
     """The first chain map src -> tgt outside the image of d^{-1}: s -> d o s
-    + s o d of Hom(src, tgt), the null-homotopic maps, confirmed by one solve;
-    None when there is none or more than ``_CHAIN_SEARCH_CAP`` chain maps."""
+    + s o d of Hom(src, tgt), the null-homotopic maps, read off one solve
+    of any group size and confirmed by one; None when there is none."""
     grp = chain_map_group(src, tgt)
-    size = grp.module.size()
-    if size is None or size > _CHAIN_SEARCH_CAP or grp._inclusion is None:
+    if grp._inclusion is None:
         return None
     boundaries = hom_complex_data(src, tgt, degrees=(-1, 0)).complex.differential(-1)
     elem = _first_outside_image(boundaries, grp._inclusion)

@@ -866,6 +866,8 @@ class MapSystem:
     def unknown(self, name: str, source: FpModule, target: FpModule) -> str:
         if name in self._offsets:
             raise ModuleError(f"duplicate unknown {name}")
+        if source.ring != self.ring or target.ring != self.ring:
+            raise ModuleError(f"unknown {name} is not a map of modules over the system's ring")
         self._offsets[name] = self._nvars
         self._shapes[name] = (source, target)
         self._unknowns.append(name)

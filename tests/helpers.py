@@ -247,7 +247,8 @@ def old_retraction(L: Complex, M: Complex, inj: ChainMap) -> Optional[ChainMap]:
 # ---------------------------------------------------------------------------
 # The per-element counterexample searches, kept as test-only oracles: one
 # linear solve per group element, where ``lifting._first_outside_image``
-# reads the first element outside an image off its cokernel
+# names the first element outside an image as the last generator with no
+# section, read off one solve
 # ---------------------------------------------------------------------------
 
 def factorization_check(built: Complex, cmap: ChainMap, y: Complex, comp: Complex,

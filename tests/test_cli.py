@@ -18,7 +18,7 @@ from homkit.cli import (
 )
 from homkit.exactalg import Zmod
 from homkit.modules import FpModule
-from homkit.complexes import ChainMap, disk, sphere
+from homkit.complexes import ChainMap, disk, null_homotopy, sphere
 from homkit.xclass import (
     ALL,
     DEFAULT_MODULE_SIZE_CAP,
@@ -120,6 +120,16 @@ class TestCheckCommand:
         doc = {"ring": {"mod": 4}, "modules": {"0": [4]}, "diff": {}}
         assert main(["check", "eps1-perp", write(tmp_path, "c.json", doc),
                      "--class", "all"]) == 0
+
+    def test_eps1_perp_above_the_old_search_cap(self, tmp_path, capsys):
+        # 2^15 chain maps from the failing shifted member into this sphere:
+        # the property fails, and the counterexample is named without a cap
+        doc = {"ring": {"mod": 4}, "modules": {"0": [2] * 15}, "diff": {}}
+        assert main(["check", "eps1-perp", write(tmp_path, "c.json", doc)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] is False
+        g = chain_map_from_doc(report["counterexample"]["map"])
+        assert g.commutes() and null_homotopy(g) is None
 
     def test_counterexample_feeds_back_through_the_codec(self, tmp_path, capsys):
         main(["check", "x-injective", write(tmp_path, "c.json", SPHERE_DOC),

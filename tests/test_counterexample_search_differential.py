@@ -1,5 +1,6 @@
-"""One counterexample search: the first group element outside an image, read
-off the image's cokernel (``lifting._first_outside_image``).
+"""One counterexample construction: the first group element outside an
+image, the last generator with no section, read off one solve
+(``lifting._first_outside_image``).
 
 ``lifting._first_non_nullhomotopic`` takes the null-homotopic chain maps as
 the image of d^{-1}: s -> d o s + s o d of the hom complex, where the
@@ -10,7 +11,7 @@ window complexes over Z/4 and Z/6.  A found map is confirmed by one
 homotopy solve, so a failing eps1-perp check solves exactly one.
 
 The build verifiers name the first map that does not factor from the
-cokernel of the chain-map restriction, so verifying a broken build solves
+sections of the chain-map restriction, so verifying a broken build solves
 no ``MapSystem`` (the ``tests/test_factorization_differential.py`` cases
 compare its messages with the per-element verifier).
 """

@@ -1,7 +1,8 @@
-"""Every private helper in ``src/homkit`` is used: each ``_``-prefixed
-function or method (dunders aside) is referenced somewhere in the package
-outside its own definition, so a helper whose last caller was removed does
-not linger."""
+"""Every private name in ``src/homkit`` is used: each ``_``-prefixed
+function or method (dunders aside), and each ``_``-prefixed module-level
+constant or class, is referenced somewhere in the package outside its own
+definition, so a helper or constant whose last reader was removed does not
+linger."""
 from __future__ import annotations
 
 import ast
@@ -10,14 +11,28 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "homkit"
 
 
-def _private(node) -> bool:
-    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
-        node.name.startswith("_") and not node.name.endswith("__")
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
 
 
-def unreferenced_private_functions(paths) -> list:
-    """``file:line name`` of each private function or method defined in
-    ``paths`` that no name or attribute outside its own body refers to."""
+def private_definitions(tree) -> list:
+    """(name, defining node) of each private function or method anywhere in
+    ``tree``, and of each private class or assigned name at module level."""
+    found = [(node.name, node) for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((target.id, node) for target in targets if isinstance(target, ast.Name))
+    return [(name, node) for name, node in found if _private(name)]
+
+
+def unreferenced_private_names(paths) -> list:
+    """``file:line name`` of each private definition in ``paths``
+    (``private_definitions``) that no name or attribute outside its own
+    definition refers to."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
     uses = {}   # name -> [(path, line)]
     for path, tree in trees.items():
@@ -28,15 +43,15 @@ def unreferenced_private_functions(paths) -> list:
                 uses.setdefault(name, []).append((path, node.lineno))
     found = []
     for path, tree in trees.items():
-        for node in filter(_private, ast.walk(tree)):
+        for name, node in private_definitions(tree):
             if not any(p != path or not node.lineno <= line <= node.end_lineno
-                       for p, line in uses.get(node.name, [])):
-                found.append(f"{path.name}:{node.lineno} {node.name}")
+                       for p, line in uses.get(name, [])):
+                found.append(f"{path.name}:{node.lineno} {name}")
     return sorted(found)
 
 
 def test_every_private_helper_is_referenced():
-    assert unreferenced_private_functions(sorted(SRC.glob("*.py"))) == []
+    assert unreferenced_private_names(sorted(SRC.glob("*.py"))) == []
 
 
 def test_the_scan_sees_an_unused_helper(tmp_path):
@@ -48,7 +63,7 @@ def test_the_scan_sees_an_unused_helper(tmp_path):
         "class A:\n    def __init__(self):\n        self._go()\n\n"
         "    def _go(self):\n        pass\n\n"
         "    def _idle(self):\n        return self._idle()\n")
-    assert unreferenced_private_functions([used, helpers]) == ["helpers.py:12 _idle"]
+    assert unreferenced_private_names([used, helpers]) == ["helpers.py:12 _idle"]
 
 
 def test_the_scan_sees_a_leftover_slide_helper(tmp_path):
@@ -62,5 +77,18 @@ def test_the_scan_sees_a_leftover_slide_helper(tmp_path):
         "    base = shift(e_cx, -1)\n"
         "    (blo, bhi), (ilo, ihi) = base.support, i.support\n"
         "    return [shift(base, -s) for s in range(ilo - bhi, ihi - blo + 2)]\n"))
-    assert unreferenced_private_functions(sorted(tmp_path.glob("*.py"))) == \
+    assert unreferenced_private_names(sorted(tmp_path.glob("*.py"))) == \
         [f"lifting.py:{line} _slid_sources"]
+
+
+def test_the_scan_sees_an_unused_constant(tmp_path):
+    # a search cap left behind after its last reader went
+    used = tmp_path / "used.py"
+    used.write_text("from .helpers import _LIMIT\n\n\ndef run(n):\n    return n <= _LIMIT\n")
+    helpers = tmp_path / "helpers.py"
+    helpers.write_text(
+        "_LIMIT = 1 << 10\n_TABLE: dict = {}\n_CAP = 1 << 14\n__all__ = ['run']\n\n\n"
+        "class _Unread:\n    pass\n\n\n"
+        "def run():\n    return _TABLE\n")
+    assert unreferenced_private_names([used, helpers]) == \
+        ["helpers.py:3 _CAP", "helpers.py:7 _Unread"]

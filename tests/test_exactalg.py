@@ -247,3 +247,13 @@ class TestCongruenceSystem:
         sys_ = CongruenceSystem(ZZ, 1)
         with pytest.raises(ExactAlgError, match="not an integer"):
             sys_.add({0: 1.5}, 3, 0)
+
+    @pytest.mark.parametrize("factored", [False, True], ids=["system", "record"])
+    def test_non_integer_right_hand_side_is_rejected(self, factored):
+        # 2 x0 = b over Z used to "solve" the column [4.0] with x0 = 2.0
+        sys_ = CongruenceSystem(ZZ, 1)
+        sys_.add({0: 2}, 0, 0)
+        solver = sys_.factor() if factored else sys_
+        with pytest.raises(ExactAlgError, match="1 integer values"):
+            solver.solve_columns([[4], [4.0]])
+        assert solver.solve_columns([[4]])[0] == [[2]]

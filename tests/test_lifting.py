@@ -32,6 +32,7 @@ from homkit.xclass import (
 )
 from homkit.lifting import (
     HypothesisError,
+    _first_non_nullhomotopic,
     dg_x_injective,
     dg_x_projective,
     eps1_perp_homotopy,
@@ -201,13 +202,23 @@ class TestEps1Perp:
         g = v.counterexample["map"]
         assert null_homotopy(g) is None
 
-    def test_search_giving_up_raises_cap_error(self, monkeypatch):
-        # the counterexample search returns no map above its size cap; the
-        # checker must say so with an error, not with a stripped assert
+    def test_search_finding_nothing_raises(self, monkeypatch):
+        # a failing position guarantees a map that is not null-homotopic; a
+        # search that finds none must raise, not pass silently
         import homkit.lifting as lifting
         monkeypatch.setattr(lifting, "_first_non_nullhomotopic", lambda src, tgt: None)
-        with pytest.raises(UniverseCapError, match="chain maps"):
+        with pytest.raises(AssertionError, match="every chain map .* is null-homotopic"):
             eps1_perp_homotopy(sphere(0, Z2), EU_ALL, keep_witnesses=True)
+
+    def test_search_above_the_old_cap(self):
+        # Hom(Z/2, (Z/2)^15): 2^15 chain maps between degree-0 spheres, none
+        # of them null-homotopic but zero; the first in enumeration order is
+        # the last generator, named without walking the group
+        big = FpModule(R4, (2,) * 15)
+        assert chain_map_group(sphere(0, Z2), sphere(0, big)).module.size() == 1 << 15
+        g = _first_non_nullhomotopic(sphere(0, Z2), sphere(0, big))
+        assert g is not None and null_homotopy(g) is None
+        assert g.component(0).matrix.entries == tuple((int(r == 14),) for r in range(15))
 
     def test_perp_implies_components_injective_on_projective_suite(self):
         # on the suite whose components pass the projective test, membership

@@ -259,6 +259,17 @@ class TestMapSystemEquation:
         with pytest.raises(ModuleError, match="right-hand side"):
             ms.solve_each([[wide]])
 
+    @pytest.mark.parametrize("ring", [ZZ, Zmod(4)], ids=str)
+    def test_an_unknown_over_another_ring_is_rejected(self, ring):
+        # over Z a Z/8 -> Z/8 unknown used to be solved as a map over Z, and
+        # over Z/4 it failed at solve time with a row-modulus error
+        z8 = FpModule(Zmod(8), (8,))
+        ms = MapSystem(ring)
+        with pytest.raises(ModuleError, match="system's ring"):
+            ms.unknown("x", z8, z8)
+        with pytest.raises(ModuleError, match="system's ring"):
+            ms.unknown("y", FpModule.zero(ring), z8)
+
 
 class TestHom:
     def test_hom_z2_z4(self):

@@ -8,8 +8,8 @@ group's ambient (Hom^0 for a chain-map group, the hom module itself for a
 hom module) with the target's inclusion, the sections are solved against
 the inclusion columns, without witnesses a hom module tests the image by
 rank and a chain-map group counts its order, and a counterexample is the
-first element whose inclusion projects to a nonzero class of the image's
-cokernel.  The oracle, kept only in ``tests/helpers.py``, is the old path:
+last target generator without a section, the first element outside the
+image in enumeration order.  The oracle, kept only in ``tests/helpers.py``, is the old path:
 the restriction matrix (``chain_group_compose`` for complexes, one
 elimination), the canonical preimages of its target generators (a second
 elimination), its rank test for the witness-free answer, and the first
@@ -172,42 +172,53 @@ def test_complex_verdicts_match_the_two_solve_loop(check, keep, monkeypatch):
     assert holds == {True, False}
 
 
-def counting_cokernels(monkeypatch) -> list:
-    """The maps whose cokernel ``lifting`` takes, recorded as it runs: only
-    the counterexample search takes one."""
-    calls = []
+def counting_solves(monkeypatch) -> tuple:
+    """The maps whose cokernel ``lifting`` takes (none: a counterexample is
+    read off the sections) and the image matrices it solves sections
+    against, recorded as it runs."""
+    cokernels, images = [], []
+    solve = lifting._solve_in_module_columns
 
-    def counting(f):
-        calls.append(f)
+    def counting_cokernel(f):
+        cokernels.append(f)
         return cokernel(f)
 
-    monkeypatch.setattr(lifting, "cokernel", counting)
+    def counting_solve(target, mat, columns):
+        images.append(mat)
+        return solve(target, mat, columns)
+
+    monkeypatch.setattr(lifting, "cokernel", counting_cokernel)
+    monkeypatch.setattr(lifting, "_solve_in_module_columns", counting_solve)
     lifting._VERDICT_CACHE.clear()
-    return calls
+    return cokernels, images
+
+
+def assert_one_solve_on_failure(check, holding, failing, u, hom, keep, monkeypatch):
+    """Without witnesses a passing check solves no sections and a failing one
+    solves them once, for its counterexample; with witnesses the last solve
+    is the counterexample's.  Neither takes a cokernel."""
+    cokernels, images = counting_solves(monkeypatch)
+    v = check(holding, ALL, u(holding), keep_witnesses=keep)
+    assert v.holds and v.checked > 0 and cokernels == []
+    assert keep or images == []
+    del images[:]
+    v = check(failing, ALL, u(failing), keep_witnesses=keep)
+    image = lifting._restriction_image(v.counterexample["mono"], failing, True, hom)[2].matrix
+    assert not v.holds and cokernels == []
+    assert images[-1] == image and (keep or images == [image])
 
 
 @pytest.mark.parametrize("keep", [True, False], ids=["witnesses", "verdict-only"])
-def test_restriction_matrix_is_built_only_on_failure(keep, monkeypatch):
-    calls = counting_cokernels(monkeypatch)
-    holding = disk(0, FpModule(R4, (4,)))
-    cu = default_complex_universe(R4, holding.support, full_bound=4, disk_bound=4)
-    v = lifting.x_injective_complex(holding, ALL, cu, keep_witnesses=keep)
-    assert v.holds and v.checked > 0 and calls == []
-    failing = sphere(0, FpModule(R4, (2, 4)))
-    cu = default_complex_universe(R4, failing.support, full_bound=4, disk_bound=4)
-    v = lifting.x_injective_complex(failing, ALL, cu, keep_witnesses=keep)
-    image = lifting._restriction_image(v.counterexample["mono"], failing, True,
-                                       chain_map_group)[2]
-    assert not v.holds and calls == [image]
+def test_complex_counterexample_takes_no_cokernel(keep, monkeypatch):
+    assert_one_solve_on_failure(
+        lifting.x_injective_complex, disk(0, FpModule(R4, (4,))), sphere(0, FpModule(R4, (2, 4))),
+        lambda c: default_complex_universe(R4, c.support, full_bound=4, disk_bound=4),
+        chain_map_group, keep, monkeypatch)
 
 
 @pytest.mark.parametrize("keep", [True, False], ids=["witnesses", "verdict-only"])
-def test_module_restriction_cokernel_is_taken_only_on_failure(keep, monkeypatch):
-    calls = counting_cokernels(monkeypatch)
+def test_module_counterexample_takes_no_cokernel(keep, monkeypatch):
     u = module_universe(R4, 8)
-    v = lifting.x_injective_module(FpModule(R4, (4,)), ALL, u, keep_witnesses=keep)
-    assert v.holds and v.checked > 0 and calls == []
-    failing = FpModule(R4, (2,))
-    v = lifting.x_injective_module(failing, ALL, u, keep_witnesses=keep)
-    image = lifting._restriction_image(v.counterexample["mono"], failing, True, hom_module)[2]
-    assert not v.holds and calls == [image]
+    assert_one_solve_on_failure(
+        lifting.x_injective_module, FpModule(R4, (4,)), FpModule(R4, (2,)), lambda m: u,
+        hom_module, keep, monkeypatch)
