@@ -10,7 +10,7 @@ of the glued map, which the solvers here decide exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from . import caches
@@ -60,6 +60,7 @@ class Complex:
                 diffs[k] = ModuleMap.zero(comps[k], comps[k + 1])
         self._components = dict(sorted(comps.items()))
         self._differentials = dict(sorted(diffs.items()))
+        self._key: Optional[tuple] = None
         if check:
             verdict = validate_complex(self)
             if not verdict.ok:
@@ -96,9 +97,13 @@ class Complex:
         return total
 
     def canonical_key(self) -> tuple:
-        return (self.ring,
-                tuple((k, m.factors) for k, m in self._components.items()),
-                tuple((k, d.matrix.entries) for k, d in self._differentials.items()))
+        """Built on first use and kept: nothing changes a complex after
+        construction."""
+        if self._key is None:
+            self._key = (self.ring,
+                         tuple((k, m.factors) for k, m in self._components.items()),
+                         tuple((k, d.matrix.entries) for k, d in self._differentials.items()))
+        return self._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Complex) and self.canonical_key() == other.canonical_key()
@@ -423,8 +428,8 @@ def hom_complex_data(x: Complex, y: Complex, degrees: Optional[Sequence[int]] = 
     Degree n component is the sum over i of Hom(x^i, y^{i+n}); the
     differential sends a family (f^i) to  d_y o f^i - (-1)^n f^{i+1} o d_x,
     so its blocks are the memoised ``hom_postcompose`` by d_y and
-    ``hom_precompose`` by d_x, negated when n is even, and ``_block_sum``
-    assembles them into one matrix.
+    ``hom_precompose`` by d_x, negated when n is even, and ``_block_map``
+    assembles them with the projections of the degree-n sum.
     """
     ring = x.ring
     if x.is_zero() or y.is_zero():
@@ -436,10 +441,11 @@ def hom_complex_data(x: Complex, y: Complex, degrees: Optional[Sequence[int]] = 
     deg_data = {}
     for n in wanted:
         blocks = []
-        for i in range(xlo, xhi + 1):
-            if x.component(i).is_zero() or y.component(i + n).is_zero():
+        for i, xi in x._components.items():
+            yi = y._components.get(i + n)
+            if yi is None:
                 continue
-            hm = hom_module(x.component(i), y.component(i + n))
+            hm = hom_module(xi, yi)
             if hm.module.is_zero():
                 continue
             blocks.append((i, hm))
@@ -461,35 +467,33 @@ def hom_complex_data(x: Complex, y: Complex, degrees: Optional[Sequence[int]] = 
                     block = hom_precompose(hm, thm, x.differential(i - 1)).matrix
                     blocks.append((s, t, -block if n % 2 == 0 else block))
         if blocks:
-            diffs[n] = _block_sum(d.sum, tgt.sum, blocks)
+            diffs[n] = _block_map(tgt.sum, blocks, d.sum.module,
+                                  [p.matrix.entries for p in d.sum.projections])
     return HomComplexData(x, y, Complex(ring, comps, diffs, check=False), deg_data)
 
 
-def _block_sum(src: DirectSum, tgt: DirectSum, blocks: list,
-               right: Optional[ModuleMap] = None) -> ModuleMap:
-    """The map src.module -> tgt.module assembled from blocks, followed by
-    ``right`` when given: the sum of injection t o block o projection s over
-    the (s, t, block matrix) in ``blocks``, at most one block per (s, t).
+def _block_map(tgt: DirectSum, blocks: list, source: FpModule, right: Sequence) -> ModuleMap:
+    """The map source -> tgt.module that is the sum of injection t o block
+    o right[s] over the (s, t, block matrix) in ``blocks``, with right[s]
+    the integer rows of a map from source into the s-th summand of a direct
+    sum: its projection, or a projection of a cycle inclusion.
 
-    It is computed as one integer product Inj @ Big @ Proj (@ right), with
-    Inj the injections side by side, Proj the projections stacked and Big
-    every block copied in at its summand offsets, and reduced once at the
-    end; the product equals the sum of the per-block products entry for
-    entry."""
-    toff = list(accumulate((f.source.ngens for f in tgt.injections), initial=0))
-    soff = list(accumulate((f.target.ngens for f in src.projections), initial=0))
-    big = [[0] * soff[-1] for _ in range(toff[-1])]
+    Each target summand's rows are one zero-skipping integer product per
+    block, summed, then one product with its injection, and the map is
+    reduced once, by ``ModuleMap``; over the integers the sum equals the
+    product of the full block-matrix factors entry for entry."""
+    width = source.ngens
+    parts: dict = {}        # t -> the rows of sum_s block o right[s]
     for s, t, block in blocks:
-        for r, row in enumerate(block.entries, toff[t]):
-            big[r][soff[s]:soff[s + 1]] = row
-    inj = [sum((f.matrix.entries[i] for f in tgt.injections), ()) for i in range(tgt.module.ngens)]
-    proj = [row for f in src.projections for row in f.matrix.entries]
-    total = _row_product(_row_product(inj, big, soff[-1]), proj, src.module.ngens)
-    source = src.module
-    if right is not None:
-        source = right.source
-        total = _row_product(total, right.matrix.entries, source.ngens)
-    return ModuleMap(source, tgt.module, IntMatrix.from_rows(total, cols=source.ngens))
+        rows = _row_product(block.entries, right[s], width)
+        if t in parts:
+            rows = [[a + b for a, b in zip(r, q)] for r, q in zip(parts[t], rows)]
+        parts[t] = rows
+    total = [(0,) * width] * tgt.module.ngens
+    for t, rows in parts.items():
+        for r, row in enumerate(_row_product(tgt.injections[t].matrix.entries, rows, width)):
+            total[r] = tuple(a + b for a, b in zip(total[r], row))
+    return ModuleMap(source, tgt.module, IntMatrix(len(total), width, tuple(total)))
 
 
 def _row_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int) -> list:
@@ -687,6 +691,7 @@ class ChainMapGroup:
     module: FpModule
     _data: HomComplexData
     _inclusion: Optional[ModuleMap]        # cycles -> hom-degree-0 component
+    _blocks: tuple = ()     # P_s per block s of Hom^0 (``_cycle_blocks``); () without cycles
 
     def decode(self, elem: Sequence[int]) -> ChainMap:
         comps = {}
@@ -695,15 +700,22 @@ class ChainMapGroup:
             comps[k] = ModuleMap(src, tgt, IntMatrix.from_rows(rows, cols=src.ngens))
         return ChainMap(self.source, self.target, comps, check=False)
 
+    @cached_property
+    def _pair_blocks(self) -> tuple:
+        """(degree, Hom block, from_canonical @ P_s) per block of Hom^0: the
+        raw ``HomModule.pairs`` coordinates of every group generator's
+        component in that degree, as integer rows."""
+        width = self.module.ngens
+        return tuple((i, hm, tuple(map(tuple, _row_product(hm.from_canonical.entries, p, width))))
+                     for (i, hm), p in zip(self._data.degrees[0].blocks, self._blocks))
+
     def _rows(self, elem: Sequence[int]) -> dict:
         """The matrix rows of the chain map of ``elem`` in each degree with a
         nonzero Hom block, as ``HomModule._rows`` gives them."""
         if self._inclusion is None:
             return {}
-        data = self._data.degrees[0]
-        coords = self._inclusion.apply(elem)
-        return {i: hm._rows(data.sum.projections[idx].apply(coords))
-                for idx, (i, hm) in enumerate(data.blocks)}
+        return {i: hm._pair_rows([sum(x * e for x, e in zip(row, elem)) for row in raw])
+                for i, hm, raw in self._pair_blocks}
 
     def _scan(self) -> Iterator[tuple]:
         """``_scan_maps`` of this group, in the degrees where source and
@@ -744,11 +756,21 @@ def _chain_map_group(a: Complex, b: Complex) -> ChainMapGroup:
     if 0 not in data.degrees:
         return ChainMapGroup(a, b, FpModule.zero(a.ring), data, None)
     d0 = data.complex.differential(0)
+    amb = data.degrees[0].sum
     if d0.target.is_zero():
-        amb = data.degrees[0].sum.module
-        return ChainMapGroup(a, b, amb, data, ModuleMap.identity(amb))
-    sub, inclusion = _kernel_inclusion(d0)
-    return ChainMapGroup(a, b, sub, data, inclusion)
+        sub, inclusion = amb.module, ModuleMap.identity(amb.module)
+    else:
+        sub, inclusion = _kernel_inclusion(d0)
+    return ChainMapGroup(a, b, sub, data, inclusion, _cycle_blocks(amb, inclusion))
+
+
+def _cycle_blocks(amb: DirectSum, inclusion: ModuleMap) -> tuple:
+    """P_s = projection s o ``inclusion`` for each summand s of Hom^0, as
+    integer row tuples (smaller than lists), not reduced: a chain-map
+    group's cycle inclusion in block coordinates, built once per group."""
+    width = inclusion.source.ngens
+    return tuple(tuple(map(tuple, _row_product(p.matrix.entries, inclusion.matrix.entries, width)))
+                 for p in amb.projections)
 
 
 def chain_group_image(g_from: ChainMapGroup, g_to: ChainMapGroup, phi: ChainMap,
@@ -759,16 +781,17 @@ def chain_group_image(g_from: ChainMapGroup, g_to: ChainMapGroup, phi: ChainMap,
 
     On Hom^0 = sum_i Hom(x^i, y^i) the map is block diagonal in the
     degreewise ``hom_precompose`` (``hom_postcompose``) matrices by phi^i,
-    applied to the inclusion columns of g_from's cycles: one block-sum
-    product.  It is the restriction between the two groups followed by
-    g_to's injective cycle inclusion, so lifting reads sections and
-    counterexamples off it without solving for the restriction itself."""
+    applied to g_from's cycle inclusion in block coordinates (``_blocks``):
+    one product per block, assembled by ``_block_map``.  It is the
+    restriction between the two groups followed by g_to's injective cycle
+    inclusion, so lifting reads sections and counterexamples off it without
+    solving for the restriction itself."""
     src, tgt = g_from._data.degrees[0], g_to._data.degrees[0]
     compose = hom_precompose if pre else hom_postcompose
     slots = {i: t for t, (i, _) in enumerate(tgt.blocks)}
     blocks = [(s, slots[i], compose(hm, tgt.blocks[slots[i]][1], phi.component(i)).matrix)
               for s, (i, hm) in enumerate(src.blocks) if i in slots]
-    return _block_sum(src.sum, tgt.sum, blocks, right=g_from._inclusion)
+    return _block_map(tgt.sum, blocks, g_from.module, g_from._blocks)
 
 
 def chain_maps(a: Complex, b: Complex, cap: int = 100000) -> list:

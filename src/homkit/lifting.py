@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import caches
+from .exactalg import IntMatrix
 from .modules import (
     FpModule,
     ModuleMap,
@@ -36,9 +37,12 @@ from .modules import (
 )
 from .complexes import (
     ChainMap,
+    ChainMapGroup,
     Complex,
+    ComplexError,
     _factor_through,
     _row_complex,
+    _row_product,
     _sphere_map,
     chain_group_image,
     chain_map_group,
@@ -452,8 +456,9 @@ def hom_exactness(beta: ModuleMap, theta: ModuleMap, probe: Complex,
     where maps(probe, M) are the chain maps into the degree-zero sphere on M
     and dually.  Hypotheses (the row is exact at B and the stated class
     membership) are verified first; a violation raises HypothesisError.
-    The middle maps are enumerated only up to ``_CHAIN_SEARCH_CAP``; more
-    raise UniverseCapError.
+    The middle maps, the chain maps g with theta o g^0 = 0 (left) or
+    g^0 o beta = 0, are listed only up to ``_CHAIN_SEARCH_CAP``; more raise
+    UniverseCapError, and an infinite chain-map group raises ComplexError.
     """
     if beta.target != theta.source:
         raise ValueError("the two maps do not compose")
@@ -478,13 +483,16 @@ def hom_exactness(beta: ModuleMap, theta: ModuleMap, probe: Complex,
     ends = (probe, sphere(0, beta.target)) if left else (sphere(0, beta.target), probe)
     key = "lift" if left else "factor"
     grp = chain_map_group(*ends)
-    size = grp.module.size()
-    if size is not None and size > _CHAIN_SEARCH_CAP:
+    if grp.module.size() is None:
+        raise ComplexError("infinite chain map group")
+    middle = _middle_inclusion(grp, theta if left else beta, left)
+    size = middle.source.size()
+    if size > _CHAIN_SEARCH_CAP:
         raise UniverseCapError(
-            f"too many chain maps to enumerate: {size} chain maps from {ends[0].describe()} "
+            f"too many middle maps to enumerate: {size} chain maps from {ends[0].describe()} "
             f"to {ends[1].describe()} (search cap {_CHAIN_SEARCH_CAP})")
-    fs = [f for f in grp.elements()
-          if (theta.compose(f.component(0)) if left else f.component(0).compose(beta)).is_zero()]
+    # the kernel's elements in group coordinates, sorted: grp.elements() order
+    fs = [grp.decode(elem) for elem in sorted(map(middle.apply, middle.source.elements()))]
     # a lift u (left: beta o u = g, u o d^{-1} = 0) or an extension h (right:
     # h o theta = g, d^0 o h = 0) of each g is a chain map through the sphere
     # map of beta (theta); one solve for all of them
@@ -498,6 +506,24 @@ def hom_exactness(beta: ModuleMap, theta: ModuleMap, probe: Complex,
             break
         verdict.witnesses.append({"kind": "hom-row", "middle": g, key: sol.component(0)})
     return verdict
+
+
+def _middle_inclusion(grp: ChainMapGroup, f: ModuleMap, left: bool) -> ModuleMap:
+    """The inclusion into ``grp.module`` of its chain maps g with f o g^0 = 0
+    (``left``) or g^0 o f = 0, for a group of chain maps into or out of a
+    degree-zero sphere, whose Hom^0 is the one block Hom(probe^0, B) (left)
+    or Hom(B, probe^0): the kernel of the composition matrix of f applied to
+    the group's cycle inclusion in that block."""
+    if grp._inclusion is None:
+        return ModuleMap.identity(grp.module)
+    (_, hm), = grp._data.degrees[0].blocks
+    if left:
+        induced = hom_postcompose(hm, hom_module(hm.source, f.target), f)
+    else:
+        induced = hom_precompose(hm, hom_module(f.source, hm.target), f)
+    rows = _row_product(induced.matrix.entries, grp._blocks[0], grp.module.ngens)
+    return _kernel_inclusion(ModuleMap(grp.module, induced.target,
+                                       IntMatrix.from_rows(rows, cols=grp.module.ngens)))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from typing import Iterator, Optional, Sequence
@@ -558,12 +558,16 @@ class HomModule:
     def _rows(self, elem: Sequence[int]) -> list:
         """The matrix rows of the map of ``elem``, each entry reduced modulo
         its row's target factor."""
-        raw = [sum(self.from_canonical.entries[t][r] * elem[r] for r in range(self.module.ngens))
-               for t in range(len(self.pairs))]
+        return self._pair_rows([sum(self.from_canonical.entries[t][r] * elem[r]
+                                    for r in range(self.module.ngens))
+                                for t in range(len(self.pairs))])
+
+    def _pair_rows(self, raw: Sequence[int]) -> list:
+        """The matrix rows of the map with raw coordinates ``raw``, one per
+        entry of ``pairs``, read modulo each pair's order."""
         mat = [[0] * self.source.ngens for _ in range(self.target.ngens)]
-        for (idx, (i, j, order, scale)) in enumerate(self.pairs):
-            c = raw[idx] % order if order else raw[idx]
-            mat[i][j] = c * scale
+        for (i, j, order, scale), v in zip(self.pairs, raw):
+            mat[i][j] = (v % order if order else v) * scale
         return mat
 
     def elements(self) -> Iterator[ModuleMap]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 from functools import partial
+from itertools import accumulate
 from typing import Optional
 
 from homkit import (
@@ -16,7 +17,14 @@ from homkit import (
     disk,
     hom_module,
 )
-from homkit.complexes import chain_group_image, null_homotopy
+from homkit.complexes import (
+    HomComplexData,
+    HomDegree,
+    _row_product,
+    chain_group_image,
+    null_homotopy,
+    zero_complex,
+)
 from homkit.construct import _side_words
 from homkit.exactalg import (
     CongruenceSystem,
@@ -28,7 +36,13 @@ from homkit.exactalg import (
     _val,
 )
 from homkit.lifting import _CHAIN_SEARCH_CAP
-from homkit.modules import MapSystem, hom_postcompose, hom_precompose
+from homkit.modules import (
+    MapSystem,
+    _kernel_inclusion,
+    direct_sum,
+    hom_postcompose,
+    hom_precompose,
+)
 from homkit.xclass import _fits, _shape
 
 
@@ -122,6 +136,114 @@ def twisted_copy(rng: random.Random, c: Complex) -> Complex:
     diffs = {k: autos[k + 1][0].compose(c.differential(k)).compose(autos[k][1])
              for k in c.degrees() if k + 1 in autos}
     return Complex(c.ring, {k: c.component(k) for k in c.degrees()}, diffs)
+
+
+# ---------------------------------------------------------------------------
+# Hom-complex differentials, chain-map groups, their generator rows and
+# restriction images as they were assembled before a group kept its cycle
+# inclusion in block coordinates, kept as test-only oracles
+# ---------------------------------------------------------------------------
+
+def block_sum_oracle(src, tgt, blocks: list, right: Optional[ModuleMap] = None) -> ModuleMap:
+    """The map src.module -> tgt.module assembled from blocks, followed by
+    ``right`` when given: the sum of injection t o block o projection s over
+    the (s, t, block matrix) in ``blocks``, computed as one integer product
+    Inj @ Big @ Proj (@ right), with Inj the injections side by side, Proj
+    the projections stacked and Big every block copied in at its summand
+    offsets, reduced once at the end."""
+    toff = list(accumulate((f.source.ngens for f in tgt.injections), initial=0))
+    soff = list(accumulate((f.target.ngens for f in src.projections), initial=0))
+    big = [[0] * soff[-1] for _ in range(toff[-1])]
+    for s, t, block in blocks:
+        for r, row in enumerate(block.entries, toff[t]):
+            big[r][soff[s]:soff[s + 1]] = row
+    inj = [sum((f.matrix.entries[i] for f in tgt.injections), ()) for i in range(tgt.module.ngens)]
+    proj = [row for f in src.projections for row in f.matrix.entries]
+    total = _row_product(_row_product(inj, big, soff[-1]), proj, src.module.ngens)
+    source = src.module
+    if right is not None:
+        source = right.source
+        total = _row_product(total, right.matrix.entries, source.ngens)
+    return ModuleMap(source, tgt.module, IntMatrix.from_rows(total, cols=source.ngens))
+
+
+def hom_complex_data_oracle(x: Complex, y: Complex, degrees=None) -> HomComplexData:
+    """``complexes.hom_complex_data`` as it was: the blocks found by asking
+    every degree of x's support for its component, each differential one
+    ``block_sum_oracle`` of the signed composition blocks."""
+    ring = x.ring
+    if x.is_zero() or y.is_zero():
+        return HomComplexData(x, y, zero_complex(ring), {})
+    xlo, xhi = x.support
+    ylo, yhi = y.support
+    lo, hi = ylo - xhi, yhi - xlo
+    wanted = range(lo, hi + 1) if degrees is None else [n for n in degrees if lo <= n <= hi]
+    deg_data = {}
+    for n in wanted:
+        blocks = []
+        for i in range(xlo, xhi + 1):
+            if x.component(i).is_zero() or y.component(i + n).is_zero():
+                continue
+            hm = hom_module(x.component(i), y.component(i + n))
+            if hm.module.is_zero():
+                continue
+            blocks.append((i, hm))
+        if blocks:
+            ds = direct_sum([hm.module for _, hm in blocks])
+            deg_data[n] = HomDegree(n, tuple(blocks), ds)
+    comps = {n: d.sum.module for n, d in deg_data.items()}
+    diffs = {}
+    for n, d in deg_data.items():
+        if (n + 1) not in deg_data:
+            continue
+        tgt = deg_data[n + 1]
+        blocks = []
+        for s, (i, hm) in enumerate(d.blocks):
+            for t, (ti, thm) in enumerate(tgt.blocks):
+                if ti == i:
+                    blocks.append((s, t, hom_postcompose(hm, thm, y.differential(i + n)).matrix))
+                elif ti == i - 1:
+                    block = hom_precompose(hm, thm, x.differential(i - 1)).matrix
+                    blocks.append((s, t, -block if n % 2 == 0 else block))
+        if blocks:
+            diffs[n] = block_sum_oracle(d.sum, tgt.sum, blocks)
+    return HomComplexData(x, y, Complex(ring, comps, diffs, check=False), deg_data)
+
+
+def chain_map_group_oracle(a: Complex, b: Complex) -> tuple:
+    """(module, cycle inclusion or None) of the chain maps a -> b, from the
+    d^0 of ``hom_complex_data_oracle``."""
+    data = hom_complex_data_oracle(a, b, degrees=(0, 1))
+    if 0 not in data.degrees:
+        return FpModule.zero(a.ring), None
+    d0 = data.complex.differential(0)
+    if d0.target.is_zero():
+        amb = data.degrees[0].sum.module
+        return amb, ModuleMap.identity(amb)
+    return _kernel_inclusion(d0)
+
+
+def chain_group_rows_oracle(grp, elem) -> dict:
+    """``ChainMapGroup._rows`` as it was: the element's Hom^0 coordinates,
+    then per block its projection and ``HomModule._rows``, each a reduced
+    ``ModuleMap.apply``."""
+    if grp._inclusion is None:
+        return {}
+    data = grp._data.degrees[0]
+    coords = grp._inclusion.apply(elem)
+    return {i: hm._rows(data.sum.projections[idx].apply(coords))
+            for idx, (i, hm) in enumerate(data.blocks)}
+
+
+def chain_group_image_oracle(g_from, g_to, phi: ChainMap, pre: bool) -> ModuleMap:
+    """``complexes.chain_group_image`` as it was: one ``block_sum_oracle``
+    of the composition blocks followed by g_from's cycle inclusion."""
+    src, tgt = g_from._data.degrees[0], g_to._data.degrees[0]
+    compose = hom_precompose if pre else hom_postcompose
+    slots = {i: t for t, (i, _) in enumerate(tgt.blocks)}
+    blocks = [(s, slots[i], compose(hm, tgt.blocks[slots[i]][1], phi.component(i)).matrix)
+              for s, (i, hm) in enumerate(src.blocks) if i in slots]
+    return block_sum_oracle(src.sum, tgt.sum, blocks, right=g_from._inclusion)
 
 
 # ---------------------------------------------------------------------------

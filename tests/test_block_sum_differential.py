@@ -1,15 +1,19 @@
 """Block assembly and the lifting driver against the paths they replace.
 
-``complexes._block_sum`` computes a hom-complex differential, or with a right
-factor the image of a chain-group restriction in Hom^0, as one product
-Inj @ Big @ Proj, and ``lifting._lifting_verdict`` decides whether the
-induced map is onto by the section solve (with witnesses) or the rank or
-order test, taking a cokernel only for a counterexample.  The oracles are the
-old paths, kept only as tests: the sum of injection @ block @ projection over
-the blocks, composed with the cycle inclusion as a second map, and the
-lifting loop that builds the restriction matrix of every tested map
-(``tests/helpers.induced_restriction``) and takes its cokernel first.  Matrices must agree bit for bit, and verdicts in
-``holds``, ``checked``, witnesses (sections included) and counterexample.
+``complexes._block_map`` computes a hom-complex differential, or from a
+group's cycle inclusion in block coordinates the image of a chain-group
+restriction in Hom^0, one product per block, and
+``lifting._lifting_verdict`` decides whether the induced map is onto by the
+section solve (with witnesses) or the rank or order test, taking a cokernel
+only for a counterexample.  The oracles are the old paths, kept only as
+tests: the sum of injection @ block @ projection over the blocks, composed
+with the cycle inclusion as a second map (put in place of
+``helpers.block_sum_oracle``, the one-product assembly that preceded
+``_block_map``, inside ``helpers.hom_complex_data_oracle``), and the lifting
+loop that builds the restriction matrix of every tested map
+(``tests/helpers.induced_restriction``) and takes its cokernel first.
+Matrices must agree bit for bit, and verdicts in ``holds``, ``checked``,
+witnesses (sections included) and counterexample.
 """
 from __future__ import annotations
 
@@ -21,9 +25,10 @@ from homkit.exactalg import ZZ, IntMatrix, Zmod
 from homkit.modules import FpModule, ModuleMap, cokernel, kernel
 from homkit.xclass import ALL, ann, default_complex_universe, module_universe
 
+from . import helpers
 from .helpers import CONFIRM_CAPS, chain_group_compose, confirm_no_preimage, \
-    first_outside_image, induced_restriction, section_certificate, \
-    solve_in_module_columns_oracle
+    first_outside_image, hom_complex_data_oracle, induced_restriction, \
+    section_certificate, solve_in_module_columns_oracle
 from .test_pool_differential import UNIVERSES, fresh_universe
 
 
@@ -89,8 +94,9 @@ def pool_pairs(n: int, disk_bound: int) -> list:
 def test_hom_complex_differentials_match_block_by_block(n, disk_bound, monkeypatch):
     pairs = pool_pairs(n, disk_bound)
     data = [hom_complex_data(f.source, f.target) for f, _ in pairs]
-    monkeypatch.setattr(complexes, "_block_sum", old_block_sum)
-    old = [hom_complex_data(f.source, f.target).complex.canonical_key() for f, _ in pairs]
+    monkeypatch.setattr(helpers, "block_sum_oracle", old_block_sum)
+    old = [hom_complex_data_oracle(f.source, f.target).complex.canonical_key()
+           for f, _ in pairs]
     assert [d.complex.canonical_key() for d in data] == old
     # the pairs reach differentials between sums of several blocks
     assert any(len(deg.blocks) > 1 and k + 1 in d.degrees

@@ -2,7 +2,8 @@
 function or method (dunders aside), and each ``_``-prefixed module-level
 constant or class, is referenced somewhere in the package outside its own
 definition, so a helper or constant whose last reader was removed does not
-linger."""
+linger.  Every name a module imports is read in that module, or listed in
+its ``__all__``; the package's ``__init__.py`` imports to re-export."""
 from __future__ import annotations
 
 import ast
@@ -48,6 +49,51 @@ def unreferenced_private_names(paths) -> list:
                        for p, line in uses.get(name, [])):
                 found.append(f"{path.name}:{node.lineno} {name}")
     return sorted(found)
+
+
+def unused_imports(paths) -> list:
+    """``file:line name`` of each name bound by an import in ``paths`` that
+    its module never reads (no ``Name`` node of it, as a whole name or as the
+    base of an attribute) and does not list in a literal ``__all__``;
+    ``from __future__`` imports aside."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    return sorted(found)
+
+
+def test_every_import_is_read():
+    assert unused_imports(sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")) == []
+
+
+def test_the_scan_sees_an_unused_import(tmp_path):
+    # a dataclasses.field left behind after its last default factory went
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "from dataclasses import dataclass, field\n"
+        "from typing import Optional\n"
+        "from .helpers import exported, unused as alias\n\n"
+        "__all__ = ['exported']\n\n\n"
+        "@dataclass\n"
+        "class A:\n    x: Optional[int] = None\n\n\n"
+        "def run():\n    return os.path.join('a', 'b')\n")
+    assert unused_imports([mod]) == ["mod.py:4 field", "mod.py:6 alias"]
 
 
 def test_every_private_helper_is_referenced():

@@ -319,14 +319,28 @@ class TestHomExactness:
             hom_exactness(times4, mod2, sphere(0, z), "left", ALL)
 
     def test_middle_maps_above_the_search_cap_are_refused(self):
-        # 4^9 = 262,144 chain maps sphere(0, (Z/4)^3) -> sphere(0, (Z/4)^3)
+        # 4^9 = 262,144 chain maps sphere(0, (Z/4)^3) -> sphere(0, (Z/4)^3), all
+        # of them middle maps: theta is zero on the left and beta on the right
         b = FpModule(R4, (4, 4, 4))
-        beta, theta = ModuleMap.identity(b), ModuleMap.zero(b, FpModule.zero(R4))
-        for side in ("left", "right"):
+        one, zero = ModuleMap.identity(b), FpModule.zero(R4)
+        rows = {"left": (one, ModuleMap.zero(b, zero)), "right": (ModuleMap.zero(zero, b), one)}
+        for side, (beta, theta) in rows.items():
             start = time.perf_counter()
             with pytest.raises(UniverseCapError, match=r"262144 chain maps .*\(search cap 16384\)"):
                 hom_exactness(beta, theta, sphere(0, b), side, ALL)
             assert time.perf_counter() - start < 1.0
+
+    def test_one_middle_map_in_a_group_above_the_search_cap(self):
+        # the same 262,144 chain maps, of which only zero is a middle map:
+        # theta is injective on the left and beta surjective on the right
+        b = FpModule(R4, (4, 4, 4))
+        one, zero = ModuleMap.identity(b), FpModule.zero(R4)
+        rows = {"left": (ModuleMap.zero(zero, b), one), "right": (one, ModuleMap.zero(b, zero))}
+        for side, (beta, theta) in rows.items():
+            v = hom_exactness(beta, theta, sphere(0, b), side, ALL)
+            assert (v.holds, v.checked, v.counterexample) == (True, 1, None)
+            (w,) = v.witnesses
+            assert w["middle"] == ModuleMap.zero(b, b)
 
     def test_infinite_middle_group_is_still_a_complex_error(self):
         z = FpModule.free(ZZ, 1)
