@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -54,12 +55,13 @@ class IntMatrix:
     entries: tuple
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if len(self.entries) != self.rows or \
+                list(map(len, self.entries)).count(self.cols) != self.rows:
             raise ExactAlgError("entry grid does not match declared shape")
 
     @staticmethod
     def from_rows(rows_data: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        rows_data = [tuple(int(x) for x in r) for r in rows_data]
+        rows_data = [tuple(map(int, r)) for r in rows_data]
         if rows_data:
             ncols = len(rows_data[0])
         else:
@@ -70,7 +72,7 @@ class IntMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
+        return IntMatrix(rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -82,25 +84,25 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(cols_data: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
+        cols_data = [tuple(map(int, c)) for c in cols_data]
         if cols_data:
             nrows = len(cols_data[0])
         else:
             if rows is None:
                 raise ExactAlgError("empty matrix needs an explicit row count")
             nrows = rows
-        return IntMatrix(nrows, len(cols_data),
-                         tuple(tuple(int(c[i]) for c in cols_data) for i in range(nrows)))
+        if list(map(len, cols_data)).count(nrows) != len(cols_data):
+            raise ExactAlgError("columns of different lengths")
+        return IntMatrix(nrows, len(cols_data), _zip_rows(cols_data, nrows))
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(map(itemgetter(j), self.entries))
 
     def columns(self) -> list:
-        return [self.col(j) for j in range(self.cols)]
+        return list(_zip_rows(self.entries, self.cols))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+        return IntMatrix(self.cols, self.rows, _zip_rows(self.entries, self.cols))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -133,10 +135,10 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ExactAlgError(f"shape mismatch in product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.transpose().entries
+        cols = _zip_rows(other.entries, other.cols)
         return IntMatrix(self.rows, other.cols,
-                         tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                               for row in self.entries))
+                         tuple([tuple([sum(map(mul, row, col)) for col in cols])
+                                for row in self.entries]))
 
     def reduce_mod(self, n: int) -> "IntMatrix":
         if n == 0:
@@ -149,6 +151,12 @@ class IntMatrix:
 
     def to_lists(self) -> list:
         return [list(r) for r in self.entries]
+
+
+def _zip_rows(lines: Sequence[tuple], n: int) -> tuple:
+    """The transpose of ``lines``, equal-length tuples, as n tuples: ``zip``
+    alone gives none when there are no lines to read them from."""
+    return tuple(zip(*lines)) if lines else ((),) * n
 
 
 def _gcdex(a: int, b: int):

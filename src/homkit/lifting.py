@@ -104,11 +104,12 @@ def _restriction_image(phi, obj, injective: bool, hom: Callable) -> tuple:
     ``image`` is the restriction followed by the target's ``inclusion``: the
     memoised ``hom_precompose`` (``hom_postcompose``) matrix for hom
     modules, ``chain_group_image`` (zero without source cycles) for
-    chain-map groups; both are None when the target group is zero."""
-    grp_from, grp_to = (hom(phi.target, obj), hom(phi.source, obj)) if injective \
-        else (hom(obj, phi.source), hom(obj, phi.target))
+    chain-map groups.  When the target group is zero the source group is
+    not built: it, the image and the inclusion are None."""
+    grp_to = hom(phi.source, obj) if injective else hom(obj, phi.target)
     if grp_to.module.is_zero():
-        return grp_from, grp_to, None, None
+        return None, grp_to, None, None
+    grp_from = hom(phi.target, obj) if injective else hom(obj, phi.source)
     if isinstance(phi, ModuleMap):
         image = (hom_precompose if injective else hom_postcompose)(grp_from, grp_to, phi)
     elif grp_from._inclusion is None:
@@ -458,7 +459,8 @@ def hom_exactness(beta: ModuleMap, theta: ModuleMap, probe: Complex,
     membership) are verified first; a violation raises HypothesisError.
     The middle maps, the chain maps g with theta o g^0 = 0 (left) or
     g^0 o beta = 0, are listed only up to ``_CHAIN_SEARCH_CAP``; more raise
-    UniverseCapError, and an infinite chain-map group raises ComplexError.
+    UniverseCapError, and infinitely many (over Z) raise ComplexError.  The
+    chain-map group they lie in may itself be infinite.
     """
     if beta.target != theta.source:
         raise ValueError("the two maps do not compose")
@@ -483,10 +485,10 @@ def hom_exactness(beta: ModuleMap, theta: ModuleMap, probe: Complex,
     ends = (probe, sphere(0, beta.target)) if left else (sphere(0, beta.target), probe)
     key = "lift" if left else "factor"
     grp = chain_map_group(*ends)
-    if grp.module.size() is None:
-        raise ComplexError("infinite chain map group")
     middle = _middle_inclusion(grp, theta if left else beta, left)
     size = middle.source.size()
+    if size is None:
+        raise ComplexError("infinite chain map group of middle maps")
     if size > _CHAIN_SEARCH_CAP:
         raise UniverseCapError(
             f"too many middle maps to enumerate: {size} chain maps from {ends[0].describe()} "

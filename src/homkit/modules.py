@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product as iproduct
+from itertools import product as iproduct, repeat
+from operator import mod, mul
 from typing import Iterator, Optional, Sequence
 
 from . import caches
@@ -134,18 +135,21 @@ class ModuleMap:
             raise ModuleError(
                 f"matrix shape {self.matrix.rows}x{self.matrix.cols} does not match "
                 f"{self.target.ngens}x{self.source.ngens}")
-        reduced = []
-        for i, di in enumerate(self.target.factors):
-            row = self.matrix.entries[i]
-            reduced.append(tuple(x % di if di else x for x in row))
-        red = IntMatrix(self.matrix.rows, self.matrix.cols, tuple(reduced))
-        for j, dj in enumerate(self.source.factors):
-            for i, di in enumerate(self.target.factors):
-                v = dj * red.entries[i][j]
-                if (v % di if di else v) != 0:
-                    raise ModuleError(
-                        f"not well defined: factor {dj} times column {j} survives in the target")
-        object.__setattr__(self, "matrix", red)
+        # one pass per row: reduce it modulo its target factor di and test
+        # dj * x == 0 mod di for every source factor dj
+        sf, tf, reduced, bad = self.source.factors, self.target.factors, [], False
+        for row, di in zip(self.matrix.entries, tf):
+            red = tuple(map(mod, row, repeat(di))) if di else tuple(row)
+            bad = bad or any(map(mod, map(mul, sf, red), repeat(di)) if di else map(mul, sf, red))
+            reduced.append(red)
+        if bad:
+            j = min(j for red, di in zip(reduced, tf)
+                    for j, (dj, x) in enumerate(zip(sf, red)) if (dj * x % di if di else dj * x))
+            raise ModuleError(
+                f"not well defined: factor {sf[j]} times column {j} survives in the target")
+        reduced = tuple(reduced)
+        if reduced != self.matrix.entries:
+            object.__setattr__(self, "matrix", IntMatrix(self.matrix.rows, self.matrix.cols, reduced))
 
     @staticmethod
     def identity(m: FpModule) -> "ModuleMap":
@@ -675,17 +679,19 @@ def hom_module(source: FpModule, target: FpModule) -> HomModule:
                      pres.to_canonical, pres.from_canonical)
 
 
-def _induced(h_from: HomModule, h_to: HomModule, fn) -> ModuleMap:
-    """The homomorphism h_from.module -> h_to.module sending the map of each
-    element to fn of it, read off generator by generator: decode, apply fn,
-    encode.  The body of ``hom_precompose`` and ``hom_postcompose`` on a
-    miss of their tables."""
-    cols = []
-    for k in range(h_from.module.ngens):
-        elem = tuple(1 if t == k else 0 for t in range(h_from.module.ngens))
-        cols.append(h_to.encode(fn(h_from.decode(elem))))
-    return ModuleMap(h_from.module, h_to.module,
-                     IntMatrix.from_columns(cols, rows=h_to.module.ngens))
+def _composition_matrix(h_from: HomModule, h_to: HomModule, coeff) -> ModuleMap:
+    """The map h_from.module -> h_to.module of composing with a map, in
+    closed form.  The generator of raw pair (i, j), multiplication by
+    scale_ij from source slot j to target slot i, composes to scale_ij * c
+    in pair (i', j'), c = ``coeff(i', j', i, j)`` the entry linking the two
+    pairs (0 if none): scale_ij * c / scale'_i'j' times its generator, an
+    exact division as the composite is well defined.  Conjugated by the two
+    codecs and reduced by ``ModuleMap`` this equals decoding, composing and
+    encoding each generator, entry for entry."""
+    m = IntMatrix.from_rows([[scale * coeff(i2, j2, i, j) // scale2
+                              for i, j, _, scale in h_from.pairs]
+                             for i2, j2, _, scale2 in h_to.pairs], cols=len(h_from.pairs))
+    return ModuleMap(h_from.module, h_to.module, h_to.to_canonical @ m @ h_from.from_canonical)
 
 
 # the hom modules are functions of their endpoints, so a composition matrix
@@ -699,8 +705,8 @@ def hom_precompose(h_from: HomModule, h_to: HomModule, phi: ModuleMap) -> Module
     memoised per (N, phi)."""
     if h_from.source != phi.target or h_to.source != phi.source or h_from.target != h_to.target:
         raise ModuleError("precomposition data mismatch")
-    return _PRECOMPOSE.lookup((h_to.target, phi),
-                              lambda: _induced(h_from, h_to, lambda f: f.compose(phi)))
+    return _PRECOMPOSE.lookup((h_to.target, phi), lambda: _composition_matrix(
+        h_from, h_to, lambda i2, j2, i, j: phi.matrix.entries[j][j2] if i == i2 else 0))
 
 
 def hom_postcompose(h_from: HomModule, h_to: HomModule, psi: ModuleMap) -> ModuleMap:
@@ -708,7 +714,8 @@ def hom_postcompose(h_from: HomModule, h_to: HomModule, psi: ModuleMap) -> Modul
     memoised per (A, psi)."""
     if h_from.target != psi.source or h_to.target != psi.target or h_from.source != h_to.source:
         raise ModuleError("postcomposition data mismatch")
-    return _POSTCOMPOSE.lookup((h_to.source, psi), lambda: _induced(h_from, h_to, psi.compose))
+    return _POSTCOMPOSE.lookup((h_to.source, psi), lambda: _composition_matrix(
+        h_from, h_to, lambda i2, j2, i, j: psi.matrix.entries[i2][i] if j == j2 else 0))
 
 
 def ext1_module(m: FpModule, n: FpModule) -> FpModule:

@@ -28,6 +28,7 @@ from homkit.complexes import (
 from homkit.construct import _side_words
 from homkit.exactalg import (
     CongruenceSystem,
+    ExactAlgError,
     IntMatrix,
     _factorize,
     _gcdex,
@@ -38,6 +39,7 @@ from homkit.exactalg import (
 from homkit.lifting import _CHAIN_SEARCH_CAP
 from homkit.modules import (
     MapSystem,
+    ModuleError,
     _kernel_inclusion,
     direct_sum,
     hom_postcompose,
@@ -747,3 +749,87 @@ def old_solve_columns(ring: RingSpec, nvars: int, rows: list, columns) -> tuple:
     basis = hermite_rows([g[:nvars] for g in kern if any(g[:nvars])], nvars)
     return ([None if part is None else hermite_reduce(part[:nvars], basis)
              for part in solve([list(col) for col in columns])], basis)
+
+
+# ---------------------------------------------------------------------------
+# The value-type bodies ``exactalg`` and ``modules`` had before their
+# builtin-speed products and one-pass checks, kept as test-only oracles
+# ---------------------------------------------------------------------------
+
+def int_matrix_oracle(rows: int, cols: int, entries: tuple) -> IntMatrix:
+    """``IntMatrix(rows, cols, entries)`` after the old two-step shape check."""
+    if len(entries) != rows or any(len(r) != cols for r in entries):
+        raise ExactAlgError("entry grid does not match declared shape")
+    return IntMatrix(rows, cols, entries)
+
+
+def from_rows_oracle(rows_data, cols: Optional[int] = None) -> IntMatrix:
+    rows_data = [tuple(int(x) for x in r) for r in rows_data]
+    if rows_data:
+        ncols = len(rows_data[0])
+    else:
+        if cols is None:
+            raise ExactAlgError("empty matrix needs an explicit column count")
+        ncols = cols
+    return int_matrix_oracle(len(rows_data), ncols, tuple(rows_data))
+
+
+def from_columns_oracle(cols_data, rows: Optional[int] = None) -> IntMatrix:
+    """The old ``from_columns``, for columns of equal length (it read the
+    first column's length and indexed the others by it)."""
+    if cols_data:
+        nrows = len(cols_data[0])
+    else:
+        if rows is None:
+            raise ExactAlgError("empty matrix needs an explicit row count")
+        nrows = rows
+    return int_matrix_oracle(nrows, len(cols_data),
+                             tuple(tuple(int(c[i]) for c in cols_data) for i in range(nrows)))
+
+
+def col_oracle(a: IntMatrix, j: int) -> tuple:
+    return tuple(a.entries[i][j] for i in range(a.rows))
+
+
+def transpose_oracle(a: IntMatrix) -> IntMatrix:
+    return int_matrix_oracle(a.cols, a.rows, tuple(tuple(a.entries[i][j] for i in range(a.rows))
+                                                   for j in range(a.cols)))
+
+
+def matmul_oracle(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.rows:
+        raise ExactAlgError(f"shape mismatch in product: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    bt = transpose_oracle(b).entries
+    return int_matrix_oracle(a.rows, b.cols,
+                             tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+                                   for row in a.entries))
+
+
+def module_map_check_oracle(source: FpModule, target: FpModule, matrix: IntMatrix) -> tuple:
+    """The entries ``ModuleMap`` stores for ``matrix``, by the old check:
+    reduce every row, then test column by column; raises its ModuleError."""
+    reduced = tuple(tuple(x % di if di else x for x in matrix.entries[i])
+                    for i, di in enumerate(target.factors))
+    for j, dj in enumerate(source.factors):
+        for i, di in enumerate(target.factors):
+            v = dj * reduced[i][j]
+            if (v % di if di else v) != 0:
+                raise ModuleError(
+                    f"not well defined: factor {dj} times column {j} survives in the target")
+    return reduced
+
+
+def induced_oracle(grp_from, grp_to, fn) -> ModuleMap:
+    """The map grp_from.module -> grp_to.module sending each generator's map
+    to fn of it, decoded, composed and encoded one generator at a time: the
+    body ``hom_precompose`` and ``hom_postcompose`` had on a miss, and the
+    restriction between chain-map groups by the same loop."""
+    cols = []
+    for k in range(grp_from.module.ngens):
+        elem = tuple(1 if t == k else 0 for t in range(grp_from.module.ngens))
+        coords = grp_to.encode(fn(grp_from.decode(elem)))
+        if coords is None:
+            raise AssertionError("composite escaped the chain-map group")
+        cols.append(coords)
+    return ModuleMap(grp_from.module, grp_to.module,
+                     IntMatrix.from_columns(cols, rows=grp_to.module.ngens))

@@ -13,7 +13,8 @@ oracles in ``tests/helpers.py`` are the old paths: ``block_sum_oracle``,
 generator rows, differentials, group factors and inclusions must agree bit
 for bit on every (pool entry, member) pair of the pool universes and every
 (pool entry, input) and (member, input) pair of a warm-checks slice, and a
-slice of certified checks must build P_s once per chain-map group.
+slice of certified checks must build P_s once per chain-map group, and no
+source group of a restriction into a zero group.
 """
 from __future__ import annotations
 
@@ -167,3 +168,28 @@ def test_cycle_blocks_are_built_once_per_chain_map_group(n, monkeypatch):
     assert caches.stats()["complexes.chain_map_group"]["misses"] == len(groups)
     assert sorted(map(id, built)) == sorted(id(g._blocks) for g in with_cycles)
     assert len(images) > len({id(args[0]) for args in images}) > 0
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_zero_target_groups_build_no_source_group(n, monkeypatch):
+    # a restriction into a zero group is onto without its source group;
+    # building it anyway, as the restriction once did, must only add misses
+    def run() -> tuple:
+        caches.clear_caches()
+        cu, eu, mu, inputs = warm_slice(n)
+        answers = [(x_injective_complex(c, ALL, cu, keep_witnesses=True),
+                    eps1_perp_homotopy(c, eu, keep_witnesses=True),
+                    dg_x_injective(c, ALL, eu, mu=mu, keep_witnesses=True)) for c in inputs]
+        return answers, caches.stats()["complexes.chain_map_group"]["misses"]
+
+    answers, misses = run()
+    restriction = lifting._restriction_image
+
+    def with_source_group(phi, obj, injective, hom):
+        hom(phi.target, obj) if injective else hom(obj, phi.source)
+        return restriction(phi, obj, injective, hom)
+
+    monkeypatch.setattr(lifting, "_restriction_image", with_source_group)
+    old_answers, old_misses = run()
+    assert answers == old_answers
+    assert misses < old_misses

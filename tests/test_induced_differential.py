@@ -6,11 +6,13 @@ it followed by the target group's inclusion into its ambient: between
 chain-map groups one matrix into Hom^0 (``chain_group_image``) assembled from
 memoised degreewise ``hom_precompose`` / ``hom_postcompose`` matrices, and
 between hom modules the memoised composition matrix itself (the inclusion is
-the identity).  The oracle is the old element-by-element ``_induced``, kept
-only as a test: decode each generator, compose, encode.  The image must equal
-the inclusion after the oracle bit for bit, and so must the test-only
-restriction matrix of ``tests/helpers.induced_restriction``, on every
-(pool map, universe member) pair.
+the identity), which is computed in closed form from the pair coordinates.
+The oracle is the old element-by-element ``modules._induced``, kept only as
+``tests/helpers.induced_oracle``: decode each generator, compose, encode.
+The image must equal the inclusion after the oracle bit for bit, and so must
+the test-only restriction matrix of ``tests/helpers.induced_restriction``,
+on every (pool map, universe member) pair; the composition matrices must
+equal it on random maps between random modules over Z/n and over Z too.
 
 Every pair of the four complex universes is 181,808 pairs, about three
 minutes, so the Z/4, Z/6 and Z/8 universes meet every pool map with every
@@ -19,33 +21,21 @@ that every member is reached; the Z/9 universe runs every pair.
 """
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from homkit.complexes import ChainMap, chain_map_group, disk
-from homkit.exactalg import IntMatrix, Zmod
+from homkit.exactalg import ZZ, Zmod
 from homkit.lifting import _restriction_image
 from homkit.modules import FpModule, ModuleMap, hom_module, hom_postcompose, hom_precompose
 from homkit.xclass import ComplexUniverse, ModuleUniverse
 
-from .helpers import chain_group_compose, induced_restriction
+from .helpers import chain_group_compose, induced_oracle, induced_restriction, small_modules
 
 # (modulus, disk bound, member stride): the universes of
 # tests/test_pool_differential.py
 UNIVERSES = [(4, 4, 8), (6, 6, 6), (8, 8, 16), (9, 9, 1)]
-
-
-def oracle_induced(grp_from, grp_to, fn) -> ModuleMap:
-    """The map grp_from.module -> grp_to.module sending each generator's map
-    to fn of it, decoded, composed and encoded one generator at a time."""
-    cols = []
-    for k in range(grp_from.module.ngens):
-        elem = tuple(1 if t == k else 0 for t in range(grp_from.module.ngens))
-        coords = grp_to.encode(fn(grp_from.decode(elem)))
-        if coords is None:
-            raise AssertionError("composite escaped the chain-map group")
-        cols.append(coords)
-    return ModuleMap(grp_from.module, grp_to.module,
-                     IntMatrix.from_columns(cols, rows=grp_to.module.ngens))
 
 
 def assert_identical(got: ModuleMap, want: ModuleMap) -> None:
@@ -55,10 +45,11 @@ def assert_identical(got: ModuleMap, want: ModuleMap) -> None:
 
 def assert_image_is_included(parts: tuple, want: ModuleMap) -> None:
     """``lifting._restriction_image``'s image is its inclusion after the
-    oracle's restriction; a zero target group has neither."""
+    oracle's restriction; a zero target group has neither, and its source
+    group is not built."""
     grp_from, grp_to, image, inclusion = parts
     if image is None:
-        assert grp_to.module.is_zero() and inclusion is None
+        assert grp_to.module.is_zero() and inclusion is None and grp_from is None
         return
     assert inclusion.source == grp_to.module
     assert_identical(image, inclusion.compose(want))
@@ -79,7 +70,7 @@ def test_chain_group_induced_matches_oracle(n, disk_bound, stride, injective):
     checked = nonzero = 0
     for phi, c in pairs(pool, cu.members, stride):
         restr, grp_from, grp_to, fn = induced_restriction(phi, c, injective, chain_map_group)
-        want = oracle_induced(grp_from, grp_to, fn)
+        want = induced_oracle(grp_from, grp_to, fn)
         assert_identical(restr, want)
         assert_image_is_included(_restriction_image(phi, c, injective, chain_map_group), want)
         checked += 1
@@ -88,7 +79,7 @@ def test_chain_group_induced_matches_oracle(n, disk_bound, stride, injective):
 
 
 @pytest.mark.parametrize("injective", [True, False], ids=["mono", "epi"])
-@pytest.mark.parametrize("n,bound", [(n, b) for n, b, _ in UNIVERSES])
+@pytest.mark.parametrize("n,bound", [(n, b) for n, b, _ in UNIVERSES] + [(2, 8), (12, 8)])
 def test_hom_module_induced_matches_oracle(n, bound, injective):
     u = ModuleUniverse(Zmod(n), bound)
     pool = u.mono_pool() if injective else u.epi_pool()
@@ -98,12 +89,48 @@ def test_hom_module_induced_matches_oracle(n, bound, injective):
             # the second call reads the memoised matrix
             for _ in range(2):
                 restr, grp_from, grp_to, fn = induced_restriction(phi, c, injective, hom_module)
-                want = oracle_induced(grp_from, grp_to, fn)
+                want = induced_oracle(grp_from, grp_to, fn)
                 assert_identical(restr, want)
                 compose = hom_precompose if injective else hom_postcompose
                 assert_identical(compose(grp_from, grp_to, phi), want)
                 assert_image_is_included(_restriction_image(phi, c, injective, hom_module), want)
             nonzero += not restr.is_zero()
+    assert nonzero
+
+
+# modules over Z: free factors (pairs of scale 1 and order 0) and torsion
+# into free (order-1 pairs, which have no coordinate)
+Z_MODULES = [(), (0,), (2,), (6,), (2, 0), (0, 0), (2, 6), (3, 0), (2, 2, 0)]
+
+
+def random_map(rng: random.Random, source: FpModule, target: FpModule) -> ModuleMap:
+    """An arbitrary map source -> target: a random element of their hom
+    module, a free coordinate drawn from [-3, 3]."""
+    hm = hom_module(source, target)
+    return hm.decode([rng.randrange(d) if d else rng.randint(-3, 3) for d in hm.module.factors])
+
+
+@pytest.mark.parametrize("pre", [True, False], ids=["precompose", "postcompose"])
+@pytest.mark.parametrize("n", [0, 2, 4, 6, 8, 9, 12])
+def test_composition_matrices_match_oracle_on_arbitrary_maps(n, pre):
+    """The closed-form ``hom_precompose`` / ``hom_postcompose`` matrices equal
+    the decode-compose-encode oracle on random maps between random modules
+    (not only universe pool maps), over Z/n and, for n = 0, over Z."""
+    ring = ZZ if n == 0 else Zmod(n)
+    mods = [FpModule(ring, f) for f in Z_MODULES] if n == 0 else small_modules(ring, 16)
+    rng = random.Random(n)
+    nonzero = 0
+    for _ in range(200):
+        a, b, c = (rng.choice(mods) for _ in range(3))
+        # pre: Hom(a, c) -> Hom(b, c) by f -> f o phi, phi: b -> a;
+        # post: Hom(c, a) -> Hom(c, b) by f -> phi o f, phi: a -> b
+        phi = random_map(rng, b, a) if pre else random_map(rng, a, b)
+        h_from, h_to = (hom_module(a, c), hom_module(b, c)) if pre \
+            else (hom_module(c, a), hom_module(c, b))
+        fn = (lambda f: f.compose(phi)) if pre else phi.compose
+        got = (hom_precompose if pre else hom_postcompose)(h_from, h_to, phi)
+        assert_identical(got, induced_oracle(h_from, h_to, fn))
+        nonzero += not got.is_zero()
     assert nonzero
 
 
@@ -117,6 +144,6 @@ def test_composite_outside_the_group_is_refused(pre):
     grp = chain_map_group(d, d)
     fn = (lambda f: f.compose(phi)) if pre else phi.compose
     with pytest.raises(AssertionError, match="escaped"):
-        oracle_induced(grp, grp, fn)
+        induced_oracle(grp, grp, fn)
     with pytest.raises(AssertionError, match="escaped"):
         chain_group_compose(grp, grp, phi, pre)

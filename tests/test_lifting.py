@@ -343,10 +343,22 @@ class TestHomExactness:
             assert w["middle"] == ModuleMap.zero(b, b)
 
     def test_infinite_middle_group_is_still_a_complex_error(self):
+        # Z -> Z -> Z by the identity, then zero: every chain map of
+        # spheres on Z is a middle map, infinitely many
         z = FpModule.free(ZZ, 1)
-        beta, theta = ModuleMap.zero(FpModule.zero(ZZ), z), ModuleMap.identity(z)
+        beta, theta = ModuleMap.identity(z), ModuleMap.zero(z, z)
         with pytest.raises(ComplexError, match="infinite chain map group"):
             hom_exactness(beta, theta, sphere(0, z), "left", ALL)
+
+    def test_finite_middle_maps_in_an_infinite_group_are_listed(self):
+        # 0 -> Z -> Z by zero, then the identity: the chain maps of spheres
+        # on Z are Z, but only zero is a middle map, and it lifts
+        z = FpModule.free(ZZ, 1)
+        beta, theta = ModuleMap.zero(FpModule.zero(ZZ), z), ModuleMap.identity(z)
+        v = hom_exactness(beta, theta, sphere(0, z), "left", ALL)
+        assert (v.holds, v.checked, v.counterexample) == (True, 1, None)
+        (w,) = v.witnesses
+        assert w["middle"] == ModuleMap.zero(z, z)
 
 
 def old_hom_exactness_loop(beta, theta, probe, side) -> tuple:
