@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from . import caches
@@ -25,11 +26,11 @@ from .modules import (
     hom_postcompose,
     hom_precompose,
     image_order,
-    integer_kernel,
+    _kernel_generators,
     _kernel_inclusion,
-    normalize_presentation,
     _scan_maps,
     _solve_in_module,
+    _sublattice_module,
 )
 
 
@@ -487,12 +488,12 @@ def _block_map(tgt: DirectSum, blocks: list, source: FpModule, right: Sequence) 
     for s, t, block in blocks:
         rows = _row_product(block.entries, right[s], width)
         if t in parts:
-            rows = [[a + b for a, b in zip(r, q)] for r, q in zip(parts[t], rows)]
+            rows = [list(map(add, r, q)) for r, q in zip(parts[t], rows)]
         parts[t] = rows
     total = [(0,) * width] * tgt.module.ngens
     for t, rows in parts.items():
         for r, row in enumerate(_row_product(tgt.injections[t].matrix.entries, rows, width)):
-            total[r] = tuple(a + b for a, b in zip(total[r], row))
+            total[r] = tuple(map(add, total[r], row))
     return ModuleMap(source, tgt.module, IntMatrix(len(total), width, tuple(total)))
 
 
@@ -535,30 +536,14 @@ class ExactnessReport:
 
 
 def homology_at(c: Complex, k: int) -> FpModule:
-    """H^k = ker d^k / im d^{k-1}, computed on the integer lattices."""
+    """H^k = ker d^k / im d^{k-1}, computed on the integer lattices: the
+    submodule of C^k that the kernel generators of d^k span, modulo the
+    columns of d^{k-1}."""
     comp = c.component(k)
     if comp.is_zero():
         return FpModule.zero(c.ring)
-    g = comp.ngens
-    dk = c.differential(k)
-    lam_next = c.component(k + 1).relation_lattice()
-    ker_gens = [list(col[:g]) for col in integer_kernel(dk.matrix.hstack(lam_next))] \
-        if not c.component(k + 1).is_zero() else \
-        [[1 if i == j else 0 for i in range(g)] for j in range(g)]
-    prev = c.differential(k - 1)
-    im_cols = prev.matrix.columns() if not c.component(k - 1).is_zero() else []
-    lam = comp.relation_lattice()
-    rel_cols = [list(col) for col in im_cols] + [list(col) for col in lam.columns()]
-    B = IntMatrix.from_columns(ker_gens, rows=g)
-    rel_in_B = []
-    if B.cols:
-        combined = B.hstack(IntMatrix.from_columns(rel_cols, rows=g))
-        for col in integer_kernel(combined):
-            rel_in_B.append(list(col[: B.cols]))
-        # relations: y with B y inside the image lattice
-        # (integer_kernel gives exactly those pairs)
-    pres = normalize_presentation(c.ring, B.cols, IntMatrix.from_columns(rel_in_B, rows=B.cols))
-    return pres.module
+    return _sublattice_module(comp, _kernel_generators(c.differential(k)),
+                              c.differential(k - 1).matrix)[0]
 
 
 def exact_at(c: Complex, degrees: Iterable[int]) -> bool:

@@ -543,12 +543,16 @@ class EnvelopeResult:
 _EXTENSION_CLOSURE = caches.table("construct.extension_closure")
 _QUOTIENT_CLOSURE = caches.table("construct.quotient_closure")
 
+# the closure checks' caps in elements: extension middle terms, members quotiented
+_CLOSURE_PAIR_CAP = 16
+_CLOSURE_SIZE_CAP = 16
 
-def _check_extension_closure(x: XClassSpec, u: ModuleUniverse, pair_cap: int = 16) -> bool:
+
+def _check_extension_closure(x: XClassSpec, u: ModuleUniverse) -> bool:
     """Partial test on the universe: every enumerable extension of a class
     member by a class member stays in the class.  The class of everything and
     the zero-only class are closed outright; for the rest, middle terms up to
-    ``pair_cap`` elements are enumerated by matching cokernels."""
+    ``_CLOSURE_PAIR_CAP`` elements are enumerated by matching cokernels."""
     if x.kind in ("all", "zero"):
         return True
     from .xclass import _factor_chains
@@ -560,7 +564,7 @@ def _check_extension_closure(x: XClassSpec, u: ModuleUniverse, pair_cap: int = 1
             if c.is_zero() or not contains_module(x, c):
                 continue
             sa, sc = a.size(), c.size()
-            if sa * sc > pair_cap:
+            if sa * sc > _CLOSURE_PAIR_CAP:
                 continue
             for fac in _factor_chains(ring.modulus, sa * sc):
                 m = FpModule(ring, fac)
@@ -572,11 +576,11 @@ def _check_extension_closure(x: XClassSpec, u: ModuleUniverse, pair_cap: int = 1
     return True
 
 
-def _check_quotient_closure(x: XClassSpec, u: ModuleUniverse, size_cap: int = 16) -> bool:
+def _check_quotient_closure(x: XClassSpec, u: ModuleUniverse) -> bool:
     if x.kind in ("all", "zero"):
         return True
     for m in u.members:
-        if not contains_module(x, m) or m.size() > size_cap:
+        if not contains_module(x, m) or m.size() > _CLOSURE_SIZE_CAP:
             continue
         for sub in all_submodules(m):
             wit = submodule_from_elements(m, sorted(sub))
@@ -643,12 +647,13 @@ def _subcomplex_to_complex(amb: Complex, chosen: dict) -> tuple:
 # all_submodules takes at most 0.5 s on the modules of up to 36 elements,
 # but 8.6 s on (Z/2)^6 and 88 s on (Z/4)^4
 _AMBIENT_COMPONENT_CAP = 36
+# the largest input complex, in elements, that the envelope search takes
+_ENVELOPE_SIZE_CAP = 512
 
 
 def x_injective_envelope(b: Complex, x: XClassSpec,
                          module_bound: int = 8,
-                         cu: Optional[ComplexUniverse] = None,
-                         size_cap: int = 512) -> EnvelopeResult:
+                         cu: Optional[ComplexUniverse] = None) -> EnvelopeResult:
     """Search for a class-injective envelope of a tiny complex.
 
     The input is embedded in a sum of disks on component hulls; among the
@@ -676,7 +681,7 @@ def x_injective_envelope(b: Complex, x: XClassSpec,
         zc = zero_complex(b.ring)
         verdict = Verdict(True, "zero complex", 0)
         return EnvelopeResult(zc, ChainMap.zero(zc, zc), verdict, True, None, closure, 0)
-    if b.total_size() is None or b.total_size() > size_cap:
+    if b.total_size() is None or b.total_size() > _ENVELOPE_SIZE_CAP:
         raise BuildError("input complex exceeds the envelope size cap")
     amb, incl = _ambient_injective(b)
     if any(amb.component(k).size() > _AMBIENT_COMPONENT_CAP for k in amb.degrees()):

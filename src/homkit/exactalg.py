@@ -536,14 +536,13 @@ class CongruenceSystem:
     """Accumulates rows  sum_i coeff_i * x_i = rhs (mod m)  and solves them.
 
     Over Z/n every row modulus m must divide n and the row is rescaled by n/m;
-    over Z a modulus m > 0 adds one auxiliary unknown with coefficient m, and
-    m == 0 means exact equality.  ``factor`` builds one echelon form of
+    over Z a modulus m > 0 is one more line (m e_r | 0) of the echelon form,
+    and m == 0 means exact equality.  ``factor`` builds one echelon form of
     [A^T | I], the Howell form over Z/n and the Hermite form over Z, into a
     record that solves any number of right-hand sides, then or later
     ("factor once, solve many"); ``solve_columns`` and ``solve`` are its
-    many- and one-column uses.  Solving projects auxiliaries away and
-    returns canonical particular solutions plus the canonical kernel basis
-    of the real unknowns.
+    many- and one-column uses.  Solving returns canonical particular
+    solutions plus the canonical kernel basis.
     """
 
     def __init__(self, ring: RingSpec, nvars: int):
@@ -582,14 +581,16 @@ class CongruenceSystem:
         return self.factor().solve_columns(columns)
 
     def factor(self) -> "_FactoredSystem":
-        """One echelon form of [A^T | I], a row per unknown, for the rows
+        """One echelon form of [A^T | I], a line per unknown, for the rows
         added so far (their right-hand sides are not read), as a record
         whose ``solve_columns`` answers as this system's would, for any
         columns and as often as asked.
 
-        The form spans {(A x, x)}.  Its rows leading in the A-block reduce
-        (-b, 0) to (0, x) with A x = b exactly when b has a solution; the
-        rest are (0, k) with A k = 0, the kernel's canonical basis, which
+        Over Z each row r with modulus m > 0 puts the line (m e_r | 0) ahead
+        of the unknowns' lines, so the form spans {(A x + M y, x)}.  Its rows
+        leading in the A-block reduce (-b, 0) to (0, x) with A x = b modulo
+        the rows' moduli exactly when b has a solution; the rest are (0, k)
+        with A k = 0 modulo them, the kernel's canonical basis, which
         reduces x to the canonical particular solution."""
         nvars, n, nrows = self.nvars, self.ring.modulus, len(self._rows)
         if n:
@@ -597,33 +598,26 @@ class CongruenceSystem:
                 if m == 0 or n % m != 0:
                     raise ExactAlgError(f"row modulus {m} does not divide ring modulus {n}")
             scales = [n // m for m in self._mods]
-            aux = []
+            lines = []
         else:
             scales = [1] * nrows
-            aux = [r for r, m in enumerate(self._mods) if m > 0]
-        total = nvars + len(aux)
-        # line i: unknown i's coefficient in each row, then e_i; an auxiliary
-        # unknown's one coefficient is its row's modulus
-        lines = [[0] * nrows + [int(i == j) for j in range(total)] for i in range(total)]
+            lines = [[m if j == r else 0 for j in range(nrows + nvars)]
+                     for r, m in enumerate(self._mods) if m]
+        # line i: unknown i's coefficient in each row, then e_i
+        unknowns = [[0] * nrows + [int(i == j) for j in range(nvars)] for i in range(nvars)]
         for r, (coeffs, s) in enumerate(zip(self._rows, scales)):
             for var, c in coeffs.items():
-                lines[var][r] += s * c
-        for i, r in enumerate(aux, nvars):
-            lines[i][r] = self._mods[r]
-        form = _echelon(lines, nrows + total, n)
+                unknowns[var][r] += s * c
+        form = _echelon(lines + unknowns, nrows + nvars, n)
         split = next((k for k, row in enumerate(form) if not any(row[:nrows])), len(form))
         pivots = form[:split]
-        kernel = [row[nrows:nrows + nvars] for row in form[split:]]
-        if aux:
-            # the projection of the kernel onto the real unknowns
-            kernel = _echelon(kernel, nvars, 0)
+        kernel = [row[nrows:] for row in form[split:]]
 
         def solve(columns):
             parts = []
             for col in columns:
-                x = _echelon_reduce([-s * b for s, b in zip(scales, col)] + [0] * total, pivots, n)
-                parts.append(None if any(x[:nrows]) else
-                             _echelon_reduce(x[nrows:nrows + nvars], kernel, n))
+                x = _echelon_reduce([-s * b for s, b in zip(scales, col)] + [0] * nvars, pivots, n)
+                parts.append(None if any(x[:nrows]) else _echelon_reduce(x[nrows:], kernel, n))
             return parts, [list(g) for g in kernel]
 
         return _FactoredSystem(nrows, solve)

@@ -99,11 +99,7 @@ class FpModule:
 
     def relation_lattice(self) -> IntMatrix:
         """Columns generating the defining relation lattice in Z^ngens."""
-        cols = []
-        for i, d in enumerate(self.factors):
-            if d != 0:
-                cols.append([d if i == j else 0 for j in range(self.ngens)])
-        return IntMatrix.from_columns(cols, rows=self.ngens)
+        return _diagonal(self.factors)
 
     def describe(self) -> str:
         if not self.factors:
@@ -112,6 +108,14 @@ class FpModule:
         for d in self.factors:
             parts.append("Z" if d == 0 else f"Z/{d}")
         return " + ".join(parts)
+
+
+def _diagonal(factors: Sequence[int]) -> IntMatrix:
+    """The columns d e_i for the nonzero d = factors[i], in order: the
+    relations of the sum of the R/(d_i)."""
+    n = len(factors)
+    return IntMatrix.from_columns([[d if j == i else 0 for j in range(n)]
+                                   for i, d in enumerate(factors) if d], rows=n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,11 +314,9 @@ def _solve_in_module_columns(target: FpModule, mat: IntMatrix, columns) -> list:
     columns = tuple(map(tuple, columns))
 
     def solve() -> tuple:
-        ring = target.ring
-        sys = CongruenceSystem(ring, mat.cols)
+        sys = CongruenceSystem(target.ring, mat.cols)
         for i, di in enumerate(target.factors):
-            modulus = di if di else (ring.modulus if ring.is_modular else 0)
-            sys.add({j: mat.entries[i][j] for j in range(mat.cols) if mat.entries[i][j]}, 0, modulus)
+            sys.add({j: mat.entries[i][j] for j in range(mat.cols) if mat.entries[i][j]}, 0, di)
         return tuple(None if part is None else tuple(part) for part in sys.solve_columns(columns)[0])
 
     parts = _MODULE_SOLUTIONS.lookup((target.ring, target.factors, mat.cols, mat.entries, columns), solve)
@@ -343,20 +345,22 @@ class SubquotientWitness:
     quotient_map: ModuleMap   # ambient -> quotient, epi
 
 
-def _sublattice_module(ambient: FpModule, gen_cols: IntMatrix) -> tuple:
+def _sublattice_module(ambient: FpModule, gen_cols: IntMatrix,
+                       below: Optional[IntMatrix] = None) -> tuple:
     """Canonical form of the submodule of ``ambient`` generated by the given
-    generator columns; returns (module, inclusion matrix)."""
-    g = ambient.ngens
+    generator columns, taken modulo the span of the columns ``below`` when
+    given; returns (module, the ambient coordinates of its generators).
+    Its relations are the y with gen_cols @ y in the span of ``below`` and
+    the ambient relations, read off one integer kernel of
+    [gen_cols | below | ambient relations]."""
     lam = ambient.relation_lattice()
-    combined = gen_cols.hstack(lam)
-    rel_y = []
-    if gen_cols.cols:
-        for col in integer_kernel(combined):
-            rel_y.append(list(col[: gen_cols.cols]))
-    rels = IntMatrix.from_columns(rel_y, rows=gen_cols.cols)
-    pres = normalize_presentation(ambient.ring, gen_cols.cols, rels)
-    incl = gen_cols @ pres.from_canonical
-    return pres.module, incl
+    if below is not None:
+        lam = below.hstack(lam)
+    rel_y = [col[:gen_cols.cols] for col in integer_kernel(gen_cols.hstack(lam))] \
+        if gen_cols.cols else []
+    pres = normalize_presentation(ambient.ring, gen_cols.cols,
+                                  IntMatrix.from_columns(rel_y, rows=gen_cols.cols))
+    return pres.module, gen_cols @ pres.from_canonical
 
 
 def submodule_witness(ambient: FpModule, gen_cols: IntMatrix) -> SubquotientWitness:
@@ -366,14 +370,18 @@ def submodule_witness(ambient: FpModule, gen_cols: IntMatrix) -> SubquotientWitn
     return SubquotientWitness(ambient, sub, inclusion, quot, qmap)
 
 
+def _kernel_generators(f: ModuleMap) -> IntMatrix:
+    """Columns generating the kernel lattice of f in the source coordinates:
+    the x with f x in the target's relation lattice."""
+    g = f.source.ngens
+    return IntMatrix.from_columns(
+        [col[:g] for col in integer_kernel(f.matrix.hstack(f.target.relation_lattice()))], rows=g)
+
+
 def _kernel_inclusion(f: ModuleMap) -> tuple:
     """Kernel of f as (submodule, inclusion into the source), without the
     quotient that ``kernel`` adds."""
-    lam_t = f.target.relation_lattice()
-    combined = f.matrix.hstack(lam_t)
-    gens = [list(col[: f.source.ngens]) for col in integer_kernel(combined)]
-    gen_cols = IntMatrix.from_columns(gens, rows=f.source.ngens)
-    sub, incl_mat = _sublattice_module(f.source, gen_cols)
+    sub, incl_mat = _sublattice_module(f.source, _kernel_generators(f))
     return sub, ModuleMap(sub, f.source, incl_mat)
 
 
@@ -461,14 +469,7 @@ def _direct_sum(ms: tuple) -> DirectSum:
     if any(m.ring != ring for m in ms):
         raise ModuleError("mixed rings in direct sum")
     total = sum(m.ngens for m in ms)
-    offset = 0
-    rel_cols = []
-    for m in ms:
-        for i, d in enumerate(m.factors):
-            if d != 0:
-                rel_cols.append([d if j == offset + i else 0 for j in range(total)])
-        offset += m.ngens
-    pres = normalize_presentation(ring, total, IntMatrix.from_columns(rel_cols, rows=total))
+    pres = normalize_presentation(ring, total, _diagonal([d for m in ms for d in m.factors]))
     injections = []
     projections = []
     offset = 0
@@ -504,28 +505,15 @@ def pushout(alpha: ModuleMap, iota: ModuleMap) -> Pushout:
         raise ModuleError("iota must be injective for this pushout construction")
     X, M = alpha.target, iota.target
     gx, gm = X.ngens, M.ngens
-    total = gx + gm
-    rel_cols = []
-    for i, d in enumerate(X.factors):
-        if d != 0:
-            rel_cols.append([d if j == i else 0 for j in range(total)])
-    for i, d in enumerate(M.factors):
-        if d != 0:
-            rel_cols.append([d if j == gx + i else 0 for j in range(total)])
-    a_cols = []
-    for s in range(alpha.source.ngens):
-        col = [alpha.matrix.entries[i][s] for i in range(gx)] + \
-              [-iota.matrix.entries[i][s] for i in range(gm)]
-        a_cols.append(col)
-    rels = IntMatrix.from_columns(rel_cols + a_cols, rows=total)
-    pres = normalize_presentation(X.ring, total, rels)
+    a_cols = alpha.matrix.vstack(-iota.matrix)
+    pres = normalize_presentation(X.ring, gx + gm, _diagonal(X.factors + M.factors).hstack(a_cols))
     theta = ModuleMap(X, pres.module,
                       IntMatrix.from_columns([pres.to_canonical.col(i) for i in range(gx)],
                                              rows=pres.module.ngens))
     gamma = ModuleMap(M, pres.module,
                       IntMatrix.from_columns([pres.to_canonical.col(gx + i) for i in range(gm)],
                                              rows=pres.module.ngens))
-    return Pushout(pres.module, theta, gamma, IntMatrix.from_columns(a_cols, rows=total))
+    return Pushout(pres.module, theta, gamma, a_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +658,7 @@ def hom_module(source: FpModule, target: FpModule) -> HomModule:
             if order == 1:
                 continue
             pairs.append((i, j, order, scale))
-    rel_cols = []
-    for t, (_, _, order, _) in enumerate(pairs):
-        if order != 0:
-            rel_cols.append([order if s == t else 0 for s in range(len(pairs))])
-    pres = normalize_presentation(ring, len(pairs), IntMatrix.from_columns(rel_cols, rows=len(pairs)))
+    pres = normalize_presentation(ring, len(pairs), _diagonal([order for _, _, order, _ in pairs]))
     return HomModule(source, target, pres.module, tuple(pairs),
                      pres.to_canonical, pres.from_canonical)
 
@@ -768,9 +752,7 @@ def _injective_hull(m: FpModule) -> tuple:
     for j, entry in enumerate(positions):
         for i, val in entry.items():
             embed[i][j] = val
-    rel_cols = [[hull_factors[i] if r == i else 0 for r in range(raw_rows)]
-                for i in range(raw_rows)]
-    pres = normalize_presentation(m.ring, raw_rows, IntMatrix.from_columns(rel_cols, rows=raw_rows))
+    pres = normalize_presentation(m.ring, raw_rows, _diagonal(hull_factors))
     emb = pres.to_canonical @ IntMatrix.from_rows(embed, cols=m.ngens)
     hull = pres.module
     embedding = ModuleMap(m, hull, emb)
@@ -917,18 +899,15 @@ class MapSystem:
         """The congruences of the unknowns' well-definedness followed by those
         of the equations, with zero right-hand sides."""
         sys = CongruenceSystem(self.ring, self._nvars)
-        default_mod = self.ring.modulus if self.ring.is_modular else 0
         for name in self._unknowns:
             src, tgt = self._shapes[name]
             for q, dq in enumerate(src.factors):
                 if dq == 0:
                     continue
                 for p, dp in enumerate(tgt.factors):
-                    modulus = dp if dp else default_mod
-                    sys.add({self._var(name, p, q): dq}, 0, modulus)
+                    sys.add({self._var(name, p, q): dq}, 0, dp)
         for terms, _, (S, T) in self._equations:
-            for r in range(T.ngens):
-                modulus = T.factors[r] if T.factors[r] else default_mod
+            for r, modulus in enumerate(T.factors):
                 for c in range(S.ngens):
                     coeffs: dict = {}
                     for (L, name, R, sign) in terms:

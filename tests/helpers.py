@@ -35,6 +35,7 @@ from homkit.exactalg import (
     _snf_full,
     _unit_scaling,
     _val,
+    integer_kernel,
 )
 from homkit.lifting import _CHAIN_SEARCH_CAP
 from homkit.modules import (
@@ -44,6 +45,7 @@ from homkit.modules import (
     direct_sum,
     hom_postcompose,
     hom_precompose,
+    normalize_presentation,
 )
 from homkit.xclass import _fits, _shape
 
@@ -833,3 +835,30 @@ def induced_oracle(grp_from, grp_to, fn) -> ModuleMap:
         cols.append(coords)
     return ModuleMap(grp_from.module, grp_to.module,
                      IntMatrix.from_columns(cols, rows=grp_to.module.ngens))
+
+
+def homology_oracle(c: Complex, k: int) -> FpModule:
+    """``complexes.homology_at`` as it was before it became one
+    ``_sublattice_module`` call: the kernel generators and the relations
+    among them each from their own integer kernel."""
+    comp = c.component(k)
+    if comp.is_zero():
+        return FpModule.zero(c.ring)
+    g = comp.ngens
+    dk = c.differential(k)
+    lam_next = c.component(k + 1).relation_lattice()
+    ker_gens = [list(col[:g]) for col in integer_kernel(dk.matrix.hstack(lam_next))] \
+        if not c.component(k + 1).is_zero() else \
+        [[1 if i == j else 0 for i in range(g)] for j in range(g)]
+    prev = c.differential(k - 1)
+    im_cols = prev.matrix.columns() if not c.component(k - 1).is_zero() else []
+    lam = comp.relation_lattice()
+    rel_cols = [list(col) for col in im_cols] + [list(col) for col in lam.columns()]
+    B = IntMatrix.from_columns(ker_gens, rows=g)
+    rel_in_B = []
+    if B.cols:
+        combined = B.hstack(IntMatrix.from_columns(rel_cols, rows=g))
+        for col in integer_kernel(combined):
+            rel_in_B.append(list(col[: B.cols]))
+    pres = normalize_presentation(c.ring, B.cols, IntMatrix.from_columns(rel_in_B, rows=B.cols))
+    return pres.module

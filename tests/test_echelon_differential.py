@@ -13,9 +13,11 @@ against the congruences themselves.
 from __future__ import annotations
 
 import math
+import random
 
 from hypothesis import given, settings, strategies as st
 
+from homkit import exactalg
 from homkit.exactalg import (
     ZZ,
     CongruenceSystem,
@@ -116,6 +118,29 @@ def test_a_record_matches_the_old_solvers_batch_after_batch(system, data):
         for row in kernel:
             row.append(1)
         kernel.append([1])
+
+
+def test_a_dense_system_over_z_is_one_echelon_pass(monkeypatch):
+    # each positive row modulus m is a line (m e_r | 0) of the one echelon
+    # form; posed as an auxiliary unknown it needed a second pass, and its
+    # Hermite insertion let the entries of this system grow for seconds
+    rng = random.Random(1)
+    nvars, nrows = 10, 12
+    rows = [({j: rng.randint(-9, 9) for j in range(nvars)}, rng.choice([0, 2, 3, 4, 6]))
+            for _ in range(nrows)]
+    cols = [[0] * nrows] + [[rng.randint(-9, 9) for _ in range(nrows)] for _ in range(3)] + \
+        [image_column(rows, [rng.randint(-9, 9) for _ in range(nvars)]) for _ in range(2)]
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return _echelon(*args)
+
+    monkeypatch.setattr(exactalg, "_echelon", counted)
+    record = build(ZZ, nvars, rows).factor()
+    assert len(passes) == 1
+    assert record.solve_columns(cols) == old_solve_columns(ZZ, nvars, rows, cols)
+    assert len(passes) == 1
 
 
 def holds(rows, x, col) -> bool:

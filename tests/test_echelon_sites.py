@@ -15,9 +15,9 @@ REPLACED = {"_eliminate_local", "_eliminate_mod", "_eliminate_int", "_hermite_in
             "_howell_reduce_vector"}
 
 
-def gcdex_sites(paths) -> list:
-    """``file:function`` of each call of ``_gcdex`` in ``paths``, named by
-    the top-level function around it (None at module level)."""
+def call_sites(paths, callee: str) -> list:
+    """``file:function`` of each call of ``callee`` in ``paths``, named by
+    the top-level function or class around it (None at module level)."""
     sites = []
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -28,7 +28,7 @@ def gcdex_sites(paths) -> list:
                     func = node.func
                     name = func.id if isinstance(func, ast.Name) else \
                         func.attr if isinstance(func, ast.Attribute) else None
-                    if name == "_gcdex":
+                    if name == callee:
                         sites.append(f"{path.name}:{owner}")
     return sorted(sites)
 
@@ -40,7 +40,7 @@ def defined_names(paths) -> set:
 
 
 def test_gcdex_is_called_once_by_the_echelon_insertion():
-    assert gcdex_sites(sorted(SRC.glob("*.py"))) == ["exactalg.py:_echelon"]
+    assert call_sites(sorted(SRC.glob("*.py")), "_gcdex") == ["exactalg.py:_echelon"]
 
 
 def test_no_replaced_solver_or_basis_is_defined():
@@ -53,5 +53,5 @@ def test_the_scan_sees_a_second_echelon_copy(tmp_path):
         "\n\ndef _howell_insert(basis, row, n):\n"
         "    g, s, t, u, v = _gcdex(basis[0][0], row[0])\n"
         "    return g\n"))
-    assert gcdex_sites([path]) == ["exactalg.py:_echelon", "exactalg.py:_howell_insert"]
+    assert call_sites([path], "_gcdex") == ["exactalg.py:_echelon", "exactalg.py:_howell_insert"]
     assert defined_names([path]) & REPLACED == {"_howell_insert"}
