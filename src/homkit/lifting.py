@@ -25,6 +25,7 @@ from . import caches
 from .exactalg import IntMatrix
 from .modules import (
     FpModule,
+    ModuleError,
     ModuleMap,
     _kernel_inclusion,
     _solve_in_module_columns,
@@ -320,6 +321,23 @@ def _hom_inexact_degree(source: Complex, target: Complex) -> Optional[int]:
     return _HOM_EXACT.lookup((source.canonical_key(), target.canonical_key()), compute)
 
 
+def _member_inexact_degree(eu: Eps1Universe, rep: Callable, idx: int, c: Complex,
+                           into: bool) -> Optional[int]:
+    """``_hom_inexact_degree`` of Hom(E, c) (``into``) or Hom(c, E) for the
+    member E at ``idx``: None with no hom complex when E is contractible
+    (``Eps1Universe.contraction``), else read under E's representative."""
+    if eu.contraction(idx) is not None:
+        return None
+    r = eu.members[rep(idx)]
+    return _hom_inexact_degree(*((r, c) if into else (c, r)))
+
+
+def _check_hom_rings(c: Complex, eu: Eps1Universe) -> None:
+    # refused up front: a universe of contractible members builds no hom
+    if c.ring != eu.ring:
+        raise ModuleError("mixed rings in hom")
+
+
 def eps1_perp_homotopy(i: Complex, eu: Eps1Universe,
                        keep_witnesses: bool = True) -> Verdict:
     """Every chain map from a shifted universe member into the complex must be
@@ -332,19 +350,23 @@ def eps1_perp_homotopy(i: Complex, eu: Eps1Universe,
     in degree zero.  That is Hom(E, C) in degree s + 1, with the same blocks
     and signed differential.  The slides cover its support and the degree
     above, so position s fails iff s + 1 is the least degree where Hom(E, C)
-    is not exact (``_hom_inexact_degree``).  That degree is the same for
-    isomorphic members, so from the universe's second check on it is read
-    once per isomorphism class, under the member's representative
+    is not exact (``_member_inexact_degree``): None, with no hom complex
+    built, for a contractible member (``Eps1Universe.contraction``), whose
+    Hom(E, C) is exact everywhere.  It is the same for isomorphic members,
+    so from the universe's second check on it is read once per isomorphism
+    class of the others, under the member's representative
     (``Eps1Universe.representatives``); ``checked`` still counts every member
     and slide, and each witness names the member itself and its position,
     the support of shift(E, -1 - s).  The counterexample is the first chain
     map from shift(E, -1 - s), the only shifted complex built, outside the
     image of the hom complex's d^{-1}, the null-homotopic maps
-    (``_first_non_nullhomotopic``), which a nonzero homology guarantees."""
+    (``_first_non_nullhomotopic``), which a nonzero homology guarantees.
+    A complex over another ring than the universe's raises ModuleError."""
+    _check_hom_rings(i, eu)
     verdict = Verdict(True, eu.describe() + ", closed under shifts")
-    members, rep = eu.members, eu.representatives()
-    for idx, e_cx in enumerate(members):
-        inexact = _hom_inexact_degree(members[rep(idx)], i)
+    rep = eu.representatives()
+    for idx, e_cx in enumerate(eu.members):
+        inexact = _member_inexact_degree(eu, rep, idx, i, True)
         support = e_cx.support
         if support is None or i.is_zero():
             slides = range(1)
@@ -394,12 +416,16 @@ def _dg_verdict(i: Complex, x: XClassSpec, eu: Eps1Universe,
                 injective: bool) -> Verdict:
     """Component test on every degree, then exactness of the internal hom from
     every universe member into the complex (injective) or from the complex
-    into every member (projective), read from ``_hom_inexact_degree``.
-    Exactness is invariant under isomorphism of the member, so from the
-    universe's second check on it is read once per isomorphism class, under
-    the member's representative (``Eps1Universe.representatives``);
-    ``checked`` and the witnesses still list every member, and the homology
-    is computed, on the member itself, only for a counterexample."""
+    into every member (projective), read from ``_member_inexact_degree``: a
+    contractible member (``Eps1Universe.contraction``) gives an exact hom
+    complex either way, and none is built for it.  Exactness is invariant
+    under isomorphism of the member, so from the universe's second check on
+    it is read once per isomorphism class of the others, under the member's
+    representative (``Eps1Universe.representatives``); ``checked`` and the
+    witnesses still list every member, and the homology is computed, on the
+    member itself, only for a counterexample.  A complex over another ring
+    than the universe's raises ModuleError."""
+    _check_hom_rings(i, eu)
     if mu is None:
         mu = module_universe(i.ring, 8)
     component_test = x_injective_module if injective else x_projective_module
@@ -412,11 +438,10 @@ def _dg_verdict(i: Complex, x: XClassSpec, eu: Eps1Universe,
             verdict.counterexample = {"kind": "component", "degree": k,
                                       "inner": comp_verdict.counterexample}
             return verdict
-    members, rep = eu.members, eu.representatives()
-    for idx, e_cx in enumerate(members):
+    rep = eu.representatives()
+    for idx, e_cx in enumerate(eu.members):
         verdict.checked += 1
-        r = members[rep(idx)]
-        if _hom_inexact_degree(*((r, i) if injective else (i, r))) is not None:
+        if _member_inexact_degree(eu, rep, idx, i, injective) is not None:
             hom = hom_complex_data(*((e_cx, i) if injective else (i, e_cx))).complex
             verdict.holds = False
             verdict.counterexample = {"kind": "hom-not-exact", "member": e_cx,

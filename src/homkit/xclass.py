@@ -35,11 +35,13 @@ from .modules import (
 from .complexes import (
     ChainMap,
     Complex,
+    Homotopy,
     _subcomplex,
     chain_map_group,
     complex_isomorphic,
     disk,
     exact_at,
+    null_homotopy,
     sphere,
     zero_complex,
 )
@@ -789,7 +791,12 @@ class Eps1Universe:
     in the distinguished class (the zero complex always qualifies).  The
     window must hold two to four degrees, else UniverseCapError: an exact
     complex concentrated in one degree is zero, so a narrower window holds
-    only the zero complex and every verdict over it would be vacuous."""
+    only the zero complex and every verdict over it would be vacuous.
+
+    Most members split: ``contraction`` decides, once per member and at the
+    first check that reads it, whether a member is contractible, and a check
+    answers hom-exactness for such a member without building a hom complex.
+    The non-contractible ones are read under ``representatives``."""
 
     def __init__(self, ring: RingSpec, xclass: XClassSpec,
                  base_bound: int = 4, window: Tuple[int, int] = (-1, 1)):
@@ -809,6 +816,7 @@ class Eps1Universe:
         self._members: Optional[list] = None
         self._checks = 0
         self._repeats: Optional[_Repeats] = None
+        self._contractions: dict = {}    # member index -> contraction or None
 
     def describe(self) -> str:
         return (f"eps1({self.ring}, class={self.xclass.key()}, base<={self.base_bound}, "
@@ -826,11 +834,12 @@ class Eps1Universe:
     def representatives(self) -> Callable[[int], int]:
         """For a check about to read the members in order: maps member i to
         the member under which it may read an answer that is invariant under
-        isomorphism.  The first check gets i itself, so a one-shot check
-        never pays for the partition; from the second check on, every check
-        shares one ``_Repeats``, the earliest member isomorphic to member i,
-        bucketed by the shape of ``_complex_parts`` and tested as a complex
-        mono pool tests it (``_isomorphic``)."""
+        isomorphism; the checks ask it for members that are not contractible
+        only.  The first check gets i itself, so a one-shot check never pays
+        for the partition; from the second check on, every check shares one
+        ``_Repeats``, the earliest member isomorphic to member i, bucketed by
+        the shape of ``_complex_parts`` and tested as a complex mono pool
+        tests it (``_isomorphic``)."""
         self._checks += 1
         if self._checks == 1:
             return lambda i: i
@@ -839,6 +848,17 @@ class Eps1Universe:
             self._repeats = _Repeats([_shape(_complex_parts(c, epi=False)) for c in members],
                                      lambda r, i: _isomorphic(members[r], members[i], False))
         return self._repeats
+
+    def contraction(self, i: int) -> Optional[Homotopy]:
+        """A contraction h of member i (h o d + d o h = id), the canonical
+        null-homotopy of its identity, or None when it is not contractible:
+        one solve per member, at the first read, kept as a certificate that
+        can be checked again (``Homotopy.verifies``).  Then f -> f o h and
+        f -> h o f, up to sign, contract Hom(E, C) and Hom(C, E) for every
+        complex C (Weibel 1994, 1.4 and 2.7): both are exact everywhere."""
+        if i not in self._contractions:
+            self._contractions[i] = null_homotopy(ChainMap.identity(self.members[i]))
+        return self._contractions[i]
 
     def _qualifies(self, c: Complex) -> bool:
         if not exact_at(c, c.degrees()):

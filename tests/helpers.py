@@ -22,6 +22,7 @@ from homkit.complexes import (
     HomDegree,
     _row_product,
     chain_group_image,
+    exact_at,
     null_homotopy,
     zero_complex,
 )
@@ -431,6 +432,26 @@ def first_non_nullhomotopic(src: Complex, tgt: Complex) -> Optional[ChainMap]:
         if null_homotopy(g) is None:
             return g
     return None
+
+
+def contractible_by_retractions(e: Complex) -> bool:
+    """Whether the bounded exact complex e is contractible, solving nothing.
+
+    As e is exact, Z^(k+1) = B^(k+1) and 0 -> Z^k -> E^k -> Z^(k+1) -> 0 is
+    exact, so e is contractible iff every one of these splits: iff each
+    cycle inclusion Z^k -> E^k has a retraction.  A retraction is searched
+    among all the elements of Hom(E^k, Z^k)."""
+    if not exact_at(e, e.degrees()):
+        raise ValueError(f"{e.describe()} is not exact")
+    for k in e.degrees():
+        if e.component(k + 1).is_zero():
+            continue        # Z^k = E^k
+        cycles, incl = _kernel_inclusion(e.differential(k))
+        one = ModuleMap.identity(cycles).matrix.entries
+        if not any(r.compose(incl).matrix.entries == one
+                   for r in hom_module(e.component(k), cycles).elements()):
+            return False
+    return True
 
 
 def pool_without_repeat_skip(members: list, epi: bool, scan, close, parts):

@@ -100,8 +100,8 @@ def fill() -> None:
     x_injective_module(Z2, ALL, u4, keep_witnesses=False)
     x_injective_complex(y, ALL, cu4, keep_witnesses=False)
     x_injective_complex(y, ALL, cu4, keep_witnesses=True)
-    eps1_perp_homotopy(y, eps1_universe(R4, ALL, base_bound=2, window=(-1, 0)),
-                       keep_witnesses=False)
+    # a member that is not contractible: the only ones whose answers are stored
+    eps1_perp_homotopy(y, eps1_universe(R4, ALL), keep_witnesses=False)
     hom_complex_data(cu4.members[-1], cu4.members[-1])
     null_homotopy(ChainMap.identity(disk(0, Z2)))
     injective_hull(Z2)

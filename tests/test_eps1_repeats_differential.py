@@ -1,5 +1,5 @@
 """Exactness universes read one hom-exactness answer per isomorphism class of
-members, from their second check on.
+members that are not contractible, from their second check on.
 
 ``Eps1Universe.representatives`` hands a universe's first check each member
 itself and every later check the earliest member isomorphic to it, decided
@@ -8,11 +8,12 @@ isomorphism test finds against all earlier members
 (``isomorphic_by_brute_force``, which calls neither ``_Repeats`` nor
 ``complex_isomorphic``), whether the members are asked in order or in
 reverse: over Z/2, Z/4, Z/6 and Z/8 under ALL and ann(2), and over Z/4 on
-the window (-1, 2).  A later check reads Hom(E, C) (eps1-perp,
-dg-injective) or Hom(C, E) (dg-projective) for the representative E of
-each member, in member order.  A universe's first check builds one
-hom-exactness answer per member and tests no isomorphism, a later check
-builds at most one per class, a passing eps1-perp check with witnesses
+the window (-1, 2).  A check reads no answer for a contractible member,
+and a later check reads Hom(E, C) (eps1-perp, dg-injective) or Hom(C, E)
+(dg-projective) for the representative E of each other member, in member
+order.  A universe's first check builds one hom-exactness answer per member
+that is not contractible and tests no isomorphism, a later check builds one
+per class of them, a passing eps1-perp check with witnesses
 builds no shifted complex, and a command-line check, one check on a fresh
 universe, tests no isomorphism.
 """
@@ -31,6 +32,7 @@ from homkit.lifting import dg_x_injective, dg_x_projective, eps1_perp_homotopy
 from homkit.modules import FpModule
 from homkit.xclass import ALL, ZERO_ONLY, Eps1Universe, ann, eps1_universe, module_universe
 
+from .helpers import contractible_by_retractions
 from .test_pool_repeat_differential import isomorphic_by_brute_force
 
 # (modulus, class, window) -> (members, isomorphism classes)
@@ -72,15 +74,21 @@ def test_the_partition_is_the_brute_force_one(n, x, window):
 
 @pytest.mark.parametrize("check", ["eps1-perp", "dg-injective", "dg-projective"])
 def test_a_later_check_reads_each_answer_under_the_representative(check, monkeypatch):
-    """Hom(E, C) and Hom(C, E) are exact or not alike on every pair these
-    universes and inputs give, so a check that read the other direction
-    would return the same verdicts: the pairs read are compared here."""
+    """A check reads no answer for a contractible member, so the window
+    (-1, 2), with 9 members that are not contractible in 5 classes, is
+    where a later check still reads under representatives.  Hom(E, C) and
+    Hom(C, E) are exact or not alike on every pair these universes and
+    inputs give, so a check that read the other direction would return the
+    same verdicts: the pairs read are compared here."""
     ring = Zmod(4)
     c = disk(0, FpModule(ring, (4,)))      # contractible: every member is read
     caches.clear_caches()
-    eu = eps1_universe(ring, ALL)
+    eu = eps1_universe(ring, ALL, window=(-1, 2))
     members = eu.members
-    reps = [members[r] for r in brute_force_partition(members)]
+    unsplit = [i for i, e in enumerate(members) if not contractible_by_retractions(e)]
+    assert (len(members), len(unsplit)) == (133, 9)
+    reps = [members[unsplit[r]] for r in brute_force_partition([members[i] for i in unsplit])]
+    assert len(set(reps)) == 5
     assert eps1_perp_homotopy(c, eu).holds      # the first check
     read = []
     answer = lifting._hom_inexact_degree
@@ -124,22 +132,24 @@ def hom_exact_entries() -> int:
 
 
 def test_the_partition_is_paid_from_the_second_check_on(monkeypatch):
+    """On the window (-1, 2): 9 members that are not contractible, in 5
+    classes, each of them read once by the first check."""
     counts = counting(monkeypatch)
     ring = Zmod(4)
     z4 = FpModule(ring, (4,))
-    eu = eps1_universe(ring, ALL)
+    eu = eps1_universe(ring, ALL, window=(-1, 2))
     v = eps1_perp_homotopy(disk(0, z4), eu, keep_witnesses=True)
     assert v.holds and len(v.witnesses) == v.checked
-    assert hom_exact_entries() == len(eu.members) == 23
+    assert hom_exact_entries() == 9
     assert counts == {"complex_isomorphic": 0, "shift": 0}
     v = eps1_perp_homotopy(sphere(0, z4), eu, keep_witnesses=True)
     assert v.holds and {w["member"] for w in v.witnesses} == set(eu.members)
-    assert hom_exact_entries() - 23 <= 9
+    assert hom_exact_entries() - 9 == 5
     assert counts["complex_isomorphic"] > 0 and counts["shift"] == 0
     # a third check decides nothing again
     tested = counts["complex_isomorphic"]
     assert dg_x_injective(sphere(1, z4), ALL, eu, module_universe(ring, 8)).holds
-    assert hom_exact_entries() - 23 <= 18
+    assert hom_exact_entries() - 9 == 10
     assert counts["complex_isomorphic"] == tested
 
 

@@ -9,11 +9,13 @@ and ran ``is_exact`` on it.  Both checkers now read
 ``lifting._hom_inexact_degree``, the least degree where the hom complex is
 not exact, memoised per pair of canonical keys, and from a universe's
 second check on read it under the earliest member isomorphic to the member
-(``Eps1Universe.representatives``).  They must return the same ``holds``,
-``checked``, universe, witnesses and counterexample (the dg homology
-included), with witnesses on and off, right after ``clear_caches()`` and
-again with the table warm; also for a ``pred:`` class and on the wider
-window (-1, 2).
+(``Eps1Universe.representatives``); a contractible member they take as
+exact without building a hom complex.  They must return the same
+``holds``, ``checked``, universe, witnesses and counterexample (the dg
+homology included), with witnesses on and off, right after
+``clear_caches()`` and again with the table warm; also for a ``pred:``
+class, on the wider window (-1, 2), and on the universes of mostly split
+members over Z/2, Z/4, Z/6, Z/8, Z/12 and Z/9 (base bound 9).
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ from homkit.xclass import (
     parse_class_spec,
 )
 
-from .helpers import first_non_nullhomotopic
+from .helpers import contractible_by_retractions, first_non_nullhomotopic
 
 
 def old_eps1_perp_homotopy(i, eu, keep_witnesses: bool) -> Verdict:
@@ -249,3 +251,44 @@ def test_dg_builds_a_hom_complex_only_for_its_counterexample(monkeypatch):
             assert v.counterexample["kind"] == "hom-not-exact"
             assert built == [(v.counterexample["member"], c)]
             assert any(v.counterexample["homology"].values())
+
+
+# (modulus, base bound, window) of exactness universes whose members are
+# almost all split; each check answers a contractible member without a hom
+# complex, and the oracles still build one for every member
+SPLIT_UNIVERSES = [(2, 4, (-1, 1)), (4, 4, (-1, 1)), (6, 4, (-1, 1)), (8, 4, (-1, 1)),
+                   (12, 4, (-1, 1)), (9, 9, (-1, 1)), (4, 4, (-1, 2))]
+
+
+def split_inputs(ring) -> list:
+    """A disk and spheres in degrees 0 and 1 on the smallest nonzero module
+    and on the free module of rank one."""
+    small = next(m for m in module_universe(ring, 8).members if not m.is_zero())
+    free = FpModule(ring, (ring.modulus,))
+    return [disk(0, small), sphere(0, small), sphere(1, small), disk(0, free), sphere(0, free)]
+
+
+@pytest.mark.parametrize("n,bound,window", SPLIT_UNIVERSES,
+                         ids=[f"Z/{n}-base{b}-{list(w)}" for n, b, w in SPLIT_UNIVERSES])
+def test_contractible_members_answer_as_their_hom_complexes_do(n, bound, window):
+    """The oracles build Hom(E, C) and Hom(C, E) for every member; the
+    checkers build none for a contractible member.  Under ALL and ann(2),
+    with witnesses on and off, on a universe's first check and on later
+    ones, the verdicts must be the same; a failing verdict names a member
+    that is not contractible (by ``contractible_by_retractions``)."""
+    ring = Zmod(n)
+    mu = module_universe(ring, 8)
+    cases = [(c, eps1_universe(ring, x, bound, window), mu)
+             for x in (ALL, ann(2)) for c in split_inputs(ring)]
+    classes = (ALL, ZERO_ONLY)
+    clear_caches()
+    cold = new_answers(cases, classes)
+    warm = new_answers(cases, classes)
+    old = old_answers(cases, classes)
+    assert cold == old
+    assert warm == old
+    failures = [(key[1], ans[4]["member"]) for key, ans in old.items()
+                if (ans[4] or {}).get("kind") in ("perp", "hom-not-exact")]
+    assert not any(contractible_by_retractions(e) for _, e in failures)
+    # over Z/2 and Z/6 every member is contractible
+    assert {side for side, _ in failures} == (set() if n in (2, 6) else {"eps1", "inj", "proj"})
