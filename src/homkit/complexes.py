@@ -26,6 +26,7 @@ from .modules import (
     hom_postcompose,
     hom_precompose,
     image_order,
+    _checked_rows,
     _kernel_generators,
     _kernel_inclusion,
     _scan_maps,
@@ -69,10 +70,12 @@ class Complex:
 
     @property
     def support(self) -> Optional[Tuple[int, int]]:
-        if not self._components:
+        """The least and the greatest nonzero degree, the first and the last
+        key of the sorted components, or None for the zero complex."""
+        comps = self._components
+        if not comps:
             return None
-        keys = list(self._components)
-        return min(keys), max(keys)
+        return next(iter(comps)), next(reversed(comps))
 
     def degrees(self) -> list:
         return list(self._components)
@@ -400,6 +403,19 @@ class HomDegree:
     blocks: tuple            # tuple of (i, HomModule) with i the source degree
     sum: DirectSum
 
+    def element_from_family(self, family: dict) -> tuple:
+        """The element of this degree whose block i holds the map family[i]
+        (zero where family has no map)."""
+        total = [0] * self.sum.module.ngens
+        for idx, (i, hm) in enumerate(self.blocks):
+            f = family.get(i)
+            if f is None:
+                continue
+            coords = hm.encode(f)
+            piece = self.sum.injections[idx].apply(coords)
+            total = [a + b for a, b in zip(total, piece)]
+        return self.sum.module.reduce_element(total)
+
 
 @dataclass
 class HomComplexData:
@@ -408,29 +424,13 @@ class HomComplexData:
     complex: Complex
     degrees: dict            # n -> HomDegree
 
-    def element_from_family(self, n: int, family: dict) -> tuple:
-        data = self.degrees.get(n)
-        if data is None:
-            return ()
-        total = [0] * data.sum.module.ngens
-        for idx, (i, hm) in enumerate(data.blocks):
-            f = family.get(i)
-            if f is None:
-                continue
-            coords = hm.encode(f)
-            piece = data.sum.injections[idx].apply(coords)
-            total = [a + b for a, b in zip(total, piece)]
-        return data.sum.module.reduce_element(total)
-
 
 def hom_complex_data(x: Complex, y: Complex, degrees: Optional[Sequence[int]] = None) -> HomComplexData:
     """Internal hom complex with block bookkeeping.
 
-    Degree n component is the sum over i of Hom(x^i, y^{i+n}); the
-    differential sends a family (f^i) to  d_y o f^i - (-1)^n f^{i+1} o d_x,
-    so its blocks are the memoised ``hom_postcompose`` by d_y and
-    ``hom_precompose`` by d_x, negated when n is even, and ``_block_map``
-    assembles them with the projections of the degree-n sum.
+    Degree n component is the sum over i of Hom(x^i, y^{i+n})
+    (``_hom_degree``), and its differential is ``_differential_rows``, the
+    one assembly path chain-map groups read their d^0 from too.
     """
     ring = x.ring
     if x.is_zero() or y.is_zero():
@@ -439,54 +439,67 @@ def hom_complex_data(x: Complex, y: Complex, degrees: Optional[Sequence[int]] = 
     ylo, yhi = y.support
     lo, hi = ylo - xhi, yhi - xlo
     wanted = range(lo, hi + 1) if degrees is None else [n for n in degrees if lo <= n <= hi]
-    deg_data = {}
-    for n in wanted:
-        blocks = []
-        for i, xi in x._components.items():
-            yi = y._components.get(i + n)
-            if yi is None:
-                continue
-            hm = hom_module(xi, yi)
-            if hm.module.is_zero():
-                continue
-            blocks.append((i, hm))
-        if blocks:
-            ds = direct_sum([hm.module for _, hm in blocks])
-            deg_data[n] = HomDegree(n, tuple(blocks), ds)
+    deg_data = {n: d for n in wanted if (d := _hom_degree(x, y, n)) is not None}
     comps = {n: d.sum.module for n, d in deg_data.items()}
     diffs = {}
     for n, d in deg_data.items():
-        if (n + 1) not in deg_data:
-            continue
-        tgt = deg_data[n + 1]
-        blocks = []
-        for s, (i, hm) in enumerate(d.blocks):
-            for t, (ti, thm) in enumerate(tgt.blocks):
-                if ti == i:
-                    blocks.append((s, t, hom_postcompose(hm, thm, y.differential(i + n)).matrix))
-                elif ti == i - 1:
-                    block = hom_precompose(hm, thm, x.differential(i - 1)).matrix
-                    blocks.append((s, t, -block if n % 2 == 0 else block))
-        if blocks:
-            diffs[n] = _block_map(tgt.sum, blocks, d.sum.module,
-                                  [p.matrix.entries for p in d.sum.projections])
+        if (n + 1) in deg_data:
+            source, target = d.sum.module, deg_data[n + 1].sum.module
+            rows = _differential_rows(x, y, d, deg_data[n + 1])
+            diffs[n] = ModuleMap(source, target, IntMatrix(len(rows), source.ngens, rows))
     return HomComplexData(x, y, Complex(ring, comps, diffs, check=False), deg_data)
 
 
-def _block_map(tgt: DirectSum, blocks: list, source: FpModule, right: Sequence) -> ModuleMap:
-    """The map source -> tgt.module that is the sum of injection t o block
-    o right[s] over the (s, t, block matrix) in ``blocks``, with right[s]
-    the integer rows of a map from source into the s-th summand of a direct
-    sum: its projection, or a projection of a cycle inclusion.
+def _hom_degree(x: Complex, y: Complex, n: int) -> Optional[HomDegree]:
+    """Degree n of Hom(x, y): its nonzero blocks Hom(x^i, y^{i+n}) in the
+    order of i and their direct sum, or None when it has none."""
+    blocks = []
+    for i, xi in x._components.items():
+        yi = y._components.get(i + n)
+        if yi is None:
+            continue
+        hm = hom_module(xi, yi)
+        if not hm.module.is_zero():
+            blocks.append((i, hm))
+    if not blocks:
+        return None
+    return HomDegree(n, tuple(blocks), direct_sum([hm.module for _, hm in blocks]))
+
+
+def _differential_rows(x: Complex, y: Complex, d: HomDegree, tgt: HomDegree) -> list:
+    """The matrix rows, not reduced, of the hom-complex differential from
+    degree n = ``d.degree`` to n + 1 (``tgt``).  It sends a family (f^i) to
+    d_y o f^i - (-1)^n f^{i+1} o d_x, so its blocks are the memoised
+    ``hom_postcompose`` by d_y and ``hom_precompose`` by d_x, negated when
+    n is even, assembled by ``_block_rows`` with the projections of the
+    degree-n sum."""
+    n = d.degree
+    blocks = []
+    for s, (i, hm) in enumerate(d.blocks):
+        for t, (ti, thm) in enumerate(tgt.blocks):
+            if ti == i:
+                blocks.append((s, t, hom_postcompose(hm, thm, y.differential(i + n)).matrix))
+            elif ti == i - 1:
+                block = hom_precompose(hm, thm, x.differential(i - 1)).matrix
+                blocks.append((s, t, -block if n % 2 == 0 else block))
+    right = [_sparse_rows(p.matrix.entries) for p in d.sum.projections]
+    return _block_rows(tgt.sum, blocks, d.sum.module.ngens, right)
+
+
+def _block_rows(tgt: DirectSum, blocks: list, width: int, right: Sequence) -> list:
+    """The rows, not reduced, of the map into tgt.module that is the sum of
+    injection t o block o right[s] over the (s, t, block matrix) in
+    ``blocks``, with right[s] the ``_sparse_rows`` of a map with ``width``
+    columns into the s-th summand of a direct sum: its projection, or a
+    projection of a cycle inclusion.
 
     Each target summand's rows are one zero-skipping integer product per
-    block, summed, then one product with its injection, and the map is
-    reduced once, by ``ModuleMap``; over the integers the sum equals the
-    product of the full block-matrix factors entry for entry."""
-    width = source.ngens
+    block, summed, then one product with its injection; over the integers
+    the sum equals the product of the full block-matrix factors entry for
+    entry, so a reduction of the rows gives the map's matrix."""
     parts: dict = {}        # t -> the rows of sum_s block o right[s]
     for s, t, block in blocks:
-        rows = _row_product(block.entries, right[s], width)
+        rows = _sparse_product(block.entries, right[s], width)
         if t in parts:
             rows = [list(map(add, r, q)) for r, q in zip(parts[t], rows)]
         parts[t] = rows
@@ -494,13 +507,17 @@ def _block_map(tgt: DirectSum, blocks: list, source: FpModule, right: Sequence) 
     for t, rows in parts.items():
         for r, row in enumerate(_row_product(tgt.injections[t].matrix.entries, rows, width)):
             total[r] = tuple(map(add, total[r], row))
-    return ModuleMap(source, tgt.module, IntMatrix(len(total), width, tuple(total)))
+    return total
 
 
-def _row_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int) -> list:
-    """a @ b on lists of rows, b with ``width`` columns, skipping the zero
-    entries of both factors."""
-    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+def _sparse_rows(b: Sequence[Sequence[int]]) -> list:
+    """The (column, entry) pairs of the nonzero entries of each row of b."""
+    return [[(j, y) for j, y in enumerate(row) if y] for row in b]
+
+
+def _sparse_product(a: Sequence[Sequence[int]], sparse: list, width: int) -> list:
+    """a @ b on lists of rows, for b with ``width`` columns given by its
+    ``_sparse_rows``, skipping the zero entries of both factors."""
     out = []
     for row in a:
         acc = [0] * width
@@ -510,6 +527,12 @@ def _row_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: 
                     acc[j] += x * y
         out.append(acc)
     return out
+
+
+def _row_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int) -> list:
+    """a @ b on lists of rows, b with ``width`` columns, skipping the zero
+    entries of both factors."""
+    return _sparse_product(a, _sparse_rows(b), width)
 
 
 def hom_complex(x: Complex, y: Complex) -> Complex:
@@ -559,7 +582,8 @@ def exact_at(c: Complex, degrees: Iterable[int]) -> bool:
 
     def order(k: int) -> int:
         if k not in orders:
-            orders[k] = image_order(c.differential(k))
+            d = c.differential(k)
+            orders[k] = image_order(d.target, d.matrix)
         return orders[k]
 
     return all(order(k - 1) * order(k) == c.component(k).size() for k in degrees)
@@ -669,13 +693,19 @@ def _factor_through(phi, fs: Sequence, injective: bool) -> list:
 
 @dataclass
 class ChainMapGroup:
-    """The abelian group of chain maps A -> B as a module with a decoder."""
+    """The abelian group of chain maps A -> B as a module with a decoder.
+
+    It is the group of cycles of Hom^0 = sum_i Hom(A^i, B^i), the kernel of
+    d^0 into Hom^1.  It keeps Hom^0's blocks and sum (None when Hom^0 is
+    zero) and, from ``complexes.cycle_presentations``, the cycle module, its
+    inclusion into Hom^0's sum (None then too) and the P_s; no hom complex
+    is built for it."""
 
     source: Complex
     target: Complex
     module: FpModule
-    _data: HomComplexData
-    _inclusion: Optional[ModuleMap]        # cycles -> hom-degree-0 component
+    _hom0: Optional[HomDegree]
+    _inclusion: Optional[ModuleMap]        # cycles -> Hom^0's sum module
     _blocks: tuple = ()     # P_s per block s of Hom^0 (``_cycle_blocks``); () without cycles
 
     def decode(self, elem: Sequence[int]) -> ChainMap:
@@ -692,7 +722,19 @@ class ChainMapGroup:
         component in that degree, as integer rows."""
         width = self.module.ngens
         return tuple((i, hm, tuple(map(tuple, _row_product(hm.from_canonical.entries, p, width))))
-                     for (i, hm), p in zip(self._data.degrees[0].blocks, self._blocks))
+                     for (i, hm), p in zip(self._hom0.blocks, self._blocks))
+
+    @cached_property
+    def _sparse_blocks(self) -> list:
+        """The ``_sparse_rows`` of each P_s, the right factors of every
+        ``chain_group_image`` out of this group."""
+        return [_sparse_rows(p) for p in self._blocks]
+
+    @cached_property
+    def _section_columns(self) -> tuple:
+        """The columns of the cycle inclusion: the right-hand sides of the
+        section solves of every restriction into this group."""
+        return tuple(self._inclusion.matrix.columns())
 
     def _rows(self, elem: Sequence[int]) -> dict:
         """The matrix rows of the chain map of ``elem`` in each degree with a
@@ -719,8 +761,8 @@ class ChainMapGroup:
         """Coordinates of a chain map in the cycle group, if it lies there."""
         if self._inclusion is None:
             return () if f.is_zero() else None
-        target_elem = self._data.element_from_family(0, dict(f._components))
-        amb = self._data.degrees[0].sum.module
+        target_elem = self._hom0.element_from_family(dict(f._components))
+        amb = self._hom0.sum.module
         rhs = IntMatrix.from_columns([list(target_elem)], rows=amb.ngens)
         sol = _solve_in_module(amb, self._inclusion.matrix, rhs)
         if sol is None:
@@ -729,6 +771,8 @@ class ChainMapGroup:
 
 
 _CHAIN_GROUP_CACHE = caches.table("complexes.chain_map_group")
+# many chain-map groups share their d^0: the cycles are a function of it
+_CYCLE_PRESENTATIONS = caches.table("complexes.cycle_presentations")
 
 
 def chain_map_group(a: Complex, b: Complex) -> ChainMapGroup:
@@ -737,46 +781,84 @@ def chain_map_group(a: Complex, b: Complex) -> ChainMapGroup:
 
 
 def _chain_map_group(a: Complex, b: Complex) -> ChainMapGroup:
-    data = hom_complex_data(a, b, degrees=(0, 1))
-    if 0 not in data.degrees:
-        return ChainMapGroup(a, b, FpModule.zero(a.ring), data, None)
-    d0 = data.complex.differential(0)
-    amb = data.degrees[0].sum
-    if d0.target.is_zero():
-        sub, inclusion = amb.module, ModuleMap.identity(amb.module)
+    """The group from Hom^0 and Hom^1 (``_hom_degree``) and the d^0 rows of
+    ``_differential_rows`` between them, reduced and checked as a
+    ``ModuleMap`` would (``_checked_rows``); the cycles come from
+    ``_cycle_presentation``."""
+    hom0 = _hom_degree(a, b, 0)
+    if hom0 is None:
+        return ChainMapGroup(a, b, FpModule.zero(a.ring), None, None)
+    amb = hom0.sum.module
+    hom1 = _hom_degree(a, b, 1)
+    if hom1 is None:
+        target, rows = FpModule.zero(a.ring), ()
     else:
-        sub, inclusion = _kernel_inclusion(d0)
-    return ChainMapGroup(a, b, sub, data, inclusion, _cycle_blocks(amb, inclusion))
+        target = hom1.sum.module
+        rows = _checked_rows(amb.factors, target.factors, _differential_rows(a, b, hom0, hom1))
+    sub, inclusion, blocks = _cycle_presentation(hom0, target, rows)
+    return ChainMapGroup(a, b, sub, hom0, inclusion, blocks)
+
+
+def _cycle_presentation(hom0: HomDegree, target: FpModule, rows: tuple) -> tuple:
+    """(cycle module, inclusion into Hom^0's sum, P_s blocks) for the
+    d^0 from Hom^0 (``hom0``) into ``target``, Hom^1's sum module or zero
+    when there is no Hom^1, with reduced matrix rows ``rows``: the whole
+    sum when the target is zero, else ``_kernel_inclusion`` of d^0, and
+    ``_cycle_blocks``.
+
+    Read from ``complexes.cycle_presentations``, keyed by the ring, the
+    factors of each Hom^0 summand (the P_s depend on the summand
+    projections, not only on the sum), the target factors and the rows:
+    the key fixes Hom^0's sum with its projections, so the value computed
+    for one group serves every group with the same key."""
+    amb = hom0.sum.module
+    key = (amb.ring, tuple(hm.module.factors for _, hm in hom0.blocks), target.factors, rows)
+
+    def compute() -> tuple:
+        if target.is_zero():
+            sub, inclusion = amb, ModuleMap.identity(amb)
+        else:
+            sub, inclusion = _kernel_inclusion(
+                ModuleMap(amb, target, IntMatrix(len(rows), amb.ngens, rows)))
+        return sub, inclusion, _cycle_blocks(hom0.sum, inclusion)
+
+    return _CYCLE_PRESENTATIONS.lookup(key, compute)
 
 
 def _cycle_blocks(amb: DirectSum, inclusion: ModuleMap) -> tuple:
     """P_s = projection s o ``inclusion`` for each summand s of Hom^0, as
     integer row tuples (smaller than lists), not reduced: a chain-map
-    group's cycle inclusion in block coordinates, built once per group."""
+    group's cycle inclusion in block coordinates."""
     width = inclusion.source.ngens
     return tuple(tuple(map(tuple, _row_product(p.matrix.entries, inclusion.matrix.entries, width)))
                  for p in amb.projections)
 
 
 def chain_group_image(g_from: ChainMapGroup, g_to: ChainMapGroup, phi: ChainMap,
-                      pre: bool) -> ModuleMap:
-    """The map g_from.module -> Hom^0 of g_to sending f to f o phi (``pre``)
-    or to phi o f, in the coordinates of the hom-complex degree zero that
-    holds g_to's cycles; both groups must have a cycle inclusion.
+                      pre: bool) -> IntMatrix:
+    """The matrix, reduced, of the map g_from.module -> Hom^0 of g_to
+    sending f to f o phi (``pre``) or to phi o f, in the coordinates of the
+    hom-complex degree zero that holds g_to's cycles, which g_to must have;
+    zero when g_from has none.
 
     On Hom^0 = sum_i Hom(x^i, y^i) the map is block diagonal in the
     degreewise ``hom_precompose`` (``hom_postcompose``) matrices by phi^i,
-    applied to g_from's cycle inclusion in block coordinates (``_blocks``):
-    one product per block, assembled by ``_block_map``.  It is the
-    restriction between the two groups followed by g_to's injective cycle
-    inclusion, so lifting reads sections and counterexamples off it without
-    solving for the restriction itself."""
-    src, tgt = g_from._data.degrees[0], g_to._data.degrees[0]
+    applied to g_from's cycle inclusion in block coordinates (its
+    ``_sparse_blocks``): one product per block, assembled by
+    ``_block_rows`` and checked as a ``ModuleMap`` would (``_checked_rows``),
+    building none.  It is the restriction between the two groups followed
+    by g_to's injective cycle inclusion, so lifting reads sections and
+    counterexamples off it without solving for the restriction itself."""
+    tgt, width = g_to._hom0, g_from.module.ngens
+    if g_from._inclusion is None:
+        return IntMatrix.zero(tgt.sum.module.ngens, 0)
     compose = hom_precompose if pre else hom_postcompose
     slots = {i: t for t, (i, _) in enumerate(tgt.blocks)}
     blocks = [(s, slots[i], compose(hm, tgt.blocks[slots[i]][1], phi.component(i)).matrix)
-              for s, (i, hm) in enumerate(src.blocks) if i in slots]
-    return _block_map(tgt.sum, blocks, g_from.module, g_from._blocks)
+              for s, (i, hm) in enumerate(g_from._hom0.blocks) if i in slots]
+    rows = _block_rows(tgt.sum, blocks, width, g_from._sparse_blocks)
+    return IntMatrix(len(rows), width,
+                     _checked_rows(g_from.module.factors, tgt.sum.module.factors, rows))
 
 
 def chain_maps(a: Complex, b: Complex, cap: int = 100000) -> list:

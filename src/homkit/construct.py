@@ -67,11 +67,10 @@ from .xclass import (
 from .lifting import (
     Verdict,
     _first_outside_image,
+    _module_verdict,
     _onto,
     _restriction_image,
     x_injective_complex,
-    x_injective_module,
-    x_projective_module,
 )
 
 
@@ -116,9 +115,8 @@ def _quotient(f: ModuleMap, injective: bool) -> FpModule:
 def _passing(members, x: XClassSpec, u: ModuleUniverse, injective: bool):
     """The class members among ``members`` that pass the side's module test,
     tested lazily in order."""
-    test = x_injective_module if injective else x_projective_module
     return (e for e in members
-            if contains_module(x, e) and test(e, x, u, keep_witnesses=False).holds)
+            if contains_module(x, e) and _module_verdict(e, x, u, injective, False).holds)
 
 
 def _search_oracle(m: FpModule, x: XClassSpec, u: ModuleUniverse, injective: bool) -> tuple:
@@ -164,8 +162,7 @@ def _oracle_failure(e: FpModule, f: ModuleMap, x: XClassSpec, u: Optional[Module
         return f"{built} module left the class"
     if u is None or not e.ring.is_modular:
         return None
-    test = x_injective_module if injective else x_projective_module
-    if not test(e, x, u, keep_witnesses=False).holds:
+    if not _module_verdict(e, x, u, injective, False).holds:
         return f"{built} module failed the {prop} test"
     for cand in _passing(u.members, x, u, injective):
         if not _onto(f, cand, injective, hom_module, False)[0]:
@@ -496,8 +493,8 @@ def _verify_factorization(built: Complex, cmap: ChainMap, y: Complex, x: XClassS
                 tested += hm.module.size()
                 continue
             comp = disk(k, m)
-            _, grp, image, inclusion = _restriction_image(cmap, comp, injective, chain_map_group)
-            h = grp.decode(_first_outside_image(image, inclusion))
+            grp, image = _restriction_image(cmap, comp, injective, chain_map_group)
+            h = grp.decode(_first_outside_image(grp._inclusion.target, image, grp._section_columns))
             if any(built.component(j).is_zero() and not h.component(j).is_zero()
                    for j in comp.degrees()):
                 raise BuildError(f"factorization impossible: {name} vanishes where the map does not")

@@ -96,28 +96,24 @@ _CHAIN_SEARCH_CAP = 1 << 14
 # ---------------------------------------------------------------------------
 
 def _restriction_image(phi, obj, injective: bool, hom: Callable) -> tuple:
-    """(source group, target group, image, inclusion) of the restriction a
-    lifting test needs to be onto, for phi: A -> B:
+    """(target group, image) of the restriction a lifting test needs to be
+    onto, for phi: A -> B:
 
     injective:  Hom(B, obj) -> Hom(A, obj), f -> f o phi
     otherwise:  Hom(obj, A) -> Hom(obj, B), f -> phi o f
 
-    ``image`` is the restriction followed by the target's ``inclusion``: the
-    memoised ``hom_precompose`` (``hom_postcompose``) matrix for hom
-    modules, ``chain_group_image`` (zero without source cycles) for
-    chain-map groups.  When the target group is zero the source group is
-    not built: it, the image and the inclusion are None."""
+    ``image`` is the restriction followed by the target's inclusion: the
+    memoised ``hom_precompose`` (``hom_postcompose``) map for hom modules,
+    the reduced matrix of ``chain_group_image`` for chain-map groups.  When
+    the target group is zero the source group is not built and the image is
+    None."""
     grp_to = hom(phi.source, obj) if injective else hom(obj, phi.target)
     if grp_to.module.is_zero():
-        return None, grp_to, None, None
+        return grp_to, None
     grp_from = hom(phi.target, obj) if injective else hom(obj, phi.source)
     if isinstance(phi, ModuleMap):
-        image = (hom_precompose if injective else hom_postcompose)(grp_from, grp_to, phi)
-    elif grp_from._inclusion is None:
-        image = ModuleMap.zero(grp_from.module, grp_to._inclusion.target)
-    else:
-        image = chain_group_image(grp_from, grp_to, phi, injective)
-    return grp_from, grp_to, image, grp_to._inclusion
+        return grp_to, (hom_precompose if injective else hom_postcompose)(grp_from, grp_to, phi)
+    return grp_to, chain_group_image(grp_from, grp_to, phi, injective)
 
 
 def _first_without_section(sections: list) -> Optional[tuple]:
@@ -129,11 +125,11 @@ def _first_without_section(sections: list) -> Optional[tuple]:
     return tuple(int(i == missing[-1]) for i in range(len(sections))) if missing else None
 
 
-def _first_outside_image(image: ModuleMap, inclusion: ModuleMap) -> Optional[tuple]:
-    """First element (in enumeration order) of the group the injective
-    ``inclusion`` embeds whose inclusion leaves ``image``, or None: one solve."""
-    return _first_without_section(_solve_in_module_columns(
-        image.target, image.matrix, inclusion.matrix.columns()))
+def _first_outside_image(target: FpModule, image: IntMatrix, columns) -> Optional[tuple]:
+    """First element (in enumeration order) of a group whose injective
+    inclusion into ``target`` has the columns ``columns`` that the inclusion
+    takes outside the span of ``image``'s columns, or None: one solve."""
+    return _first_without_section(_solve_in_module_columns(target, image, columns))
 
 
 def _onto(phi, obj, injective: bool, hom: Callable, keep_witnesses: bool) -> tuple:
@@ -143,14 +139,17 @@ def _onto(phi, obj, injective: bool, hom: Callable, keep_witnesses: bool) -> tup
     witnesses hom modules first take ``is_epi``, the one test that also runs
     over Z and the cheaper one, and chain-map groups (over Z/n only) compare
     the image order with the target group's; onto, they give no preimages."""
-    _, grp_to, image, inclusion = _restriction_image(phi, obj, injective, hom)
+    grp_to, image = _restriction_image(phi, obj, injective, hom)
     if image is None:
         return True, []
-    if not keep_witnesses and (image.is_epi() if isinstance(phi, ModuleMap)
-                               else image_order(image) == grp_to.module.size()):
+    ambient = grp_to._inclusion.target
+    if isinstance(phi, ModuleMap):
+        if not keep_witnesses and image.is_epi():
+            return True, None
+        image = image.matrix
+    elif not keep_witnesses and image_order(ambient, image) == grp_to.module.size():
         return True, None
-    sections = _solve_in_module_columns(image.target, image.matrix,
-                                        inclusion.matrix.columns())
+    sections = _solve_in_module_columns(ambient, image, grp_to._section_columns)
     return None not in sections, sections
 
 
@@ -234,6 +233,17 @@ def _check_rings(m: FpModule, u: ModuleUniverse) -> None:
 # Module level
 # ---------------------------------------------------------------------------
 
+def _fresh(verdict: Verdict) -> Verdict:
+    """A copy of ``verdict`` with its own witnesses list, counterexample and
+    extra dicts: what the public checkers return, so that changing a result
+    does not change the verdict ``lifting.verdicts`` holds for the next
+    call.  Internal readers, which only read a verdict, take the stored one
+    from ``_module_verdict`` or ``_complex_verdict``."""
+    return Verdict(verdict.holds, verdict.universe, verdict.checked, list(verdict.witnesses),
+                   None if verdict.counterexample is None else dict(verdict.counterexample),
+                   dict(verdict.extra))
+
+
 def x_injective_module(e: FpModule, x: XClassSpec, u: ModuleUniverse,
                        keep_witnesses: bool = True) -> Verdict:
     """Lifting test: every map into e from the source of a universe injection
@@ -244,26 +254,32 @@ def x_injective_module(e: FpModule, x: XClassSpec, u: ModuleUniverse,
     injections must vanish.  The two computations are independent and are
     expected to agree.
     """
-    _check_rings(e, u)
-
-    def ext_vanishing(verdict: Verdict) -> None:
-        coks = {cok.factors: cok for _, cok in u.mono_pool() if contains_module(x, cok)}
-        ext_holds = all(ext1_module(cok, e).is_zero() for cok in coks.values())
-        verdict.extra["ext_vanishing_holds"] = ext_holds
-        verdict.extra["criteria_agree"] = ext_holds == verdict.holds
-
-    return _lifting_verdict(e, x, u, lambda: [(None, u.mono_pool())], True, keep_witnesses,
-                            level="module", hom=hom_module, member=contains_module,
-                            finish=ext_vanishing)
+    return _fresh(_module_verdict(e, x, u, True, keep_witnesses))
 
 
 def x_projective_module(p: FpModule, x: XClassSpec, u: ModuleUniverse,
                         keep_witnesses: bool = True) -> Verdict:
     """Dual lifting test: every map from p to the target of a universe
     surjection with class-member kernel lifts through the surjection."""
-    _check_rings(p, u)
-    return _lifting_verdict(p, x, u, lambda: [(None, u.epi_pool())], False, keep_witnesses,
-                            level="module", hom=hom_module, member=contains_module)
+    return _fresh(_module_verdict(p, x, u, False, keep_witnesses))
+
+
+def _module_verdict(m: FpModule, x: XClassSpec, u: ModuleUniverse, injective: bool,
+                    keep_witnesses: bool) -> Verdict:
+    """The verdict of ``x_injective_module`` (``injective``) or
+    ``x_projective_module``, the stored one when witness-free."""
+    _check_rings(m, u)
+
+    def ext_vanishing(verdict: Verdict) -> None:
+        coks = {cok.factors: cok for _, cok in u.mono_pool() if contains_module(x, cok)}
+        ext_holds = all(ext1_module(cok, m).is_zero() for cok in coks.values())
+        verdict.extra["ext_vanishing_holds"] = ext_holds
+        verdict.extra["criteria_agree"] = ext_holds == verdict.holds
+
+    pool = u.mono_pool if injective else u.epi_pool
+    return _lifting_verdict(m, x, u, lambda: [(None, pool())], injective, keep_witnesses,
+                            level="module", hom=hom_module, member=contains_module,
+                            finish=ext_vanishing if injective else None)
 
 
 # ---------------------------------------------------------------------------
@@ -288,22 +304,27 @@ def x_injective_complex(c: Complex, x: XClassSpec, cu: ComplexUniverse,
                         keep_witnesses: bool = True) -> Verdict:
     """Every chain map into c from the source of a universe chain injection
     whose cokernel complex is a class complex must extend over the injection."""
-    # the pool is read lazily, up to the first counterexample; injections
-    # whose source misses c's support only restrict the zero map
-    return _lifting_verdict(
-        c, x, cu, _blocks_meeting(cu.monos, c, lambda phi: phi.source), True, keep_witnesses,
-        level="complex", hom=chain_map_group, member=contains_complex)
+    return _fresh(_complex_verdict(c, x, cu, True, keep_witnesses))
 
 
 def x_projective_complex(c: Complex, x: XClassSpec, cu: ComplexUniverse,
                          keep_witnesses: bool = True) -> Verdict:
     """Every chain map from c to the target of a universe chain surjection
     whose kernel complex is a class complex must lift through the surjection."""
-    # the pool is read lazily, up to the first counterexample; surjections
-    # whose target misses c's support only receive the zero map
-    return _lifting_verdict(
-        c, x, cu, _blocks_meeting(cu.epis, c, lambda psi: psi.target), False, keep_witnesses,
-        level="complex", hom=chain_map_group, member=contains_complex)
+    return _fresh(_complex_verdict(c, x, cu, False, keep_witnesses))
+
+
+def _complex_verdict(c: Complex, x: XClassSpec, cu: ComplexUniverse, injective: bool,
+                     keep_witnesses: bool) -> Verdict:
+    """The verdict of ``x_injective_complex`` (``injective``) or
+    ``x_projective_complex``, the stored one when witness-free.  The pool is
+    read lazily, up to the first counterexample; injections whose source
+    (surjections whose target) misses c's support only restrict (receive)
+    the zero map."""
+    blocks = _blocks_meeting(cu.monos, c, lambda phi: phi.source) if injective \
+        else _blocks_meeting(cu.epis, c, lambda psi: psi.target)
+    return _lifting_verdict(c, x, cu, blocks, injective, keep_witnesses,
+                            level="complex", hom=chain_map_group, member=contains_complex)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +425,7 @@ def _first_non_nullhomotopic(src: Complex, tgt: Complex) -> Optional[ChainMap]:
     if grp._inclusion is None:
         return None
     boundaries = hom_complex_data(src, tgt, degrees=(-1, 0)).complex.differential(-1)
-    elem = _first_outside_image(boundaries, grp._inclusion)
+    elem = _first_outside_image(boundaries.target, boundaries.matrix, grp._section_columns)
     g = None if elem is None else grp.decode(elem)
     if g is not None and null_homotopy(g) is not None:
         raise AssertionError("counterexample refuted by a null-homotopy")
@@ -543,7 +564,7 @@ def _middle_inclusion(grp: ChainMapGroup, f: ModuleMap, left: bool) -> ModuleMap
     the group's cycle inclusion in that block."""
     if grp._inclusion is None:
         return ModuleMap.identity(grp.module)
-    (_, hm), = grp._data.degrees[0].blocks
+    (_, hm), = grp._hom0.blocks
     if left:
         induced = hom_postcompose(hm, hom_module(hm.source, f.target), f)
     else:
@@ -569,13 +590,13 @@ def null_map_property(f: ChainMap, direction: str, x: XClassSpec,
     if direction == "fromProjective":
         if not contains_complex(x, f.target):
             raise HypothesisError("target is not a class complex")
-        hyp = x_projective_complex(f.source, x, cu, keep_witnesses=False)
+        hyp = _complex_verdict(f.source, x, cu, False, False)
         if not hyp.holds:
             raise HypothesisError("source failed the projective-complex test")
     elif direction == "toInjective":
         if not contains_complex(x, f.source):
             raise HypothesisError("source is not a class complex")
-        hyp = x_injective_complex(f.target, x, cu, keep_witnesses=False)
+        hyp = _complex_verdict(f.target, x, cu, True, False)
         if not hyp.holds:
             raise HypothesisError("target failed the injective-complex test")
     else:
@@ -605,7 +626,7 @@ def summand_retraction(xc: Complex, y: Complex, incl: ChainMap, x: XClassSpec,
     cok = cokernel_complex(incl)
     if not contains_complex(x, cok):
         raise HypothesisError("cokernel complex is outside the class")
-    hyp = x_injective_complex(xc, x, cu, keep_witnesses=False)
+    hyp = _complex_verdict(xc, x, cu, True, False)
     if not hyp.holds:
         raise HypothesisError("included complex failed the injective-complex test")
     return _factor_through(incl, [ChainMap.identity(xc)], True)[0]

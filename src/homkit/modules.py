@@ -139,19 +139,7 @@ class ModuleMap:
             raise ModuleError(
                 f"matrix shape {self.matrix.rows}x{self.matrix.cols} does not match "
                 f"{self.target.ngens}x{self.source.ngens}")
-        # one pass per row: reduce it modulo its target factor di and test
-        # dj * x == 0 mod di for every source factor dj
-        sf, tf, reduced, bad = self.source.factors, self.target.factors, [], False
-        for row, di in zip(self.matrix.entries, tf):
-            red = tuple(map(mod, row, repeat(di))) if di else tuple(row)
-            bad = bad or any(map(mod, map(mul, sf, red), repeat(di)) if di else map(mul, sf, red))
-            reduced.append(red)
-        if bad:
-            j = min(j for red, di in zip(reduced, tf)
-                    for j, (dj, x) in enumerate(zip(sf, red)) if (dj * x % di if di else dj * x))
-            raise ModuleError(
-                f"not well defined: factor {sf[j]} times column {j} survives in the target")
-        reduced = tuple(reduced)
+        reduced = _checked_rows(self.source.factors, self.target.factors, self.matrix.entries)
         if reduced != self.matrix.entries:
             object.__setattr__(self, "matrix", IntMatrix(self.matrix.rows, self.matrix.cols, reduced))
 
@@ -201,6 +189,25 @@ class ModuleMap:
             return _surjective_on(self.matrix.entries, self.target.factors,
                                   _primes(ring.modulus))
         return cokernel(self)[0].is_zero()
+
+
+def _checked_rows(source: Sequence[int], target: Sequence[int], rows) -> tuple:
+    """The rows of a matrix from the sum of R/(d_j) (``source`` factors) to
+    the sum of R/(d_i) (``target``), each reduced modulo its d_i, as the
+    matrix of ``ModuleMap``; ModuleError when the map is not well defined,
+    that is when d_j times column j survives in the target.  One pass per
+    row: reduce it and test d_j * x == 0 mod d_i for every d_j."""
+    reduced, bad = [], False
+    for row, di in zip(rows, target):
+        red = tuple(map(mod, row, repeat(di))) if di else tuple(row)
+        bad = bad or any(map(mod, map(mul, source, red), repeat(di)) if di else map(mul, source, red))
+        reduced.append(red)
+    if bad:
+        j = min(j for red, di in zip(reduced, target)
+                for j, (dj, x) in enumerate(zip(source, red)) if (dj * x % di if di else dj * x))
+        raise ModuleError(
+            f"not well defined: factor {source[j]} times column {j} survives in the target")
+    return tuple(reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -397,19 +404,20 @@ def image(f: ModuleMap) -> SubquotientWitness:
     return submodule_witness(f.target, f.matrix)
 
 
-def image_order(f: ModuleMap) -> int:
-    """|im f| for a map over Z/n, from one Howell basis of its columns.
+def image_order(target: FpModule, mat: IntMatrix) -> int:
+    """|im| of the map over Z/n into ``target`` with matrix ``mat``, from one
+    Howell basis of its columns.
 
     The target, a sum of Z/e_i, embeds in (Z/n)^r by x_i -> (n/e_i) x_i;
     a Howell basis of the embedded columns spans a group of order
     prod n/lead over its rows, each lead a divisor of n (Howell, "Spans in
     the module (Z_m)^s", 1986)."""
-    ring = f.target.ring
+    ring = target.ring
     if not ring.is_modular:
         raise ModuleError("image orders are counted over Z/n only")
     n = ring.modulus
-    scales = [n // e for e in f.target.factors]
-    cols = [[s * x % n for s, x in zip(scales, col)] for col in f.matrix.columns()]
+    scales = [n // e for e in target.factors]
+    cols = [[s * x % n for s, x in zip(scales, col)] for col in mat.columns()]
     order = 1
     for row in _echelon(cols, len(scales), n):
         order *= n // next(x for x in row if x)
@@ -575,6 +583,12 @@ class HomModule:
     def _inclusion(self) -> "ModuleMap":
         """The group's embedding in its ambient group: itself, by the identity."""
         return ModuleMap.identity(self.module)
+
+    @cached_property
+    def _section_columns(self) -> tuple:
+        """The columns of ``_inclusion``: the right-hand sides of the section
+        solves of every restriction into this group."""
+        return tuple(self._inclusion.matrix.columns())
 
 
 def _scan_maps(module: FpModule, rows, shapes: list) -> Iterator[tuple]:

@@ -234,7 +234,7 @@ def chain_group_rows_oracle(grp, elem) -> dict:
     ``ModuleMap.apply``."""
     if grp._inclusion is None:
         return {}
-    data = grp._data.degrees[0]
+    data = grp._hom0
     coords = grp._inclusion.apply(elem)
     return {i: hm._rows(data.sum.projections[idx].apply(coords))
             for idx, (i, hm) in enumerate(data.blocks)}
@@ -243,7 +243,7 @@ def chain_group_rows_oracle(grp, elem) -> dict:
 def chain_group_image_oracle(g_from, g_to, phi: ChainMap, pre: bool) -> ModuleMap:
     """``complexes.chain_group_image`` as it was: one ``block_sum_oracle``
     of the composition blocks followed by g_from's cycle inclusion."""
-    src, tgt = g_from._data.degrees[0], g_to._data.degrees[0]
+    src, tgt = g_from._hom0, g_to._hom0
     compose = hom_precompose if pre else hom_postcompose
     slots = {i: t for t, (i, _) in enumerate(tgt.blocks)}
     blocks = [(s, slots[i], compose(hm, tgt.blocks[slots[i]][1], phi.component(i)).matrix)
@@ -279,8 +279,8 @@ def chain_group_compose(g_from, g_to, phi: ChainMap, pre: bool) -> ModuleMap:
     if g_from._inclusion is None or g_to._inclusion is None:
         return ModuleMap.zero(g_from.module, g_to.module)
     image = chain_group_image(g_from, g_to, phi, pre)
-    parts = solve_in_module_columns_oracle(image.target, g_to._inclusion.matrix,
-                                           image.matrix.columns())
+    parts = solve_in_module_columns_oracle(g_to._inclusion.target, g_to._inclusion.matrix,
+                                           image.columns())
     if any(part is None for part in parts):
         raise AssertionError("composite escaped the chain-map group")
     return ModuleMap(g_from.module, g_to.module,

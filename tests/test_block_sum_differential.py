@@ -42,7 +42,7 @@ def old_block_sum(src, tgt, blocks):
 def old_chain_group_compose(g_from, g_to, phi, pre):
     if g_from._inclusion is None or g_to._inclusion is None:
         return ModuleMap.zero(g_from.module, g_to.module)
-    src, tgt = g_from._data.degrees[0], g_to._data.degrees[0]
+    src, tgt = g_from._hom0, g_to._hom0
     compose = complexes.hom_precompose if pre else complexes.hom_postcompose
     slots = {i: t for t, (i, _) in enumerate(tgt.blocks)}
     blocks = [(s, slots[i], compose(hm, tgt.blocks[slots[i]][1], phi.component(i)).matrix)

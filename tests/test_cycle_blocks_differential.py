@@ -2,7 +2,7 @@
 against the full-width paths they replace.
 
 A ``ChainMapGroup`` keeps P_s = projection s o cycle inclusion for each block
-s of Hom^0 (``complexes._cycle_blocks``, built once per group), and three
+s of Hom^0 (``complexes._cycle_blocks``, built once per d^0), and three
 readers use it: ``chain_group_image`` (one product per block, no
 Inj @ Big @ Proj @ inclusion), the generator rows ``ChainMapGroup._rows``
 (from_canonical @ P_s, no ``ModuleMap.apply`` per block) and, with the
@@ -13,8 +13,9 @@ oracles in ``tests/helpers.py`` are the old paths: ``block_sum_oracle``,
 generator rows, differentials, group factors and inclusions must agree bit
 for bit on every (pool entry, member) pair of the pool universes and every
 (pool entry, input) and (member, input) pair of a warm-checks slice, and a
-slice of certified checks must build P_s once per chain-map group, and no
-source group of a restriction into a zero group.
+slice of certified checks must build P_s once per distinct d^0 (a miss of
+``complexes.cycle_presentations``), and no source group of a restriction
+into a zero group.
 """
 from __future__ import annotations
 
@@ -24,9 +25,9 @@ import pytest
 
 from homkit import caches, complexes, lifting
 from homkit.complexes import chain_group_image, chain_map_group, disk, hom_complex_data
-from homkit.exactalg import Zmod
+from homkit.exactalg import IntMatrix, Zmod
 from homkit.lifting import dg_x_injective, eps1_perp_homotopy, x_injective_complex
-from homkit.modules import FpModule
+from homkit.modules import FpModule, _checked_rows
 from homkit.xclass import ALL, default_complex_universe, eps1_universe, module_universe
 
 from .helpers import (
@@ -50,6 +51,17 @@ def restriction_groups(phi, obj, injective: bool) -> tuple:
 
 def hom_key(data) -> tuple:
     return data.complex.canonical_key(), {n: d.blocks for n, d in data.degrees.items()}
+
+
+def d0_rows(grp) -> tuple:
+    """The reduced rows of d^0 from the group's Hom^0 into Hom^1, as
+    ``complexes._chain_map_group`` reads the cycles from them: () without
+    Hom^1."""
+    hom1 = complexes._hom_degree(grp.source, grp.target, 1)
+    if hom1 is None:
+        return ()
+    rows = complexes._differential_rows(grp.source, grp.target, grp._hom0, hom1)
+    return _checked_rows(grp._hom0.sum.module.factors, hom1.sum.module.factors, rows)
 
 
 class Compared:
@@ -77,25 +89,34 @@ class Compared:
         if inclusion is not None:
             assert (grp._inclusion.source, grp._inclusion.target, grp._inclusion.matrix) == \
                 (inclusion.source, inclusion.target, inclusion.matrix)
-        assert hom_key(grp._data) == \
-            hom_key(hom_complex_data_oracle(grp.source, grp.target, degrees=(0, 1)))
+        # Hom^0 is the oracle's degree 0, and the d^0 rows the cycles come
+        # from are the oracle's d^0
+        want = hom_complex_data_oracle(grp.source, grp.target, degrees=(0, 1))
+        assert (grp._hom0 is None) == (0 not in want.degrees)
+        if grp._hom0 is not None:
+            assert grp._hom0.blocks == want.degrees[0].blocks
+            assert d0_rows(grp) == want.complex.differential(0).matrix.entries
         ngens = grp.module.ngens
         # every generator, and an element whose coordinates wrap its factors
         elems = [tuple(int(t == g) for t in range(ngens)) for g in range(ngens)]
         elems.append(tuple(d + 1 for d in grp.module.factors))
         for elem in elems:
             assert grp._rows(elem) == chain_group_rows_oracle(grp, elem)
-        self.multi_block += inclusion is not None and len(grp._data.degrees[0].blocks) > 1
+        self.multi_block += inclusion is not None and len(grp._hom0.blocks) > 1
 
     def image(self, phi, obj, injective: bool) -> None:
         g_from, g_to = restriction_groups(phi, obj, injective)
         self.group(g_from)
         self.group(g_to)
-        if g_to.module.is_zero() or g_from._inclusion is None:
+        if g_to.module.is_zero():
             return
         got = chain_group_image(g_from, g_to, phi, injective)
+        if g_from._inclusion is None:
+            assert got == IntMatrix.zero(g_to._inclusion.target.ngens, 0)
+            return
         want = chain_group_image_oracle(g_from, g_to, phi, injective)
-        assert (got.source, got.target, got.matrix) == (want.source, want.target, want.matrix)
+        assert want.source == g_from.module and want.target == g_to._inclusion.target
+        assert got == want.matrix
         self.nonzero_images += not got.is_zero()
 
 
@@ -162,11 +183,16 @@ def test_cycle_blocks_are_built_once_per_chain_map_group(n, monkeypatch):
         dg_x_injective(c, ALL, eu, mu=mu, keep_witnesses=True)
     groups = list(complexes._CHAIN_GROUP_CACHE.values())
     with_cycles = [g for g in groups if g._inclusion is not None]
-    # one build per miss of the group table, and one P_s per build with
-    # cycles, the one its group holds; the restriction images, more than
-    # their source groups, read it and do not multiply it again
+    presentations = list(complexes._CYCLE_PRESENTATIONS.values())
+    # one build per miss of the group table, and one P_s per miss of the
+    # cycle table, held by the groups with cycles (fewer than those groups:
+    # they share their d^0); the restriction images, more than their source
+    # groups, read it and do not multiply it again
     assert caches.stats()["complexes.chain_map_group"]["misses"] == len(groups)
-    assert sorted(map(id, built)) == sorted(id(g._blocks) for g in with_cycles)
+    assert caches.stats()["complexes.cycle_presentations"]["misses"] == len(presentations)
+    assert sorted(map(id, built)) == sorted(id(blocks) for _, _, blocks in presentations)
+    assert set(map(id, built)) == {id(g._blocks) for g in with_cycles}
+    assert len(built) < len(with_cycles)
     assert len(images) > len({id(args[0]) for args in images}) > 0
 
 

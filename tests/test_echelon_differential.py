@@ -209,4 +209,4 @@ def test_image_order_matches_the_old_basis(n, data):
     f = ModuleMap(FpModule(ring, (n,) * k), target, IntMatrix.from_rows(entries, cols=k))
     cols = [[n // e * x % n for e, x in zip(factors, col)] for col in f.matrix.columns()]
     want = math.prod(n // next(x for x in row if x) for row in howell_basis(cols, len(factors), n))
-    assert image_order(f) == want
+    assert image_order(f.target, f.matrix) == want

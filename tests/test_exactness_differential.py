@@ -117,9 +117,9 @@ def test_image_orders_need_the_scaling_and_the_closure():
     Howell closure row (0, 2)."""
     r4 = Zmod(4)
     z2, z4, z2z4 = (FpModule(r4, f) for f in ((2,), (4,), (2, 4)))
-    assert image_order(ModuleMap.identity(z2)) == 2
-    assert image_order(ModuleMap(z4, z2z4, IntMatrix.from_rows([[1], [1]]))) == 4
-    assert image_order(ModuleMap.zero(z4, z2z4)) == 1
+    assert image_order(z2, ModuleMap.identity(z2).matrix) == 2
+    assert image_order(z2z4, ModuleMap(z4, z2z4, IntMatrix.from_rows([[1], [1]])).matrix) == 4
+    assert image_order(z2z4, ModuleMap.zero(z4, z2z4).matrix) == 1
 
 
 def test_every_small_window_complex_matches():

@@ -95,6 +95,26 @@ class TestInjectiveModule:
         assert v1.counterexample["map"] == v2.counterexample["map"]
 
 
+def test_a_changed_result_does_not_change_the_next_one():
+    # the witness-free verdicts are stored; each call hands out a copy
+    u = module_universe(R4, 8)
+    cu = default_complex_universe(R4, (0, 1), full_bound=2, disk_bound=4)
+    for check, obj, universe in [(x_injective_module, Z2, u), (x_projective_module, Z2, u),
+                                 (x_injective_complex, sphere(0, Z2), cu),
+                                 (x_projective_complex, sphere(0, Z2), cu)]:
+        first = check(obj, ALL, universe, keep_witnesses=False)
+        want = (first.holds, first.checked, dict(first.extra), dict(first.counterexample))
+        assert not first.holds
+        first.holds = True
+        first.extra["x"] = 1
+        first.witnesses.append("w")
+        first.counterexample["map"] = None
+        again = check(obj, ALL, universe, keep_witnesses=False)
+        assert again is not first
+        assert (again.holds, again.checked, again.extra, again.counterexample) == want
+        assert again.witnesses == []
+
+
 class TestProjectiveModule:
     def test_free_always_lifts(self):
         for cls in (ALL, FREE, ann(2), ZERO_ONLY):

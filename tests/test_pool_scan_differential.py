@@ -92,7 +92,7 @@ def old_family(grp, elem) -> dict:
     decoded by ``HomModule.decode``."""
     if grp._inclusion is None:
         return {}
-    data = grp._data.degrees[0]
+    data = grp._hom0
     coords = grp._inclusion.apply(elem)
     maps = {i: hm.decode(data.sum.projections[idx].apply(coords))
             for idx, (i, hm) in enumerate(data.blocks)}

@@ -72,8 +72,10 @@ def test_sections_and_onto_match_on_every_pool_pair(n, hom, injective):
             assert new_onto(phi, c, injective, True, hom) == (onto, sections)
             assert new_onto(phi, c, injective, False, hom)[0] == onto == epi
             if not onto:
-                _, _, image, inclusion = lifting._restriction_image(phi, c, injective, hom)
-                assert lifting._first_outside_image(image, inclusion) == \
+                grp_to, image = lifting._restriction_image(phi, c, injective, hom)
+                matrix = image.matrix if hom is hom_module else image
+                assert lifting._first_outside_image(grp_to._inclusion.target, matrix,
+                                                    grp_to._section_columns) == \
                     first_outside_image(cokernel(restr)[1])
             seen.add((onto, bool(sections)))
     # onto with sections, onto a zero group, and not onto all occur, except
@@ -203,7 +205,8 @@ def assert_one_solve_on_failure(check, holding, failing, u, hom, keep, monkeypat
     assert keep or images == []
     del images[:]
     v = check(failing, ALL, u(failing), keep_witnesses=keep)
-    image = lifting._restriction_image(v.counterexample["mono"], failing, True, hom)[2].matrix
+    image = lifting._restriction_image(v.counterexample["mono"], failing, True, hom)[1]
+    image = image.matrix if hom is hom_module else image
     assert not v.holds and cokernels == []
     assert images[-1] == image and (keep or images == [image])
 
