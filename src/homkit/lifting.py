@@ -84,8 +84,6 @@ class Verdict:
 # the four lifting checkers' witness-free verdicts are pure functions of
 # (object, class, universe): repeated checks hit this table, not a re-scan
 _VERDICT_CACHE = caches.table("lifting.verdicts")
-# one hom-exactness answer per (source, target), read by eps1-perp and dg
-_HOM_EXACT = caches.table("lifting.hom_exact")
 
 # hom_exactness enumerates the middle maps only up to this many chain maps
 _CHAIN_SEARCH_CAP = 1 << 14
@@ -331,26 +329,14 @@ def _complex_verdict(c: Complex, x: XClassSpec, cu: ComplexUniverse, injective: 
 # Homotopy-level orthogonality and differential-graded checks
 # ---------------------------------------------------------------------------
 
-def _hom_inexact_degree(source: Complex, target: Complex) -> Optional[int]:
-    """The least degree where Hom(source, target) is not exact, or None when
-    it is exact everywhere; computed once per pair of canonical keys."""
-    def compute() -> Optional[int]:
-        hom = hom_complex_data(source, target).complex
-        degrees = () if hom.is_zero() else range(hom.support[0], hom.support[1] + 1)
-        return next((k for k in degrees if not exact_at(hom, (k,))), None)
-
-    return _HOM_EXACT.lookup((source.canonical_key(), target.canonical_key()), compute)
-
-
-def _member_inexact_degree(eu: Eps1Universe, rep: Callable, idx: int, c: Complex,
-                           into: bool) -> Optional[int]:
-    """``_hom_inexact_degree`` of Hom(E, c) (``into``) or Hom(c, E) for the
-    member E at ``idx``: None with no hom complex when E is contractible
-    (``Eps1Universe.contraction``), else read under E's representative."""
+def _member_hom(eu: Eps1Universe, idx: int, c: Complex, into: bool) -> Optional[Complex]:
+    """Hom(E, c) (``into``) or Hom(c, E) for the member E at ``idx``, or None,
+    with no hom complex built, when E is contractible
+    (``Eps1Universe.contraction``): then both are exact everywhere."""
     if eu.contraction(idx) is not None:
         return None
-    r = eu.members[rep(idx)]
-    return _hom_inexact_degree(*((r, c) if into else (c, r)))
+    e = eu.members[idx]
+    return hom_complex_data(*((e, c) if into else (c, e))).complex
 
 
 def _check_hom_rings(c: Complex, eu: Eps1Universe) -> None:
@@ -371,23 +357,21 @@ def eps1_perp_homotopy(i: Complex, eu: Eps1Universe,
     in degree zero.  That is Hom(E, C) in degree s + 1, with the same blocks
     and signed differential.  The slides cover its support and the degree
     above, so position s fails iff s + 1 is the least degree where Hom(E, C)
-    is not exact (``_member_inexact_degree``): None, with no hom complex
-    built, for a contractible member (``Eps1Universe.contraction``), whose
-    Hom(E, C) is exact everywhere.  It is the same for isomorphic members,
-    so from the universe's second check on it is read once per isomorphism
-    class of the others, under the member's representative
-    (``Eps1Universe.representatives``); ``checked`` still counts every member
-    and slide, and each witness names the member itself and its position,
-    the support of shift(E, -1 - s).  The counterexample is the first chain
-    map from shift(E, -1 - s), the only shifted complex built, outside the
-    image of the hom complex's d^{-1}, the null-homotopic maps
+    is not exact, read off the one hom complex ``_member_hom`` builds for
+    each member, every check anew: none for a contractible member
+    (``Eps1Universe.contraction``), whose Hom(E, C) is exact everywhere.
+    Each witness names the member and its position, the support of
+    shift(E, -1 - s).  The counterexample is the first chain map from
+    shift(E, -1 - s), the only shifted complex built, outside the image of
+    the hom complex's d^{-1}, the null-homotopic maps
     (``_first_non_nullhomotopic``), which a nonzero homology guarantees.
     A complex over another ring than the universe's raises ModuleError."""
     _check_hom_rings(i, eu)
     verdict = Verdict(True, eu.describe() + ", closed under shifts")
-    rep = eu.representatives()
     for idx, e_cx in enumerate(eu.members):
-        inexact = _member_inexact_degree(eu, rep, idx, i, True)
+        hom = _member_hom(eu, idx, i, True)
+        inexact = None if hom is None else \
+            next((k for k in hom.degrees() if not exact_at(hom, (k,))), None)
         support = e_cx.support
         if support is None or i.is_zero():
             slides = range(1)
@@ -437,15 +421,13 @@ def _dg_verdict(i: Complex, x: XClassSpec, eu: Eps1Universe,
                 injective: bool) -> Verdict:
     """Component test on every degree, then exactness of the internal hom from
     every universe member into the complex (injective) or from the complex
-    into every member (projective), read from ``_member_inexact_degree``: a
-    contractible member (``Eps1Universe.contraction``) gives an exact hom
-    complex either way, and none is built for it.  Exactness is invariant
-    under isomorphism of the member, so from the universe's second check on
-    it is read once per isomorphism class of the others, under the member's
-    representative (``Eps1Universe.representatives``); ``checked`` and the
-    witnesses still list every member, and the homology is computed, on the
-    member itself, only for a counterexample.  A complex over another ring
-    than the universe's raises ModuleError."""
+    into every member (projective), Hom(E, C) or Hom(C, E) as ``_member_hom``
+    builds it, once per member and every check anew: a contractible member
+    (``Eps1Universe.contraction``) gives an exact hom complex either way,
+    and none is built for it.  ``exact_at`` decides each other member on
+    its hom complex, and only a counterexample's homology is computed, off
+    the same complex.  A complex over another ring than the universe's
+    raises ModuleError."""
     _check_hom_rings(i, eu)
     if mu is None:
         mu = module_universe(i.ring, 8)
@@ -459,11 +441,10 @@ def _dg_verdict(i: Complex, x: XClassSpec, eu: Eps1Universe,
             verdict.counterexample = {"kind": "component", "degree": k,
                                       "inner": comp_verdict.counterexample}
             return verdict
-    rep = eu.representatives()
     for idx, e_cx in enumerate(eu.members):
         verdict.checked += 1
-        if _member_inexact_degree(eu, rep, idx, i, injective) is not None:
-            hom = hom_complex_data(*((e_cx, i) if injective else (i, e_cx))).complex
+        hom = _member_hom(eu, idx, i, injective)
+        if hom is not None and not exact_at(hom, hom.degrees()):
             verdict.holds = False
             verdict.counterexample = {"kind": "hom-not-exact", "member": e_cx,
                                       "homology": is_exact(hom).homology}

@@ -36,6 +36,7 @@ from .complexes import (
     ChainMap,
     Complex,
     Homotopy,
+    _composite,
     _subcomplex,
     chain_map_group,
     complex_isomorphic,
@@ -259,7 +260,7 @@ def enumerate_modules(u: ModuleUniverse) -> Iterator[FpModule]:
 def enumerate_homs(a: FpModule, b: FpModule) -> list:
     hm = hom_module(a, b)
     size = hm.module.size()
-    if size is None or size > 1 << 20:
+    if size is None or size > _HOM_SET_CAP:
         raise UniverseCapError("hom set too large to enumerate")
     return list(hm.elements())
 
@@ -291,8 +292,9 @@ def _window_complexes(ring: RingSpec, bound: int, window: Tuple[int, int]) -> It
     """Every nonzero complex on the degrees of ``window`` with components in
     ``module_universe(ring, bound)``: component tuples in product order and,
     for each, the differential tuples with d o d = 0 in product order (each
-    Hom set in element order), found depth first so a nonzero d o d prunes
-    every tuple that extends it."""
+    Hom set in element order), found depth first so a nonzero d o d, read
+    off reduced raw rows (``_composite``), prunes every tuple that extends
+    it."""
     lo, hi = window
     degs = range(lo, hi + 1)
 
@@ -301,7 +303,7 @@ def _window_complexes(ring: RingSpec, bound: int, window: Tuple[int, int]) -> It
             yield diffs
             return
         for d in arrows[len(diffs)]:
-            if not diffs or d.compose(diffs[-1]).is_zero():
+            if not diffs or not any(map(any, _composite(d, diffs[-1]))):
                 yield from tuples(arrows, diffs + [d])
 
     for comps in iproduct(module_universe(ring, bound).members, repeat=len(degs)):
@@ -500,11 +502,11 @@ def _pool(members: list, epi: bool, scan, close, parts) -> Iterator[tuple]:
     scanned member (in the same order), isomorphic cokernels (kernels) and
     so the same lifting answers; a reader that needs only those may skip
     the block.  Which earlier member a member repeats is decided once per
-    pool by ``_Repeats``, bucketed by shape (each component's factors
-    among them), so the earliest member of each isomorphism class
-    represents it however the pool is read; the members of a module
-    universe have pairwise distinct shapes, so a module pool never tests
-    one.
+    pool by ``_Repeats``, which serves this function alone, bucketed by
+    shape (each component's factors among them), so the earliest member of
+    each isomorphism class represents it however the pool is read; the
+    members of a module universe have pairwise distinct shapes, so a module
+    pool never tests one.
     """
     shapes = [_shape(parts(m)) for m in members]
     first = _Repeats(shapes, lambda r, i: _isomorphic(members[r], members[i], epi))
@@ -526,9 +528,10 @@ def _pool(members: list, epi: bool, scan, close, parts) -> Iterator[tuple]:
 
 
 class _Repeats:
-    """The earliest member each member of a list is isomorphic to, decided
-    lazily: called with index i, it returns that member's index, or i when
-    no earlier member is isomorphic to it.
+    """The repeat tags of one pool's blocks (``_pool``, its one user): the
+    earliest member each member of a list is isomorphic to, decided lazily.
+    Called with index i, it returns that member's index, or i when no
+    earlier member is isomorphic to it.
 
     ``shapes[i]`` is the ``_shape`` of member i, an isomorphism invariant,
     and ``isomorphic(r, i)`` decides whether member i is isomorphic to the
@@ -631,6 +634,8 @@ def _complex_parts(c: Complex, epi: bool) -> dict:
 
 
 _SCAN_CAP = 1 << 16
+# the most module maps one Hom set may hold for ``enumerate_homs`` and a module pool
+_HOM_SET_CAP = 1 << 20
 
 
 def _pool_scan(grp, components: list, component_key, cap: int = _SCAN_CAP) -> list:
@@ -686,7 +691,7 @@ def _kernel_elements(src: FpModule, tgt: FpModule, rows: Optional[tuple]) -> Opt
 
 def _hom_scan(component_key):
     """The module case of ``chain_monos``/``chain_epis``, at ``enumerate_homs``' cap."""
-    return lambda a, b: _pool_scan(hom_module(a, b), [(0, a, b)], component_key, 1 << 20)
+    return lambda a, b: _pool_scan(hom_module(a, b), [(0, a, b)], component_key, _HOM_SET_CAP)
 
 
 # a component key is a pure function of (key function, source, target,
@@ -799,7 +804,8 @@ class Eps1Universe:
     Most members split: ``contraction`` decides, once per member and at the
     first check that reads it, whether a member is contractible, and a check
     answers hom-exactness for such a member without building a hom complex.
-    The non-contractible ones are read under ``representatives``."""
+    A check builds the hom complex of each other member itself, once, with
+    no partition of the members and no memo between checks."""
 
     def __init__(self, ring: RingSpec, xclass: XClassSpec,
                  base_bound: int = 4, window: Tuple[int, int] = (-1, 1)):
@@ -817,8 +823,6 @@ class Eps1Universe:
         self.base_bound = base_bound
         self.window = window
         self._members: Optional[list] = None
-        self._checks = 0
-        self._repeats: Optional[_Repeats] = None
         self._contractions: dict = {}    # member index -> contraction or None
 
     def describe(self) -> str:
@@ -833,24 +837,6 @@ class Eps1Universe:
             c for c in _window_complexes(self.ring, self.base_bound, self.window)
             if self._qualifies(c)]
         return self._members
-
-    def representatives(self) -> Callable[[int], int]:
-        """For a check about to read the members in order: maps member i to
-        the member under which it may read an answer that is invariant under
-        isomorphism; the checks ask it for members that are not contractible
-        only.  The first check gets i itself, so a one-shot check never pays
-        for the partition; from the second check on, every check shares one
-        ``_Repeats``, the earliest member isomorphic to member i, bucketed by
-        the shape of ``_complex_parts`` and tested as a complex mono pool
-        tests it (``_isomorphic``)."""
-        self._checks += 1
-        if self._checks == 1:
-            return lambda i: i
-        if self._repeats is None:
-            members = self.members
-            self._repeats = _Repeats([_shape(_complex_parts(c, epi=False)) for c in members],
-                                     lambda r, i: _isomorphic(members[r], members[i], False))
-        return self._repeats
 
     def contraction(self, i: int) -> Optional[Homotopy]:
         """A contraction h of member i (h o d + d o h = id), the canonical
@@ -879,7 +865,8 @@ _EPS1_UNIVERSES = caches.table("xclass.eps1_universes")
 
 def eps1_universe(ring: RingSpec, xclass: XClassSpec, base_bound: int = 4,
                   window: Tuple[int, int] = (-1, 1)) -> Eps1Universe:
-    return _EPS1_UNIVERSES.lookup((ring, xclass.key(), base_bound, window),
+    # its members read module universes, so it is keyed on the cap as well
+    return _EPS1_UNIVERSES.lookup((ring, xclass.key(), base_bound, window, hard_module_cap()),
                                   lambda: Eps1Universe(ring, xclass, base_bound, window))
 
 

@@ -100,7 +100,6 @@ def fill() -> None:
     x_injective_module(Z2, ALL, u4, keep_witnesses=False)
     x_injective_complex(y, ALL, cu4, keep_witnesses=False)
     x_injective_complex(y, ALL, cu4, keep_witnesses=True)     # and cycle presentations
-    # a member that is not contractible: the only ones whose answers are stored
     eps1_perp_homotopy(y, eps1_universe(R4, ALL), keep_witnesses=False)
     hom_complex_data(cu4.members[-1], cu4.members[-1])
     null_homotopy(ChainMap.identity(disk(0, Z2)))
@@ -113,7 +112,7 @@ def test_clear_caches_empties_every_table_and_resets_counters():
     caches.clear_caches()
     fill()
     before = caches.stats()
-    assert len(before) == 19 and "complexes.cycle_presentations" in before
+    assert len(before) == 18 and "complexes.cycle_presentations" in before
     assert all(s["entries"] for s in before.values()), before
     assert "modules.ext1_module" not in before
     caches.clear_caches()

@@ -11,7 +11,6 @@ from homkit.complexes import _CHAIN_GROUP_CACHE, ChainMap, disk, null_homotopy, 
 from homkit.construct import precover_bounded, verify_precover_factorization
 from homkit.exactalg import Zmod
 from homkit.lifting import (
-    _HOM_EXACT,
     _VERDICT_CACHE,
     dg_x_injective,
     eps1_perp_homotopy,
@@ -39,7 +38,6 @@ def sizes() -> dict:
             "eps1 universes": len(_EPS1_UNIVERSES),
             "chain-map groups": len(_CHAIN_GROUP_CACHE),
             "verdicts": len(_VERDICT_CACHE),
-            "hom exactness": len(_HOM_EXACT),
             "hom modules": hom_module.cache_info().currsize,
             "map systems": len(_MAP_SYSTEMS)}
 

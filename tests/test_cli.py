@@ -25,6 +25,7 @@ from homkit.xclass import (
     Eps1Universe,
     UniverseCapError,
     default_complex_universe,
+    eps1_universe,
     hard_module_cap,
     module_universe,
     raised_module_cap,
@@ -325,6 +326,18 @@ def test_module_universe_keyed_on_the_cap_in_force(monkeypatch):
         assert module_universe(Zmod(4), 128).members
     with pytest.raises(UniverseCapError):
         module_universe(Zmod(4), 128)
+
+
+def test_eps1_universe_keyed_on_the_cap_in_force(monkeypatch):
+    # over Z/67 a base bound of 65 is over the default cap of 64; a universe
+    # built under a raised cap used to be handed out again at the default one
+    monkeypatch.delenv("HOMKIT_CAP", raising=False)
+    with pytest.raises(UniverseCapError):
+        eps1_universe(Zmod(67), ALL, base_bound=65).members
+    with raised_module_cap(128):
+        assert len(eps1_universe(Zmod(67), ALL, base_bound=65).members) == 1
+    with pytest.raises(UniverseCapError):
+        eps1_universe(Zmod(67), ALL, base_bound=65).members
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])

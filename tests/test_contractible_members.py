@@ -67,10 +67,6 @@ def counting(monkeypatch) -> tuple:
     return solved, built
 
 
-def hom_exact_entries() -> int:
-    return caches.stats()["lifting.hom_exact"]["entries"]
-
-
 def test_a_universe_of_contractible_members_builds_no_hom(monkeypatch):
     solved, built = counting(monkeypatch)
     ring = Zmod(6)
@@ -79,7 +75,7 @@ def test_a_universe_of_contractible_members_builds_no_hom(monkeypatch):
         assert eps1_perp_homotopy(c, eu).holds
         assert dg_x_injective(c, ALL, eu).holds
         assert dg_x_projective(c, ALL, eu).holds
-    assert hom_exact_entries() == 0 and built == []
+    assert built == []
     assert Counter(solved) == Counter(eu.members)
 
 
@@ -88,14 +84,14 @@ def test_each_passing_check_reads_the_one_member_that_is_not_contractible(monkey
     ring = Zmod(4)
     z4 = FpModule(ring, (4,))
     eu = eps1_universe(ring, ALL)
+    e, = (m for m in eu.members if not contractible_by_retractions(m))
     checks = [lambda: eps1_perp_homotopy(disk(0, z4), eu),
               lambda: dg_x_injective(disk(1, z4), ALL, eu),
               lambda: dg_x_projective(disk(0, z4), ALL, eu),
               lambda: eps1_perp_homotopy(sphere(0, z4), eu, keep_witnesses=False)]
-    for entries, check in enumerate(checks, 1):
+    for check in checks:
         assert check().holds
-        assert hom_exact_entries() == entries
-    assert len(built) == len(checks)
+    assert built == [(e, disk(0, z4)), (e, disk(1, z4)), (disk(0, z4), e), (e, sphere(0, z4))]
     # one contractibility solve per member, however many checks read it
     assert Counter(solved) == Counter(eu.members)
 

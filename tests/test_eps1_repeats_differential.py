@@ -1,21 +1,14 @@
-"""Exactness universes read one hom-exactness answer per isomorphism class of
-members that are not contractible, from their second check on.
+"""Exactness-universe checks read each member itself, on every check.
 
-``Eps1Universe.representatives`` hands a universe's first check each member
-itself and every later check the earliest member isomorphic to it, decided
-lazily by ``xclass._Repeats``.  The partition must be the one a brute-force
-isomorphism test finds against all earlier members
-(``isomorphic_by_brute_force``, which calls neither ``_Repeats`` nor
-``complex_isomorphic``), whether the members are asked in order or in
-reverse: over Z/2, Z/4, Z/6 and Z/8 under ALL and ann(2), and over Z/4 on
-the window (-1, 2).  A check reads no answer for a contractible member,
-and a later check reads Hom(E, C) (eps1-perp, dg-injective) or Hom(C, E)
-(dg-projective) for the representative E of each other member, in member
-order.  A universe's first check builds one hom-exactness answer per member
-that is not contractible and tests no isomorphism, a later check builds one
-per class of them, a passing eps1-perp check with witnesses
-builds no shifted complex, and a command-line check, one check on a fresh
-universe, tests no isomorphism.
+A check answers a contractible member with no hom complex
+(``Eps1Universe.contraction``) and builds the hom complex of every other
+member once, in member order, whether it is the universe's first check or a
+later one: Hom(E, C) for eps1-perp and dg-injective, Hom(C, E) for
+dg-projective.  No partition of the members into isomorphism classes and no
+memo between checks is kept, so a later check gives the first one's
+``holds``, ``checked``, witnesses and counterexample, no check tests an
+isomorphism of complexes, and a passing eps1-perp check with witnesses
+builds no shifted complex.
 """
 from __future__ import annotations
 
@@ -30,81 +23,93 @@ from homkit.construct import fixture_injective_components_not_injective_complex
 from homkit.exactalg import Zmod
 from homkit.lifting import dg_x_injective, dg_x_projective, eps1_perp_homotopy
 from homkit.modules import FpModule
-from homkit.xclass import ALL, ZERO_ONLY, Eps1Universe, ann, eps1_universe, module_universe
+from homkit.xclass import ALL, ZERO_ONLY, ann, eps1_universe, module_universe
 
 from .helpers import contractible_by_retractions
-from .test_pool_repeat_differential import isomorphic_by_brute_force
-
-# (modulus, class, window) -> (members, isomorphism classes)
-UNIVERSES = {
-    (2, ALL, (-1, 1)): (18, 6), (4, ALL, (-1, 1)): (23, 9),
-    (6, ALL, (-1, 1)): (22, 8), (8, ALL, (-1, 1)): (23, 9),
-    (2, ann(2), (-1, 1)): (18, 6), (4, ann(2), (-1, 1)): (19, 7),
-    (6, ann(2), (-1, 1)): (18, 6), (8, ann(2), (-1, 1)): (19, 7),
-    (4, ALL, (-1, 2)): (133, 27),
-}
-IDS = [f"Z/{n}-{x.key()}-{list(w)}" for n, x, w in UNIVERSES]
 
 
-def brute_force_partition(members: list) -> list:
-    return [next((r for r in range(i) if isomorphic_by_brute_force(members[r], c)), i)
-            for i, c in enumerate(members)]
+def recording(monkeypatch) -> list:
+    """The (source, target) of every hom complex ``lifting`` builds."""
+    built = []
+    build = lifting.hom_complex_data
 
+    def recorded(x, y, degrees=None):
+        built.append((x, y))
+        return build(x, y, degrees)
 
-def second_read(eu: Eps1Universe, order) -> list:
-    """The representatives the second check of a fresh universe reads, asked
-    in ``order``, listed by member."""
-    first = eu.representatives()
-    assert [first(i) for i in range(len(eu.members))] == list(range(len(eu.members)))
-    rep = eu.representatives()
-    got = {i: rep(i) for i in order(range(len(eu.members)))}
-    return [got[i] for i in range(len(eu.members))]
-
-
-@pytest.mark.parametrize("n,x,window", list(UNIVERSES), ids=IDS)
-def test_the_partition_is_the_brute_force_one(n, x, window):
-    caches.clear_caches()
-    eu = Eps1Universe(Zmod(n), x, 4, window)
-    want = brute_force_partition(eu.members)
-    assert (len(eu.members), len(set(want))) == UNIVERSES[n, x, window]
-    assert second_read(eu, list) == want
-    caches.clear_caches()
-    assert second_read(Eps1Universe(Zmod(n), x, 4, window), reversed) == want
+    monkeypatch.setattr(lifting, "hom_complex_data", recorded)
+    return built
 
 
 @pytest.mark.parametrize("check", ["eps1-perp", "dg-injective", "dg-projective"])
-def test_a_later_check_reads_each_answer_under_the_representative(check, monkeypatch):
-    """A check reads no answer for a contractible member, so the window
-    (-1, 2), with 9 members that are not contractible in 5 classes, is
-    where a later check still reads under representatives.  Hom(E, C) and
-    Hom(C, E) are exact or not alike on every pair these universes and
-    inputs give, so a check that read the other direction would return the
-    same verdicts: the pairs read are compared here."""
+def test_every_check_builds_one_hom_complex_per_member_that_is_not_contractible(
+        check, monkeypatch):
+    """On the window (-1, 2), 9 of the 133 members are not contractible.
+    Hom(E, C) and Hom(C, E) are exact or not alike on every pair these
+    universes and inputs give, so a check that read the other direction
+    would return the same verdicts: the pairs built are compared here, on
+    the universe's first check and on later ones."""
     ring = Zmod(4)
-    c = disk(0, FpModule(ring, (4,)))      # contractible: every member is read
+    c = disk(0, FpModule(ring, (4,)))      # contractible: every check passes
     caches.clear_caches()
     eu = eps1_universe(ring, ALL, window=(-1, 2))
-    members = eu.members
-    unsplit = [i for i, e in enumerate(members) if not contractible_by_retractions(e)]
-    assert (len(members), len(unsplit)) == (133, 9)
-    reps = [members[unsplit[r]] for r in brute_force_partition([members[i] for i in unsplit])]
-    assert len(set(reps)) == 5
-    assert eps1_perp_homotopy(c, eu).holds      # the first check
-    read = []
-    answer = lifting._hom_inexact_degree
-
-    def recording(source, target):
-        read.append((source, target))
-        return answer(source, target)
-
-    monkeypatch.setattr(lifting, "_hom_inexact_degree", recording)
+    unsplit = [e for e in eu.members if not contractible_by_retractions(e)]
+    assert (len(eu.members), len(unsplit)) == (133, 9)
+    built = recording(monkeypatch)
     mu = module_universe(ring, 8)
     run = {"eps1-perp": lambda: eps1_perp_homotopy(c, eu),
            "dg-injective": lambda: dg_x_injective(c, ZERO_ONLY, eu, mu),
            "dg-projective": lambda: dg_x_projective(c, ZERO_ONLY, eu, mu)}[check]
-    v = run()
-    assert v.holds and {w["member"] for w in v.witnesses} == set(members)
-    assert read == [(c, r) if check == "dg-projective" else (r, c) for r in reps]
+    want = [(c, e) if check == "dg-projective" else (e, c) for e in unsplit]
+    for _ in range(3):
+        built.clear()
+        v = run()
+        assert v.holds and {w["member"] for w in v.witnesses} == set(eu.members)
+        assert built == want
+
+
+# (modulus, class, base bound, window) of universes with members that are
+# not contractible, and inputs on which the checks pass and fail
+UNIVERSES = [(4, ALL, 4, (-1, 1)), (4, ann(2), 4, (-1, 1)), (8, ALL, 4, (-1, 1)),
+             (12, ALL, 4, (-1, 1)), (4, ALL, 4, (-1, 2))]
+IDS = [f"Z/{n}-{x.key()}-base{b}-{list(w)}" for n, x, b, w in UNIVERSES]
+
+
+def checks(n: int, bound: int, window: tuple, x) -> list:
+    """Each check of the universe on each input, as a thunk, in one order."""
+    ring = Zmod(n)
+    small = next(m for m in module_universe(ring, 8).members if not m.is_zero())
+    free = FpModule(ring, (n,))
+    inputs = [disk(0, free), sphere(0, small), sphere(1, free)]
+    if n == 4:
+        inputs.append(fixture_injective_components_not_injective_complex())
+    mu = module_universe(ring, 8)
+    out = []
+    for c in inputs:
+        out.append(lambda c=c: eps1_perp_homotopy(c, eps1_universe(ring, x, bound, window)))
+        for check in (dg_x_injective, dg_x_projective):
+            out.append(lambda c=c, check=check: check(
+                c, ZERO_ONLY, eps1_universe(ring, x, bound, window), mu))
+    return out
+
+
+def record(v) -> tuple:
+    return v.holds, v.checked, v.universe, v.witnesses, v.counterexample
+
+
+@pytest.mark.parametrize("n,x,bound,window", UNIVERSES, ids=IDS)
+def test_a_later_check_answers_as_the_first(n, x, bound, window):
+    """Each check run as its universe's first, and all of them run twice
+    in a row on one universe, give the same verdicts."""
+    first = []
+    for run in checks(n, bound, window, x):
+        caches.clear_caches()
+        first.append(record(run()))
+    caches.clear_caches()
+    for _ in range(2):
+        assert [record(run()) for run in checks(n, bound, window, x)] == first
+    outcomes = {(holds, (cex or {}).get("kind")) for holds, _, _, _, cex in first}
+    assert {(True, None), (False, "perp"), (False, "hom-not-exact")} <= outcomes
 
 
 # -- the work each check does -------------------------------------------------
@@ -127,30 +132,24 @@ def counting(monkeypatch) -> dict:
     return counts
 
 
-def hom_exact_entries() -> int:
-    return caches.stats()["lifting.hom_exact"]["entries"]
+@pytest.mark.parametrize("n,x,bound,window", UNIVERSES, ids=IDS)
+def test_no_check_tests_an_isomorphism(n, x, bound, window, monkeypatch):
+    counts = counting(monkeypatch)
+    for _ in range(2):
+        for run in checks(n, bound, window, x):
+            run()
+    assert counts["complex_isomorphic"] == 0
 
 
-def test_the_partition_is_paid_from_the_second_check_on(monkeypatch):
-    """On the window (-1, 2): 9 members that are not contractible, in 5
-    classes, each of them read once by the first check."""
+def test_a_passing_check_builds_no_shifted_complex(monkeypatch):
     counts = counting(monkeypatch)
     ring = Zmod(4)
     z4 = FpModule(ring, (4,))
     eu = eps1_universe(ring, ALL, window=(-1, 2))
-    v = eps1_perp_homotopy(disk(0, z4), eu, keep_witnesses=True)
-    assert v.holds and len(v.witnesses) == v.checked
-    assert hom_exact_entries() == 9
+    for c in (disk(0, z4), sphere(0, z4), disk(0, z4)):
+        v = eps1_perp_homotopy(c, eu, keep_witnesses=True)
+        assert v.holds and len(v.witnesses) == v.checked
     assert counts == {"complex_isomorphic": 0, "shift": 0}
-    v = eps1_perp_homotopy(sphere(0, z4), eu, keep_witnesses=True)
-    assert v.holds and {w["member"] for w in v.witnesses} == set(eu.members)
-    assert hom_exact_entries() - 9 == 5
-    assert counts["complex_isomorphic"] > 0 and counts["shift"] == 0
-    # a third check decides nothing again
-    tested = counts["complex_isomorphic"]
-    assert dg_x_injective(sphere(1, z4), ALL, eu, module_universe(ring, 8)).holds
-    assert hom_exact_entries() - 9 == 10
-    assert counts["complex_isomorphic"] == tested
 
 
 @pytest.mark.parametrize("kind", ["eps1-perp", "dg-injective"])

@@ -1,21 +1,20 @@
-"""One hom-exactness answer per (source, target) pair, against the checkers
-that asked the question separately.
+"""eps1-perp and dg against the checkers that built every hom complex.
 
-``old_eps1_perp_homotopy`` is the previous eps1-perp body, kept as the
+``old_eps1_perp_homotopy`` is an earlier eps1-perp body, kept as the
 oracle: it built Hom(E, C) for every member E and asked ``exact_at`` at
-degree s + 1 for every slide s.  ``old_dg_verdict`` is the previous dg body:
-it rebuilt Hom(E, C) (injective) or Hom(C, E) (projective) for every member
-and ran ``is_exact`` on it.  Both checkers now read
-``lifting._hom_inexact_degree``, the least degree where the hom complex is
-not exact, memoised per pair of canonical keys, and from a universe's
-second check on read it under the earliest member isomorphic to the member
-(``Eps1Universe.representatives``); a contractible member they take as
-exact without building a hom complex.  They must return the same
-``holds``, ``checked``, universe, witnesses and counterexample (the dg
-homology included), with witnesses on and off, right after
-``clear_caches()`` and again with the table warm; also for a ``pred:``
-class, on the wider window (-1, 2), and on the universes of mostly split
-members over Z/2, Z/4, Z/6, Z/8, Z/12 and Z/9 (base bound 9).
+degree s + 1 for every slide s.  ``old_dg_verdict`` is an earlier dg body:
+it built Hom(E, C) (injective) or Hom(C, E) (projective) for every member
+and ran ``is_exact`` on it.  Both checkers now take a contractible member
+(``Eps1Universe.contraction``) as exact without building a hom complex, and
+build the hom complex of every other member once per check
+(``lifting._member_hom``): eps1-perp reads the least degree where it is not
+exact, dg reads ``exact_at`` over it and, for a counterexample, the
+homology off the same complex.  They must return the same ``holds``,
+``checked``, universe, witnesses and counterexample (the dg homology
+included), with witnesses on and off, right after ``clear_caches()`` and
+again on the same universes; also for a ``pred:`` class, on the wider
+window (-1, 2), and on the universes of mostly split members over Z/2, Z/4,
+Z/6, Z/8, Z/12 and Z/9 (base bound 9).
 """
 from __future__ import annotations
 
@@ -224,10 +223,15 @@ def test_a_pred_class_and_a_wider_window_match_the_oracles():
         assert ((side, "zero"), False, "hom-not-exact") in outcomes
 
 
-def test_dg_builds_a_hom_complex_only_for_its_counterexample(monkeypatch):
+def test_dg_builds_one_hom_complex_per_member_that_is_not_contractible(monkeypatch):
+    """A passing dg check builds Hom(E, C) for the one member of Z/4's
+    universe that is not contractible and none for the 22 others; a failing
+    one builds its counterexample's once and reads the homology off it."""
     ring = Zmod(4)
     eu, mu = eps1_universe(ring, ALL), module_universe(ring, 8)
     z2, z4 = FpModule(ring, (2,)), FpModule(ring, (4,))
+    unsplit = [e for e in eu.members if not contractible_by_retractions(e)]
+    assert (len(eu.members), len(unsplit)) == (23, 1)
     built = []
 
     def counting(x, y, degrees=None):
@@ -239,14 +243,13 @@ def test_dg_builds_a_hom_complex_only_for_its_counterexample(monkeypatch):
              (fixture_injective_components_not_injective_complex(), ALL, True),
              (sphere(0, z2), ZERO_ONLY, False))
     for c, x, passes in cases:
-        eps1_perp_homotopy(c, eu)
         built.clear()
         with monkeypatch.context() as patch:
             patch.setattr(lifting, "hom_complex_data", counting)
             v = dg_x_injective(c, x, eu, mu)
         assert v.holds == passes
         if passes:
-            assert built == []
+            assert built == [(e, c) for e in unsplit]
         else:
             assert v.counterexample["kind"] == "hom-not-exact"
             assert built == [(v.counterexample["member"], c)]
