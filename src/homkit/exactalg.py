@@ -210,130 +210,142 @@ def det(a: IntMatrix) -> int:
 # Smith normal form over Z
 # ---------------------------------------------------------------------------
 
-class _SnfState:
-    """Mutable elimination state tracking u and its inverse (``left``) and v
-    (``right``); an untracked transform is None and costs nothing."""
+def _snf_core(m: list, cols: int, left: bool = True, right: bool = True) -> tuple:
+    """Smith normal form of the matrix a whose rows are the lists ``m``,
+    with ``cols`` columns, reduced in place: returns (u, d, v, u^-1) as
+    lists, d being m, with u*a*v = d; u is a list of rows, and v and u^-1,
+    which only ever take column operations, are lists of their columns.
 
-    def __init__(self, a: IntMatrix, left: bool, right: bool):
-        self.m = [list(r) for r in a.entries]
-        self.R, self.C = a.rows, a.cols
-        eye = lambda n: [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        self.u = eye(self.R) if left else None
-        self.ui = eye(self.R) if left else None
-        self.v = eye(self.C) if right else None
+    u and u^-1 are tracked only when ``left`` and v only when ``right``; an
+    untracked transform is returned as None.  The pivot sequence reads only
+    the working matrix, so d and every tracked transform are the same
+    whatever is left out.  Each stage t pivots on the first entry of least
+    absolute value in the trailing block, in row-major order, and clears
+    its column and row; before it, the rows and columns above t are zero
+    outside the diagonal, so the steps skip them, and a pivot of 1 divides
+    the rest of the block without a sweep."""
+    R, C = len(m), cols
 
-    # row ops act on m and u on the left; ui absorbs the inverse on the right
-    def row_swap(self, i, j):
-        self.m[i], self.m[j] = self.m[j], self.m[i]
-        if self.u is not None:
-            self.u[i], self.u[j] = self.u[j], self.u[i]
-            for r in self.ui:
-                r[i], r[j] = r[j], r[i]
+    def eye(n):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = 1
+        return rows
 
-    def row_add(self, i, j, c):
+    u, ui = (eye(R), eye(R)) if left else (None, None)
+    v = eye(C) if right else None
+
+    # row ops act on m and u on the left; u^-1 absorbs the inverse on the right
+    def row_swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        if left:
+            u[i], u[j] = u[j], u[i]
+            ui[i], ui[j] = ui[j], ui[i]
+
+    def row_add(i, j, c):
         # row_i += c * row_j
-        self.m[i] = [x + c * y for x, y in zip(self.m[i], self.m[j])]
-        if self.u is not None:
-            self.u[i] = [x + c * y for x, y in zip(self.u[i], self.u[j])]
-            for r in self.ui:
-                r[j] -= c * r[i]
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        if left:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+            ui[j] = [x - c * y for x, y in zip(ui[j], ui[i])]
 
-    def row_neg(self, i):
-        self.m[i] = [-x for x in self.m[i]]
-        if self.u is not None:
-            self.u[i] = [-x for x in self.u[i]]
-            for r in self.ui:
-                r[i] = -r[i]
+    def row_neg(i):
+        m[i] = [-x for x in m[i]]
+        if left:
+            u[i] = [-x for x in u[i]]
+            ui[i] = [-x for x in ui[i]]
 
-    def col_swap(self, i, j):
-        for r in self.m:
-            r[i], r[j] = r[j], r[i]
-        for r in self.v or ():
-            r[i], r[j] = r[j], r[i]
+    # rows above t are zero from column t on, so column ops skip them
+    def col_swap(t, j):
+        for i in range(t, R):
+            r = m[i]
+            r[t], r[j] = r[j], r[t]
+        if right:
+            v[t], v[j] = v[j], v[t]
 
-    def col_add(self, j, k, c):
-        # col_j += c * col_k
-        for r in self.m:
-            r[j] += c * r[k]
-        for r in self.v or ():
-            r[j] += c * r[k]
+    def col_neg(t):
+        for i in range(t, R):
+            m[i][t] = -m[i][t]
+        if right:
+            v[t] = [-x for x in v[t]]
 
-    def col_neg(self, j):
-        for r in self.m:
-            r[j] = -r[j]
-        for r in self.v or ():
-            r[j] = -r[j]
-
-
-def _snf_full(a: IntMatrix, left: bool = True, right: bool = True):
-    """Return (u, d, v, u_inv) with u*a*v = d in Smith normal form.
-
-    u and u_inv are tracked only when ``left`` and v only when ``right``;
-    an untracked transform is returned as None.  The pivot sequence reads
-    only the working matrix, so d and every tracked transform are the same
-    whatever is left out."""
-    st = _SnfState(a, left, right)
-    m, R, C = st.m, st.R, st.C
     t = 0
     while True:
-        # locate a pivot of minimal absolute value in the trailing block
-        pivot = None
-        best = None
+        # the first entry of least absolute value in the trailing block, in
+        # row-major order, so the search stops at an entry of absolute
+        # value 1; rows from t on are zero before column t
+        pivot, best = None, 0
         for i in range(t, R):
-            for j in range(t, C):
-                x = m[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
+            least = min(filter(None, map(abs, m[i])), default=0)
+            if least and (not best or least < best):
+                pivot, best = i, least
+                if least == 1:
+                    break
         if pivot is None:
             break
-        st.row_swap(t, pivot[0])
-        st.col_swap(t, pivot[1])
+        row_swap(t, pivot)
+        col_swap(t, list(map(abs, m[t])).index(best))
         if m[t][t] < 0:
-            st.row_neg(t)
+            row_neg(t)
         while True:
             # clear column t
             dirty = False
             for i in range(t + 1, R):
-                if m[i][t] != 0:
+                if m[i][t]:
                     q = m[i][t] // m[t][t]
-                    st.row_add(i, t, -q)
-                    if m[i][t] != 0:
-                        st.row_swap(t, i)
+                    if q:
+                        row_add(i, t, -q)
+                    if m[i][t]:
+                        row_swap(t, i)
                         if m[t][t] < 0:
-                            st.row_neg(t)
+                            row_neg(t)
                         dirty = True
             if dirty:
                 continue
-            # clear row t
+            # clear row t; column t is zero below it until a column swap
+            row, below, vt = m[t], [], None
             for j in range(t + 1, C):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    st.col_add(j, t, -q)
-                    if m[t][j] != 0:
-                        st.col_swap(t, j)
-                        if m[t][t] < 0:
-                            st.col_neg(t)  # keep pivot positive after the swap
+                if row[j]:
+                    q = row[j] // row[t]
+                    if q:
+                        # col_j -= q * col_t
+                        row[j] -= q * row[t]
+                        for r in below:
+                            r[j] -= q * r[t]
+                        if right:
+                            # v's column t is sparse: add only its nonzero entries
+                            if vt is None:
+                                vt = [(k, y) for k, y in enumerate(v[t]) if y]
+                            vj = v[j]
+                            for k, y in vt:
+                                vj[k] -= q * y
+                    if row[j]:
+                        col_swap(t, j)
+                        if row[t] < 0:
+                            col_neg(t)  # keep pivot positive after the swap
+                        below, vt = [r for r in m[t + 1:] if r[t]], None
                         dirty = True
             if dirty:
                 continue
-            # enforce divisibility of the trailing block by the pivot
-            offender = None
+            # enforce divisibility of the trailing block by the pivot, which
+            # a pivot of 1 has already
             p = m[t][t]
-            for i in range(t + 1, R):
-                for j in range(t + 1, C):
-                    if m[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = None if p == 1 else next(
+                (i for i in range(t + 1, R) if any(map(p.__rmod__, m[i]))), None)
             if offender is None:
                 break
-            st.row_add(t, offender, 1)
+            row_add(t, offender, 1)
         t += 1
-    to_mat = lambda lst, r, c: None if lst is None else \
-        IntMatrix(r, c, tuple(tuple(row) for row in lst))
-    return to_mat(st.u, R, R), to_mat(m, R, C), to_mat(st.v, C, C), to_mat(st.ui, R, R)
+    return u, m, v, ui
+
+
+def _snf_full(a: IntMatrix, left: bool = True, right: bool = True):
+    """Return (u, d, v, u_inv) with u*a*v = d in Smith normal form, as
+    matrices: ``_snf_core`` on the rows of a, an untracked transform None."""
+    u, d, v, ui = _snf_core([list(r) for r in a.entries], a.cols, left, right)
+    rows = lambda lst: None if lst is None else IntMatrix(len(lst), len(lst), tuple(map(tuple, lst)))
+    cols = lambda lst: None if lst is None else IntMatrix(len(lst), len(lst), _zip_rows(lst, len(lst)))
+    return rows(u), IntMatrix(a.rows, a.cols, tuple(map(tuple, d))), cols(v), cols(ui)
 
 
 def smith_normal_form(a: IntMatrix):
@@ -348,13 +360,9 @@ def smith_normal_form(a: IntMatrix):
 
 def integer_kernel(a: IntMatrix) -> list:
     """Columns generating {x in Z^cols : a @ x = 0} (a lattice basis)."""
-    _, d, v, _ = _snf_full(a, left=False)
-    gens = []
-    for j in range(a.cols):
-        dj = d.entries[j][j] if j < min(a.rows, a.cols) else 0
-        if dj == 0:
-            gens.append(v.col(j))
-    return gens
+    _, d, v, _ = _snf_core([list(r) for r in a.entries], a.cols, left=False)
+    r = min(a.rows, a.cols)
+    return [tuple(v[j]) for j in range(a.cols) if j >= r or d[j][j] == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +370,9 @@ def integer_kernel(a: IntMatrix) -> list:
 # ---------------------------------------------------------------------------
 
 def _unit_scaling(p: int, n: int) -> int:
-    """A unit c mod n with c*p == gcd(p, n) mod n."""
+    """A unit c mod n with c*p == gcd(p, n) mod n: 1 for a p that divides n."""
     p %= n
-    if p == 0:
+    if p == 0 or n % p == 0:
         return 1
     g = math.gcd(p, n)
     pbar, nbar = p // g, n // g
@@ -375,9 +383,10 @@ def _unit_scaling(p: int, n: int) -> int:
     return (c + t * nbar) % n
 
 
-def _lead(row: list) -> Optional[int]:
-    for j, x in enumerate(row):
-        if x:
+def _lead(row: list, start: int = 0) -> Optional[int]:
+    """The first column from ``start`` on where row is not zero, or None."""
+    for j in range(start, len(row)):
+        if row[j]:
             return j
     return None
 
@@ -387,11 +396,14 @@ def _mod(row: Sequence[int], n: int) -> list:
     return [x % n for x in row] if n else list(row)
 
 
-def _comb(a: int, u: list, b: int, v: list, n: int) -> list:
-    """a*u + b*v, reduced mod n when n > 0."""
+def _comb(a: int, u: list, b: int, v: list, n: int, start: int) -> list:
+    """a*u + b*v, reduced mod n when n > 0, for rows v that are zero before
+    column ``start`` and u that is too unless a == 1: u's entries there are
+    kept and only the rest is combined."""
+    tail = zip(u[start:], v[start:])
     if n:
-        return [(a * x + b * y) % n for x, y in zip(u, v)]
-    return [a * x + b * y for x, y in zip(u, v)]
+        return u[:start] + [(a * x + b * y) % n for x, y in tail]
+    return u[:start] + [a * x + b * y for x, y in tail]
 
 
 def _echelon(rows: Iterable[Sequence[int]], cols: int, n: int) -> list:
@@ -413,14 +425,15 @@ def _echelon(rows: Iterable[Sequence[int]], cols: int, n: int) -> list:
                 basis[lead] = r
                 return
             # a lead that divides r's clears it; otherwise the unimodular
-            # gcd transform of the two rows takes the gcd as the lead
+            # gcd transform of the two rows takes the gcd as the lead.  Both
+            # rows are zero before the lead, and r is zero at it afterwards
             q, rem = divmod(r[lead], p[lead])
             if rem:
                 _, s, t, u, v = _gcdex(p[lead], r[lead])
-                basis[lead], r = _comb(s, p, t, r, n), _comb(u, p, v, r, n)
+                basis[lead], r = _comb(s, p, t, r, n, lead), _comb(u, p, v, r, n, lead)
             else:
-                r = _comb(1, r, -q, p, n)
-            lead = _lead(r)
+                r = _comb(1, r, -q, p, n, lead)
+            lead = _lead(r, lead + 1)
 
     for row in rows:
         insert(_mod(row, n))
@@ -437,7 +450,7 @@ def _echelon(rows: Iterable[Sequence[int]], cols: int, n: int) -> list:
     for j in pivots:
         row = basis[j]
         c = _unit_scaling(row[j], n) if n else (-1 if row[j] < 0 else 1)
-        out.append(_mod([c * x for x in row], n))
+        out.append(row if c == 1 else _mod([c * x for x in row], n))
     # reduce above each pivot, sweeping pivot columns left to right (a later
     # reduction never disturbs an earlier pivot column)
     for idx, j in enumerate(pivots):
@@ -445,19 +458,22 @@ def _echelon(rows: Iterable[Sequence[int]], cols: int, n: int) -> list:
         for k in range(idx):
             q = out[k][j] // p[j]
             if q:
-                out[k] = _comb(1, out[k], -q, p, n)
+                out[k] = _comb(1, out[k], -q, p, n, j)
     return out
 
 
 def _echelon_reduce(x: Sequence[int], basis: list, n: int) -> list:
     """The canonical representative of x modulo the span of an ``_echelon``
-    basis (or of a leading run of its rows)."""
+    basis (or of a leading run of its rows), whose leads increase."""
     x = _mod(x, n)
+    lead = 0
     for row in basis:
-        lead = _lead(row)
+        while not row[lead]:
+            lead += 1
         q = x[lead] // row[lead]
         if q:
-            x = _comb(1, x, -q, row, n)
+            x = _comb(1, x, -q, row, n, lead)
+        lead += 1
     return x
 
 

@@ -24,7 +24,8 @@ from .exactalg import (
     RingSpec,
     _echelon,
     _factorize,
-    _snf_full,
+    _snf_core,
+    _zip_rows,
     integer_kernel,
 )
 
@@ -113,9 +114,11 @@ class FpModule:
 def _diagonal(factors: Sequence[int]) -> IntMatrix:
     """The columns d e_i for the nonzero d = factors[i], in order: the
     relations of the sum of the R/(d_i)."""
-    n = len(factors)
-    return IntMatrix.from_columns([[d if j == i else 0 for j in range(n)]
-                                   for i, d in enumerate(factors) if d], rows=n)
+    nonzero = [i for i, d in enumerate(factors) if d]
+    rows = [[0] * len(nonzero) for _ in factors]
+    for c, i in enumerate(nonzero):
+        rows[i][c] = factors[i]
+    return IntMatrix(len(factors), len(nonzero), tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,20 +295,24 @@ def normalize_presentation(ring: RingSpec, ngens: int, relations: IntMatrix) -> 
     the column span of ``relations``."""
     if relations.rows != ngens:
         raise ModuleError("relation matrix must have one row per generator")
-    rel = relations
-    if ring.is_modular:
-        rel = rel.hstack(IntMatrix.identity(ngens).scale(ring.modulus))
-    u, d, _, ui = _snf_full(rel, right=False)
-    diag = [d.entries[i][i] if i < min(d.rows, d.cols) else 0 for i in range(ngens)]
+    n, cols = ring.modulus, relations.cols
+    rows = [list(r) for r in relations.entries]
+    if n:
+        # the relations n e_i of (Z/n)^ngens, as columns after the given ones
+        for i, row in enumerate(rows):
+            row += [0] * ngens
+            row[cols + i] = n
+        cols += ngens
+    u, d, _, ui = _snf_core(rows, cols, right=False)
+    diag = [d[i][i] if i < cols else 0 for i in range(ngens)]
     keep = [i for i, x in enumerate(diag) if x != 1]
-    factors = tuple(diag[i] for i in keep)
-    module = FpModule(ring, factors)
-    to_can = IntMatrix.from_rows([u.entries[i] for i in keep], cols=ngens)
-    from_can = IntMatrix.from_columns([ui.col(i) for i in keep], rows=ngens)
-    if ring.is_modular:
-        to_can = to_can.reduce_mod(ring.modulus)
-        from_can = from_can.reduce_mod(ring.modulus)
-    return Presentation(module, to_can, from_can)
+    to_can, from_can = [u[i] for i in keep], [ui[i] for i in keep]
+    if n:
+        to_can = [[x % n for x in r] for r in to_can]
+        from_can = [[x % n for x in c] for c in from_can]
+    return Presentation(FpModule(ring, tuple(diag[i] for i in keep)),
+                        IntMatrix(len(keep), ngens, tuple(map(tuple, to_can))),
+                        IntMatrix(ngens, len(keep), _zip_rows(from_can, ngens)))
 
 
 # lifting's section solves pose the same systems and right-hand sides again
@@ -363,10 +370,9 @@ def _sublattice_module(ambient: FpModule, gen_cols: IntMatrix,
     lam = ambient.relation_lattice()
     if below is not None:
         lam = below.hstack(lam)
-    rel_y = [col[:gen_cols.cols] for col in integer_kernel(gen_cols.hstack(lam))] \
-        if gen_cols.cols else []
-    pres = normalize_presentation(ambient.ring, gen_cols.cols,
-                                  IntMatrix.from_columns(rel_y, rows=gen_cols.cols))
+    k = gen_cols.cols
+    rel_y = [col[:k] for col in integer_kernel(gen_cols.hstack(lam))] if k else []
+    pres = normalize_presentation(ambient.ring, k, IntMatrix(k, len(rel_y), _zip_rows(rel_y, k)))
     return pres.module, gen_cols @ pres.from_canonical
 
 
@@ -381,8 +387,8 @@ def _kernel_generators(f: ModuleMap) -> IntMatrix:
     """Columns generating the kernel lattice of f in the source coordinates:
     the x with f x in the target's relation lattice."""
     g = f.source.ngens
-    return IntMatrix.from_columns(
-        [col[:g] for col in integer_kernel(f.matrix.hstack(f.target.relation_lattice()))], rows=g)
+    gens = [col[:g] for col in integer_kernel(f.matrix.hstack(f.target.relation_lattice()))]
+    return IntMatrix(g, len(gens), _zip_rows(gens, g))
 
 
 def _kernel_inclusion(f: ModuleMap) -> tuple:

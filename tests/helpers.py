@@ -42,6 +42,7 @@ from homkit.lifting import _CHAIN_SEARCH_CAP
 from homkit.modules import (
     MapSystem,
     ModuleError,
+    Presentation,
     _kernel_inclusion,
     direct_sum,
     hom_postcompose,
@@ -883,3 +884,190 @@ def homology_oracle(c: Complex, k: int) -> FpModule:
             rel_in_B.append(list(col[: B.cols]))
     pres = normalize_presentation(c.ring, B.cols, IntMatrix.from_columns(rel_in_B, rows=B.cols))
     return pres.module
+
+
+# ---------------------------------------------------------------------------
+# The Smith normal form and the kernel path as they were before they ran on
+# plain lists, kept verbatim as test-only oracles: every elimination state
+# an ``IntMatrix`` and every step of the kernel path its own matrix
+# ---------------------------------------------------------------------------
+
+class _SnfState:
+    """Mutable elimination state tracking u and its inverse (``left``) and v
+    (``right``); an untracked transform is None and costs nothing."""
+
+    def __init__(self, a: IntMatrix, left: bool, right: bool):
+        self.m = [list(r) for r in a.entries]
+        self.R, self.C = a.rows, a.cols
+        eye = lambda n: [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        self.u = eye(self.R) if left else None
+        self.ui = eye(self.R) if left else None
+        self.v = eye(self.C) if right else None
+
+    # row ops act on m and u on the left; ui absorbs the inverse on the right
+    def row_swap(self, i, j):
+        self.m[i], self.m[j] = self.m[j], self.m[i]
+        if self.u is not None:
+            self.u[i], self.u[j] = self.u[j], self.u[i]
+            for r in self.ui:
+                r[i], r[j] = r[j], r[i]
+
+    def row_add(self, i, j, c):
+        # row_i += c * row_j
+        self.m[i] = [x + c * y for x, y in zip(self.m[i], self.m[j])]
+        if self.u is not None:
+            self.u[i] = [x + c * y for x, y in zip(self.u[i], self.u[j])]
+            for r in self.ui:
+                r[j] -= c * r[i]
+
+    def row_neg(self, i):
+        self.m[i] = [-x for x in self.m[i]]
+        if self.u is not None:
+            self.u[i] = [-x for x in self.u[i]]
+            for r in self.ui:
+                r[i] = -r[i]
+
+    def col_swap(self, i, j):
+        for r in self.m:
+            r[i], r[j] = r[j], r[i]
+        for r in self.v or ():
+            r[i], r[j] = r[j], r[i]
+
+    def col_add(self, j, k, c):
+        # col_j += c * col_k
+        for r in self.m:
+            r[j] += c * r[k]
+        for r in self.v or ():
+            r[j] += c * r[k]
+
+    def col_neg(self, j):
+        for r in self.m:
+            r[j] = -r[j]
+        for r in self.v or ():
+            r[j] = -r[j]
+
+
+def snf_oracle(a: IntMatrix, left: bool = True, right: bool = True):
+    """Return (u, d, v, u_inv) with u*a*v = d in Smith normal form.
+
+    u and u_inv are tracked only when ``left`` and v only when ``right``;
+    an untracked transform is returned as None.  The pivot sequence reads
+    only the working matrix, so d and every tracked transform are the same
+    whatever is left out."""
+    st = _SnfState(a, left, right)
+    m, R, C = st.m, st.R, st.C
+    t = 0
+    while True:
+        # locate a pivot of minimal absolute value in the trailing block
+        pivot = None
+        best = None
+        for i in range(t, R):
+            for j in range(t, C):
+                x = m[i][j]
+                if x != 0 and (best is None or abs(x) < best):
+                    best = abs(x)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        st.row_swap(t, pivot[0])
+        st.col_swap(t, pivot[1])
+        if m[t][t] < 0:
+            st.row_neg(t)
+        while True:
+            # clear column t
+            dirty = False
+            for i in range(t + 1, R):
+                if m[i][t] != 0:
+                    q = m[i][t] // m[t][t]
+                    st.row_add(i, t, -q)
+                    if m[i][t] != 0:
+                        st.row_swap(t, i)
+                        if m[t][t] < 0:
+                            st.row_neg(t)
+                        dirty = True
+            if dirty:
+                continue
+            # clear row t
+            for j in range(t + 1, C):
+                if m[t][j] != 0:
+                    q = m[t][j] // m[t][t]
+                    st.col_add(j, t, -q)
+                    if m[t][j] != 0:
+                        st.col_swap(t, j)
+                        if m[t][t] < 0:
+                            st.col_neg(t)  # keep pivot positive after the swap
+                        dirty = True
+            if dirty:
+                continue
+            # enforce divisibility of the trailing block by the pivot
+            offender = None
+            p = m[t][t]
+            for i in range(t + 1, R):
+                for j in range(t + 1, C):
+                    if m[i][j] % p != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            st.row_add(t, offender, 1)
+        t += 1
+    to_mat = lambda lst, r, c: None if lst is None else \
+        IntMatrix(r, c, tuple(tuple(row) for row in lst))
+    return to_mat(st.u, R, R), to_mat(m, R, C), to_mat(st.v, C, C), to_mat(st.ui, R, R)
+
+
+def integer_kernel_oracle(a: IntMatrix) -> list:
+    _, d, v, _ = snf_oracle(a, left=False)
+    gens = []
+    for j in range(a.cols):
+        dj = d.entries[j][j] if j < min(a.rows, a.cols) else 0
+        if dj == 0:
+            gens.append(v.col(j))
+    return gens
+
+
+def presentation_oracle(ring: RingSpec, ngens: int, relations: IntMatrix) -> Presentation:
+    if relations.rows != ngens:
+        raise ModuleError("relation matrix must have one row per generator")
+    rel = relations
+    if ring.is_modular:
+        rel = rel.hstack(IntMatrix.identity(ngens).scale(ring.modulus))
+    u, d, _, ui = snf_oracle(rel, right=False)
+    diag = [d.entries[i][i] if i < min(d.rows, d.cols) else 0 for i in range(ngens)]
+    keep = [i for i, x in enumerate(diag) if x != 1]
+    factors = tuple(diag[i] for i in keep)
+    module = FpModule(ring, factors)
+    to_can = IntMatrix.from_rows([u.entries[i] for i in keep], cols=ngens)
+    from_can = IntMatrix.from_columns([ui.col(i) for i in keep], rows=ngens)
+    if ring.is_modular:
+        to_can = to_can.reduce_mod(ring.modulus)
+        from_can = from_can.reduce_mod(ring.modulus)
+    return Presentation(module, to_can, from_can)
+
+
+def sublattice_module_oracle(ambient: FpModule, gen_cols: IntMatrix,
+                             below: Optional[IntMatrix] = None) -> tuple:
+    lam = ambient.relation_lattice()
+    if below is not None:
+        lam = below.hstack(lam)
+    rel_y = [col[:gen_cols.cols] for col in integer_kernel_oracle(gen_cols.hstack(lam))] \
+        if gen_cols.cols else []
+    pres = presentation_oracle(ambient.ring, gen_cols.cols,
+                               IntMatrix.from_columns(rel_y, rows=gen_cols.cols))
+    return pres.module, gen_cols @ pres.from_canonical
+
+
+def kernel_generators_oracle(f: ModuleMap) -> IntMatrix:
+    g = f.source.ngens
+    return IntMatrix.from_columns(
+        [col[:g] for col in integer_kernel_oracle(f.matrix.hstack(f.target.relation_lattice()))],
+        rows=g)
+
+
+def kernel_inclusion_oracle(f: ModuleMap) -> tuple:
+    """``_kernel_inclusion(f)`` as the composition
+    ``_sublattice_module(f.source, _kernel_generators(f))`` it was."""
+    sub, incl_mat = sublattice_module_oracle(f.source, kernel_generators_oracle(f))
+    return sub, ModuleMap(sub, f.source, incl_mat)

@@ -440,8 +440,11 @@ def test_unusable_files_exit_two(tmp_path, capsys, verb, case):
 
 def test_failed_build_verification_exits_two(tmp_path, monkeypatch, capsys):
     # a builder verifies its complex and chain map once, in the checks that
-    # raise BuildError; forcing validate_complex to fail on everything but
-    # the input must surface as that error, and as exit 2 without a traceback
+    # raise BuildError; forcing validate_complex to fail there on everything
+    # but the input must surface as that error, and as exit 2 without a
+    # traceback.  Only the builders' own name is patched: a Complex built
+    # with check=True elsewhere (a lifting confirmation's sphere, when the
+    # caches are cold) must keep the real check
     import homkit.complexes as complexes
     import homkit.construct as construct
     real = complexes.validate_complex
@@ -452,7 +455,6 @@ def test_failed_build_verification_exits_two(tmp_path, monkeypatch, capsys):
             return real(c)
         return complexes.ComplexVerdict(False, None, "forced failure")
 
-    monkeypatch.setattr(complexes, "validate_complex", validate)
     monkeypatch.setattr(construct, "validate_complex", validate)
     for build in (construct.precover_bounded, construct.preenvelope_bounded):
         with pytest.raises(construct.BuildError, match="is not a complex"):

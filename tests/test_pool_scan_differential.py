@@ -53,7 +53,7 @@ from .helpers import pool_without_repeat_skip
 # (modulus, disk bound) of the twelve complex pools, each read for monos and epis
 POOLS = [(2, 8), (4, 4), (4, 8), (6, 4), (8, 4), (9, 4)]
 MODULE_RINGS = [2, 4, 6, 8, 9, 12]
-FULL_TRACKING = exactalg._snf_full
+FULL_TRACKING = exactalg._snf_core
 
 
 # -- the oracle -----------------------------------------------------------
@@ -190,10 +190,10 @@ def oracle(monkeypatch):
     its own."""
     def run(fn):
         caches.clear_caches()
-        full = lambda a, left=True, right=True: FULL_TRACKING(a)
+        full = lambda m, cols, left=True, right=True: FULL_TRACKING(m, cols)
         with monkeypatch.context() as patched:
-            patched.setattr(exactalg, "_snf_full", full)
-            patched.setattr(modules, "_snf_full", full)
+            patched.setattr(exactalg, "_snf_core", full)
+            patched.setattr(modules, "_snf_core", full)
             out = fn()
         caches.clear_caches()
         return out

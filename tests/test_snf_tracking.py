@@ -1,9 +1,10 @@
 """One-sided Smith tracking against the full elimination.
 
-``_snf_full`` tracks u and its inverse only when ``left`` and v only when
-``right``.  The pivot sequence reads only the working matrix, so d and each
-tracked transform must equal the full run's, and every caller that leaves a
-side out must return exactly what it returns when all three are tracked.
+``_snf_core`` tracks u and its inverse only when ``left`` and v only when
+``right``, and ``_snf_full`` is its matrix face.  The pivot sequence reads
+only the working matrix, so d and each tracked transform must equal the
+full run's, and every caller that leaves a side out must return exactly
+what it returns when all three are tracked.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from homkit.exactalg import (
     ZZ,
     IntMatrix,
     Zmod,
+    _snf_core,
     _snf_full,
     integer_kernel,
     smith_normal_form,
@@ -26,12 +28,19 @@ FULL = _snf_full
 
 
 def tracked(fn):
-    """``fn()`` with every ``_snf_full`` call, wherever it is read from,
-    tracking all sides."""
-    full = lambda a, left=True, right=True: FULL(a)
-    with mock.patch.object(exactalg, "_snf_full", full), \
-            mock.patch.object(modules, "_snf_full", full):
-        return fn()
+    """``fn()`` with every ``_snf_core`` call, wherever it is read from,
+    tracking all sides; at least one elimination must run through it."""
+    calls = []
+
+    def full(m, cols, left=True, right=True):
+        calls.append((left, right))
+        return _snf_core(m, cols)
+
+    with mock.patch.object(exactalg, "_snf_core", full), \
+            mock.patch.object(modules, "_snf_core", full):
+        out = fn()
+    assert calls
+    return out
 
 
 @st.composite
