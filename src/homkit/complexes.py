@@ -582,8 +582,9 @@ def exact_at(c: Complex, degrees: Iterable[int]) -> bool:
 
     def order(k: int) -> int:
         if k not in orders:
-            d = c.differential(k)
-            orders[k] = image_order(d.target, d.matrix)
+            d = c._differentials.get(k)
+            # an absent differential touches a zero component
+            orders[k] = 1 if d is None else image_order(d.target, d.matrix)
         return orders[k]
 
     return all(order(k - 1) * order(k) == c.component(k).size() for k in degrees)

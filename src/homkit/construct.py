@@ -17,6 +17,9 @@ Every build is re-verified from scratch before being returned: exactness,
 degreewise surjectivity (injectivity), kernel (cokernel) class membership,
 and the factorization property against the disk competitors: one onto test
 each, and the first map outside the image named for a competitor that fails.
+The pure module-level answers these read (the builtin module covers and
+envelopes, the members passing the side's test, the onto answers of module
+maps) are computed once and kept in ``caches`` tables.
 """
 from __future__ import annotations
 
@@ -56,6 +59,7 @@ from .xclass import (
     ModuleUniverse,
     XClassSpec,
     _map_quotient,
+    _Replay,
     cokernel_complex,
     contains_module,
     default_complex_universe,
@@ -112,11 +116,29 @@ def _quotient(f: ModuleMap, injective: bool) -> FpModule:
     return _map_quotient(f, injective)[0]
 
 
-def _passing(members, x: XClassSpec, u: ModuleUniverse, injective: bool):
-    """The class members among ``members`` that pass the side's module test,
-    tested lazily in order."""
-    return (e for e in members
-            if contains_module(x, e) and _module_verdict(e, x, u, injective, False).holds)
+# the class members passing the side's module test, one list per (class,
+# universe, side) grown as far as a reader has read: each member is tested
+# once and every reader sees them in member order
+_COMPETITORS = caches.table("construct.competitors")
+# (map, competitor, side) -> whether every map between the competitor and the
+# map's far end factors through it: the witness-free answer of lifting._onto
+_ONTO = caches.table("construct.onto")
+
+
+def _passing(x: XClassSpec, u: ModuleUniverse, injective: bool) -> _Replay:
+    """The members of u in the class that pass the side's module test, in
+    member order, tested lazily as readers reach them."""
+    def make():
+        return (e for e in u.members
+                if contains_module(x, e) and _module_verdict(e, x, u, injective, False).holds)
+    return _COMPETITORS.lookup((x.key(), u.describe(), injective), lambda: _Replay(make))
+
+
+def _onto_module(phi: ModuleMap, m: FpModule, injective: bool) -> bool:
+    """Whether every map from m into phi's target (from phi's source into m)
+    lifts along (extends along) phi: ``lifting._onto`` without witnesses."""
+    return _ONTO.lookup((phi, m, injective),
+                        lambda: _onto(phi, m, injective, hom_module, False)[0])
 
 
 def _search_oracle(m: FpModule, x: XClassSpec, u: ModuleUniverse, injective: bool) -> tuple:
@@ -124,7 +146,7 @@ def _search_oracle(m: FpModule, x: XClassSpec, u: ModuleUniverse, injective: boo
     injection from m into it (surjection from it onto m) whose cokernel
     (kernel) is in the class."""
     prop, built, part, _ = _side_words(injective)
-    for e in _passing(u.members, x, u, injective):
+    for e in _passing(x, u, injective):
         for f in (enumerate_monos(m, e) if injective else enumerate_epis(e, m)):
             if contains_module(x, _quotient(f, injective)):
                 return e, f
@@ -164,11 +186,16 @@ def _oracle_failure(e: FpModule, f: ModuleMap, x: XClassSpec, u: Optional[Module
         return None
     if not _module_verdict(e, x, u, injective, False).holds:
         return f"{built} module failed the {prop} test"
-    for cand in _passing(u.members, x, u, injective):
-        if not _onto(f, cand, injective, hom_module, False)[0]:
+    for cand in _passing(x, u, injective):
+        if not _onto_module(f, cand, injective):
             return (f"map {'into' if injective else 'from'} {cand.describe()} does not "
                     f"factor through the {built}")
     return None
+
+
+# (module, class, universe, side, verified) -> the builtin strategy's module
+# envelope (cover); user oracles are called afresh on every request
+_MODULE_ORACLES = caches.table("construct.module_oracles")
 
 
 def _module_oracle(m: FpModule, x: XClassSpec, u: Optional[ModuleUniverse],
@@ -176,12 +203,23 @@ def _module_oracle(m: FpModule, x: XClassSpec, u: Optional[ModuleUniverse],
     """The module envelope f: m -> e (cover f: e -» m) from ``oracle`` when
     given; otherwise the injective hull (free cover) when the class is
     everything, else the first one the universe search finds.  Re-verified
-    by ``_verify_oracle`` when ``verify``."""
+    by ``_verify_oracle`` when ``verify``.  The builtin strategies are
+    memoised; a failure is raised afresh each time."""
     if u is None:
         u = module_universe(m.ring, 8) if m.ring.is_modular else None
     if oracle is not None:
         e, f = oracle(m)
-    elif x.kind == "all":
+        if verify:
+            _verify_oracle(e, f, x, u, injective)
+        return e, f
+    key = (m, x.key(), None if u is None else u.describe(), injective, verify)
+    return _MODULE_ORACLES.lookup(key, lambda: _builtin_oracle(m, x, u, verify, injective))
+
+
+def _builtin_oracle(m: FpModule, x: XClassSpec, u: Optional[ModuleUniverse], verify: bool,
+                    injective: bool) -> tuple:
+    """``_module_oracle`` without a user oracle, before memoisation."""
+    if x.kind == "all":
         if injective and not m.ring.is_modular:
             raise BuildError("builtin envelope strategy needs a modular ring")
         e, f = injective_hull(m) if injective else free_cover(m)
@@ -230,6 +268,14 @@ def _oracle_at(y: Complex, deg: int, x: XClassSpec, u: Optional[ModuleUniverse],
         z = FpModule.zero(y.ring)
         return z, ModuleMap.zero(m, z) if injective else ModuleMap.zero(z, m)
     return _module_oracle(m, x, u, oracle, True, injective)
+
+
+def _block_matrices(ds) -> tuple:
+    """The matrices of a two-term direct sum's injections and projections.
+    A glued differential is one ``ModuleMap`` of their summed products:
+    reducing modulo the target's factors once gives the entries of the
+    composite of the block maps."""
+    return tuple(m.matrix for m in ds.injections), tuple(m.matrix for m in ds.projections)
 
 
 @dataclass
@@ -333,10 +379,11 @@ def precover_bounded(y: Complex, x: XClassSpec,
         s2 = sol2["s2"]
 
         ds = direct_sum([top, p_new])
+        (i0, i1), (p0, p1) = _block_matrices(ds)
         comps[deg] = ds.module
         comps[deg + 1] = p_new
-        diffs[deg - 1] = ds.injections[0].compose(lam_top) + ds.injections[1].compose(s1)
-        diffs[deg] = s2.compose(ds.projections[0]) - ds.projections[1]
+        diffs[deg - 1] = ModuleMap(second, ds.module, i0 @ lam_top.matrix + i1 @ s1.matrix)
+        diffs[deg] = ModuleMap(ds.module, p_new, s2.matrix @ p0 - p1)
         verticals[deg] = f_new.compose(ds.projections[1])
         log.append(BuildStep(deg, {
             "cover": p_new, "map": f_new, "s1": s1, "s2": s2,
@@ -427,10 +474,11 @@ def preenvelope_bounded(y: Complex, x: XClassSpec,
         s = lam_low.compose(t)
 
         ds = direct_sum([e_new, low])
+        (i0, i1), (p0, p1) = _block_matrices(ds)
         comps[deg] = ds.module
         comps[deg - 1] = e_new
-        diffs[deg] = s.compose(ds.projections[0]) + lam_low.compose(ds.projections[1])
-        diffs[deg - 1] = ds.injections[0] - ds.injections[1].compose(t)
+        diffs[deg] = ModuleMap(ds.module, lam_low.target, s.matrix @ p0 + lam_low.matrix @ p1)
+        diffs[deg - 1] = ModuleMap(e_new, ds.module, i0 - i1 @ t.matrix)
         verticals[deg] = ds.injections[0].compose(f_new)
         log.append(BuildStep(deg, {
             "envelope": e_new, "map": f_new, "t": t, "s": s,
@@ -450,8 +498,7 @@ def preenvelope_bounded(y: Complex, x: XClassSpec,
 def _competitors(x: XClassSpec, u: ModuleUniverse, degrees, injective: bool) -> list:
     """Disks in the given degrees on the nonzero class members that pass the
     side's module test."""
-    nonzero = [m for m in u.members if not m.is_zero()]
-    return [disk(k, m) for m in _passing(nonzero, x, u, injective) for k in degrees]
+    return [disk(k, m) for m in _passing(x, u, injective) if not m.is_zero() for k in degrees]
 
 
 def injective_competitors(ring, x: XClassSpec, u: ModuleUniverse, degrees) -> list:
@@ -472,10 +519,11 @@ def _verify_factorization(built: Complex, cmap: ChainMap, y: Complex, x: XClassS
     maps Y -> D^k(m) are Hom(Y^{k+1}, m), naturally in Y.  So once built is
     checked to be a complex and cmap a chain map, every h of D^k(m) factors
     iff g -> cmap^k o g, Hom(m, P^k) -> Hom(m, Y^k), is onto (u -> u o
-    cmap^{k+1}, Hom(E^{k+1}, m) -> Hom(Y^{k+1}, m)): one ``lifting._onto``
-    test per competitor.  The first competitor that fails it raises
-    BuildError for the first h outside the image of the chain-map
-    restriction, named by one solve (``lifting._first_outside_image``)."""
+    cmap^{k+1}, Hom(E^{k+1}, m) -> Hom(Y^{k+1}, m)): one onto answer per
+    competitor and component, ``_onto_module``, which remembers it.  The
+    first competitor that fails it raises BuildError for the first h
+    outside the image of the chain-map restriction, named by one solve
+    (``lifting._first_outside_image``)."""
     name = _side_words(injective)[1]
     _check_chain_data(built, cmap, name)
     if (cmap.source, cmap.target) != ((y, built) if injective else (built, y)):
@@ -483,12 +531,14 @@ def _verify_factorization(built: Complex, cmap: ChainMap, y: Complex, x: XClassS
     if y.is_zero():
         return 0
     lo, hi = y.support
+    shift = 1 if injective else 0
+    components = [(k, k + shift, cmap.component(k + shift)) for k in range(lo - 1, hi + 1)]
     tested = 0
-    nonzero = [m for m in u.members if not m.is_zero()]
-    for m in _passing(nonzero, x, u, injective):
-        for k in range(lo - 1, hi + 1):
-            deg = k + 1 if injective else k
-            if _onto(cmap.component(deg), m, injective, hom_module, False)[0]:
+    for m in _passing(x, u, injective):
+        if m.is_zero():
+            continue
+        for k, deg, phi in components:
+            if _onto_module(phi, m, injective):
                 hm = hom_module(y.component(deg), m) if injective else hom_module(m, y.component(deg))
                 tested += hm.module.size()
                 continue

@@ -26,7 +26,15 @@ from homkit.complexes import (
     null_homotopy,
     zero_complex,
 )
-from homkit.construct import _side_words
+from homkit.construct import (
+    BuildStep,
+    OracleHypothesisError,
+    PrecoverResult,
+    PreenvelopeResult,
+    _oracle_at,
+    _side_words,
+    _verified_membership,
+)
 from homkit.exactalg import (
     CongruenceSystem,
     ExactAlgError,
@@ -49,7 +57,7 @@ from homkit.modules import (
     hom_precompose,
     normalize_presentation,
 )
-from homkit.xclass import _fits, _shape
+from homkit.xclass import _fits, _shape, module_universe
 
 
 def small_modules(ring: RingSpec, max_size: int) -> list:
@@ -1071,3 +1079,127 @@ def kernel_inclusion_oracle(f: ModuleMap) -> tuple:
     ``_sublattice_module(f.source, _kernel_generators(f))`` it was."""
     sub, incl_mat = sublattice_module_oracle(f.source, kernel_generators_oracle(f))
     return sub, ModuleMap(sub, f.source, incl_mat)
+
+
+def glued_precover_oracle(y: Complex, x, u=None, oracle=None) -> PrecoverResult:
+    """``precover_bounded`` as it was before each glued differential became
+    one ``ModuleMap`` of summed matrix products: every differential is
+    assembled from the direct sum's block maps by ``compose``, ``+`` and
+    ``-``, each an intermediate validated map."""
+    if y.is_zero():
+        return PrecoverResult(zero_complex(y.ring), ChainMap.zero(zero_complex(y.ring), y),
+                              [], {}, [])
+    if u is None and y.ring.is_modular:
+        u = module_universe(y.ring, 8)
+    lo, hi = y.support
+    log: list = []
+    oracle_log: list = []
+    p0, f0 = _oracle_at(y, lo, x, u, oracle, injective=False)
+    oracle_log.append((lo, p0, f0))
+    comps = {lo: p0, lo + 1: p0}
+    diffs = {lo: ModuleMap.identity(p0)}
+    verticals = {lo: f0}
+    log.append(BuildStep(lo, {"base": True, "cover": p0, "map": f0}))
+    for deg in range(lo + 1, hi + 1):
+        p_new, f_new = _oracle_at(y, deg, x, u, oracle, injective=False)
+        oracle_log.append((deg, p_new, f_new))
+        second = comps[deg - 1]
+        top = comps[deg]
+        lam_top = diffs[deg - 1]
+        lam_prev = diffs.get(deg - 2)
+        vert_prev = verticals[deg - 1]
+        a_prev = y.differential(deg - 1)
+        ms = MapSystem(y.ring)
+        ms.unknown("s1", second, p_new)
+        ms.equation([(f_new, "s1", None, 1)], a_prev.compose(vert_prev),
+                    (second, y.component(deg)))
+        if lam_prev is not None:
+            ms.equation([(None, "s1", lam_prev, 1)], None, (comps[deg - 2], p_new))
+        sol = ms.solve()
+        if sol is None:
+            raise OracleHypothesisError(
+                f"gluing system for s1 at degree {deg} is unsolvable; the module-cover "
+                "hypothesis fails on this input",
+                system={"unknown": "s1", "degree": deg,
+                        "cover_map": f_new, "rhs": a_prev.compose(vert_prev),
+                        "previous_differential": lam_prev})
+        s1 = sol["s1"]
+        ms2 = MapSystem(y.ring)
+        ms2.unknown("s2", top, p_new)
+        ms2.equation([(None, "s2", lam_top, 1)], s1, (second, p_new))
+        sol2 = ms2.solve()
+        if sol2 is None:
+            raise OracleHypothesisError(
+                f"gluing system for s2 at degree {deg} is unsolvable",
+                system={"unknown": "s2", "degree": deg,
+                        "top_differential": lam_top, "rhs": s1})
+        s2 = sol2["s2"]
+        ds = direct_sum([top, p_new])
+        comps[deg] = ds.module
+        comps[deg + 1] = p_new
+        diffs[deg - 1] = ds.injections[0].compose(lam_top) + ds.injections[1].compose(s1)
+        diffs[deg] = s2.compose(ds.projections[0]) - ds.projections[1]
+        verticals[deg] = f_new.compose(ds.projections[1])
+        log.append(BuildStep(deg, {
+            "cover": p_new, "map": f_new, "s1": s1, "s2": s2,
+            "lambda_top": lam_top, "lambda_prev": lam_prev,
+            "vertical_prev": vert_prev, "a_prev": a_prev,
+        }))
+    cover = Complex(y.ring, comps, diffs, check=False)
+    cmap = ChainMap(cover, y, verticals, check=False)
+    membership = _verified_membership(cover, cmap, y, x, injective=False)
+    return PrecoverResult(cover, cmap, oracle_log, membership, log)
+
+
+def glued_preenvelope_oracle(y: Complex, x, u=None, oracle=None) -> PreenvelopeResult:
+    """``preenvelope_bounded`` with its differentials glued from block maps
+    by ``compose``, ``+`` and ``-``, as it was."""
+    if y.is_zero():
+        return PreenvelopeResult(zero_complex(y.ring),
+                                 ChainMap.zero(y, zero_complex(y.ring)), [], {}, [])
+    if u is None and y.ring.is_modular:
+        u = module_universe(y.ring, 8)
+    lo, hi = y.support
+    log: list = []
+    oracle_log: list = []
+    e0, f0 = _oracle_at(y, hi, x, u, oracle, injective=True)
+    oracle_log.append((hi, e0, f0))
+    comps = {hi - 1: e0, hi: e0}
+    diffs = {hi - 1: ModuleMap.identity(e0)}
+    verticals = {hi: f0}
+    log.append(BuildStep(hi, {"base": True, "envelope": e0, "map": f0}))
+    for deg in range(hi - 1, lo - 1, -1):
+        e_new, f_new = _oracle_at(y, deg, x, u, oracle, injective=True)
+        oracle_log.append((deg, e_new, f_new))
+        low = comps[deg]
+        lam_low = diffs[deg]
+        vert_prev = verticals[deg + 1]
+        a_deg = y.differential(deg)
+        ms = MapSystem(y.ring)
+        ms.unknown("t", e_new, low)
+        ms.equation([(lam_low, "t", f_new, 1)], vert_prev.compose(a_deg),
+                    (y.component(deg), comps[deg + 1]))
+        sol = ms.solve()
+        if sol is None:
+            raise OracleHypothesisError(
+                f"gluing system for t at degree {deg} is unsolvable; the module-envelope "
+                "hypothesis fails on this input",
+                system={"unknown": "t", "degree": deg,
+                        "envelope_map": f_new, "low_differential": lam_low,
+                        "rhs": vert_prev.compose(a_deg)})
+        t = sol["t"]
+        s = lam_low.compose(t)
+        ds = direct_sum([e_new, low])
+        comps[deg] = ds.module
+        comps[deg - 1] = e_new
+        diffs[deg] = s.compose(ds.projections[0]) + lam_low.compose(ds.projections[1])
+        diffs[deg - 1] = ds.injections[0] - ds.injections[1].compose(t)
+        verticals[deg] = ds.injections[0].compose(f_new)
+        log.append(BuildStep(deg, {
+            "envelope": e_new, "map": f_new, "t": t, "s": s,
+            "lambda_low": lam_low, "vertical_prev": vert_prev, "a": a_deg,
+        }))
+    env = Complex(y.ring, comps, diffs, check=False)
+    emap = ChainMap(y, env, verticals, check=False)
+    membership = _verified_membership(env, emap, y, x, injective=True)
+    return PreenvelopeResult(env, emap, oracle_log, membership, log)

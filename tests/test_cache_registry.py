@@ -112,7 +112,7 @@ def test_clear_caches_empties_every_table_and_resets_counters():
     caches.clear_caches()
     fill()
     before = caches.stats()
-    assert len(before) == 18 and "complexes.cycle_presentations" in before
+    assert len(before) == 21 and "complexes.cycle_presentations" in before
     assert all(s["entries"] for s in before.values()), before
     assert "modules.ext1_module" not in before
     caches.clear_caches()

@@ -9,9 +9,11 @@ when its H^0 test computed the homology.
 """
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
-from homkit import clear_caches, lifting
+from homkit import clear_caches, complexes, lifting
 from homkit.complexes import (
     Complex,
     ExactnessReport,
@@ -27,7 +29,7 @@ from homkit.lifting import eps1_perp_homotopy
 from homkit.modules import FpModule, ModuleMap, hom_module, image_order
 from homkit.xclass import ALL, _window_complexes, ann, eps1_universe
 
-from .helpers import small_modules
+from .helpers import homology_oracle, random_complex, small_modules
 
 RINGS = [2, 4, 6, 8, 9, 12, 36, 0]      # 0 stands for Z
 Z_COMPONENTS = [(), (0,), (2,), (3,), (0, 0), (2, 0), (2, 4), (6,)]
@@ -145,3 +147,49 @@ def test_eps1_verdicts_match_the_homology_h0_test(monkeypatch):
                     (b.holds, b.checked, b.witnesses, b.counterexample), c
             holds += [v.holds for v in new]
     assert any(holds) and not all(holds)
+
+
+def test_gaps_and_shifted_supports_match_the_homology_oracle():
+    """Random complexes over Z/n whose components may be zero between
+    nonzero ones (absent differentials on both sides of the gap), on
+    supports starting anywhere in [-3, 3]."""
+    gaps = 0
+    for n in (4, 6, 9, 12):
+        ring = Zmod(n)
+        rng = random.Random(34 + n)
+        members = small_modules(ring, 8)        # the zero module first
+        for _ in range(100):
+            c = random_complex(rng, ring, members, max_degrees=4, lo_range=(-3, 3))
+            if c.is_zero():
+                continue
+            lo, hi = c.support
+            gaps += len(c.degrees()) < hi - lo + 1
+            degrees = range(lo - 1, hi + 2)
+            oracle = [homology_oracle(c, k).is_zero() for k in degrees]
+            assert [exact_at(c, (k,)) for k in degrees] == oracle, c.describe()
+            assert exact_at(c, degrees) == is_exact(c).exact == all(oracle), c.describe()
+    assert gaps > 20
+
+
+def test_absent_differentials_count_no_image_order(monkeypatch):
+    """An exact complex with every component in [lo, hi] nonzero has the
+    differentials d^lo .. d^{hi-1}: exact_at reads hi - lo image orders,
+    none for the absent d^{lo-1} and d^hi."""
+    calls = []
+
+    def counted(target, mat):
+        calls.append(mat)
+        return image_order(target, mat)
+
+    monkeypatch.setattr(complexes, "image_order", counted)
+    for n in (2, 4, 6, 9, 12):
+        members = small_modules(Zmod(n), 8)[1:]
+        for lo in (-2, 0, 3):
+            for length in (1, 2, 4):
+                parts = [disk(lo + i, members[i % len(members)]) for i in range(length)]
+                c = direct_sum_complexes(parts)[0]
+                assert c.support == (lo, lo + length)
+                assert len(c.degrees()) == length + 1
+                calls.clear()
+                assert exact_at(c, range(lo - 1, lo + length + 2))
+                assert len(calls) == length
