@@ -27,7 +27,7 @@ import sys
 import time
 from typing import Optional
 
-from .exactalg import ExactAlgError, IntMatrix, RingSpec, ZZ, Zmod
+from .exactalg import ExactAlgError, FactorizationCapError, IntMatrix, RingSpec, ZZ, Zmod
 from .modules import FpModule, ModuleError, ModuleMap
 from .complexes import (
     ChainMap,
@@ -261,12 +261,15 @@ def _unique_keys(pairs: list) -> dict:
 
 def _load_json(path: str):
     """The parsed document; an unreadable file, bytes that are not UTF-8,
-    malformed JSON and an object that repeats a key are a DocumentError."""
+    malformed JSON, an object that repeats a key and arrays or objects
+    nested deeper than the parser's recursion limit are a DocumentError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DocumentError(str(exc)) from None
+    except RecursionError:
+        raise DocumentError("arrays or objects nest too deeply to parse") from None
 
 
 def cmd_validate(args) -> int:
@@ -344,7 +347,8 @@ def cmd_check(args) -> int:
         _emit({"command": command, "error": "hypothesis-not-established",
                "detail": str(exc), "timing_seconds": round(time.time() - started, 6)})
         return 3
-    except (DocumentError, ModuleError, ComplexError, UniverseCapError) as exc:
+    except (DocumentError, ModuleError, ComplexError, UniverseCapError,
+            FactorizationCapError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
 
@@ -435,7 +439,7 @@ def cmd_build(args) -> int:
                "unsolvable_system": _payload_to_doc(exc.system),
                "timing_seconds": round(time.time() - started, 6)})
         return 3
-    except (BuildError, UniverseCapError) as exc:
+    except (BuildError, UniverseCapError, FactorizationCapError) as exc:
         print(f"build failed: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,6 @@ of the glued map, which the solvers here decide exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
@@ -33,6 +32,7 @@ from .modules import (
     _solve_in_module,
     _sublattice_module,
 )
+from .values import Frozen, Record
 
 
 class ComplexError(ValueError):
@@ -126,11 +126,13 @@ class Complex:
         return f"Complex({self.describe()})"
 
 
-@dataclass(frozen=True)
-class ComplexVerdict:
-    ok: bool
-    degree: Optional[int]
-    message: str
+class ComplexVerdict(Frozen):
+    _fields = ("ok", "degree", "message")
+
+    def __init__(self, ok: bool, degree: Optional[int], message: str) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "message", message)
 
 
 def validate_complex(c: Complex) -> ComplexVerdict:
@@ -299,13 +301,16 @@ class Homotopy:
         return True
 
 
-@dataclass(frozen=True)
-class ShortExactOfComplexes:
-    left: Complex
-    middle: Complex
-    right: Complex
-    inj: ChainMap
-    surj: ChainMap
+class ShortExactOfComplexes(Frozen):
+    _fields = ("left", "middle", "right", "inj", "surj")
+
+    def __init__(self, left: Complex, middle: Complex, right: Complex, inj: ChainMap,
+                 surj: ChainMap) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "middle", middle)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "inj", inj)
+        object.__setattr__(self, "surj", surj)
 
     def validate(self) -> bool:
         """Degreewise exactness of 0 -> L^k -> M^k -> R^k -> 0: surj o inj
@@ -397,11 +402,16 @@ def mapping_cone(f: ChainMap) -> tuple:
     return cone, seq
 
 
-@dataclass
-class HomDegree:
-    degree: int
-    blocks: tuple            # tuple of (i, HomModule) with i the source degree
-    sum: DirectSum
+class HomDegree(Record):
+    """One degree of a hom complex: ``blocks`` holds (i, HomModule) per
+    source degree i, and ``sum`` their direct sum."""
+
+    _fields = ("degree", "blocks", "sum")
+
+    def __init__(self, degree: int, blocks: tuple, sum: DirectSum) -> None:
+        self.degree = degree
+        self.blocks = blocks
+        self.sum = sum
 
     def element_from_family(self, family: dict) -> tuple:
         """The element of this degree whose block i holds the map family[i]
@@ -417,12 +427,17 @@ class HomDegree:
         return self.sum.module.reduce_element(total)
 
 
-@dataclass
-class HomComplexData:
-    x: Complex
-    y: Complex
-    complex: Complex
-    degrees: dict            # n -> HomDegree
+class HomComplexData(Record):
+    """The hom complex of x and y, with its ``HomDegree`` per degree n in
+    ``degrees``."""
+
+    _fields = ("x", "y", "complex", "degrees")
+
+    def __init__(self, x: Complex, y: Complex, complex: Complex, degrees: dict) -> None:
+        self.x = x
+        self.y = y
+        self.complex = complex
+        self.degrees = degrees
 
 
 def hom_complex_data(x: Complex, y: Complex, degrees: Optional[Sequence[int]] = None) -> HomComplexData:
@@ -543,10 +558,15 @@ def hom_complex(x: Complex, y: Complex) -> Complex:
 # Homology and exactness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExactnessReport:
-    exact: bool
-    homology: dict           # degree -> invariant factors of H^k
+class ExactnessReport(Frozen):
+    """Whether a complex is exact, and ``homology``: degree k -> the
+    invariant factors of H^k."""
+
+    _fields = ("exact", "homology")
+
+    def __init__(self, exact: bool, homology: dict) -> None:
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "homology", homology)
 
     def homology_size(self, k: int) -> Optional[int]:
         fac = self.homology.get(k, ())
@@ -692,22 +712,27 @@ def _factor_through(phi, fs: Sequence, injective: bool) -> list:
 # Chain map groups via degree-zero hom-complex cycles
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChainMapGroup:
+class ChainMapGroup(Record):
     """The abelian group of chain maps A -> B as a module with a decoder.
 
     It is the group of cycles of Hom^0 = sum_i Hom(A^i, B^i), the kernel of
     d^0 into Hom^1.  It keeps Hom^0's blocks and sum (None when Hom^0 is
     zero) and, from ``complexes.cycle_presentations``, the cycle module, its
-    inclusion into Hom^0's sum (None then too) and the P_s; no hom complex
-    is built for it."""
+    inclusion into Hom^0's sum (None then too) and the P_s, one per block s
+    of Hom^0 (``_cycle_blocks``; () without cycles); no hom complex is built
+    for it.  The instance keeps a ``__dict__`` for its cached properties."""
 
-    source: Complex
-    target: Complex
-    module: FpModule
-    _hom0: Optional[HomDegree]
-    _inclusion: Optional[ModuleMap]        # cycles -> Hom^0's sum module
-    _blocks: tuple = ()     # P_s per block s of Hom^0 (``_cycle_blocks``); () without cycles
+    _fields = ("source", "target", "module", "_hom0", "_inclusion", "_blocks")
+
+    def __init__(self, source: Complex, target: Complex, module: FpModule,
+                 _hom0: Optional[HomDegree], _inclusion: Optional[ModuleMap],
+                 _blocks: tuple = ()) -> None:
+        self.source = source
+        self.target = target
+        self.module = module
+        self._hom0 = _hom0
+        self._inclusion = _inclusion
+        self._blocks = _blocks
 
     def decode(self, elem: Sequence[int]) -> ChainMap:
         comps = {}

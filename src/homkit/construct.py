@@ -23,7 +23,6 @@ maps) are computed once and kept in ``caches`` tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Iterator, Optional
 
@@ -76,6 +75,7 @@ from .lifting import (
     _restriction_image,
     x_injective_complex,
 )
+from .values import Record
 
 
 class BuildError(ValueError):
@@ -278,31 +278,47 @@ def _block_matrices(ds) -> tuple:
     return tuple(m.matrix for m in ds.injections), tuple(m.matrix for m in ds.projections)
 
 
-@dataclass
-class BuildStep:
-    degree: int
-    data: dict
+class BuildStep(Record):
+    _fields = ("degree", "data")
+
+    def __init__(self, degree: int, data: dict) -> None:
+        self.degree = degree
+        self.data = data
 
 
-@dataclass
-class PrecoverResult:
-    cover: Complex
-    map: ChainMap                    # cover -> input, degreewise epi
-    per_degree_oracle: list          # (degree, cover module, cover map)
-    kernel_membership: dict          # degree -> (kernel factors, in class)
-    build_log: list                  # ordered BuildStep records
+class PrecoverResult(Record):
+    """A precover: ``map`` is cover -> input, degreewise epi;
+    ``per_degree_oracle`` lists (degree, cover module, cover map),
+    ``kernel_membership`` maps each degree to (kernel factors, in class) and
+    ``build_log`` holds the ordered ``BuildStep`` records."""
+
+    _fields = ("cover", "map", "per_degree_oracle", "kernel_membership", "build_log")
+
+    def __init__(self, cover: Complex, map: ChainMap, per_degree_oracle: list,
+                 kernel_membership: dict, build_log: list) -> None:
+        self.cover = cover
+        self.map = map
+        self.per_degree_oracle = per_degree_oracle
+        self.kernel_membership = kernel_membership
+        self.build_log = build_log
 
     def kernel(self) -> Complex:
         return kernel_complex(self.map)
 
 
-@dataclass
-class PreenvelopeResult:
-    env: Complex
-    map: ChainMap                    # input -> env, degreewise mono
-    per_degree_oracle: list
-    cokernel_membership: dict
-    build_log: list
+class PreenvelopeResult(Record):
+    """A preenvelope: ``map`` is input -> env, degreewise mono; the other
+    fields are those of ``PrecoverResult``, for cokernels."""
+
+    _fields = ("env", "map", "per_degree_oracle", "cokernel_membership", "build_log")
+
+    def __init__(self, env: Complex, map: ChainMap, per_degree_oracle: list,
+                 cokernel_membership: dict, build_log: list) -> None:
+        self.env = env
+        self.map = map
+        self.per_degree_oracle = per_degree_oracle
+        self.cokernel_membership = cokernel_membership
+        self.build_log = build_log
 
     def coker(self) -> Complex:
         return cokernel_complex(self.map)
@@ -575,15 +591,20 @@ def verify_preenvelope_factorization(result: PreenvelopeResult, y: Complex,
 # Injective envelope of a complex (desk scale)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EnvelopeResult:
-    envelope: Complex
-    inclusion: ChainMap
-    injective_verdict: Verdict
-    essential: bool
-    essential_witness: Optional[dict]
-    closure_report: dict
-    candidates_examined: int
+class EnvelopeResult(Record):
+    _fields = ("envelope", "inclusion", "injective_verdict", "essential", "essential_witness",
+               "closure_report", "candidates_examined")
+
+    def __init__(self, envelope: Complex, inclusion: ChainMap, injective_verdict: Verdict,
+                 essential: bool, essential_witness: Optional[dict], closure_report: dict,
+                 candidates_examined: int) -> None:
+        self.envelope = envelope
+        self.inclusion = inclusion
+        self.injective_verdict = injective_verdict
+        self.essential = essential
+        self.essential_witness = essential_witness
+        self.closure_report = closure_report
+        self.candidates_examined = candidates_examined
 
 
 # (class key, universe description) -> the closure check's verdict

@@ -9,24 +9,33 @@ functions are pure, so the whole module is thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
+
+from .values import Frozen
 
 
 class ExactAlgError(ValueError):
     """Raised for dimension mismatches and unsupported ring arguments."""
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(Frozen):
     """Coefficient ring: the integers when ``modulus == 0``, else Z/modulus."""
 
-    modulus: int = 0
+    _fields = ("modulus",)
 
-    def __post_init__(self) -> None:
-        if self.modulus < 0 or self.modulus == 1:
-            raise ExactAlgError(f"modulus must be 0 (meaning Z) or >= 2, got {self.modulus}")
+    def __init__(self, modulus: int = 0) -> None:
+        object.__setattr__(self, "modulus", modulus)
+        if modulus < 0 or modulus == 1:
+            raise ExactAlgError(f"modulus must be 0 (meaning Z) or >= 2, got {modulus}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.modulus == other.modulus
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.modulus,))
 
     @property
     def is_modular(self) -> bool:
@@ -46,18 +55,25 @@ def Zmod(n: int) -> RingSpec:
     return RingSpec(n)
 
 
-@dataclass(frozen=True, slots=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Immutable integer matrix; ``entries[i][j]`` is row i, column j."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows or \
-                list(map(len, self.entries)).count(self.cols) != self.rows:
+    def __init__(self, rows: int, cols: int, entries: tuple) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        if len(entries) != rows or list(map(len, entries)).count(cols) != rows:
             raise ExactAlgError("entry grid does not match declared shape")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
 
     @staticmethod
     def from_rows(rows_data: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -500,19 +516,37 @@ def howell_form(a: IntMatrix, ring: RingSpec) -> IntMatrix:
 # Solvers
 # ---------------------------------------------------------------------------
 
+# trial division tries no divisor above this, so a modulus whose cofactor
+# past it may be composite is refused in milliseconds, not factored for ever
+_TRIAL_DIVISION_CAP = 1 << 16
+
+
+class FactorizationCapError(ExactAlgError):
+    """Raised for a number that trial division up to ``_TRIAL_DIVISION_CAP``
+    cannot factor."""
+
+
 def _factorize(n: int) -> list:
-    out = []
+    """The (prime, exponent) pairs of n >= 1 in increasing order, by trial
+    division.  Once the divisors up to ``_TRIAL_DIVISION_CAP`` are divided
+    out, what is left must be 1 or a prime below the cap's square, else
+    FactorizationCapError: so every n < 2^32 is factored."""
+    m, out = n, []
     d = 2
-    while d * d <= n:
-        if n % d == 0:
+    while d * d <= m and d <= _TRIAL_DIVISION_CAP:
+        if m % d == 0:
             k = 0
-            while n % d == 0:
-                n //= d
+            while m % d == 0:
+                m //= d
                 k += 1
             out.append((d, k))
         d += 1
-    if n > 1:
-        out.append((n, 1))
+    if d * d <= m:
+        raise FactorizationCapError(
+            f"cannot factor {n}: trial division stops at {_TRIAL_DIVISION_CAP} "
+            f"and its cofactor {m} has no factor up to there")
+    if m > 1:
+        out.append((m, 1))
     return out
 
 

@@ -18,7 +18,6 @@ its extension (lift) system, ``complexes._factor_through``, of any size.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import caches
@@ -65,20 +64,28 @@ from .xclass import (
     contains_module,
     module_universe,
 )
+from .values import Record
 
 
 class HypothesisError(ValueError):
     """A lemma checker refused to assert: its hypotheses were not established."""
 
 
-@dataclass
-class Verdict:
-    holds: bool
-    universe: str
-    checked: int = 0
-    witnesses: list = field(default_factory=list)
-    counterexample: Optional[dict] = None
-    extra: dict = field(default_factory=dict)
+class Verdict(Record):
+    """A check's answer over a named universe.  Without ``witnesses`` or
+    ``extra`` it starts with a fresh empty list and dict."""
+
+    _fields = ("holds", "universe", "checked", "witnesses", "counterexample", "extra")
+
+    def __init__(self, holds: bool, universe: str, checked: int = 0,
+                 witnesses: Optional[list] = None, counterexample: Optional[dict] = None,
+                 extra: Optional[dict] = None) -> None:
+        self.holds = holds
+        self.universe = universe
+        self.checked = checked
+        self.witnesses = [] if witnesses is None else witnesses
+        self.counterexample = counterexample
+        self.extra = {} if extra is None else extra
 
 
 # the four lifting checkers' witness-free verdicts are pure functions of

@@ -11,7 +11,6 @@ approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iproduct, repeat
 from operator import mod, mul
@@ -28,23 +27,24 @@ from .exactalg import (
     _zip_rows,
     integer_kernel,
 )
+from .values import Frozen
 
 
 class ModuleError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class FpModule:
+class FpModule(Frozen):
     """A finitely presented module in canonical invariant-factor form."""
 
-    ring: RingSpec
-    factors: tuple
+    __slots__ = _fields = ("ring", "factors")
 
-    def __post_init__(self) -> None:
-        n = self.ring.modulus
+    def __init__(self, ring: RingSpec, factors: tuple) -> None:
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "factors", factors)
+        n = ring.modulus
         prev = None
-        for d in self.factors:
+        for d in factors:
             if d == 1 or d < 0:
                 raise ModuleError(f"invalid invariant factor {d}")
             if n:
@@ -56,6 +56,14 @@ class FpModule:
                 if prev != 0 and d != 0 and d % prev != 0:
                     raise ModuleError(f"divisibility chain broken: {prev} does not divide {d}")
             prev = d
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ring, self.factors) == (other.ring, other.factors)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.factors))
 
     @staticmethod
     def zero(ring: RingSpec) -> "FpModule":
@@ -121,8 +129,7 @@ def _diagonal(factors: Sequence[int]) -> IntMatrix:
     return IntMatrix(len(factors), len(nonzero), tuple(map(tuple, rows)))
 
 
-@dataclass(frozen=True, slots=True)
-class ModuleMap:
+class ModuleMap(Frozen):
     """Homomorphism between canonical modules, as a matrix on generators.
 
     Column j holds the image of source generator j in target coordinates.
@@ -131,9 +138,22 @@ class ModuleMap:
     maps compare equal structurally.
     """
 
-    source: FpModule
-    target: FpModule
-    matrix: IntMatrix
+    __slots__ = _fields = ("source", "target", "matrix")
+
+    def __init__(self, source: FpModule, target: FpModule, matrix: IntMatrix) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.matrix) == \
+                (other.source, other.target, other.matrix)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.matrix))
 
     def __post_init__(self) -> None:
         if self.source.ring != self.target.ring:
@@ -276,8 +296,7 @@ def _surjective_on(entries, target: tuple, primes: tuple) -> bool:
 # Presentations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Frozen):
     """Canonicalized presentation: module plus change-of-basis matrices.
 
     ``to_canonical`` maps old generator coordinates to canonical ones,
@@ -285,9 +304,13 @@ class Presentation:
     the identity up to the defining relations.
     """
 
-    module: FpModule
-    to_canonical: IntMatrix
-    from_canonical: IntMatrix
+    _fields = ("module", "to_canonical", "from_canonical")
+
+    def __init__(self, module: FpModule, to_canonical: IntMatrix,
+                 from_canonical: IntMatrix) -> None:
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "to_canonical", to_canonical)
+        object.__setattr__(self, "from_canonical", from_canonical)
 
 
 def normalize_presentation(ring: RingSpec, ngens: int, relations: IntMatrix) -> Presentation:
@@ -348,15 +371,20 @@ def _solve_in_module(target: FpModule, mat: IntMatrix, rhs: IntMatrix):
     return IntMatrix.from_columns(parts, rows=mat.cols)
 
 
-@dataclass(frozen=True)
-class SubquotientWitness:
-    """A submodule presented inside an ambient module, with exactness data."""
+class SubquotientWitness(Frozen):
+    """A submodule presented inside an ambient module, with exactness data:
+    ``inclusion`` is sub -> ambient, mono, and ``quotient_map`` is ambient
+    -> quotient, epi."""
 
-    ambient: FpModule
-    sub: FpModule
-    inclusion: ModuleMap      # sub -> ambient, mono
-    quotient: FpModule
-    quotient_map: ModuleMap   # ambient -> quotient, epi
+    _fields = ("ambient", "sub", "inclusion", "quotient", "quotient_map")
+
+    def __init__(self, ambient: FpModule, sub: FpModule, inclusion: ModuleMap,
+                 quotient: FpModule, quotient_map: ModuleMap) -> None:
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "inclusion", inclusion)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "quotient_map", quotient_map)
 
 
 def _sublattice_module(ambient: FpModule, gen_cols: IntMatrix,
@@ -455,11 +483,13 @@ def cokernel_with_section(f: ModuleMap) -> tuple:
 # Direct sums and pushouts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DirectSum:
-    module: FpModule
-    injections: tuple
-    projections: tuple
+class DirectSum(Frozen):
+    _fields = ("module", "injections", "projections")
+
+    def __init__(self, module: FpModule, injections: tuple, projections: tuple) -> None:
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "injections", injections)
+        object.__setattr__(self, "projections", projections)
 
 
 _DIRECT_SUMS = caches.table("modules.direct_sum")
@@ -498,18 +528,23 @@ def _direct_sum(ms: tuple) -> DirectSum:
     return DirectSum(pres.module, tuple(injections), tuple(projections))
 
 
-@dataclass(frozen=True)
-class Pushout:
+class Pushout(Frozen):
     """Pushout of alpha: S -> X along a mono iota: S -> M.
 
-    The corner is (X + M) / A with A generated by (alpha(s), -iota(s)); the
-    leg through X stays mono whenever iota is.
+    The corner P is (X + M) / A with A generated by (alpha(s), -iota(s));
+    the leg X -> P stays mono whenever iota is.  ``presentation_relations``
+    holds the A-columns inside X + M coordinates.
     """
 
-    module: FpModule
-    leg_from_alpha_target: ModuleMap   # X -> P
-    leg_from_iota_target: ModuleMap    # M -> P
-    presentation_relations: IntMatrix  # the A-columns inside X + M coordinates
+    _fields = ("module", "leg_from_alpha_target", "leg_from_iota_target",
+               "presentation_relations")
+
+    def __init__(self, module: FpModule, leg_from_alpha_target: ModuleMap,
+                 leg_from_iota_target: ModuleMap, presentation_relations: IntMatrix) -> None:
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "leg_from_alpha_target", leg_from_alpha_target)
+        object.__setattr__(self, "leg_from_iota_target", leg_from_iota_target)
+        object.__setattr__(self, "presentation_relations", presentation_relations)
 
 
 def pushout(alpha: ModuleMap, iota: ModuleMap) -> Pushout:
@@ -534,17 +569,24 @@ def pushout(alpha: ModuleMap, iota: ModuleMap) -> Pushout:
 # Hom, Ext and injective hulls
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomModule:
-    """Hom(source, target) as a canonical module plus an element <-> map codec."""
+class HomModule(Frozen):
+    """Hom(source, target) as a canonical module plus an element <-> map codec.
 
-    source: FpModule
-    target: FpModule
-    module: FpModule
-    pairs: tuple              # (i, j, order, scale): coordinate (i,j) ranges over
-                              # multiples of scale in target slot i, order many
-    to_canonical: IntMatrix
-    from_canonical: IntMatrix
+    Each entry (i, j, order, scale) of ``pairs`` is a coordinate: matrix
+    entry (i, j) ranges over ``order`` many multiples of ``scale`` in target
+    slot i.  The instance keeps a ``__dict__`` for its cached properties.
+    """
+
+    _fields = ("source", "target", "module", "pairs", "to_canonical", "from_canonical")
+
+    def __init__(self, source: FpModule, target: FpModule, module: FpModule, pairs: tuple,
+                 to_canonical: IntMatrix, from_canonical: IntMatrix) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "to_canonical", to_canonical)
+        object.__setattr__(self, "from_canonical", from_canonical)
 
     def encode(self, f: ModuleMap) -> tuple:
         if f.source != self.source or f.target != self.target:

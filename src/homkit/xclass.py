@@ -12,7 +12,6 @@ import os
 import re
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice, product as iproduct
 from typing import Callable, Iterator, Optional, Sequence, Tuple
@@ -46,6 +45,7 @@ from .complexes import (
     sphere,
     zero_complex,
 )
+from .values import Frozen
 
 
 DEFAULT_MODULE_SIZE_CAP = 64
@@ -89,8 +89,7 @@ class UniverseCapError(ValueError):
 # Class specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class XClassSpec:
+class XClassSpec(Frozen):
     """Decidable membership predicate on invariant-factor lists.
 
     Kinds: ``all``, ``zero``, ``free``, ``ann`` (annihilated by the given
@@ -99,23 +98,25 @@ class XClassSpec:
     classes that choice is an explicit toggle.
     """
 
-    kind: str
-    param: Optional[int] = None
-    pattern: Optional[str] = None
-    zero_is_member: bool = True
+    _fields = ("kind", "param", "pattern", "zero_is_member")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("all", "zero", "free", "ann", "pred"):
-            raise ModuleError(f"unknown class kind {self.kind!r}")
-        if self.kind == "ann" and (self.param is None or self.param < 1):
+    def __init__(self, kind: str, param: Optional[int] = None, pattern: Optional[str] = None,
+                 zero_is_member: bool = True) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "zero_is_member", zero_is_member)
+        if kind not in ("all", "zero", "free", "ann", "pred"):
+            raise ModuleError(f"unknown class kind {kind!r}")
+        if kind == "ann" and (param is None or param < 1):
             raise ModuleError("ann class needs a positive annihilator")
-        if self.kind == "pred":
-            if self.pattern is None:
+        if kind == "pred":
+            if pattern is None:
                 raise ModuleError("pred class needs a pattern")
             try:
-                re.compile(self.pattern)
+                re.compile(pattern)
             except re.error as exc:
-                raise ModuleError(f"invalid pred pattern {self.pattern!r}: {exc}") from None
+                raise ModuleError(f"invalid pred pattern {pattern!r}: {exc}") from None
 
     def key(self) -> str:
         if self.kind == "ann":

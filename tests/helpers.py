@@ -1203,3 +1203,265 @@ def glued_preenvelope_oracle(y: Complex, x, u=None, oracle=None) -> PreenvelopeR
     emap = ChainMap(y, env, verticals, check=False)
     membership = _verified_membership(env, emap, y, x, injective=True)
     return PreenvelopeResult(env, emap, oracle_log, membership, log)
+
+
+# ---------------------------------------------------------------------------
+# The value types as the ``@dataclass`` declarations they were, kept as
+# test-only oracles of the hand-written classes
+# ---------------------------------------------------------------------------
+
+def factorize_oracle(n: int) -> list:
+    """``exactalg._factorize`` before its trial-division cap: unbounded."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            k = 0
+            while n % d == 0:
+                n //= d
+                k += 1
+            out.append((d, k))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def dataclass_oracles() -> dict:
+    """Name -> class of the 21 value types as ``@dataclass`` declarations:
+    each one's decorator, fields and ``__post_init__`` verbatim, its other
+    methods left out, and its ``__qualname__`` set to its name, as the
+    generated repr reads it.  Their fields are given homkit's own values, so
+    ``ModuleMap``'s check reads ``ngens`` from homkit's ``FpModule``."""
+    import re
+    from dataclasses import dataclass, field
+
+    from homkit.modules import _checked_rows
+
+    @dataclass(frozen=True)
+    class RingSpec:
+        """Coefficient ring: the integers when ``modulus == 0``, else Z/modulus."""
+
+        modulus: int = 0
+
+        def __post_init__(self) -> None:
+            if self.modulus < 0 or self.modulus == 1:
+                raise ExactAlgError(f"modulus must be 0 (meaning Z) or >= 2, got {self.modulus}")
+
+    @dataclass(frozen=True, slots=True)
+    class IntMatrix:
+        """Immutable integer matrix; ``entries[i][j]`` is row i, column j."""
+
+        rows: int
+        cols: int
+        entries: tuple
+
+        def __post_init__(self) -> None:
+            if len(self.entries) != self.rows or \
+                    list(map(len, self.entries)).count(self.cols) != self.rows:
+                raise ExactAlgError("entry grid does not match declared shape")
+
+    @dataclass(frozen=True, slots=True)
+    class FpModule:
+        """A finitely presented module in canonical invariant-factor form."""
+
+        ring: RingSpec
+        factors: tuple
+
+        def __post_init__(self) -> None:
+            n = self.ring.modulus
+            prev = None
+            for d in self.factors:
+                if d == 1 or d < 0:
+                    raise ModuleError(f"invalid invariant factor {d}")
+                if n:
+                    if d == 0 or n % d != 0:
+                        raise ModuleError(f"factor {d} does not divide the modulus {n}")
+                if prev is not None:
+                    if prev == 0 and d != 0:
+                        raise ModuleError("zero factors must come last")
+                    if prev != 0 and d != 0 and d % prev != 0:
+                        raise ModuleError(f"divisibility chain broken: {prev} does not divide {d}")
+                prev = d
+
+    @dataclass(frozen=True, slots=True)
+    class ModuleMap:
+        """Homomorphism between canonical modules, as a matrix on generators."""
+
+        source: FpModule
+        target: FpModule
+        matrix: IntMatrix
+
+        def __post_init__(self) -> None:
+            if self.source.ring != self.target.ring:
+                raise ModuleError("source and target live over different rings")
+            if (self.matrix.rows, self.matrix.cols) != (self.target.ngens, self.source.ngens):
+                raise ModuleError(
+                    f"matrix shape {self.matrix.rows}x{self.matrix.cols} does not match "
+                    f"{self.target.ngens}x{self.source.ngens}")
+            reduced = _checked_rows(self.source.factors, self.target.factors, self.matrix.entries)
+            if reduced != self.matrix.entries:
+                object.__setattr__(self, "matrix", IntMatrix(self.matrix.rows, self.matrix.cols, reduced))
+
+    @dataclass(frozen=True)
+    class Presentation:
+        module: FpModule
+        to_canonical: IntMatrix
+        from_canonical: IntMatrix
+
+    @dataclass(frozen=True)
+    class SubquotientWitness:
+        ambient: FpModule
+        sub: FpModule
+        inclusion: ModuleMap      # sub -> ambient, mono
+        quotient: FpModule
+        quotient_map: ModuleMap   # ambient -> quotient, epi
+
+    @dataclass(frozen=True)
+    class DirectSum:
+        module: FpModule
+        injections: tuple
+        projections: tuple
+
+    @dataclass(frozen=True)
+    class Pushout:
+        module: FpModule
+        leg_from_alpha_target: ModuleMap   # X -> P
+        leg_from_iota_target: ModuleMap    # M -> P
+        presentation_relations: IntMatrix  # the A-columns inside X + M coordinates
+
+    @dataclass(frozen=True)
+    class HomModule:
+        source: FpModule
+        target: FpModule
+        module: FpModule
+        pairs: tuple              # (i, j, order, scale): coordinate (i,j) ranges over
+                                  # multiples of scale in target slot i, order many
+        to_canonical: IntMatrix
+        from_canonical: IntMatrix
+
+    @dataclass(frozen=True)
+    class ComplexVerdict:
+        ok: bool
+        degree: Optional[int]
+        message: str
+
+    @dataclass(frozen=True)
+    class ShortExactOfComplexes:
+        left: Complex
+        middle: Complex
+        right: Complex
+        inj: ChainMap
+        surj: ChainMap
+
+    @dataclass
+    class HomDegree:
+        degree: int
+        blocks: tuple            # tuple of (i, HomModule) with i the source degree
+        sum: DirectSum
+
+    @dataclass
+    class HomComplexData:
+        x: Complex
+        y: Complex
+        complex: Complex
+        degrees: dict            # n -> HomDegree
+
+    @dataclass(frozen=True)
+    class ExactnessReport:
+        exact: bool
+        homology: dict           # degree -> invariant factors of H^k
+
+    @dataclass
+    class ChainMapGroup:
+        source: Complex
+        target: Complex
+        module: FpModule
+        _hom0: Optional[HomDegree]
+        _inclusion: Optional[ModuleMap]        # cycles -> Hom^0's sum module
+        _blocks: tuple = ()     # P_s per block s of Hom^0 (``_cycle_blocks``); () without cycles
+
+    @dataclass(frozen=True)
+    class XClassSpec:
+        kind: str
+        param: Optional[int] = None
+        pattern: Optional[str] = None
+        zero_is_member: bool = True
+
+        def __post_init__(self) -> None:
+            if self.kind not in ("all", "zero", "free", "ann", "pred"):
+                raise ModuleError(f"unknown class kind {self.kind!r}")
+            if self.kind == "ann" and (self.param is None or self.param < 1):
+                raise ModuleError("ann class needs a positive annihilator")
+            if self.kind == "pred":
+                if self.pattern is None:
+                    raise ModuleError("pred class needs a pattern")
+                try:
+                    re.compile(self.pattern)
+                except re.error as exc:
+                    raise ModuleError(f"invalid pred pattern {self.pattern!r}: {exc}") from None
+
+    @dataclass
+    class Verdict:
+        holds: bool
+        universe: str
+        checked: int = 0
+        witnesses: list = field(default_factory=list)
+        counterexample: Optional[dict] = None
+        extra: dict = field(default_factory=dict)
+
+    @dataclass
+    class BuildStep:
+        degree: int
+        data: dict
+
+    @dataclass
+    class PrecoverResult:
+        cover: Complex
+        map: ChainMap                    # cover -> input, degreewise epi
+        per_degree_oracle: list          # (degree, cover module, cover map)
+        kernel_membership: dict          # degree -> (kernel factors, in class)
+        build_log: list                  # ordered BuildStep records
+
+    @dataclass
+    class PreenvelopeResult:
+        env: Complex
+        map: ChainMap                    # input -> env, degreewise mono
+        per_degree_oracle: list
+        cokernel_membership: dict
+        build_log: list
+
+    @dataclass
+    class EnvelopeResult:
+        envelope: Complex
+        inclusion: ChainMap
+        injective_verdict: Verdict
+        essential: bool
+        essential_witness: Optional[dict]
+        closure_report: dict
+        candidates_examined: int
+
+    classes = [RingSpec, IntMatrix, FpModule, ModuleMap, Presentation, SubquotientWitness,
+               DirectSum, Pushout, HomModule, ComplexVerdict, ShortExactOfComplexes,
+               HomDegree, HomComplexData, ExactnessReport, ChainMapGroup, XClassSpec,
+               Verdict, BuildStep, PrecoverResult, PreenvelopeResult, EnvelopeResult]
+    for cls in classes:
+        cls.__qualname__ = cls.__name__
+    return {cls.__name__: cls for cls in classes}
+
+
+def scalar_hash_ring_spec() -> type:
+    """A mutant of the ``RingSpec`` oracle that hashes its modulus alone,
+    ``hash(4)`` where the declaration hashes ``(4,)``: a comparison with the
+    oracle must see it."""
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class RingSpec:
+        modulus: int = 0
+
+        def __hash__(self) -> int:
+            return hash(self.modulus)
+
+    RingSpec.__qualname__ = "RingSpec"
+    return RingSpec

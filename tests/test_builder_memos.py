@@ -10,8 +10,6 @@ slice bounds the work the memos and the one-map gluing save.
 """
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from homkit import caches, clear_caches, complexes, construct, lifting
@@ -19,6 +17,8 @@ from homkit.complexes import ChainMap, Complex, disk, sphere
 from homkit.construct import (
     BuildError,
     OracleHypothesisError,
+    PrecoverResult,
+    PreenvelopeResult,
     free_cover,
     module_epi_precover,
     module_mono_preenvelope,
@@ -57,7 +57,12 @@ def doubled(result):
     cmap = result.map
     comps = {k: ModuleMap(f.source, f.target, f.matrix.scale(2))
              for k, f in cmap._components.items()}
-    return dataclasses.replace(result, map=ChainMap(cmap.source, cmap.target, comps))
+    doubled_map = ChainMap(cmap.source, cmap.target, comps)
+    if isinstance(result, PrecoverResult):
+        return PrecoverResult(result.cover, doubled_map, result.per_degree_oracle,
+                              result.kernel_membership, result.build_log)
+    return PreenvelopeResult(result.env, doubled_map, result.per_degree_oracle,
+                             result.cokernel_membership, result.build_log)
 
 
 def refusal(call) -> str:

@@ -166,3 +166,23 @@ def chain_map_docs(draw):
 def test_homotopic_zero_exits_cleanly(doc_path, doc):
     doc_path.write_text(json.dumps(doc))
     assert run(["check", "homotopic-zero", str(doc_path)]) in (0, 1, 2, 3)
+
+
+# every verb that reads a document; a builder also needs an output directory
+DOCUMENT_VERBS = [["validate"]] + [["check", kind] for kind in (
+    "exact", "homotopic-zero", "x-injective", "x-projective", "dg-injective", "dg-projective",
+    "eps1-perp")] + [["build", kind] for kind in ("precover", "preenvelope", "envelope")]
+
+
+@pytest.mark.parametrize("command", DOCUMENT_VERBS, ids=" ".join)
+@pytest.mark.parametrize("opener", ["[", '{"a": '], ids=["arrays", "objects"])
+def test_deeply_nested_json_exits_two_with_a_message(command, opener, tmp_path):
+    # deeper than the parser's recursion limit, which raises RecursionError
+    doc = tmp_path / "deep.json"
+    doc.write_text(opener * 100_000)
+    argv = command + [str(doc)] + (["--output", str(tmp_path / "out")]
+                                   if command[0] == "build" else [])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    assert "nest too deeply" in err.getvalue()
