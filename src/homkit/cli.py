@@ -27,7 +27,8 @@ import sys
 import time
 from typing import Optional
 
-from .exactalg import ExactAlgError, FactorizationCapError, IntMatrix, RingSpec, ZZ, Zmod
+from .exactalg import (EntrySizeCapError, ExactAlgError, FactorizationCapError, IntMatrix,
+                       RingSpec, ZZ, Zmod)
 from .modules import FpModule, ModuleError, ModuleMap
 from .complexes import (
     ChainMap,
@@ -348,7 +349,7 @@ def cmd_check(args) -> int:
                "detail": str(exc), "timing_seconds": round(time.time() - started, 6)})
         return 3
     except (DocumentError, ModuleError, ComplexError, UniverseCapError,
-            FactorizationCapError) as exc:
+            FactorizationCapError, EntrySizeCapError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
 
@@ -439,7 +440,7 @@ def cmd_build(args) -> int:
                "unsolvable_system": _payload_to_doc(exc.system),
                "timing_seconds": round(time.time() - started, 6)})
         return 3
-    except (BuildError, UniverseCapError, FactorizationCapError) as exc:
+    except (BuildError, UniverseCapError, FactorizationCapError, EntrySizeCapError) as exc:
         print(f"build failed: {exc}", file=sys.stderr)
         return 2
 

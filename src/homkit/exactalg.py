@@ -226,6 +226,18 @@ def det(a: IntMatrix) -> int:
 # Smith normal form over Z
 # ---------------------------------------------------------------------------
 
+# the most bits an entry of ``_snf_core``'s pivot row may have when its
+# stage starts: a working matrix whose entries grow past it is refused, not
+# reduced on for minutes.  Every row operation adds a multiple of a pivot
+# row, so a growth that lasts shows in some stage's pivot row.
+_SNF_ENTRY_BITS = 8192
+
+
+class EntrySizeCapError(ExactAlgError):
+    """Raised when a pivot stage of a Smith normal form starts with an entry
+    of more than ``_SNF_ENTRY_BITS`` bits in its pivot row."""
+
+
 def _snf_core(m: list, cols: int, left: bool = True, right: bool = True) -> tuple:
     """Smith normal form of the matrix a whose rows are the lists ``m``,
     with ``cols`` columns, reduced in place: returns (u, d, v, u^-1) as
@@ -239,7 +251,8 @@ def _snf_core(m: list, cols: int, left: bool = True, right: bool = True) -> tupl
     absolute value in the trailing block, in row-major order, and clears
     its column and row; before it, the rows and columns above t are zero
     outside the diagonal, so the steps skip them, and a pivot of 1 divides
-    the rest of the block without a sweep."""
+    the rest of the block without a sweep.  A stage whose pivot row holds
+    an entry of more than ``_SNF_ENTRY_BITS`` bits raises EntrySizeCapError."""
     R, C = len(m), cols
 
     def eye(n):
@@ -299,6 +312,11 @@ def _snf_core(m: list, cols: int, left: bool = True, right: bool = True) -> tupl
                     break
         if pivot is None:
             break
+        bits = max(map(abs, m[pivot])).bit_length()
+        if bits > _SNF_ENTRY_BITS:
+            raise EntrySizeCapError(
+                f"Smith normal form refused at pivot stage {t}: an entry of the pivot row "
+                f"has grown to {bits} bits, past the cap of {_SNF_ENTRY_BITS}")
         row_swap(t, pivot)
         col_swap(t, list(map(abs, m[t])).index(best))
         if m[t][t] < 0:

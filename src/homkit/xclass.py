@@ -17,7 +17,7 @@ from itertools import islice, product as iproduct
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from . import caches
-from .exactalg import RingSpec, _val
+from .exactalg import IntMatrix, RingSpec, _val
 from .modules import (
     FpModule,
     ModuleError,
@@ -30,6 +30,7 @@ from .modules import (
     cokernel,
     cokernel_with_section,
     hom_module,
+    image_order,
 )
 from .complexes import (
     ChainMap,
@@ -289,30 +290,79 @@ def enumerate_epis(a: FpModule, b: FpModule) -> list:
 # Complex universes
 # ---------------------------------------------------------------------------
 
-def _window_complexes(ring: RingSpec, bound: int, window: Tuple[int, int]) -> Iterator[Complex]:
+def _window_complexes(ring: RingSpec, bound: int, window: Tuple[int, int],
+                      exact: bool = False) -> Iterator[Complex]:
     """Every nonzero complex on the degrees of ``window`` with components in
     ``module_universe(ring, bound)``: component tuples in product order and,
     for each, the differential tuples with d o d = 0 in product order (each
     Hom set in element order), found depth first so a nonzero d o d, read
     off reduced raw rows (``_composite``), prunes every tuple that extends
-    it."""
+    it.
+
+    With ``exact``, only the complexes exact at every degree of the window,
+    in the same order, walked exact.  Over Z/n a complex with d o d = 0 is
+    exact at k iff |im d^(k-1)| * |im d^k| = |C^k| (``exact_at``), so d^k is
+    taken only when its image order, counted once per Hom set of the walk,
+    is |C^k| / |im d^(k-1)|, with |im d^(lo-1)| = 1, and d^(hi-1) only when
+    that order is also |C^hi|; only the maps taken are decoded."""
     lo, hi = window
     degs = range(lo, hi + 1)
+    hom_sets = {}     # (source, target) -> its _Arrows, shared by the tuples of the walk
 
-    def tuples(arrows: list, diffs: list) -> Iterator[list]:
-        if len(diffs) == len(arrows):
+    def arrows(a: FpModule, b: FpModule) -> _Arrows:
+        if (a, b) not in hom_sets:
+            hom_sets[(a, b)] = _Arrows(hom_module(a, b))
+        return hom_sets[(a, b)]
+
+    def tuples(homs: list, sizes: list, diffs: list, below: int) -> Iterator[list]:
+        k = len(diffs)
+        if k == len(homs):
             yield diffs
             return
-        for d in arrows[len(diffs)]:
+        order = None
+        if exact:
+            order = sizes[k] // below
+            if k == len(homs) - 1 and order != sizes[k + 1]:
+                return
+        for d in homs[k].maps(order):
             if not diffs or not any(map(any, _composite(d, diffs[-1]))):
-                yield from tuples(arrows, diffs + [d])
+                yield from tuples(homs, sizes, diffs + [d], order)
 
     for comps in iproduct(module_universe(ring, bound).members, repeat=len(degs)):
         if all(m.is_zero() for m in comps):
             continue
-        homs = [hom_module(a, b) for a, b in zip(comps, comps[1:])]
-        for diffs in tuples([[hm.decode(e) for e in hm.module.elements()] for hm in homs], []):
+        homs = [arrows(a, b) for a, b in zip(comps, comps[1:])]
+        for diffs in tuples(homs, [m.size() for m in comps], [], 1):
             yield Complex(ring, dict(zip(degs, comps)), dict(zip(degs, diffs)), check=False)
+
+
+class _Arrows:
+    """The maps of one Hom set in element order, each decoded at its first
+    use.  ``maps(None)`` yields them all; ``maps(order)`` those whose image
+    has that order, from image orders counted at the first such call."""
+
+    __slots__ = ("_hm", "_maps", "_by_order")
+
+    def __init__(self, hm):
+        self._hm = hm
+        self._maps = dict.fromkeys(hm.module.elements())
+        self._by_order: Optional[dict] = None
+
+    def maps(self, order: Optional[int]) -> Iterator[ModuleMap]:
+        if order is None:
+            picked = self._maps
+        else:
+            if self._by_order is None:
+                hm, self._by_order = self._hm, {}
+                for elem, blocks in hm._scan():
+                    mat = IntMatrix.from_rows(blocks[0], cols=hm.source.ngens)
+                    self._by_order.setdefault(image_order(hm.target, mat), []).append(elem)
+            picked = self._by_order.get(order, ())
+        for elem in picked:
+            f = self._maps[elem]
+            if f is None:
+                f = self._maps[elem] = self._hm.decode(elem)
+            yield f
 
 
 class ComplexUniverse:
@@ -480,9 +530,9 @@ def _pool(members: list, epi: bool, scan, close, parts) -> Iterator[tuple]:
     ``(repeat, make_block)`` per member b (source a), in member order:
     ``make_block()`` generates, for each nonzero member a (target b) that
     can embed in it (be a quotient of it), the first map a -> b per image
-    (kernel) key of ``scan(a, b)``, with ``close`` of it, its cokernel
-    (kernel); ``repeat`` is the earliest member b (a) is isomorphic to, or
-    None.
+    (kernel) key of ``scan(a, b, first=...)``, with ``close`` of it, its
+    cokernel (kernel); ``repeat`` is the earliest member b (a) is isomorphic
+    to, or None.
 
     Maps from (onto) zero impose no lifting constraint.  Two injections with
     the same image differ by an automorphism of the source (two surjections
@@ -490,7 +540,12 @@ def _pool(members: list, epi: bool, scan, close, parts) -> Iterator[tuple]:
     lifting test, so keeping one per key is lossless.  A pair is scanned
     only if each group of ``parts`` of the smaller member embeds in the
     matching group of the larger (``_fits``), which every injection
-    (surjection) between them needs.
+    (surjection) between them needs.  A pair whose members have the same
+    order in every degree (a module counts as one degree) is scanned only
+    up to its first passing map (``first=True``): every injection
+    (surjection) between them is bijective in each degree, so an
+    isomorphism, and each has the one key "everything" ("zero"); its first
+    map is the pair's one entry, or none when that key is already seen.
 
     Nor is a pair scanned whose member m (the source of the injections,
     the target of the surjections) is isomorphic to an earlier member r:
@@ -510,6 +565,7 @@ def _pool(members: list, epi: bool, scan, close, parts) -> Iterator[tuple]:
     pool never tests one.
     """
     shapes = [_shape(parts(m)) for m in members]
+    orders = [_orders(m) for m in members]
     first = _Repeats(shapes, lambda r, i: _isomorphic(members[r], members[i], epi))
 
     def block(j: int) -> Iterator[tuple]:
@@ -517,7 +573,8 @@ def _pool(members: list, epi: bool, scan, close, parts) -> Iterator[tuple]:
         for i, other in enumerate(members):
             if other.is_zero() or not _fits(shapes[i], shapes[j]) or first(i) != i:
                 continue
-            for key, decode in scan(*((members[j], other) if epi else (other, members[j]))):
+            pair = (members[j], other) if epi else (other, members[j])
+            for key, decode in scan(*pair, first=orders[i] == orders[j]):
                 if key not in seen:
                     seen.add(key)
                     f = decode()
@@ -562,6 +619,14 @@ class _Repeats:
                     if self._earliest[j] == j:
                         firsts.append(j)
         return self._earliest[i]
+
+
+def _orders(m) -> tuple:
+    """The order of each nonzero component of a complex, in degree order, or
+    the order of a module as one degree."""
+    if isinstance(m, FpModule):
+        return (m.size(),)
+    return tuple((k, m.component(k).size()) for k in m.degrees())
 
 
 def _isomorphic(earlier: Complex, member: Complex, epi: bool) -> bool:
@@ -623,11 +688,18 @@ def _complex_parts(c: Complex, epi: bool) -> dict:
     A degreewise injection phi: a -> b carries ker d_a^k into ker d_b^k and
     im d_a^k into im d_b^k injectively; a degreewise surjection psi: a -> b
     carries im d_a^k onto im d_b^k and so induces coker d_a^k ->> coker d_b^k.
+
+    A zero d^k has image 0, kernel its source and cokernel its target, read
+    off without a lattice computation.
     """
     out = {}
     for k in set(c.degrees()) | {k - 1 for k in c.degrees()}:
         d = c.differential(k)
         out[(k, "component")] = c.component(k)
+        if d.is_zero():
+            out[(k, "image")] = FpModule.zero(c.ring)
+            out[(k, "cokernel" if epi else "kernel")] = d.target if epi else d.source
+            continue
         out[(k, "image")] = _sublattice_module(d.target, d.matrix)[0]
         out[(k, "cokernel" if epi else "kernel")] = \
             cokernel(d)[0] if epi else _kernel_inclusion(d)[0]
@@ -639,9 +711,11 @@ _SCAN_CAP = 1 << 16
 _HOM_SET_CAP = 1 << 20
 
 
-def _pool_scan(grp, components: list, component_key, cap: int = _SCAN_CAP) -> list:
+def _pool_scan(grp, components: list, component_key, cap: int = _SCAN_CAP, *,
+               first: bool = False) -> list:
     """``(key, decoder)`` for each element of ``grp`` (a ``HomModule`` or
-    ``ChainMapGroup``) whose components all pass, in group order.
+    ``ChainMapGroup``) whose components all pass, in group order; with
+    ``first``, for the first such element only, and the walk stops there.
 
     For each ``(k, source, target)`` of ``components``,
     ``component_key(source, target, rows)`` gets the raw matrix in degree k
@@ -665,6 +739,8 @@ def _pool_scan(grp, components: list, component_key, cap: int = _SCAN_CAP) -> li
             key.append((k, part))
         else:
             out.append((tuple(key), partial(grp.decode, elem)))
+            if first:
+                break
     return out
 
 
@@ -692,7 +768,8 @@ def _kernel_elements(src: FpModule, tgt: FpModule, rows: Optional[tuple]) -> Opt
 
 def _hom_scan(component_key):
     """The module case of ``chain_monos``/``chain_epis``, at ``enumerate_homs``' cap."""
-    return lambda a, b: _pool_scan(hom_module(a, b), [(0, a, b)], component_key, _HOM_SET_CAP)
+    return lambda a, b, first=False: _pool_scan(hom_module(a, b), [(0, a, b)], component_key,
+                                                _HOM_SET_CAP, first=first)
 
 
 # a component key is a pure function of (key function, source, target,
@@ -709,21 +786,23 @@ def _shared_key(component_key):
     return key
 
 
-def chain_monos(a: Complex, b: Complex) -> list:
+def chain_monos(a: Complex, b: Complex, first: bool = False) -> list:
     """The injective chain maps a -> b as ``(image, decoder)`` pairs, the
-    image listing each degree's image elements in sorted order."""
+    image listing each degree's image elements in sorted order; with
+    ``first``, the first of them only."""
     return _pool_scan(chain_map_group(a, b),
                       [(k, a.component(k), b.component(k)) for k in a.degrees()],
-                      _shared_key(_image))
+                      _shared_key(_image), first=first)
 
 
-def chain_epis(a: Complex, b: Complex) -> list:
+def chain_epis(a: Complex, b: Complex, first: bool = False) -> list:
     """The surjective chain maps a -> b as ``(kernel, decoder)`` pairs, the
-    kernel listing each degree's kernel elements in sorted order."""
+    kernel listing each degree's kernel elements in sorted order; with
+    ``first``, the first of them only."""
     degrees = sorted(set(a.degrees()) | set(b.degrees()))
     return _pool_scan(chain_map_group(a, b),
                       [(k, a.component(k), b.component(k)) for k in degrees],
-                      _shared_key(_kernel_elements))
+                      _shared_key(_kernel_elements), first=first)
 
 
 # the cokernel (with its section) of an injection and the kernel (with its
@@ -835,7 +914,7 @@ class Eps1Universe:
         if self._members is not None:
             return self._members
         self._members = [zero_complex(self.ring)] + [
-            c for c in _window_complexes(self.ring, self.base_bound, self.window)
+            c for c in _window_complexes(self.ring, self.base_bound, self.window, exact=True)
             if self._qualifies(c)]
         return self._members
 

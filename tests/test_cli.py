@@ -39,6 +39,14 @@ SPHERE_DOC = {"ring": {"mod": 4}, "modules": {"0": [2]}, "diff": {}}
 DISK_DOC = {"ring": {"mod": 4}, "modules": {"0": [2], "1": [2]}, "diff": {"0": [[1]]}}
 BAD_DOC = {"ring": {"mod": 4}, "modules": {"0": [4], "1": [4], "2": [4]},
            "diff": {"0": [[1]], "1": [[1]]}}
+# (Z/36)^7 -> (Z/36)^7 with random entries: its homology, read off the
+# integer lift, grows the Smith form's entries past their cap
+GROWING_SMITH_DOC = {
+    "ring": {"mod": 36}, "modules": {"0": [36] * 7, "1": [36] * 7},
+    "diff": {"0": [[3, 5, 5, 23, 10, 19, 16], [13, 2, 10, 27, 25, 32, 23],
+                   [34, 28, 32, 17, 2, 1, 23], [29, 20, 24, 27, 33, 10, 35],
+                   [11, 15, 14, 1, 11, 20, 11], [8, 32, 32, 23, 32, 35, 11],
+                   [28, 26, 33, 23, 22, 23, 28]]}}
 
 
 def write(tmp_path, name, doc):
@@ -163,6 +171,14 @@ class TestCheckCommand:
 
     def test_bad_input(self, tmp_path):
         assert main(["check", "exact", str(tmp_path / "missing.json")]) == 2
+
+    def test_exact_refuses_a_smith_form_whose_entries_grow(self, tmp_path, capsys):
+        # refused at the seventh pivot stage of one Smith form, where it ran
+        # for minutes without the cap
+        assert main(["check", "exact", write(tmp_path, "c.json", GROWING_SMITH_DOC)]) == 2
+        captured = capsys.readouterr()
+        assert "refused at pivot stage 6" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestBuildCommand:

@@ -22,6 +22,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from homkit.cli import main
 
+from .test_cli import GROWING_SMITH_DOC
+
 leaves = st.none() | st.booleans() | st.integers(-40, 40) | st.text(max_size=5)
 json_values = st.recursive(
     leaves,
@@ -77,6 +79,7 @@ def run(argv: list) -> int:
 @example(doc={"ring": {"mod": 4}, "modules": {"0": [2], "1": [2]}, "diff": {"0": [[1]]}})
 @example(doc={"ring": {"mod": 2}, "modules": {"0": [2], "1": [2], "2": [2]},
               "diff": {"0": [[1]], "1": [[1]]}})
+@example(doc=GROWING_SMITH_DOC)
 def test_any_json_document_exits_cleanly(command, doc_path, doc):
     doc_path.write_text(json.dumps(doc))
     assert run(command + [str(doc_path)]) in (0, 1, 2)

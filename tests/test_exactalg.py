@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homkit.exactalg import (
+    _SNF_ENTRY_BITS,
     CongruenceSystem,
+    EntrySizeCapError,
     ExactAlgError,
     IntMatrix,
     ZZ,
@@ -32,6 +34,15 @@ small_matrix = st.integers(0, 5).flatmap(
 
 
 class TestSmithNormalForm:
+    def test_an_entry_past_the_cap_is_refused(self):
+        top = (1 << _SNF_ENTRY_BITS) - 1          # the largest entry the cap lets through
+        u, d, v = smith_normal_form(mat([[top, 0], [0, 1]]))
+        assert d.to_lists() == [[1, 0], [0, top]]
+        # the pivot is 2, and its row holds the entry past the cap
+        with pytest.raises(EntrySizeCapError, match="pivot stage 0") as err:
+            smith_normal_form(mat([[2, top + 1], [0, 3]]))
+        assert isinstance(err.value, ExactAlgError)
+
     def test_diag_2_3(self):
         # oracle: d1 = gcd of entries, d1*d2 = |det|
         a = mat([[2, 0], [0, 3]])

@@ -166,11 +166,11 @@ def test_a_raising_pool_raises_for_every_reader():
     stop = want[len(want) // 2][0][1]       # the target of the entry the error cuts
     calls = {"failed": 0}
 
-    def capped(a, b):
+    def capped(a, b, first=False):
         if b.canonical_key() == stop:
             calls["failed"] += 1
             raise UniverseCapError("planted cap")
-        return chain_monos(a, b)
+        return chain_monos(a, b, first=first)
 
     cu.monos = _Pool(lambda: pool_with_scan(cu, capped, epi=False))
     for _ in range(2):
@@ -189,11 +189,11 @@ def test_a_transient_error_leaves_the_pool_whole():
     want = entries(eager_pool(cu, True))
     left = {"errors": 1}
 
-    def flaky(a, b):
+    def flaky(a, b, first=False):
         if left["errors"] and a.canonical_key() == want[len(want) // 2][0][0]:
             left["errors"] -= 1
             raise RuntimeError("transient")
-        return chain_epis(a, b)
+        return chain_epis(a, b, first=first)
 
     cu.epis = _Pool(lambda: pool_with_scan(cu, flaky, epi=True))
     with pytest.raises(RuntimeError, match="transient"):

@@ -135,10 +135,10 @@ def recorded_pairs(monkeypatch, cu: ComplexUniverse, epi: bool) -> list:
     scan = getattr(xclass, name)
     pairs = []
 
-    def recording(a, b):
+    def recording(a, b, first=False):
         fixed, other = (a, b) if epi else (b, a)
         pairs.append((index[fixed.canonical_key()], index[other.canonical_key()]))
-        return scan(a, b)
+        return scan(a, b, first=first)
 
     with monkeypatch.context() as patched:
         patched.setattr(xclass, name, recording)

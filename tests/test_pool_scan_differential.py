@@ -15,6 +15,12 @@ were shared, kept only as a test:
 Pools, raw scans and ``complex_isomorphic`` must agree with it exactly:
 same entries in the same order, same representative maps and same closes,
 whether a pool is read to the end or read in part and then replayed.
+
+The oracle scans every pair to its end.  The pools stop a pair whose
+members have the same order in every degree at its first passing map, and
+read the parts of a zero differential off its ends; universes rich in such
+pairs and such differentials are compared as well, together with the
+repeat tags, and a guard bounds the group elements the scans walk.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ from itertools import islice
 
 import pytest
 
-from homkit import caches, exactalg, modules
+from homkit import caches, complexes, exactalg, modules
 from homkit.complexes import (
     ChainMap,
     Complex,
@@ -35,6 +41,7 @@ from homkit.exactalg import IntMatrix, Zmod
 from homkit.modules import (
     ModuleMap,
     _kernel_inclusion,
+    _sublattice_module,
     cokernel,
     cokernel_with_section,
     hom_module,
@@ -43,12 +50,18 @@ from homkit.xclass import (
     ComplexUniverse,
     ModuleUniverse,
     _complex_parts,
+    _hom_scan,
     _image,
     _kernel_elements,
     _module_parts,
+    chain_epis,
+    chain_monos,
+    default_complex_universe,
 )
 
 from .helpers import pool_without_repeat_skip
+from .test_block_skip_differential import brute_force_tags
+from .test_pool_repeat_differential import envelope_universe
 
 # (modulus, disk bound) of the twelve complex pools, each read for monos and epis
 POOLS = [(2, 8), (4, 4), (4, 8), (6, 4), (8, 4), (9, 4)]
@@ -293,3 +306,118 @@ def test_complex_isomorphic_matches_the_old_scan_on_pool_pairs():
                 assert got == old_isomorphic(a, b), (a.describe(), b.describe())
                 seen[got] += 1
     assert seen[True] and seen[False]
+
+
+# -- pairs of equal order and zero differentials ------------------------------
+
+# complex universes rich in pairs whose members have the same order in every
+# degree: the envelope search's over Z/2 at disk bound 8, and the command
+# line's default ones over Z/8 and Z/12
+EQUAL_ORDER_UNIVERSES = {
+    "envelope Z/2": envelope_universe,
+    "default Z/8": partial(ComplexUniverse, Zmod(8), 4, (0, 1), 8, (-1, 0, 1)),
+    "default Z/12": partial(ComplexUniverse, Zmod(12), 4, (0, 1), 8, (-1, 0, 1)),
+}
+EQUAL_ORDER_MODULES = [(4, 16), (8, 16), (12, 12)]
+
+
+def old_complex_parts(c: Complex, epi: bool) -> dict:
+    """``_complex_parts`` by the presentation route alone, zero
+    differentials included."""
+    out = {}
+    for k in set(c.degrees()) | {k - 1 for k in c.degrees()}:
+        d = c.differential(k)
+        out[(k, "component")] = c.component(k)
+        out[(k, "image")] = _sublattice_module(d.target, d.matrix)[0]
+        out[(k, "cokernel" if epi else "kernel")] = \
+            cokernel(d)[0] if epi else _kernel_inclusion(d)[0]
+    return out
+
+
+def test_the_default_universes_are_the_command_line_ones():
+    for n in (8, 12):
+        assert EQUAL_ORDER_UNIVERSES[f"default Z/{n}"]().describe() == \
+            default_complex_universe(Zmod(n), (0, 1)).describe()
+
+
+@pytest.mark.parametrize("epi", [False, True], ids=["mono", "epi"])
+@pytest.mark.parametrize("name", list(EQUAL_ORDER_UNIVERSES))
+def test_equal_order_complex_pools_match_the_old_scan(name, epi, oracle):
+    make = EQUAL_ORDER_UNIVERSES[name]
+    want = keys(oracle(lambda: old_complex_pool(make(), epi)))
+    assert want
+    cu = make()
+    holder = cu.epis if epi else cu.monos
+    assert keys(holder.drained()) == want
+    tags = [repeat for repeat, _ in holder.blocks()]
+    assert tags == brute_force_tags(cu) and any(t is not None for t in tags)
+
+
+@pytest.mark.parametrize("epi", [False, True], ids=["mono", "epi"])
+@pytest.mark.parametrize("n,bound", EQUAL_ORDER_MODULES)
+def test_equal_order_module_pools_match_the_old_scan(n, bound, epi, oracle):
+    want = oracle(lambda: old_module_pool(ModuleUniverse(Zmod(n), bound), epi))
+    assert want
+    u = ModuleUniverse(Zmod(n), bound)
+    assert (u.epi_pool() if epi else u.mono_pool()) == want
+    assert all(repeat is None for repeat, _ in (u.epis if epi else u.monos).blocks())
+
+
+@pytest.mark.parametrize("make", [*EQUAL_ORDER_UNIVERSES.values(),
+                                  *(partial(fresh_universe, n, b) for n, b in POOLS)])
+def test_complex_parts_match_the_presentation_route(make):
+    zeros = 0
+    for c in make().members:
+        zeros += sum(c.differential(k).is_zero() for k in c.degrees())
+        for epi in (False, True):
+            assert _complex_parts(c, epi) == old_complex_parts(c, epi), c.describe()
+    assert zeros
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_a_first_entry_scan_is_the_full_scan_cut_to_one(n):
+    scans = {"complex": (chain_monos, chain_epis),
+             "module": (_hom_scan(_image), _hom_scan(_kernel_elements))}
+    universes = {"complex": fresh_universe(n, 4).members,
+                 "module": ModuleUniverse(Zmod(n), 16).members}
+    found = 0
+    for kind, members in universes.items():
+        for a in members:
+            for b in members:
+                group = chain_map_group(a, b) if kind == "complex" else hom_module(a, b)
+                if group.module.size() > 1 << 10:
+                    continue
+                for scan in scans[kind]:
+                    full, first = scan(a, b), scan(a, b, first=True)
+                    assert [(key, decode()) for key, decode in first] == \
+                        [(key, decode()) for key, decode in full[:1]]
+                    found += len(full) > 1
+    assert found
+
+
+def walked(monkeypatch, drain) -> int:
+    """The group elements ``_scan_maps`` yields while ``drain()`` runs, from
+    empty caches."""
+    count = [0]
+    scan = modules._scan_maps
+
+    def counted(*args):
+        for item in scan(*args):
+            count[0] += 1
+            yield item
+
+    caches.clear_caches()
+    with monkeypatch.context() as patched:
+        patched.setattr(modules, "_scan_maps", counted)
+        patched.setattr(complexes, "_scan_maps", counted)
+        drain()
+    caches.clear_caches()
+    return count[0]
+
+
+def test_equal_order_pairs_are_not_scanned_to_their_end(monkeypatch):
+    # the pools walk 440 and 5,077 elements; scanning every pair to its end
+    # walks 1,344 and 8,471 (repeat tests included)
+    u = ModuleUniverse(Zmod(4), 8)
+    assert walked(monkeypatch, lambda: (u.mono_pool(), u.epi_pool())) <= 500
+    assert walked(monkeypatch, lambda: envelope_universe().mono_pool()) <= 5800
