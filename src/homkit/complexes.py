@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import add
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from . import caches
@@ -39,12 +40,19 @@ class ComplexError(ValueError):
     pass
 
 
-class Complex:
-    """Degree-indexed family of modules with degree-raising differentials."""
+class Complex(Frozen):
+    """Degree-indexed family of modules with degree-raising differentials.
+
+    A frozen value: its components and differentials are read-only
+    mappings, sorted by degree, and it is equal to, and hashed as, any
+    complex with the same ``canonical_key``."""
+
+    __slots__ = ("ring", "_components", "_differentials", "_key")
+    _fields = ("ring", "_components", "_differentials")
 
     def __init__(self, ring: RingSpec, components: Dict[int, FpModule],
                  differentials: Dict[int, ModuleMap], check: bool = True):
-        self.ring = ring
+        object.__setattr__(self, "ring", ring)
         comps = {k: m for k, m in components.items() if not m.is_zero()}
         for k, m in comps.items():
             if m.ring != ring:
@@ -60,9 +68,9 @@ class Complex:
         for k in comps:
             if (k + 1) in comps and k not in diffs:
                 diffs[k] = ModuleMap.zero(comps[k], comps[k + 1])
-        self._components = dict(sorted(comps.items()))
-        self._differentials = dict(sorted(diffs.items()))
-        self._key: Optional[tuple] = None
+        object.__setattr__(self, "_components", MappingProxyType(dict(sorted(comps.items()))))
+        object.__setattr__(self, "_differentials", MappingProxyType(dict(sorted(diffs.items()))))
+        object.__setattr__(self, "_key", None)
         if check:
             verdict = validate_complex(self)
             if not verdict.ok:
@@ -104,9 +112,10 @@ class Complex:
         """Built on first use and kept: nothing changes a complex after
         construction."""
         if self._key is None:
-            self._key = (self.ring,
-                         tuple((k, m.factors) for k, m in self._components.items()),
-                         tuple((k, d.matrix.entries) for k, d in self._differentials.items()))
+            object.__setattr__(self, "_key", (
+                self.ring,
+                tuple((k, m.factors) for k, m in self._components.items()),
+                tuple((k, d.matrix.entries) for k, d in self._differentials.items())))
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -182,13 +191,18 @@ def shift(c: Complex, k: int) -> Complex:
     return Complex(c.ring, comps, diffs, check=False)
 
 
-class ChainMap:
-    """Degreewise map commuting with the differentials."""
+class ChainMap(Frozen):
+    """Degreewise map commuting with the differentials: a frozen value with
+    read-only components, equal to and hashed as any chain map with the same
+    ``canonical_key``, shown by the default repr."""
+
+    __slots__ = _fields = ("source", "target", "_components")
+    __repr__ = object.__repr__
 
     def __init__(self, source: Complex, target: Complex,
                  components: Dict[int, ModuleMap], check: bool = True):
-        self.source = source
-        self.target = target
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         comps = {}
         for k, f in components.items():
             if f.is_zero():
@@ -196,7 +210,7 @@ class ChainMap:
             if f.source != source.component(k) or f.target != target.component(k):
                 raise ComplexError(f"chain map component at degree {k} has wrong endpoints")
             comps[k] = f
-        self._components = dict(sorted(comps.items()))
+        object.__setattr__(self, "_components", MappingProxyType(dict(sorted(comps.items()))))
         if check and not self.commutes():
             raise ComplexError("components do not commute with the differentials")
 
@@ -266,12 +280,17 @@ class ChainMap:
         return hash(self.canonical_key())
 
 
-class Homotopy:
-    """Degree -1 family s with  s o d + d o s = f  for the stored chain map."""
+class Homotopy(Frozen):
+    """Degree -1 family s with  s o d + d o s = f  for the stored chain map:
+    frozen, with read-only components, and compared and hashed by identity
+    under the default repr."""
+
+    __slots__ = _fields = ("chain_map", "_components")
+    __eq__, __hash__, __repr__ = object.__eq__, object.__hash__, object.__repr__
 
     def __init__(self, chain_map: ChainMap, components: Dict[int, ModuleMap],
                  check: bool = True):
-        self.chain_map = chain_map
+        object.__setattr__(self, "chain_map", chain_map)
         comps = {}
         for k, s in components.items():
             if s.is_zero():
@@ -280,7 +299,7 @@ class Homotopy:
                s.target != chain_map.target.component(k - 1):
                 raise ComplexError(f"homotopy component at degree {k} has wrong endpoints")
             comps[k] = s
-        self._components = dict(sorted(comps.items()))
+        object.__setattr__(self, "_components", MappingProxyType(dict(sorted(comps.items()))))
         if check and not self.verifies():
             raise ComplexError("homotopy identity fails")
 

@@ -290,7 +290,11 @@ class PrecoverResult(Record):
     """A precover: ``map`` is cover -> input, degreewise epi;
     ``per_degree_oracle`` lists (degree, cover module, cover map),
     ``kernel_membership`` maps each degree to (kernel factors, in class) and
-    ``build_log`` holds the ordered ``BuildStep`` records."""
+    ``build_log`` holds the ordered ``BuildStep`` records.
+
+    A result ``precover_bounded`` returns also carries ``_certified``,
+    outside the fields: the (cover, map) pair it certified
+    (``_is_certified``)."""
 
     _fields = ("cover", "map", "per_degree_oracle", "kernel_membership", "build_log")
 
@@ -308,7 +312,8 @@ class PrecoverResult(Record):
 
 class PreenvelopeResult(Record):
     """A preenvelope: ``map`` is input -> env, degreewise mono; the other
-    fields are those of ``PrecoverResult``, for cokernels."""
+    fields, and ``_certified``, are those of ``PrecoverResult``, for
+    cokernels."""
 
     _fields = ("env", "map", "per_degree_oracle", "cokernel_membership", "build_log")
 
@@ -337,8 +342,9 @@ def precover_bounded(y: Complex, x: XClassSpec,
         (new cover map) o s1 = (input differential) o (current vertical)
 
     and extends the top by s2, the unique solution of s2 o (top differential)
-    = s1.  An unsolvable step is reported as a hypothesis failure together
-    with the failing system.
+    = s1.  At the first step the top differential is the base disk's
+    identity, so s2 is s1 itself.  An unsolvable step is reported as a
+    hypothesis failure together with the failing system.
     """
     if y.is_zero():
         result = PrecoverResult(zero_complex(y.ring), ChainMap.zero(zero_complex(y.ring), y),
@@ -383,16 +389,20 @@ def precover_bounded(y: Complex, x: XClassSpec,
                         "previous_differential": lam_prev})
         s1 = sol["s1"]
 
-        ms2 = MapSystem(y.ring)
-        ms2.unknown("s2", top, p_new)
-        ms2.equation([(None, "s2", lam_top, 1)], s1, (second, p_new))
-        sol2 = ms2.solve()
-        if sol2 is None:
-            raise OracleHypothesisError(
-                f"gluing system for s2 at degree {deg} is unsolvable",
-                system={"unknown": "s2", "degree": deg,
-                        "top_differential": lam_top, "rhs": s1})
-        s2 = sol2["s2"]
+        # the first step's top differential is the base disk's identity
+        if deg == lo + 1:
+            s2 = s1
+        else:
+            ms2 = MapSystem(y.ring)
+            ms2.unknown("s2", top, p_new)
+            ms2.equation([(None, "s2", lam_top, 1)], s1, (second, p_new))
+            sol2 = ms2.solve()
+            if sol2 is None:
+                raise OracleHypothesisError(
+                    f"gluing system for s2 at degree {deg} is unsolvable",
+                    system={"unknown": "s2", "degree": deg,
+                            "top_differential": lam_top, "rhs": s1})
+            s2 = sol2["s2"]
 
         ds = direct_sum([top, p_new])
         (i0, i1), (p0, p1) = _block_matrices(ds)
@@ -411,7 +421,9 @@ def precover_bounded(y: Complex, x: XClassSpec,
     cover = Complex(y.ring, comps, diffs, check=False)
     cmap = ChainMap(cover, y, verticals, check=False)
     membership = _verified_membership(cover, cmap, y, x, injective=False)
-    return PrecoverResult(cover, cmap, oracle_log, membership, log)
+    result = PrecoverResult(cover, cmap, oracle_log, membership, log)
+    result._certified = (cover, cmap)
+    return result
 
 
 def _verified_membership(built: Complex, cmap: ChainMap, y: Complex, x: XClassSpec,
@@ -487,7 +499,8 @@ def preenvelope_bounded(y: Complex, x: XClassSpec,
                         "envelope_map": f_new, "low_differential": lam_low,
                         "rhs": vert_prev.compose(a_deg)})
         t = sol["t"]
-        s = lam_low.compose(t)
+        # the first step's low differential is the base disk's identity
+        s = t if deg == hi - 1 else lam_low.compose(t)
 
         ds = direct_sum([e_new, low])
         (i0, i1), (p0, p1) = _block_matrices(ds)
@@ -504,7 +517,9 @@ def preenvelope_bounded(y: Complex, x: XClassSpec,
     env = Complex(y.ring, comps, diffs, check=False)
     emap = ChainMap(y, env, verticals, check=False)
     membership = _verified_membership(env, emap, y, x, injective=True)
-    return PreenvelopeResult(env, emap, oracle_log, membership, log)
+    result = PreenvelopeResult(env, emap, oracle_log, membership, log)
+    result._certified = (env, emap)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -524,16 +539,21 @@ def injective_competitors(ring, x: XClassSpec, u: ModuleUniverse, degrees) -> li
 
 
 def _verify_factorization(built: Complex, cmap: ChainMap, y: Complex, x: XClassSpec,
-                          u: ModuleUniverse, injective: bool) -> int:
+                          u: ModuleUniverse, injective: bool, certified: bool = False) -> int:
     """Check that every chain map h from a projective competitor into y
     factors as cmap o g through the precover, or dually that every h from y
     into an injective competitor factors as g o cmap through the preenvelope;
     returns the number of maps certified, the sum of the competitors'
     chain-map group orders.
 
+    ``built`` is checked to be a complex and ``cmap`` a chain map unless
+    ``certified``: they are the very objects the builder certified, and
+    complexes and chain maps are frozen values.  The endpoints of cmap are
+    checked always.
+
     By the disk adjunction, chain maps D^k(m) -> Y are Hom(m, Y^k) and chain
     maps Y -> D^k(m) are Hom(Y^{k+1}, m), naturally in Y.  So once built is
-    checked to be a complex and cmap a chain map, every h of D^k(m) factors
+    a complex and cmap a chain map, every h of D^k(m) factors
     iff g -> cmap^k o g, Hom(m, P^k) -> Hom(m, Y^k), is onto (u -> u o
     cmap^{k+1}, Hom(E^{k+1}, m) -> Hom(Y^{k+1}, m)): one onto answer per
     competitor and component, ``_onto_module``, which remembers it.  The
@@ -541,7 +561,8 @@ def _verify_factorization(built: Complex, cmap: ChainMap, y: Complex, x: XClassS
     outside the image of the chain-map restriction, named by one solve
     (``lifting._first_outside_image``)."""
     name = _side_words(injective)[1]
-    _check_chain_data(built, cmap, name)
+    if not certified:
+        _check_chain_data(built, cmap, name)
     if (cmap.source, cmap.target) != ((y, built) if injective else (built, y)):
         raise BuildError(f"{name} map does not run between the input and the {name}")
     if y.is_zero():
@@ -569,13 +590,23 @@ def _verify_factorization(built: Complex, cmap: ChainMap, y: Complex, x: XClassS
     return tested
 
 
+def _is_certified(result, built: Complex) -> bool:
+    """Whether ``built`` and ``result.map`` are the very complex and chain map
+    the builder certified for ``result``; a result built elsewhere, or whose
+    fields were reassigned, is not.  Tampering with the frozen values
+    themselves through ``object.__setattr__`` is out of scope."""
+    pair = getattr(result, "_certified", None)
+    return pair is not None and pair[0] is built and pair[1] is result.map
+
+
 def verify_precover_factorization(result: PrecoverResult, y: Complex, x: XClassSpec,
                                   u: ModuleUniverse) -> int:
     """Check that every chain map from a disk competitor into y factors
     through the cover (``_verify_factorization``); returns the number of maps
     certified.  BuildError when the result is not a chain map into y or a map
     does not factor."""
-    return _verify_factorization(result.cover, result.map, y, x, u, injective=False)
+    return _verify_factorization(result.cover, result.map, y, x, u, injective=False,
+                                 certified=_is_certified(result, result.cover))
 
 
 def verify_preenvelope_factorization(result: PreenvelopeResult, y: Complex,
@@ -584,7 +615,8 @@ def verify_preenvelope_factorization(result: PreenvelopeResult, y: Complex,
     through the preenvelope (``_verify_factorization``); returns the number of
     maps certified.  BuildError when the result is not a chain map out of y or
     a map does not factor."""
-    return _verify_factorization(result.env, result.map, y, x, u, injective=True)
+    return _verify_factorization(result.env, result.map, y, x, u, injective=True,
+                                 certified=_is_certified(result, result.env))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,14 @@ hot paths (``RingSpec``, ``IntMatrix``, ``FpModule``, ``ModuleMap``, as
 cache keys) write ``__eq__`` and ``__hash__`` out over their own fields, as
 the generated methods did: on ``FpModule`` that takes a fifth of the time
 per ``==`` and under half per hash that reading ``_fields`` takes.
+
+``Complex``, ``ChainMap`` and ``Homotopy`` are ``Frozen`` too, with slots,
+read-only component mappings and equality of their own: by canonical key
+for complexes (built at first use and kept) and chain maps, by identity for
+homotopies.  A builder can therefore vouch for the very complex and chain
+map it certified.  ``Frozen`` refuses assignment and deletion through the
+instance only; writing a field through ``object.__setattr__`` anywhere
+but in the class's own methods is tampering, and out of scope.
 """
 from __future__ import annotations
 

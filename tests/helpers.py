@@ -31,6 +31,7 @@ from homkit.construct import (
     OracleHypothesisError,
     PrecoverResult,
     PreenvelopeResult,
+    _block_matrices,
     _oracle_at,
     _side_words,
     _verified_membership,
@@ -1203,6 +1204,374 @@ def glued_preenvelope_oracle(y: Complex, x, u=None, oracle=None) -> PreenvelopeR
     emap = ChainMap(y, env, verticals, check=False)
     membership = _verified_membership(env, emap, y, x, injective=True)
     return PreenvelopeResult(env, emap, oracle_log, membership, log)
+
+
+# ---------------------------------------------------------------------------
+# The builders as they were while their first gluing step solved for s2
+# (precover) and composed t with the base disk's identity (preenvelope),
+# kept verbatim as test-only oracles of the first step taken directly
+# ---------------------------------------------------------------------------
+
+def first_step_solved_precover_oracle(y: Complex, x, u=None, oracle=None) -> PrecoverResult:
+    """``precover_bounded`` solving s2 o id = s1 for s2 at the first step,
+    as at every later one."""
+    if y.is_zero():
+        result = PrecoverResult(zero_complex(y.ring), ChainMap.zero(zero_complex(y.ring), y),
+                                [], {}, [])
+        return result
+    if u is None and y.ring.is_modular:
+        u = module_universe(y.ring, 8)
+    lo, hi = y.support
+    log: list = []
+    oracle_log: list = []
+
+    p0, f0 = _oracle_at(y, lo, x, u, oracle, injective=False)
+    oracle_log.append((lo, p0, f0))
+    comps = {lo: p0, lo + 1: p0}
+    diffs = {lo: ModuleMap.identity(p0)}
+    verticals = {lo: f0}
+    log.append(BuildStep(lo, {"base": True, "cover": p0, "map": f0}))
+
+    for deg in range(lo + 1, hi + 1):
+        p_new, f_new = _oracle_at(y, deg, x, u, oracle, injective=False)
+        oracle_log.append((deg, p_new, f_new))
+        second = comps[deg - 1]
+        top = comps[deg]
+        lam_top = diffs[deg - 1]
+        lam_prev = diffs.get(deg - 2)
+        vert_prev = verticals[deg - 1]
+        a_prev = y.differential(deg - 1)
+
+        ms = MapSystem(y.ring)
+        ms.unknown("s1", second, p_new)
+        ms.equation([(f_new, "s1", None, 1)], a_prev.compose(vert_prev),
+                    (second, y.component(deg)))
+        if lam_prev is not None:
+            ms.equation([(None, "s1", lam_prev, 1)], None, (comps[deg - 2], p_new))
+        sol = ms.solve()
+        if sol is None:
+            raise OracleHypothesisError(
+                f"gluing system for s1 at degree {deg} is unsolvable; the module-cover "
+                "hypothesis fails on this input",
+                system={"unknown": "s1", "degree": deg,
+                        "cover_map": f_new, "rhs": a_prev.compose(vert_prev),
+                        "previous_differential": lam_prev})
+        s1 = sol["s1"]
+
+        ms2 = MapSystem(y.ring)
+        ms2.unknown("s2", top, p_new)
+        ms2.equation([(None, "s2", lam_top, 1)], s1, (second, p_new))
+        sol2 = ms2.solve()
+        if sol2 is None:
+            raise OracleHypothesisError(
+                f"gluing system for s2 at degree {deg} is unsolvable",
+                system={"unknown": "s2", "degree": deg,
+                        "top_differential": lam_top, "rhs": s1})
+        s2 = sol2["s2"]
+
+        ds = direct_sum([top, p_new])
+        (i0, i1), (p0, p1) = _block_matrices(ds)
+        comps[deg] = ds.module
+        comps[deg + 1] = p_new
+        diffs[deg - 1] = ModuleMap(second, ds.module, i0 @ lam_top.matrix + i1 @ s1.matrix)
+        diffs[deg] = ModuleMap(ds.module, p_new, s2.matrix @ p0 - p1)
+        verticals[deg] = f_new.compose(ds.projections[1])
+        log.append(BuildStep(deg, {
+            "cover": p_new, "map": f_new, "s1": s1, "s2": s2,
+            "lambda_top": lam_top, "lambda_prev": lam_prev,
+            "vertical_prev": vert_prev, "a_prev": a_prev,
+        }))
+
+    # checked once, by _verified_membership
+    cover = Complex(y.ring, comps, diffs, check=False)
+    cmap = ChainMap(cover, y, verticals, check=False)
+    membership = _verified_membership(cover, cmap, y, x, injective=False)
+    return PrecoverResult(cover, cmap, oracle_log, membership, log)
+
+
+def first_step_composed_preenvelope_oracle(y: Complex, x, u=None,
+                                           oracle=None) -> PreenvelopeResult:
+    """``preenvelope_bounded`` composing t with the base disk's identity for
+    s at the first step, as at every later one."""
+    if y.is_zero():
+        return PreenvelopeResult(zero_complex(y.ring),
+                                 ChainMap.zero(y, zero_complex(y.ring)), [], {}, [])
+    if u is None and y.ring.is_modular:
+        u = module_universe(y.ring, 8)
+    lo, hi = y.support
+    log: list = []
+    oracle_log: list = []
+
+    e0, f0 = _oracle_at(y, hi, x, u, oracle, injective=True)
+    oracle_log.append((hi, e0, f0))
+    comps = {hi - 1: e0, hi: e0}
+    diffs = {hi - 1: ModuleMap.identity(e0)}
+    verticals = {hi: f0}
+    log.append(BuildStep(hi, {"base": True, "envelope": e0, "map": f0}))
+
+    for deg in range(hi - 1, lo - 1, -1):
+        e_new, f_new = _oracle_at(y, deg, x, u, oracle, injective=True)
+        oracle_log.append((deg, e_new, f_new))
+        low = comps[deg]                  # current lowest component
+        lam_low = diffs[deg]              # mono: low -> comps[deg+1]
+        vert_prev = verticals[deg + 1]
+        a_deg = y.differential(deg)
+
+        ms = MapSystem(y.ring)
+        ms.unknown("t", e_new, low)
+        ms.equation([(lam_low, "t", f_new, 1)], vert_prev.compose(a_deg),
+                    (y.component(deg), comps[deg + 1]))
+        sol = ms.solve()
+        if sol is None:
+            raise OracleHypothesisError(
+                f"gluing system for t at degree {deg} is unsolvable; the module-envelope "
+                "hypothesis fails on this input",
+                system={"unknown": "t", "degree": deg,
+                        "envelope_map": f_new, "low_differential": lam_low,
+                        "rhs": vert_prev.compose(a_deg)})
+        t = sol["t"]
+        s = lam_low.compose(t)
+
+        ds = direct_sum([e_new, low])
+        (i0, i1), (p0, p1) = _block_matrices(ds)
+        comps[deg] = ds.module
+        comps[deg - 1] = e_new
+        diffs[deg] = ModuleMap(ds.module, lam_low.target, s.matrix @ p0 + lam_low.matrix @ p1)
+        diffs[deg - 1] = ModuleMap(e_new, ds.module, i0 - i1 @ t.matrix)
+        verticals[deg] = ds.injections[0].compose(f_new)
+        log.append(BuildStep(deg, {
+            "envelope": e_new, "map": f_new, "t": t, "s": s,
+            "lambda_low": lam_low, "vertical_prev": vert_prev, "a": a_deg,
+        }))
+
+    env = Complex(y.ring, comps, diffs, check=False)
+    emap = ChainMap(y, env, verticals, check=False)
+    membership = _verified_membership(env, emap, y, x, injective=True)
+    return PreenvelopeResult(env, emap, oracle_log, membership, log)
+
+
+# ---------------------------------------------------------------------------
+# ``Complex``, ``ChainMap`` and ``Homotopy`` as the plain mutable classes
+# they were before they became frozen values, kept verbatim as test-only
+# oracles
+# ---------------------------------------------------------------------------
+
+def mutable_complex_oracles() -> dict:
+    """Name -> class of the three types as they were: instance dicts,
+    component dicts, the canonical key kept in a plain attribute.  Each
+    ``__qualname__`` is its name, as the default repr reads it."""
+    from typing import Dict, Tuple
+
+    from homkit.complexes import ComplexError, _composite, validate_complex
+
+    class Complex:
+        """Degree-indexed family of modules with degree-raising differentials."""
+
+        def __init__(self, ring: RingSpec, components: Dict[int, FpModule],
+                     differentials: Dict[int, ModuleMap], check: bool = True):
+            self.ring = ring
+            comps = {k: m for k, m in components.items() if not m.is_zero()}
+            for k, m in comps.items():
+                if m.ring != ring:
+                    raise ComplexError(f"component at degree {k} lives over {m.ring}, not {ring}")
+            diffs = {}
+            for k, d in differentials.items():
+                if k in comps and (k + 1) in comps:
+                    if d.source != comps[k] or d.target != comps[k + 1]:
+                        raise ComplexError(f"differential at degree {k} has wrong endpoints")
+                    diffs[k] = d
+                elif not d.is_zero():
+                    raise ComplexError(f"nonzero differential at degree {k} touches a zero component")
+            for k in comps:
+                if (k + 1) in comps and k not in diffs:
+                    diffs[k] = ModuleMap.zero(comps[k], comps[k + 1])
+            self._components = dict(sorted(comps.items()))
+            self._differentials = dict(sorted(diffs.items()))
+            self._key: Optional[tuple] = None
+            if check:
+                verdict = validate_complex(self)
+                if not verdict.ok:
+                    raise ComplexError(verdict.message)
+
+        @property
+        def support(self) -> Optional[Tuple[int, int]]:
+            """The least and the greatest nonzero degree, the first and the last
+            key of the sorted components, or None for the zero complex."""
+            comps = self._components
+            if not comps:
+                return None
+            return next(iter(comps)), next(reversed(comps))
+
+        def degrees(self) -> list:
+            return list(self._components)
+
+        def component(self, k: int) -> FpModule:
+            return self._components.get(k, FpModule.zero(self.ring))
+
+        def differential(self, k: int) -> ModuleMap:
+            if k in self._differentials:
+                return self._differentials[k]
+            return ModuleMap.zero(self.component(k), self.component(k + 1))
+
+        def is_zero(self) -> bool:
+            return not self._components
+
+        def total_size(self) -> Optional[int]:
+            total = 1
+            for m in self._components.values():
+                s = m.size()
+                if s is None:
+                    return None
+                total *= s
+            return total
+
+        def canonical_key(self) -> tuple:
+            """Built on first use and kept: nothing changes a complex after
+            construction."""
+            if self._key is None:
+                self._key = (self.ring,
+                             tuple((k, m.factors) for k, m in self._components.items()),
+                             tuple((k, d.matrix.entries) for k, d in self._differentials.items()))
+            return self._key
+
+        def __eq__(self, other) -> bool:
+            return isinstance(other, Complex) and self.canonical_key() == other.canonical_key()
+
+        def __hash__(self) -> int:
+            return hash(self.canonical_key())
+
+        def describe(self) -> str:
+            if self.is_zero():
+                return "0"
+            lo, hi = self.support
+            parts = [f"{k}:{self.component(k).describe()}" for k in range(lo, hi + 1)]
+            return "[" + ", ".join(parts) + "]"
+
+        def __repr__(self) -> str:
+            return f"Complex({self.describe()})"
+
+    class ChainMap:
+        """Degreewise map commuting with the differentials."""
+
+        def __init__(self, source: Complex, target: Complex,
+                     components: Dict[int, ModuleMap], check: bool = True):
+            self.source = source
+            self.target = target
+            comps = {}
+            for k, f in components.items():
+                if f.is_zero():
+                    continue
+                if f.source != source.component(k) or f.target != target.component(k):
+                    raise ComplexError(f"chain map component at degree {k} has wrong endpoints")
+                comps[k] = f
+            self._components = dict(sorted(comps.items()))
+            if check and not self.commutes():
+                raise ComplexError("components do not commute with the differentials")
+
+        def component(self, k: int) -> ModuleMap:
+            if k in self._components:
+                return self._components[k]
+            return ModuleMap.zero(self.source.component(k), self.target.component(k))
+
+        def commutes(self) -> bool:
+            """d o f == f o d in every degree, compared as reduced ``_composite``
+            products; an absent differential or component is zero."""
+            comps = self._components
+            d_src, d_tgt = self.source._differentials, self.target._differentials
+            for k in set(self.source.degrees()) | set(self.target.degrees()):
+                left = _composite(d_tgt.get(k), comps.get(k))
+                right = _composite(comps.get(k + 1), d_src.get(k))
+                if left is None or right is None:
+                    if any(map(any, left or right or ())):
+                        return False
+                elif left != right:
+                    return False
+            return True
+
+        def is_zero(self) -> bool:
+            return not self._components
+
+        def is_mono(self) -> bool:
+            return all(self.component(k).is_mono() for k in self.source.degrees())
+
+        def is_epi(self) -> bool:
+            return all(self.component(k).is_epi() for k in self.target.degrees())
+
+        def compose(self, other: "ChainMap") -> "ChainMap":
+            if other.target != self.source:
+                raise ComplexError("chain map composition mismatch")
+            degs = set(other.source.degrees())
+            comps = {k: self.component(k).compose(other.component(k)) for k in degs}
+            return ChainMap(other.source, self.target, comps, check=False)
+
+        def __add__(self, other: "ChainMap") -> "ChainMap":
+            degs = set(self._components) | set(other._components)
+            comps = {k: self.component(k) + other.component(k) for k in degs}
+            return ChainMap(self.source, self.target, comps, check=False)
+
+        def __sub__(self, other: "ChainMap") -> "ChainMap":
+            degs = set(self._components) | set(other._components)
+            comps = {k: self.component(k) - other.component(k) for k in degs}
+            return ChainMap(self.source, self.target, comps, check=False)
+
+        @staticmethod
+        def zero(source: Complex, target: Complex) -> "ChainMap":
+            return ChainMap(source, target, {}, check=False)
+
+        @staticmethod
+        def identity(c: Complex) -> "ChainMap":
+            return ChainMap(c, c, {k: ModuleMap.identity(c.component(k)) for k in c.degrees()},
+                            check=False)
+
+        def canonical_key(self) -> tuple:
+            return (self.source.canonical_key(), self.target.canonical_key(),
+                    tuple((k, f.matrix.entries) for k, f in self._components.items()))
+
+        def __eq__(self, other) -> bool:
+            return isinstance(other, ChainMap) and self.canonical_key() == other.canonical_key()
+
+        def __hash__(self) -> int:
+            return hash(self.canonical_key())
+
+
+    class Homotopy:
+        """Degree -1 family s with  s o d + d o s = f  for the stored chain map."""
+
+        def __init__(self, chain_map: ChainMap, components: Dict[int, ModuleMap],
+                     check: bool = True):
+            self.chain_map = chain_map
+            comps = {}
+            for k, s in components.items():
+                if s.is_zero():
+                    continue
+                if s.source != chain_map.source.component(k) or \
+                   s.target != chain_map.target.component(k - 1):
+                    raise ComplexError(f"homotopy component at degree {k} has wrong endpoints")
+                comps[k] = s
+            self._components = dict(sorted(comps.items()))
+            if check and not self.verifies():
+                raise ComplexError("homotopy identity fails")
+
+        def component(self, k: int) -> ModuleMap:
+            if k in self._components:
+                return self._components[k]
+            return ModuleMap.zero(self.chain_map.source.component(k),
+                                  self.chain_map.target.component(k - 1))
+
+        def verifies(self) -> bool:
+            f = self.chain_map
+            degs = set(f.source.degrees()) | set(f.target.degrees())
+            for k in degs:
+                lhs = self.component(k + 1).compose(f.source.differential(k)) + \
+                      f.target.differential(k - 1).compose(self.component(k))
+                if lhs.matrix.entries != f.component(k).matrix.entries:
+                    return False
+            return True
+
+    classes = (Complex, ChainMap, Homotopy)
+    for cls in classes:
+        cls.__qualname__ = cls.__name__
+    return {cls.__name__: cls for cls in classes}
 
 
 # ---------------------------------------------------------------------------
