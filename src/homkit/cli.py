@@ -335,13 +335,10 @@ def cmd_check(args) -> int:
             mu = module_universe(ring, args.bound)
             fn = dg_x_injective if args.kind == "dg-injective" else dg_x_projective
             verdict = fn(c, xclass, eu, mu=mu, keep_witnesses=False)
-        elif args.kind == "eps1-perp":
+        else:
             eu = eps1_universe(ring, xclass, base_bound=4,
                                window=(-1, args.window - 2))
             verdict = eps1_perp_homotopy(c, eu, keep_witnesses=False)
-        else:
-            print(f"unknown check kind {args.kind}", file=sys.stderr)
-            return 2
         _emit(verdict_report(command, verdict, started))
         return 0 if verdict.holds else 1
     except HypothesisError as exc:
@@ -386,6 +383,9 @@ def cmd_build(args) -> int:
     except (ModuleError, ComplexError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
+    if args.bound < 1:
+        print("build failed: size bound must be at least 1", file=sys.stderr)
+        return 2
     outdir = args.output
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -396,8 +396,6 @@ def cmd_build(args) -> int:
                "--output", outdir]
     try:
         if args.kind in ("precover", "preenvelope"):
-            if args.bound < 1:
-                raise UniverseCapError("size bound must be at least 1")
             u = module_universe(y.ring, args.bound) if y.ring.is_modular else None
             if args.kind == "preenvelope":
                 result = preenvelope_bounded(y, xclass, u=u)
@@ -420,20 +418,15 @@ def cmd_build(args) -> int:
                                     for k, (f, ok) in membership.items()},
                    "timing_seconds": round(time.time() - started, 6)})
             return 0
-        if args.kind == "envelope":
-            result = x_injective_envelope(y, xclass, module_bound=args.bound)
-            env_doc = complex_to_doc(result.envelope)
-            _write_json(os.path.join(outdir, "result.json"), env_doc)
-            _write_json(os.path.join(outdir, "map.json"),
-                        chain_map_to_doc(result.inclusion))
-            _emit({"command": command, "verdict": result.injective_verdict.holds,
-                   "essential": result.essential,
-                   "closure": result.closure_report,
-                   "universe": result.injective_verdict.universe,
-                   "timing_seconds": round(time.time() - started, 6)})
-            return 0 if result.injective_verdict.holds and result.essential else 1
-        print(f"unknown build kind {args.kind}", file=sys.stderr)
-        return 2
+        result = x_injective_envelope(y, xclass, module_bound=args.bound)
+        _write_json(os.path.join(outdir, "result.json"), complex_to_doc(result.envelope))
+        _write_json(os.path.join(outdir, "map.json"), chain_map_to_doc(result.inclusion))
+        _emit({"command": command, "verdict": result.injective_verdict.holds,
+               "essential": result.essential,
+               "closure": result.closure_report,
+               "universe": result.injective_verdict.universe,
+               "timing_seconds": round(time.time() - started, 6)})
+        return 0 if result.injective_verdict.holds and result.essential else 1
     except OracleHypothesisError as exc:
         _emit({"command": command, "error": "hypothesis-not-established",
                "detail": str(exc),
@@ -461,14 +454,11 @@ def cmd_universe(args) -> int:
             for c in cu.members:
                 print(json.dumps(complex_to_doc(c), sort_keys=True))
             return 0
-        if args.kind == "eps1":
-            eu = eps1_universe(ring, xclass, base_bound=min(args.bound, 4),
-                               window=(-1, args.window - 2))
-            for c in enumerate_eps1(eu):
-                print(json.dumps(complex_to_doc(c), sort_keys=True))
-            return 0
-        print(f"unknown universe kind {args.kind}", file=sys.stderr)
-        return 2
+        eu = eps1_universe(ring, xclass, base_bound=min(args.bound, 4),
+                           window=(-1, args.window - 2))
+        for c in enumerate_eps1(eu):
+            print(json.dumps(complex_to_doc(c), sort_keys=True))
+        return 0
     except (ExactAlgError, ModuleError, UniverseCapError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2

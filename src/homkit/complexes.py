@@ -138,11 +138,6 @@ class Complex(Frozen):
 class ComplexVerdict(Frozen):
     _fields = ("ok", "degree", "message")
 
-    def __init__(self, ok: bool, degree: Optional[int], message: str) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "message", message)
-
 
 def validate_complex(c: Complex) -> ComplexVerdict:
     """Check d o d = 0 degreewise; reports the middle degree of the first
@@ -323,14 +318,6 @@ class Homotopy(Frozen):
 class ShortExactOfComplexes(Frozen):
     _fields = ("left", "middle", "right", "inj", "surj")
 
-    def __init__(self, left: Complex, middle: Complex, right: Complex, inj: ChainMap,
-                 surj: ChainMap) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "middle", middle)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "inj", inj)
-        object.__setattr__(self, "surj", surj)
-
     def validate(self) -> bool:
         """Degreewise exactness of 0 -> L^k -> M^k -> R^k -> 0: surj o inj
         is zero and the row L^k -> M^k -> R^k is exact at all three terms."""
@@ -427,11 +414,6 @@ class HomDegree(Record):
 
     _fields = ("degree", "blocks", "sum")
 
-    def __init__(self, degree: int, blocks: tuple, sum: DirectSum) -> None:
-        self.degree = degree
-        self.blocks = blocks
-        self.sum = sum
-
     def element_from_family(self, family: dict) -> tuple:
         """The element of this degree whose block i holds the map family[i]
         (zero where family has no map)."""
@@ -451,12 +433,6 @@ class HomComplexData(Record):
     ``degrees``."""
 
     _fields = ("x", "y", "complex", "degrees")
-
-    def __init__(self, x: Complex, y: Complex, complex: Complex, degrees: dict) -> None:
-        self.x = x
-        self.y = y
-        self.complex = complex
-        self.degrees = degrees
 
 
 def hom_complex_data(x: Complex, y: Complex, degrees: Optional[Sequence[int]] = None) -> HomComplexData:
@@ -582,19 +558,6 @@ class ExactnessReport(Frozen):
     invariant factors of H^k."""
 
     _fields = ("exact", "homology")
-
-    def __init__(self, exact: bool, homology: dict) -> None:
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "homology", homology)
-
-    def homology_size(self, k: int) -> Optional[int]:
-        fac = self.homology.get(k, ())
-        total = 1
-        for d in fac:
-            if d == 0:
-                return None
-            total *= d
-        return total
 
 
 def homology_at(c: Complex, k: int) -> FpModule:
@@ -742,16 +705,7 @@ class ChainMapGroup(Record):
     for it.  The instance keeps a ``__dict__`` for its cached properties."""
 
     _fields = ("source", "target", "module", "_hom0", "_inclusion", "_blocks")
-
-    def __init__(self, source: Complex, target: Complex, module: FpModule,
-                 _hom0: Optional[HomDegree], _inclusion: Optional[ModuleMap],
-                 _blocks: tuple = ()) -> None:
-        self.source = source
-        self.target = target
-        self.module = module
-        self._hom0 = _hom0
-        self._inclusion = _inclusion
-        self._blocks = _blocks
+    _defaults = (("_blocks", ()),)
 
     def decode(self, elem: Sequence[int]) -> ChainMap:
         comps = {}
@@ -832,7 +786,7 @@ def _chain_map_group(a: Complex, b: Complex) -> ChainMapGroup:
     ``_cycle_presentation``."""
     hom0 = _hom_degree(a, b, 0)
     if hom0 is None:
-        return ChainMapGroup(a, b, FpModule.zero(a.ring), None, None)
+        return ChainMapGroup(a, b, FpModule.zero(a.ring), None, None, ())
     amb = hom0.sum.module
     hom1 = _hom_degree(a, b, 1)
     if hom1 is None:

@@ -281,10 +281,6 @@ def _block_matrices(ds) -> tuple:
 class BuildStep(Record):
     _fields = ("degree", "data")
 
-    def __init__(self, degree: int, data: dict) -> None:
-        self.degree = degree
-        self.data = data
-
 
 class PrecoverResult(Record):
     """A precover: ``map`` is cover -> input, degreewise epi;
@@ -298,14 +294,6 @@ class PrecoverResult(Record):
 
     _fields = ("cover", "map", "per_degree_oracle", "kernel_membership", "build_log")
 
-    def __init__(self, cover: Complex, map: ChainMap, per_degree_oracle: list,
-                 kernel_membership: dict, build_log: list) -> None:
-        self.cover = cover
-        self.map = map
-        self.per_degree_oracle = per_degree_oracle
-        self.kernel_membership = kernel_membership
-        self.build_log = build_log
-
     def kernel(self) -> Complex:
         return kernel_complex(self.map)
 
@@ -316,14 +304,6 @@ class PreenvelopeResult(Record):
     cokernels."""
 
     _fields = ("env", "map", "per_degree_oracle", "cokernel_membership", "build_log")
-
-    def __init__(self, env: Complex, map: ChainMap, per_degree_oracle: list,
-                 cokernel_membership: dict, build_log: list) -> None:
-        self.env = env
-        self.map = map
-        self.per_degree_oracle = per_degree_oracle
-        self.cokernel_membership = cokernel_membership
-        self.build_log = build_log
 
     def coker(self) -> Complex:
         return cokernel_complex(self.map)
@@ -526,18 +506,6 @@ def preenvelope_bounded(y: Complex, x: XClassSpec,
 # Factorization verification against enumerated competitors
 # ---------------------------------------------------------------------------
 
-def _competitors(x: XClassSpec, u: ModuleUniverse, degrees, injective: bool) -> list:
-    """Disks in the given degrees on the nonzero class members that pass the
-    side's module test."""
-    return [disk(k, m) for m in _passing(x, u, injective) if not m.is_zero() for k in degrees]
-
-
-def injective_competitors(ring, x: XClassSpec, u: ModuleUniverse, degrees) -> list:
-    """Disks on class-injective class members: a certified family of
-    injective-complex competitors for factorization tests."""
-    return _competitors(x, u, degrees, injective=True)
-
-
 def _verify_factorization(built: Complex, cmap: ChainMap, y: Complex, x: XClassSpec,
                           u: ModuleUniverse, injective: bool, certified: bool = False) -> int:
     """Check that every chain map h from a projective competitor into y
@@ -626,17 +594,6 @@ def verify_preenvelope_factorization(result: PreenvelopeResult, y: Complex,
 class EnvelopeResult(Record):
     _fields = ("envelope", "inclusion", "injective_verdict", "essential", "essential_witness",
                "closure_report", "candidates_examined")
-
-    def __init__(self, envelope: Complex, inclusion: ChainMap, injective_verdict: Verdict,
-                 essential: bool, essential_witness: Optional[dict], closure_report: dict,
-                 candidates_examined: int) -> None:
-        self.envelope = envelope
-        self.inclusion = inclusion
-        self.injective_verdict = injective_verdict
-        self.essential = essential
-        self.essential_witness = essential_witness
-        self.closure_report = closure_report
-        self.candidates_examined = candidates_examined
 
 
 # (class key, universe description) -> the closure check's verdict

@@ -41,9 +41,6 @@ class RingSpec(Frozen):
     def is_modular(self) -> bool:
         return self.modulus != 0
 
-    def reduce(self, x: int) -> int:
-        return x % self.modulus if self.modulus else x
-
     def __str__(self) -> str:
         return f"Z/{self.modulus}" if self.modulus else "Z"
 
@@ -93,10 +90,6 @@ class IntMatrix(Frozen):
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def column(vec: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(len(vec), 1, tuple((int(x),) for x in vec))
 
     @staticmethod
     def from_columns(cols_data: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
@@ -155,12 +148,6 @@ class IntMatrix(Frozen):
         return IntMatrix(self.rows, other.cols,
                          tuple([tuple([sum(map(mul, row, col)) for col in cols])
                                 for row in self.entries]))
-
-    def reduce_mod(self, n: int) -> "IntMatrix":
-        if n == 0:
-            return self
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(x % n for x in r) for r in self.entries))
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.entries for x in r)

@@ -74,20 +74,12 @@ class FpModule(Frozen):
         f = ring.modulus if ring.is_modular else 0
         return FpModule(ring, tuple(f for _ in range(rank)))
 
-    @staticmethod
-    def cyclic(ring: RingSpec, d: int) -> "FpModule":
-        return FpModule(ring, (d,)) if d != 1 else FpModule(ring, ())
-
     @property
     def ngens(self) -> int:
         return len(self.factors)
 
     def is_zero(self) -> bool:
         return not self.factors
-
-    def is_free(self) -> bool:
-        unit = self.ring.modulus if self.ring.is_modular else 0
-        return all(d == unit for d in self.factors)
 
     def size(self) -> Optional[int]:
         """Number of elements, or None for an infinite module over Z."""
@@ -306,12 +298,6 @@ class Presentation(Frozen):
 
     _fields = ("module", "to_canonical", "from_canonical")
 
-    def __init__(self, module: FpModule, to_canonical: IntMatrix,
-                 from_canonical: IntMatrix) -> None:
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "to_canonical", to_canonical)
-        object.__setattr__(self, "from_canonical", from_canonical)
-
 
 def normalize_presentation(ring: RingSpec, ngens: int, relations: IntMatrix) -> Presentation:
     """Canonical invariant-factor form of Z^ngens (or (Z/n)^ngens) modulo
@@ -377,14 +363,6 @@ class SubquotientWitness(Frozen):
     -> quotient, epi."""
 
     _fields = ("ambient", "sub", "inclusion", "quotient", "quotient_map")
-
-    def __init__(self, ambient: FpModule, sub: FpModule, inclusion: ModuleMap,
-                 quotient: FpModule, quotient_map: ModuleMap) -> None:
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "inclusion", inclusion)
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "quotient_map", quotient_map)
 
 
 def _sublattice_module(ambient: FpModule, gen_cols: IntMatrix,
@@ -486,11 +464,6 @@ def cokernel_with_section(f: ModuleMap) -> tuple:
 class DirectSum(Frozen):
     _fields = ("module", "injections", "projections")
 
-    def __init__(self, module: FpModule, injections: tuple, projections: tuple) -> None:
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "injections", injections)
-        object.__setattr__(self, "projections", projections)
-
 
 _DIRECT_SUMS = caches.table("modules.direct_sum")
 
@@ -539,13 +512,6 @@ class Pushout(Frozen):
     _fields = ("module", "leg_from_alpha_target", "leg_from_iota_target",
                "presentation_relations")
 
-    def __init__(self, module: FpModule, leg_from_alpha_target: ModuleMap,
-                 leg_from_iota_target: ModuleMap, presentation_relations: IntMatrix) -> None:
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "leg_from_alpha_target", leg_from_alpha_target)
-        object.__setattr__(self, "leg_from_iota_target", leg_from_iota_target)
-        object.__setattr__(self, "presentation_relations", presentation_relations)
-
 
 def pushout(alpha: ModuleMap, iota: ModuleMap) -> Pushout:
     if alpha.source != iota.source:
@@ -578,15 +544,6 @@ class HomModule(Frozen):
     """
 
     _fields = ("source", "target", "module", "pairs", "to_canonical", "from_canonical")
-
-    def __init__(self, source: FpModule, target: FpModule, module: FpModule, pairs: tuple,
-                 to_canonical: IntMatrix, from_canonical: IntMatrix) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "to_canonical", to_canonical)
-        object.__setattr__(self, "from_canonical", from_canonical)
 
     def encode(self, f: ModuleMap) -> tuple:
         if f.source != self.source or f.target != self.target:

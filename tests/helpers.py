@@ -33,6 +33,7 @@ from homkit.construct import (
     PreenvelopeResult,
     _block_matrices,
     _oracle_at,
+    _passing,
     _side_words,
     _verified_membership,
 )
@@ -111,6 +112,13 @@ def random_chain_map(rng: random.Random, x: Complex, y: Complex) -> ChainMap:
         return ChainMap.zero(x, y)
     els = list(grp.module.elements())
     return grp.decode(els[rng.randrange(len(els))])
+
+
+def competitors(x, u, degrees, injective: bool) -> list:
+    """Disks in the given degrees on the nonzero class members that pass the
+    side's module test: every competitor the factorization verifiers
+    account for."""
+    return [disk(k, m) for m in _passing(x, u, injective) if not m.is_zero() for k in degrees]
 
 
 def disk_maps(k: int, m: FpModule, y: Complex, into: bool) -> tuple:
@@ -1051,8 +1059,9 @@ def presentation_oracle(ring: RingSpec, ngens: int, relations: IntMatrix) -> Pre
     to_can = IntMatrix.from_rows([u.entries[i] for i in keep], cols=ngens)
     from_can = IntMatrix.from_columns([ui.col(i) for i in keep], rows=ngens)
     if ring.is_modular:
-        to_can = to_can.reduce_mod(ring.modulus)
-        from_can = from_can.reduce_mod(ring.modulus)
+        to_can, from_can = (IntMatrix(m.rows, m.cols, tuple(tuple(x % ring.modulus for x in r)
+                                                             for r in m.entries))
+                            for m in (to_can, from_can))
     return Presentation(module, to_can, from_can)
 
 

@@ -51,7 +51,7 @@ from homkit.construct import (
     verify_preenvelope_factorization,
     x_injective_envelope,
 )
-from .helpers import random_chain_map, random_complex, small_modules
+from .helpers import competitors, random_chain_map, random_complex, small_modules
 
 R4 = Zmod(4)
 Z2 = FpModule(R4, (2,))
@@ -414,11 +414,10 @@ class TestAcceptance:
         res = x_injective_envelope(sphere(0, Z2), ALL)
         u8 = module_universe(R4, 8)
         # preenvelope factorization: maps into injective competitors factor
-        from homkit.construct import injective_competitors
         from homkit.modules import MapSystem
         factor_ok = True
         lo, hi = res.envelope.support
-        for comp in injective_competitors(R4, ALL, u8, range(lo - 1, hi + 1)):
+        for comp in competitors(ALL, u8, range(lo - 1, hi + 1), injective=True):
             for h in chain_map_group(sphere(0, Z2), comp).elements():
                 ms = MapSystem(R4)
                 names = {}

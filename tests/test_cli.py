@@ -225,6 +225,15 @@ class TestBuildCommand:
             assert main(["build", kind, path, "--output", out, "--bound", bound]) == 2
             assert "size bound must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["precover", "preenvelope", "envelope"])
+    def test_a_bad_bound_creates_no_output_directory(self, kind, tmp_path, capsys):
+        path = write(tmp_path, "c.json", SPHERE_DOC)
+        for bound in ("0", "-3"):
+            out = tmp_path / f"o{bound}"
+            assert main(["build", kind, path, "--output", str(out), "--bound", bound]) == 2
+            assert "size bound must be at least 1" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_envelope(self, tmp_path, capsys):
         out = str(tmp_path / "outv")
         code = main(["build", "envelope", write(tmp_path, "c.json", SPHERE_DOC),

@@ -2,11 +2,15 @@
 function or method (dunders aside), and each ``_``-prefixed module-level
 constant or class, is referenced somewhere in the package outside its own
 definition, so a helper or constant whose last reader was removed does not
-linger.  Every name a module imports is read in that module, or listed in
-its ``__all__``; the package's ``__init__.py`` imports to re-export."""
+linger.  Every module-level function and class, public or private, is read
+in the package outside its own definition or exported by its
+``__init__.py``.  Every name a module imports is read in that module, or
+listed in its ``__all__``; the package's ``__init__.py`` imports to
+re-export."""
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "homkit"
@@ -30,10 +34,16 @@ def private_definitions(tree) -> list:
     return [(name, node) for name, node in found if _private(name)]
 
 
-def unreferenced_private_names(paths) -> list:
-    """``file:line name`` of each private definition in ``paths``
-    (``private_definitions``) that no name or attribute outside its own
-    definition refers to."""
+def module_level_definitions(tree) -> list:
+    """(name, defining node) of each function and class at module level."""
+    return [(node.name, node) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def unreferenced(paths, definitions, exported=frozenset()) -> list:
+    """``file:line name`` of each of the ``definitions(tree)`` in ``paths``
+    that is not in ``exported`` and that no name or attribute in ``paths``
+    outside its own definition refers to."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
     uses = {}   # name -> [(path, line)]
     for path, tree in trees.items():
@@ -44,11 +54,28 @@ def unreferenced_private_names(paths) -> list:
                 uses.setdefault(name, []).append((path, node.lineno))
     found = []
     for path, tree in trees.items():
-        for name, node in private_definitions(tree):
-            if not any(p != path or not node.lineno <= line <= node.end_lineno
-                       for p, line in uses.get(name, [])):
+        for name, node in definitions(tree):
+            if name not in exported and not any(
+                    p != path or not node.lineno <= line <= node.end_lineno
+                    for p, line in uses.get(name, [])):
                 found.append(f"{path.name}:{node.lineno} {name}")
     return sorted(found)
+
+
+def unreferenced_private_names(paths) -> list:
+    """Each private definition in ``paths`` (``private_definitions``) that
+    nothing outside its own definition refers to, as ``unreferenced``."""
+    return unreferenced(paths, private_definitions)
+
+
+def unread_module_level_names(package) -> list:
+    """Each module-level function or class in the modules of ``package``
+    that nothing in the package outside its own definition reads and that
+    its ``__init__.py`` does not import to export, as ``unreferenced``."""
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return unreferenced(sorted(package.glob("*.py")), module_level_definitions, exported)
 
 
 def unused_imports(paths) -> list:
@@ -138,3 +165,26 @@ def test_the_scan_sees_an_unused_constant(tmp_path):
         "def run():\n    return _TABLE\n")
     assert unreferenced_private_names([used, helpers]) == \
         ["helpers.py:3 _CAP", "helpers.py:7 _Unread"]
+
+
+def unread_but_kept(found: list) -> list:
+    """``found`` without ``caches.stats``, the registry's report, which only
+    the tests read so far."""
+    return [entry for entry in found if not re.fullmatch(r"caches\.py:\d+ stats", entry)]
+
+
+def test_every_module_level_name_is_read_or_exported():
+    assert unread_but_kept(unread_module_level_names(SRC)) == []
+
+
+def test_the_scan_sees_an_unread_public_function(tmp_path):
+    # a public wrapper whose last reader was a test
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    construct = tmp_path / "construct.py"
+    line = len(construct.read_text().splitlines()) + 3
+    construct.write_text(construct.read_text() + (
+        "\n\ndef injective_competitors(ring, x, u, degrees):\n"
+        "    return [disk(k, m) for m in _passing(x, u, True) for k in degrees]\n"))
+    assert unread_but_kept(unread_module_level_names(tmp_path)) == \
+        [f"construct.py:{line} injective_competitors"]

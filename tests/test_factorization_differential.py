@@ -18,7 +18,6 @@ from homkit.construct import (
     BuildError,
     PrecoverResult,
     PreenvelopeResult,
-    _competitors,
     _side_words,
     precover_bounded,
     preenvelope_bounded,
@@ -29,7 +28,7 @@ from homkit.exactalg import Zmod
 from homkit.modules import FpModule, MapSystem, hom_module, span_elements
 from homkit.xclass import ALL, module_universe
 
-from .helpers import disk_maps, small_modules
+from .helpers import competitors, disk_maps, small_modules
 
 
 def old_verify_factorization(built, cmap, y, x, u, injective):
@@ -39,7 +38,7 @@ def old_verify_factorization(built, cmap, y, x, u, injective):
     name = _side_words(injective)[1]
     lo, hi = y.support
     tested = 0
-    for comp in _competitors(x, u, range(lo - 1, hi + 1), injective):
+    for comp in competitors(x, u, range(lo - 1, hi + 1), injective):
         src, tgt = (built, comp) if injective else (comp, built)
         for h in (chain_map_group(y, comp) if injective else chain_map_group(comp, y)).elements():
             tested += 1

@@ -36,7 +36,6 @@ from homkit.complexes import (
 from homkit.construct import (
     BuildError,
     OracleHypothesisError,
-    _competitors,
     precover_bounded,
     preenvelope_bounded,
     verify_precover_factorization,
@@ -46,7 +45,7 @@ from homkit.exactalg import ZZ, IntMatrix, Zmod
 from homkit.modules import FpModule, ModuleMap, hom_module
 from homkit.xclass import ALL, FREE, ann
 
-from .helpers import disk_maps, factorization_check, random_complex, small_modules
+from .helpers import competitors, disk_maps, factorization_check, random_complex, small_modules
 from .test_factorization_differential import (
     BROKEN_CASES,
     CASES,
@@ -71,7 +70,7 @@ def generator_verify(built, cmap, y, x, u, injective) -> int:
         return 0
     lo, hi = y.support
     tested = 0
-    for comp in _competitors(x, u, range(lo - 1, hi + 1), injective):
+    for comp in competitors(x, u, range(lo - 1, hi + 1), injective):
         k = comp.support[0]
         gens, order = disk_maps(k, comp.component(k), y, into=injective)
         first_failure = factorization_check(built, cmap, y, comp, injective)
