@@ -86,11 +86,14 @@ def ring_to_doc(ring: RingSpec) -> dict:
 def ring_from_doc(doc) -> RingSpec:
     if not isinstance(doc, dict):
         raise DocumentError("ring must be an object")
-    if doc.get("integers"):
+    integers = doc.get("integers", False)
+    if type(integers) is not bool:
+        raise DocumentError("ring's 'integers' must be true or false")
+    if integers:
         return ZZ
     if "mod" in doc:
         n = doc["mod"]
-        if not isinstance(n, int) or n < 2:
+        if type(n) is not int or n < 2:
             raise DocumentError("ring modulus must be an integer >= 2")
         return Zmod(n)
     raise DocumentError("ring needs either {'mod': n} or {'integers': true}")
@@ -141,7 +144,7 @@ def complex_from_doc(doc, check: bool = True) -> Complex:
     comps = {}
     for key, factors in modules_doc.items():
         k = _parse_degree(key, comps)
-        if not isinstance(factors, list) or not all(isinstance(d, int) for d in factors):
+        if not isinstance(factors, list) or not all(type(d) is int for d in factors):
             raise DocumentError(f"factor list at degree {k} must be a list of integers")
         comps[k] = FpModule(ring, tuple(factors))
     support = [k for k, m in comps.items() if not m.is_zero()]

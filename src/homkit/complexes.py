@@ -555,9 +555,17 @@ def hom_complex(x: Complex, y: Complex) -> Complex:
 
 class ExactnessReport(Frozen):
     """Whether a complex is exact, and ``homology``: degree k -> the
-    invariant factors of H^k."""
+    invariant factors of H^k, a read-only mapping in increasing degree, so
+    that equal reports hash and print alike."""
 
     _fields = ("exact", "homology")
+
+    def __init__(self, exact: bool, homology: dict) -> None:
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "homology", MappingProxyType(dict(sorted(homology.items()))))
+
+    def __hash__(self) -> int:
+        return hash((self.exact, tuple(self.homology.items())))
 
 
 def homology_at(c: Complex, k: int) -> FpModule:
@@ -877,10 +885,13 @@ def complex_isomorphic(a: Complex, b: Complex) -> bool:
     verdicts = {}     # (degree, matrix rows) -> is the component an isomorphism
 
     def iso(k: int, rows: tuple) -> bool:
+        # the ends have the same factors, so a finite component is onto iff
+        # injective; ``_scan`` walks finite groups only, and a map of finite
+        # order is not injective on a free Z summand
         if (k, rows) not in verdicts:
             src, tgt = a.component(k), b.component(k)
             f = ModuleMap(src, tgt, IntMatrix(tgt.ngens, src.ngens, rows))
-            verdicts[(k, rows)] = f.is_mono() and f.is_epi()
+            verdicts[(k, rows)] = f.is_mono()
         return verdicts[(k, rows)]
 
     return any(all(iso(k, blocks[k]) for k in a.degrees())

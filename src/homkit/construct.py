@@ -154,43 +154,29 @@ def _search_oracle(m: FpModule, x: XClassSpec, u: ModuleUniverse, injective: boo
         f"no class-{prop} {built} of {m.describe()} with class {part} in {u.describe()}")
 
 
-# a re-verification is a pure function of its inputs, so repeats of it within
-# and across builds read this table
-_ORACLE_VERIFICATIONS = caches.table("construct.oracle_verifications")
-
-
 def _verify_oracle(e: FpModule, f: ModuleMap, x: XClassSpec, u: Optional[ModuleUniverse],
                    injective: bool) -> None:
     """Re-verify a module envelope f: m -> e (cover f: e -> m): f is injective
     (onto), e and its cokernel (kernel) are in the class, e passes the side's
     module test and every map between m and a universe member passing it
-    factors through f.  Memoised; a remembered failure raises a fresh
-    OracleHypothesisError with the same message."""
-    key = (e, f, x.key(), None if u is None else u.describe(), injective)
-    message = _ORACLE_VERIFICATIONS.lookup(key, lambda: _oracle_failure(e, f, x, u, injective))
-    if message is not None:
-        raise OracleHypothesisError(message)
-
-
-def _oracle_failure(e: FpModule, f: ModuleMap, x: XClassSpec, u: Optional[ModuleUniverse],
-                    injective: bool) -> Optional[str]:
-    """The message of the first check of ``_verify_oracle`` that fails, or None."""
+    factors through f.  Raises OracleHypothesisError at the first check that
+    fails."""
     prop, built, part, adjective = _side_words(injective)
     if not (f.is_mono() if injective else f.is_epi()):
-        return f"{built} map is not {adjective}"
+        raise OracleHypothesisError(f"{built} map is not {adjective}")
     if not contains_module(x, _quotient(f, injective)):
-        return f"{built} {part} left the class"
+        raise OracleHypothesisError(f"{built} {part} left the class")
     if not contains_module(x, e):
-        return f"{built} module left the class"
+        raise OracleHypothesisError(f"{built} module left the class")
     if u is None or not e.ring.is_modular:
-        return None
+        return
     if not _module_verdict(e, x, u, injective, False).holds:
-        return f"{built} module failed the {prop} test"
+        raise OracleHypothesisError(f"{built} module failed the {prop} test")
     for cand in _passing(x, u, injective):
         if not _onto_module(f, cand, injective):
-            return (f"map {'into' if injective else 'from'} {cand.describe()} does not "
-                    f"factor through the {built}")
-    return None
+            raise OracleHypothesisError(
+                f"map {'into' if injective else 'from'} {cand.describe()} does not "
+                f"factor through the {built}")
 
 
 # (module, class, universe, side, verified) -> the builtin strategy's module

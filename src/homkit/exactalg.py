@@ -427,7 +427,7 @@ def _comb(a: int, u: list, b: int, v: list, n: int, start: int) -> list:
     return u[:start] + [a * x + b * y for x, y in tail]
 
 
-def _echelon(rows: Iterable[Sequence[int]], cols: int, n: int) -> list:
+def _echelon(rows: Iterable[Sequence[int]], cols: int, n: int, leads_only: bool = False) -> list:
     """The canonical echelon basis of the span of ``rows``: the Howell basis
     over Z/n when n > 1, the Hermite basis over Z when n == 0.
 
@@ -435,7 +435,10 @@ def _echelon(rows: Iterable[Sequence[int]], cols: int, n: int) -> list:
     are reduced below it.  Over Z/n the basis is closed under annihilator
     multiples, so for every column k the rows leading past k span all of
     the span that is zero up to k (Howell, "Spans in the module (Z_m)^s",
-    1986); over Z every echelon basis has that property."""
+    1986); over Z every echelon basis has that property.  With
+    ``leads_only`` the lead entries of the closed basis are returned
+    instead, before they are scaled: each generates the same ideal as its
+    scaled lead, so the span's order over Z/n is prod n / gcd(lead, n)."""
     basis: dict = {}
 
     def insert(r: list) -> None:
@@ -466,6 +469,8 @@ def _echelon(rows: Iterable[Sequence[int]], cols: int, n: int) -> list:
                 ann = n // math.gcd(basis[j][j], n)
                 if ann != n:
                     insert([(ann * x) % n for x in basis[j]])
+    if leads_only:
+        return [row[j] for j, row in basis.items()]
     pivots = sorted(basis)
     out = []
     for j in pivots:

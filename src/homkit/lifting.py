@@ -10,11 +10,11 @@ off its image in the target's ambient group (a hom module is its own, a
 chain-map group sits in Hom^0) and the target's inclusion: the sections
 (the certificate) are one solve against the inclusion columns, and the
 counterexample is the last generator without a section.  Only the
-witness-free onto test depends on the type: hom modules take the rank test,
-which also runs over Z and costs less, and chain-map groups count the image
-order.  One driver runs this for all four checkers (injective or projective,
-modules or complexes), and each counterexample is confirmed by one solve of
-its extension (lift) system, ``complexes._factor_through``, of any size.
+witness-free onto test depends on the type: hom modules take ``is_epi``,
+which also runs over Z, and chain-map groups count the image order.  One
+driver runs this for all four checkers (injective or projective, modules or
+complexes), and each counterexample is confirmed by one solve of its
+extension (lift) system, ``complexes._factor_through``, of any size.
 """
 from __future__ import annotations
 
@@ -141,9 +141,10 @@ def _onto(phi, obj, injective: bool, hom: Callable, keep_witnesses: bool) -> tup
     """(whether the restriction of ``_restriction_image`` is onto, the
     canonical preimages of its target group's generators, the solutions of
     image @ s = inclusion column g as the inclusion is injective).  Without
-    witnesses hom modules first take ``is_epi``, the one test that also runs
-    over Z and the cheaper one, and chain-map groups (over Z/n only) compare
-    the image order with the target group's; onto, they give no preimages."""
+    witnesses hom modules first take ``is_epi``, which over Z/n counts the
+    image and over Z reads the cokernel, and chain-map groups (over Z/n
+    only) compare the image order with the target group's; onto, they give
+    no preimages."""
     grp_to, image = _restriction_image(phi, obj, injective, hom)
     if image is None:
         return True, []
@@ -454,7 +455,7 @@ def _dg_verdict(i: Complex, x: XClassSpec, eu: Eps1Universe,
         if hom is not None and not exact_at(hom, hom.degrees()):
             verdict.holds = False
             verdict.counterexample = {"kind": "hom-not-exact", "member": e_cx,
-                                      "homology": is_exact(hom).homology}
+                                      "homology": dict(is_exact(hom).homology)}
             return verdict
         if keep_witnesses:
             verdict.witnesses.append({"kind": "hom-exact", "member": e_cx})

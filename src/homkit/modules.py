@@ -192,17 +192,13 @@ class ModuleMap(Frozen):
         return self.matrix.is_zero()
 
     def is_mono(self) -> bool:
-        ring = self.source.ring
-        if ring.is_modular:
-            return _injective_on(self.matrix.entries, self.source.factors,
-                                 self.target.factors, _primes(ring.modulus))
+        if self.source.ring.is_modular:
+            return image_order(self.target, self.matrix) == self.source.size()
         return _kernel_inclusion(self)[0].is_zero()
 
     def is_epi(self) -> bool:
-        ring = self.source.ring
-        if ring.is_modular:
-            return _surjective_on(self.matrix.entries, self.target.factors,
-                                  _primes(ring.modulus))
+        if self.source.ring.is_modular:
+            return image_order(self.target, self.matrix) == self.target.size()
         return cokernel(self)[0].is_zero()
 
 
@@ -225,63 +221,8 @@ def _checked_rows(source: Sequence[int], target: Sequence[int], rows) -> tuple:
     return tuple(reduced)
 
 
-# ---------------------------------------------------------------------------
-# Exact injectivity and surjectivity over Z/n, one prime at a time
-# ---------------------------------------------------------------------------
-
 def _primes(n: int) -> tuple:
     return tuple(p for p, _ in _factorize(n))
-
-
-def _rank_mod_p(rows: list, p: int) -> int:
-    """Rank over F_p of the integer matrix with the given rows."""
-    rows = [[x % p for x in r] for r in rows]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        inv = pow(top[c], -1, p)
-        for i in range(rank + 1, len(rows)):
-            if rows[i][c]:
-                m = rows[i][c] * inv
-                rows[i] = [(x - m * y) % p for x, y in zip(rows[i], top)]
-        rank += 1
-    return rank
-
-
-def _injective_on(entries, source: tuple, target: tuple, primes: tuple) -> bool:
-    """Whether the matrix ``entries`` (rows reduced modulo the ``target``
-    factors) is injective from the sum of Z/d_j (``source``) to the sum of
-    Z/e_i (``target``).
-
-    A nonzero kernel holds an element of prime order, so the map is injective
-    iff for every prime p it is injective on the p-socle: the images of the
-    socle generators (d_j/p) e_j, read as multiples of e_i/p in the socle of
-    the target, are independent over F_p.
-    """
-    for p in primes:
-        cols = [j for j, d in enumerate(source) if d % p == 0]
-        if not cols:
-            continue
-        rows = [[(source[j] // p * entries[i][j]) % e // (e // p) for j in cols]
-                for i, e in enumerate(target) if e % p == 0]
-        if len(rows) < len(cols) or _rank_mod_p(rows, p) < len(cols):
-            return False
-    return True
-
-
-def _surjective_on(entries, target: tuple, primes: tuple) -> bool:
-    """Whether the matrix ``entries`` maps onto the sum of Z/e_i
-    (``target``): by Nakayama, iff for every prime p its rows with p | e_i
-    have full row rank modulo p."""
-    for p in primes:
-        rows = [entries[i] for i, e in enumerate(target) if e % p == 0]
-        if rows and _rank_mod_p(rows, p) < len(rows):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +363,19 @@ def image_order(target: FpModule, mat: IntMatrix) -> int:
 
     The target, a sum of Z/e_i, embeds in (Z/n)^r by x_i -> (n/e_i) x_i;
     a Howell basis of the embedded columns spans a group of order
-    prod n/lead over its rows, each lead a divisor of n (Howell, "Spans in
-    the module (Z_m)^s", 1986)."""
+    prod n / gcd(lead, n) over its rows (Howell, "Spans in the module
+    (Z_m)^s", 1986); the leads are read before ``_echelon`` scales them
+    and reduces above them, which the count does not need.  Zero columns
+    add nothing to the span and are left out."""
     ring = target.ring
     if not ring.is_modular:
         raise ModuleError("image orders are counted over Z/n only")
     n = ring.modulus
     scales = [n // e for e in target.factors]
-    cols = [[s * x % n for s, x in zip(scales, col)] for col in mat.columns()]
+    cols = [[s * x for s, x in zip(scales, col)] for col in mat.columns() if any(col)]
     order = 1
-    for row in _echelon(cols, len(scales), n):
-        order *= n // next(x for x in row if x)
+    for lead in _echelon(cols, len(scales), n, leads_only=True):
+        order *= n // math.gcd(lead, n)
     return order
 
 
@@ -733,25 +676,16 @@ def ext1_module(m: FpModule, n: FpModule) -> FpModule:
     return cokernel(restriction)[0]
 
 
-# a hull is a pure function of the module, and builds ask for it per degree
-_INJECTIVE_HULLS = caches.table("modules.injective_hull")
-
-
 def injective_hull(m: FpModule) -> tuple:
     """Injective hull over Z/n: returns (hull, essential mono embedding).
 
     Each factor d splits into its prime parts Z/p^a, and Z/p^a embeds
     essentially in Z/p^{v_p(n)} by multiplication with p^{v-a}.  Over Z the
     hull of a torsion module is not finitely generated, so only modular
-    rings are supported.  Memoised per module.
+    rings are supported.
     """
     if not m.ring.is_modular:
         raise ModuleError("injective hulls are only computable over Z/n here")
-    return _INJECTIVE_HULLS.lookup(m, lambda: _injective_hull(m))
-
-
-def _injective_hull(m: FpModule) -> tuple:
-    """The body of ``injective_hull`` on a miss of its table."""
     n = m.ring.modulus
     nfac = dict(_factorize(n))
     hull_factors = []

@@ -22,11 +22,9 @@ from .modules import (
     FpModule,
     ModuleError,
     ModuleMap,
-    _injective_on,
     _kernel_inclusion,
     _primes,
     _sublattice_module,
-    _surjective_on,
     cokernel,
     cokernel_with_section,
     hom_module,
@@ -750,8 +748,7 @@ def _apply_rows(rows: tuple, x: tuple, target: tuple) -> tuple:
 
 def _image(src: FpModule, tgt: FpModule, rows: Optional[tuple]) -> Optional[tuple]:
     """The image elements in sorted order, or None unless injective."""
-    if rows is None or \
-            not _injective_on(rows, src.factors, tgt.factors, _primes(src.ring.modulus)):
+    if rows is None or image_order(tgt, IntMatrix(len(rows), src.ngens, rows)) != src.size():
         return None
     return tuple(sorted(_apply_rows(rows, x, tgt.factors) for x in src.elements()))
 
@@ -761,7 +758,7 @@ def _kernel_elements(src: FpModule, tgt: FpModule, rows: Optional[tuple]) -> Opt
     if rows is None:
         # onto zero the kernel is everything; from zero nothing is onto
         return None if tgt.factors else tuple(src.elements())
-    if not _surjective_on(rows, tgt.factors, _primes(src.ring.modulus)):
+    if image_order(tgt, IntMatrix(len(rows), src.ngens, rows)) != tgt.size():
         return None
     return tuple(x for x in src.elements() if not any(_apply_rows(rows, x, tgt.factors)))
 

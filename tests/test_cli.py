@@ -608,3 +608,28 @@ def test_chain_map_keys_that_are_not_ascii_decimals_are_refused():
         doc = {"source": DISK_DOC, "target": DISK_DOC, "map": {key: [[1]], "1": [[1]]}}
         with pytest.raises(DocumentError, match="not a decimal integer"):
             chain_map_from_doc(doc)
+
+
+BOOLEAN_DOCS = {
+    "false-factor-over-Z": {"ring": {"integers": True}, "modules": {"0": [False]}},
+    "true-factor-over-Z4": {"ring": {"mod": 4}, "modules": {"0": [True]}},
+    "integers-string": {"ring": {"integers": "no"}, "modules": {"0": [2]}},
+    "integers-one": {"ring": {"integers": 1}, "modules": {"0": [2]}},
+    "integers-one-with-mod": {"ring": {"integers": 1, "mod": 4}, "modules": {"0": [2]}},
+    "integers-null-with-mod": {"ring": {"integers": None, "mod": 4}, "modules": {"0": [2]}},
+    "mod-true": {"ring": {"mod": True}, "modules": {"0": []}},
+}
+
+
+@pytest.mark.parametrize("case", list(BOOLEAN_DOCS))
+@pytest.mark.parametrize("verb,prefix", [(["validate"], "parse error"),
+                                         (["check", "exact"], "bad input")],
+                         ids=["validate", "check-exact"])
+def test_booleans_are_not_integers(tmp_path, capsys, verb, prefix, case):
+    doc = BOOLEAN_DOCS[case]
+    with pytest.raises(DocumentError) as info:
+        complex_from_doc(doc)
+    path = write(tmp_path, "c.json", doc)
+    assert main(verb + [path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{prefix}: {info.value}\n" and captured.out == ""

@@ -80,6 +80,10 @@ def run(argv: list) -> int:
 @example(doc={"ring": {"mod": 2}, "modules": {"0": [2], "1": [2], "2": [2]},
               "diff": {"0": [[1]], "1": [[1]]}})
 @example(doc=GROWING_SMITH_DOC)
+@example(doc={"ring": {"integers": True}, "modules": {"0": [False]}})
+@example(doc={"ring": {"mod": 4}, "modules": {"0": [True]}})
+@example(doc={"ring": {"integers": "no"}, "modules": {"0": [2]}})
+@example(doc={"ring": {"integers": 1, "mod": 4}, "modules": {"0": [2]}})
 def test_any_json_document_exits_cleanly(command, doc_path, doc):
     doc_path.write_text(json.dumps(doc))
     assert run(command + [str(doc_path)]) in (0, 1, 2)

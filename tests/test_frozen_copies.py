@@ -3,7 +3,7 @@
 A copy, shallow or deep, of a frozen value is the value itself, also inside
 a copied container.  A pickle round trip rebuilds the value through its
 constructor from its field values: the result is ``==`` to the original and
-hashes the same (or is unhashable, as the original is).  A homotopy compares
+hashes the same.  A homotopy compares
 by identity, so its round trip is checked to verify, over an equal chain
 map.
 """
@@ -18,6 +18,7 @@ import homkit  # noqa: F401
 from homkit.complexes import (
     ChainMap,
     Complex,
+    ExactnessReport,
     Homotopy,
     is_exact,
     mapping_cone,
@@ -71,15 +72,6 @@ def frozen_types(cls=Frozen) -> set:
     return found
 
 
-def hashed(value):
-    """The hash of ``value``, or TypeError for one with an unhashable field
-    (``ExactnessReport`` holds a dict)."""
-    try:
-        return hash(value)
-    except TypeError:
-        return TypeError
-
-
 def test_every_frozen_type_has_a_sample():
     # importing homkit loads every layer, so every frozen type is defined
     assert {cls.__name__ for cls in frozen_types()} == set(SAMPLES)
@@ -102,8 +94,23 @@ def test_a_pickle_round_trip_rebuilds_an_equal_value(name):
         assert back != value and back.verifies() and back.chain_map == value.chain_map
         assert back.chain_map.source._differentials == value.chain_map.source._differentials
     else:
-        assert back == value and hashed(back) == hashed(value)
+        assert back == value and hash(back) == hash(value)
         assert back._values() == value._values()
+
+
+def test_an_exactness_report_is_a_read_only_hashable_value():
+    rep = SAMPLES["ExactnessReport"]
+    assert not rep.exact and rep.homology[0] == (2,) and rep.homology.get(5) is None
+    back = pickle.loads(pickle.dumps(rep))
+    assert back == rep and hash(back) == hash(rep)
+    with pytest.raises(TypeError):
+        back.homology[1] = (2,)
+
+
+def test_reports_built_in_either_degree_order_are_one_value():
+    a, b = ExactnessReport(True, {0: (), 1: (2,)}), ExactnessReport(True, {1: (2,), 0: ()})
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert list(b.homology) == [0, 1] and len({a, b}) == 1
 
 
 def test_a_round_trip_keeps_component_mappings_read_only():

@@ -31,14 +31,15 @@ spec = importlib.util.spec_from_file_location("homkit_bench_tracer", sys.argv[2]
 tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
 from homkit import ChainMap, FpModule, IntMatrix, ModuleMap, Verdict, XClassSpec, Zmod
-from homkit.complexes import disk, null_homotopy, sphere
+from homkit.complexes import disk, is_exact, null_homotopy, sphere
 from homkit.values import Record
 z2 = FpModule(Zmod(4), (2,))
 checked = {"RingSpec": Zmod(4), "IntMatrix": IntMatrix.identity(1), "FpModule": z2,
            "ModuleMap": ModuleMap.identity(z2), "XClassSpec": XClassSpec("all"),
            "Verdict": Verdict(True, "u"), "Complex": sphere(0, z2),
            "ChainMap": ChainMap.identity(sphere(0, z2)),
-           "Homotopy": null_homotopy(ChainMap.identity(disk(0, z2)))}
+           "Homotopy": null_homotopy(ChainMap.identity(disk(0, z2))),
+           "ExactnessReport": is_exact(sphere(0, z2))}
 def walk(cls):
     for sub in cls.__subclasses__():
         yield sub
@@ -87,6 +88,7 @@ def test_value_types_in_use_load_neither():
     assert all(shown and equal and hashed in (True, None)
                for shown, equal, hashed in report["used"].values())
     assert report["used"]["Verdict"][2] is None and report["used"]["Complex"][2] is True
+    assert report["used"]["ExactnessReport"][2] is True
     assert report["heavy_after_use"] == []
 
 

@@ -10,14 +10,18 @@ frozen class), slots or an instance ``__dict__``, and ``Verdict``'s fresh
 default containers.  A mutant of the ``RingSpec`` oracle that hashes a
 scalar must be told apart by the same comparison.
 
-Three differences are by design.  A dataclass keeps each field default as a
+Four differences are by design.  A dataclass keeps each field default as a
 class attribute, which a field deleted from a mutable instance falls back
 to; the plain classes keep none.  ``Verdict`` reads an explicit None for
 ``witnesses`` or ``extra`` as its default, a fresh list or dict, where the
 dataclass stored None.  A frozen slotted dataclass of Python 3.11 raises a
 TypeError from its own ``super()`` call when an attribute that is not a
 field is assigned or deleted; the plain classes raise the AttributeError
-they raise for a field.
+they raise for a field.  ``ExactnessReport`` holds its homology as a
+read-only mapping in increasing degree and hashes, where the dataclass held
+the dict it was given and was unhashable: its oracle is given that mapping,
+and the hash is compared with the report's equality instead
+(``tests/test_frozen_copies.py`` checks it too).
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ import dataclasses
 import inspect
 import math
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -85,6 +90,9 @@ def random_fields(name: str, rng: random.Random) -> tuple:
         return module_map_fields(rng)
     if name == "XClassSpec":
         return class_spec_fields(rng)
+    if name == "ExactnessReport":
+        return rng.random() < 0.5, {k: rng.choice([(), (2,), (2, 4)])
+                                    for k in rng.sample(range(3), rng.randrange(4))}
     pool = POOL + UNHASHABLE if rng.random() < 0.2 else POOL
     return tuple(rng.choice(pool) for _ in ORACLES[name].__dataclass_fields__)
 
@@ -115,15 +123,17 @@ def field_names(cls) -> tuple:
         else cls._fields
 
 
-def behaviour(cls, fields: tuple, other: tuple) -> list:
+def behaviour(cls, fields: tuple, other: tuple, hashes: bool = True) -> list:
     """Everything compared about ``cls`` built from ``fields``, with a
-    second instance built from the ``other`` field values."""
+    second instance built from the ``other`` field values; the hashes are
+    left out unless ``hashes``."""
     names = field_names(cls)
     x, twin, z = cls(*fields), cls(*fields), cls(*other)
     keyword = cls(**dict(zip(names, fields)))
+    hashed = [outcome(lambda: hash(x)), outcome(lambda: hash(x) == hash(twin)),
+              outcome(lambda: len({x, twin, z}))] if hashes else []
     seen = [repr(x), repr(z), repr(keyword), x == twin, x != twin, x == keyword, x == z,
-            x != z, outcome(lambda: hash(x)), outcome(lambda: hash(x) == hash(twin)),
-            outcome(lambda: len({x, twin, z})), x.__eq__(object()) is NotImplemented,
+            x != z, *hashed, x.__eq__(object()) is NotImplemented,
             x == 5, hasattr(x, "__dict__"), vars(cls).get("__slots__")]
     for name in names:
         v = cls(*fields)
@@ -140,7 +150,11 @@ def behaviour(cls, fields: tuple, other: tuple) -> list:
 def as_declared(name: str, fields: tuple) -> tuple:
     """The field values the dataclass needs to build what the plain class
     builds from ``fields``: a fresh list or dict for a ``Verdict``'s None
-    ``witnesses`` or ``extra``."""
+    ``witnesses`` or ``extra``, and an ``ExactnessReport``'s homology as a
+    read-only mapping in increasing degree."""
+    if name == "ExactnessReport":
+        exact, homology = fields
+        return exact, MappingProxyType(dict(sorted(homology.items())))
     if name != "Verdict":
         return fields
     fresh = {3: list, 5: dict}
@@ -170,17 +184,22 @@ def test_fields_and_parameters_are_the_declarations(name):
 def test_random_instances_behave_as_the_dataclass(name):
     rng = random.Random(name)
     new, old = CLASSES[name], ORACLES[name]
+    hashes = name != "ExactnessReport"
     for _ in range(40):
         fields, other = random_fields(name, rng), random_fields(name, rng)
         if rng.random() < 0.25:
             other = fields
-        assert behaviour(new, fields, other) == \
-            behaviour(old, as_declared(name, fields), as_declared(name, other))
+        assert behaviour(new, fields, other, hashes) == \
+            behaviour(old, as_declared(name, fields), as_declared(name, other), hashes)
+        if not hashes:
+            x, twin, z = new(*fields), new(*fields), new(*other)
+            assert hash(x) == hash(twin) and len({x, twin, z}) == 1 + (x != z)
         # an instance of the plain class never equals its oracle's
         assert new(*fields) != old(*fields)
         # omitted defaults
         k = required(new)
-        assert outcome(lambda: repr(new(*fields[:k]))) == outcome(lambda: repr(old(*fields[:k])))
+        assert outcome(lambda: repr(new(*fields[:k]))) == \
+            outcome(lambda: repr(old(*as_declared(name, fields)[:k])))
 
 
 @pytest.mark.parametrize("name", sorted(INVALID))
